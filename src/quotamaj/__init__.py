@@ -110,6 +110,7 @@ __all__ = [
     "psi_eval",
     "reduce_to_counts",
     "represent",
+    "rules_matching_table",
     "subset_to_proper",
     "tables_equal",
     "to_table",

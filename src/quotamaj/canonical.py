@@ -10,9 +10,16 @@ untouched, drive the reduction:
   side, drop the earlier one: every profile it decides is decided one
   step later by its more extreme neighbour, with the same outcome.
 
-Run to a fixed point after truncating at the first terminal element, the
-two steps terminate in a proper sequence.  In debug runs every single
-removal is cross-checked against the brute-force truth table.
+After truncating at the first terminal element, one left-to-right pass
+per step applies them: the first skips each entry inside the running
+range [lo, hi] of the entries before it, the second overwrites the last
+kept entry when a new one escapes on the same side as the previous
+escape, and appends it otherwise.  Neither step changes the range that
+later entries are compared against, so the two passes reach the same
+proper sequence as rewriting to a fixed point.  The result is checked
+once, end to end, against the brute-force truth table of the truncated
+input; the check raises rather than asserts, so it also runs under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -49,74 +56,52 @@ def delete_dominated(seq: QuotaSeq) -> QuotaSeq:
     """Remove every entry weakly sandwiched by earlier entries.
 
     An interior entry k_g with min(earlier) <= k_g <= max(earlier) can never
-    be the deciding index, so removing it preserves the rule.  Removal is
-    leftmost-first and repeats until no entry qualifies; the terminal and
-    the leading entry are never removed.
+    be the deciding index, so removing it preserves the rule.  Removing
+    such an entry leaves the range of the entries before any later one
+    unchanged, so one pass against the running range [lo, hi] removes
+    every entry that leftmost-first removal to a fixed point would; the
+    terminal and the leading entry are never removed.
     """
     _require_truncated(seq)
-    q = list(seq.quotas)
-    changed = True
-    while changed:
-        changed = False
-        lo = hi = q[0]
-        for g in range(1, len(q) - 1):
-            v = q[g]
-            if lo <= v <= hi:
-                del q[g]
-                changed = True
-                break
-            lo = min(lo, v)
-            hi = max(hi, v)
-    out = QuotaSeq(seq.n, tuple(q))
-    assert to_table(out) == to_table(seq), "dominated-entry removal changed the rule"
-    return out
-
-
-def _drop_first_same_side(seq: QuotaSeq) -> QuotaSeq | None:
-    """One same-side collapse, or None when the sides already alternate.
-
-    Assumes every entry escapes the range of all earlier entries (the
-    fixed point of delete_dominated).  At the first pair of consecutive
-    entries on the same side, the later one is the more extreme and the
-    earlier one is redundant.
-    """
     q = seq.quotas
+    kept = [q[0]]
     lo = hi = q[0]
-    prev_side = 0
-    for g in range(1, len(q)):
-        v = q[g]
-        if v > hi:
-            side, hi = 1, v
-        elif v < lo:
-            side, lo = -1, v
-        else:
-            raise AssertionError("entry inside earlier range survived delete_dominated")
-        if side == prev_side:
-            return QuotaSeq(seq.n, q[: g - 1] + q[g:])
-        prev_side = side
-    return None
+    for v in q[1:-1]:
+        if lo <= v <= hi:
+            continue
+        kept.append(v)
+        lo, hi = min(lo, v), max(hi, v)
+    if len(q) > 1:
+        kept.append(q[-1])
+    return QuotaSeq(seq.n, tuple(kept))
 
 
 def canonicalize(raw: Sequence[int], n: int) -> QuotaSeq:
     """The unique proper sequence defining the same rule as the raw input.
 
-    Truncates at the first terminal, then alternates dominated-entry
-    removal with same-side collapses until the zig-zag shape is reached.
-    A leading 0 or n+1 denotes a constant rule and canonicalizes to the
-    singleton sequence.
+    Truncates at the first terminal and deletes the dominated entries,
+    then, in one pass, collapses each run of entries that escape on the
+    same side to its last, most extreme entry.  A leading 0 or n+1
+    denotes a constant rule and canonicalizes to the singleton sequence.
     """
     seq = truncate(raw, n)
-    if seq.quotas[0] in (0, n + 1):
-        return QuotaSeq(n, (seq.quotas[0],))
-    while True:
-        seq = delete_dominated(seq)
-        collapsed = _drop_first_same_side(seq)
-        if collapsed is None:
-            break
-        assert to_table(collapsed) == to_table(seq), "same-side collapse changed the rule"
-        seq = collapsed
-    assert is_proper(seq), "canonicalization did not reach a proper sequence"
-    return seq
+    q = delete_dominated(seq).quotas
+    kept = [q[0]]
+    lo = hi = q[0]
+    prev_side = 0
+    for v in q[1:]:
+        # every entry left escapes the range of the ones before it
+        side = 1 if v > hi else -1
+        lo, hi = min(lo, v), max(hi, v)
+        if side == prev_side:
+            kept[-1] = v
+        else:
+            kept.append(v)
+        prev_side = side
+    out = QuotaSeq(n, tuple(kept))
+    if not is_proper(out) or to_table(out) != to_table(seq):
+        raise AssertionError(f"canonicalizing ({seq}) gave ({out}), which is not its proper form")
+    return out
 
 
 def _shorter_candidates(n: int, max_length: int):

@@ -66,11 +66,12 @@ def _load_table(path: str) -> CountTable | FullTable:
 def _as_count_table(table: CountTable | FullTable) -> CountTable:
     if isinstance(table, CountTable):
         return table
-    if not oracle.check_anonymous(table):
+    try:
+        return oracle.reduce_to_counts(table)
+    except ValueError:
         raise PropertyViolated(
             "table is not anonymous: two profiles with equal counts disagree"
-        )
-    return oracle.reduce_to_counts(table)
+        ) from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -114,6 +115,8 @@ def cmd_enum(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"society size must be at least 1, got {args.n}")
     print(2 ** (args.n + 1))
     return OK
 
@@ -122,14 +125,15 @@ def cmd_verify(args) -> int:
     table = _load_table(args.table)
     violated = False
     if isinstance(table, FullTable):
-        anonymous = oracle.check_anonymous(table)
-        print(f"anonymous: {'yes' if anonymous else 'no'}")
-        if anonymous:
+        try:
             counts = oracle.reduce_to_counts(table)
+        except ValueError:
+            counts = None
+        print(f"anonymous: {'no' if counts is None else 'yes'}")
+        if counts is not None:
             witness = oracle.find_manipulation(counts)
         else:
             violated = True
-            counts = None
             witness = oracle.find_manipulation_full(table)
     else:
         counts = table
@@ -150,7 +154,7 @@ def cmd_verify(args) -> int:
 def cmd_represent(args) -> int:
     counts = _as_count_table(_load_table(args.table))
     levels = extraction.extract(counts)
-    seq = extraction.represent(counts)
+    seq = extraction._proper_form(levels)
     pairs = ",".join(f"({ell},{k})" for ell, k in levels.pairs) or "none"
     print(seq)
     print(f"x={levels.default}; (l,k)={pairs}")

@@ -184,13 +184,13 @@ class CountTable:
 
     @classmethod
     def from_mapping(cls, n: int, outcomes: Mapping[tuple[int, int], Alternative]) -> "CountTable":
-        profiles = all_count_profiles(n)
-        if len(outcomes) != len(profiles):
+        # checked before any profile list is built: n may come from an untrusted header
+        if len(outcomes) != count_table_size(n):
             raise ValueError(
-                f"table for n={n} needs {len(profiles)} entries, got {len(outcomes)}"
+                f"table for n={n} needs {count_table_size(n)} entries, got {len(outcomes)}"
             )
         try:
-            return cls(n, tuple(outcomes[(p.na, p.nb)] for p in profiles))
+            return cls(n, tuple(outcomes[(p.na, p.nb)] for p in all_count_profiles(n)))
         except KeyError as missing:
             raise ValueError(f"table is missing profile {missing.args[0]}") from None
 

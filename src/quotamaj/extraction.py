@@ -204,7 +204,11 @@ def extract(table: CountTable) -> LKSequence:
     return LKSequence(n=n, default=default, pairs=tuple(pairs))
 
 
+def _proper_form(levels: LKSequence) -> QuotaSeq:
+    """The proper sequence of already extracted levels."""
+    return canonicalize(interleave(levels).quotas, levels.n)
+
+
 def represent(table: CountTable) -> QuotaSeq:
     """The unique proper quota sequence whose table equals the input."""
-    seq = canonicalize(interleave(extract(table)).quotas, table.n)
-    return seq
+    return _proper_form(extract(table))

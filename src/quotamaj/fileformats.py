@@ -149,6 +149,11 @@ def _parse_text(text: str) -> CountTable | FullTable:
     raise ValueError("table mixes count-profile and full-profile lines")
 
 
+def _is_json_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_structured(text: str) -> CountTable | FullTable:
     try:
         data = json.loads(text)
@@ -157,7 +162,7 @@ def _parse_structured(text: str) -> CountTable | FullTable:
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
         raise ValueError("structured table needs 'n' and 'entries' fields")
     n = data["n"]
-    if not isinstance(n, int):
+    if not _is_json_int(n):
         raise ValueError(f"society size must be an integer, got {n!r}")
     entries = data["entries"]
     if not isinstance(entries, list) or not entries:
@@ -175,6 +180,8 @@ def _parse_structured(text: str) -> CountTable | FullTable:
         if not isinstance(e, dict) or "a" not in e or "b" not in e or "out" not in e:
             raise ValueError(f"count entry needs 'a', 'b' and 'out' fields: {e!r}")
         key = (e["a"], e["b"])
+        if not all(_is_json_int(count) for count in key):
+            raise ValueError(f"support counts must be integers: {e!r}")
         if key in count_entries:
             raise ValueError(f"duplicate entry for profile {key}")
         count_entries[key] = _parse_outcome(str(e["out"]))

@@ -88,25 +88,31 @@ class FullManipulation:
         )
 
 
-def check_anonymous(table: FullTable) -> bool:
-    """Whether the table is constant on every class of equal-count profiles."""
-    seen: dict[tuple[int, int], Alternative] = {}
+def check_anonymous(
+    table: FullTable, classes: dict[tuple[int, int], Alternative] | None = None
+) -> bool:
+    """Whether the table is constant on every class of equal-count profiles.
+
+    When `classes` is given, it receives each class's outcome, keyed by
+    (na, nb), so that a caller can reduce the table in the same pass.
+    """
+    seen = {} if classes is None else classes
     for profile, outcome in table.items():
         counts = count_of(profile)
-        key = (counts.na, counts.nb)
-        if seen.setdefault(key, outcome) is not outcome:
+        if seen.setdefault((counts.na, counts.nb), outcome) is not outcome:
             return False
     return True
 
 
 def reduce_to_counts(table: FullTable) -> CountTable:
-    """Collapse an anonymous full table to its count table."""
-    if not check_anonymous(table):
+    """Collapse an anonymous full table to its count table.
+
+    The counts are collected by the anonymity check's own pass; a table
+    that is not anonymous raises ValueError.
+    """
+    outcomes: dict[tuple[int, int], Alternative] = {}
+    if not check_anonymous(table, outcomes):
         raise ValueError("table is not anonymous; it has no count form")
-    outcomes = {}
-    for profile, outcome in table.items():
-        counts = count_of(profile)
-        outcomes[(counts.na, counts.nb)] = outcome
     return CountTable.from_mapping(table.n, outcomes)
 
 

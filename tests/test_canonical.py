@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -128,3 +132,101 @@ def test_is_minimal_budget():
     )
     with pytest.raises(SearchBudgetExceeded):
         is_minimal(long_seq, max_candidates=10)
+
+
+def _delete_dominated_leftmost(s):
+    # leftmost-first removal, restarted after every deletion
+    q = list(s.quotas)
+    changed = True
+    while changed:
+        changed = False
+        lo = hi = q[0]
+        for g in range(1, len(q) - 1):
+            v = q[g]
+            if lo <= v <= hi:
+                del q[g]
+                changed = True
+                break
+            lo = min(lo, v)
+            hi = max(hi, v)
+    return QuotaSeq(s.n, tuple(q))
+
+
+def _drop_first_same_side(s):
+    # the earlier of the first two consecutive same-side escapes, removed
+    q = s.quotas
+    lo = hi = q[0]
+    prev_side = 0
+    for g in range(1, len(q)):
+        v = q[g]
+        if v > hi:
+            side, hi = 1, v
+        elif v < lo:
+            side, lo = -1, v
+        else:
+            raise AssertionError("entry inside earlier range survived dominated-entry removal")
+        if side == prev_side:
+            return QuotaSeq(s.n, q[: g - 1] + q[g:])
+        prev_side = side
+    return None
+
+
+def reference_canonicalize(raw, n):
+    """The rewrite-to-fixpoint algorithm: dominated-entry removal
+    alternated with same-side collapses until neither applies."""
+    s = truncate(raw, n)
+    if s.quotas[0] in (0, n + 1):
+        return QuotaSeq(n, (s.quotas[0],))
+    while True:
+        s = _delete_dominated_leftmost(s)
+        collapsed = _drop_first_same_side(s)
+        if collapsed is None:
+            return s
+        s = collapsed
+
+
+def test_canonicalize_matches_fixpoint_on_all_distinct_sequences():
+    for n in range(1, 7):
+        for s in all_valid_r_tuples(n):
+            assert canonicalize(s.quotas, n) == reference_canonicalize(s.quotas, n)
+
+
+@st.composite
+def padded_sequences(draw, max_n=12):
+    # repeats in the body, anything after the terminal
+    n = draw(st.integers(1, max_n))
+    body = draw(st.lists(st.integers(1, n), max_size=12))
+    terminal = draw(st.sampled_from([0, n + 1]))
+    padding = draw(st.lists(st.integers(0, n + 1), max_size=4))
+    return tuple(body) + (terminal,) + tuple(padding), n
+
+
+@given(padded_sequences())
+def test_canonicalize_matches_fixpoint_with_repeats_and_padding(raw_n):
+    raw, n = raw_n
+    assert canonicalize(raw, n) == reference_canonicalize(raw, n)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    ["c.is_proper = lambda s: False", "c.to_table = lambda s: s.quotas"],
+    ids=["not-proper", "table-differs"],
+)
+def test_canonicalize_check_survives_optimize(patch):
+    # the end-to-end check is no assert statement, so python -O keeps it;
+    # 5,4,2,12 collapses to 5,2,12, so comparing quotas in place of tables differs
+    code = (
+        "import quotamaj.canonical as c\n"
+        f"{patch}\n"
+        "try:\n"
+        "    c.canonicalize((5, 4, 2, 12), 11)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(7)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 7, proc.stderr

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from quotamaj import core, oracle
 from quotamaj import Alternative, CountTable, QuotaSeq, to_table
 from quotamaj.cli import BUDGET_EXCEEDED, INVALID_INPUT, OK, PROPERTY_VIOLATED, main
 from quotamaj.fileformats import format_count_table, format_full_table
@@ -198,3 +205,70 @@ def test_sequence_file_input(tmp_path, capsys):
 def test_missing_n_is_invalid_input(capsys):
     code, _, err = run(capsys, "eval", "--quotas", "5,2,12", "--na", "3", "--nb", "6")
     assert code == INVALID_INPUT and "society size" in err
+
+
+def test_represent_runs_the_oracle_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    find = oracle.find_manipulation
+
+    def counting(table):
+        calls.append(table)
+        return find(table)
+
+    monkeypatch.setattr(oracle, "find_manipulation", counting)
+    path = tmp_path / "worked.tbl"
+    path.write_text(format_count_table(to_table(QuotaSeq(11, (5, 2, 12)))))
+    code, out, _ = run(capsys, "represent", "--table", str(path))
+    assert code == OK and out.splitlines()[0] == "5,2,12"
+    assert len(calls) == 1
+
+
+def test_header_size_is_checked_before_profiles_are_built(tmp_path, capsys, monkeypatch):
+    built = []
+    profiles = core.all_count_profiles
+
+    def recording(n):
+        built.append(n)
+        return profiles(n)
+
+    monkeypatch.setattr(core, "all_count_profiles", recording)
+    path = tmp_path / "huge.tbl"
+    path.write_text("n=1500\n")
+    code, _, err = run(capsys, "verify", "--table", str(path))
+    assert code == INVALID_INPUT and "needs" in err
+    assert 1500 not in built
+
+
+@pytest.mark.parametrize("n", ["-5", "0"])
+def test_count_rejects_empty_societies(capsys, n):
+    code, out, err = run(capsys, "count", "--n", n)
+    assert code == INVALID_INPUT and out == "" and "society size" in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"n": true, "entries": [{"a": 0, "b": 0, "out": "b"}, {"a": 0, "b": 1, "out": "b"}, {"a": 1, "b": 0, "out": "a"}]}',
+        '{"n": 1, "entries": [{"a": false, "b": 0, "out": "b"}, {"a": 0, "b": true, "out": "b"}, {"a": true, "b": 0, "out": "a"}]}',
+        '{"n": 1, "entries": [{"a": 0.0, "b": 0, "out": "b"}, {"a": 0, "b": 1.0, "out": "b"}, {"a": 1.0, "b": 0, "out": "a"}]}',
+        '{"n": 1, "entries": [{"a": [0], "b": 0, "out": "b"}, {"a": 0, "b": 1, "out": "b"}, {"a": 1, "b": 0, "out": "a"}]}',
+    ],
+    ids=["bool-n", "bool-counts", "float-counts", "list-count"],
+)
+def test_json_table_rejects_non_integer_sizes_and_counts(tmp_path, capsys, body):
+    path = tmp_path / "table.json"
+    path.write_text(body)
+    code, out, err = run(capsys, "verify", "--table", str(path))
+    assert code == INVALID_INPUT and out == "" and "integer" in err
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "quotamaj", "count", "--n", "3"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == OK and proc.stdout == "16\n"
