@@ -117,6 +117,16 @@ def cmd_enum(args) -> int:
 def cmd_count(args) -> int:
     if args.n < 1:
         raise ValueError(f"society size must be at least 1, got {args.n}")
+    # the digit limit exists from Python 3.10.7 on; 0 means no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        # 2**(n+1) has at most `limit` digits iff it is below 10**limit
+        largest = (10**limit).bit_length() - 2
+        if args.n > largest:
+            raise ValueError(
+                f"the count for n={args.n} has more than {limit} digits; "
+                f"the largest n that prints is {largest}"
+            )
     print(2 ** (args.n + 1))
     return OK
 

@@ -42,9 +42,7 @@ def subset_to_proper(subset: Iterable[int], default: Alternative, n: int) -> Quo
             out[pos] = vals[hi]
             hi -= 1
         take_min = not take_min
-    seq = QuotaSeq(n, tuple(out) + (n + 1,))
-    assert is_proper(seq)
-    return seq
+    return QuotaSeq(n, tuple(out) + (n + 1,))
 
 
 def proper_to_subset(seq: QuotaSeq) -> tuple[frozenset[int], Alternative]:

@@ -1,21 +1,24 @@
 """Recovering a quota sequence from a strategy-proof anonymous table.
 
-The recovery walks levels of indifference.  With ell voters indifferent
+The recovery works on levels of indifference.  With ell voters indifferent
 and a quota k on the remaining n - ell, a profile is
 
-* a-covered when at least k support a and fewer than m = n - ell - k + 1
-  support b,
+* a-covered when at least k support a and fewer than the margin m
+  (see `LKSequence.margin`) support b,
 * b-covered when fewer than k support a and at least m support b.
 
-Starting from the strict level, the walk repeatedly looks for the
-least-indifference profile whose outcome disagrees with the default, reads
-the quota for that level off the strict row of the shrunken society, and
-records the (ell, k) pair.  For a strategy-proof table the recorded ells
-strictly increase and (with default b) the quotas strictly decrease while
-ell + k never decreases, and replaying the pairs first-match reproduces
-the table exactly.  Interleaving ell + k with k and closing with a
-terminal turns the pairs into a defining quota sequence, whose proper
-form is then the canonical representation of the table.
+A strategy-proof table is one threshold per indifference row: in the row
+of profiles with ell voters indifferent, a wins exactly from some support
+t(ell) on.  With default b, the recovery walks these thresholds once from
+the strict row down and opens the level (ell, t(ell)) wherever a wins in
+the row below the last opened quota; the default-a case walks the
+mirrored thresholds the same way and mirrors the quotas back.  The
+recorded ells strictly increase and (with default b) the quotas strictly
+decrease while ell + k never decreases, and replaying the pairs
+first-match reproduces the table exactly.  Interleaving ell + k with k
+and closing with a terminal turns the pairs into a defining quota
+sequence, whose proper form is then the canonical representation of the
+table.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .canonical import canonicalize
-from .core import Alternative, CountProfile, CountTable, QuotaSeq, all_count_profiles
+from .core import Alternative, CountProfile, CountTable, QuotaSeq
 
 
 class NotStrategyProof(ValueError):
@@ -33,6 +36,14 @@ class NotStrategyProof(ValueError):
     def __init__(self, counterexample: oracle.CountManipulation):
         super().__init__(f"table is manipulable: {counterexample}")
         self.counterexample = counterexample
+
+
+def _margin(n: int, ell: int, k: int) -> int:
+    """The b-side threshold of quota k with ell voters indifferent.
+
+    It is also the quota of the a/b-mirrored table, and its own inverse in k.
+    """
+    return n - ell - k + 1
 
 
 def _check_pair(n: int, ell: int, k: int) -> None:
@@ -76,16 +87,15 @@ class LKSequence:
                 raise ValueError("ell + k must strictly increase when the default is a")
 
     def margin(self, i: int) -> int:
-        """The b-side threshold m = n - ell - k + 1 of pair i."""
-        ell, k = self.pairs[i]
-        return self.n - ell - k + 1
+        """The b-side threshold m of pair i: b needs at least m supporters."""
+        return _margin(self.n, *self.pairs[i])
 
 
 def covered_a(pair: tuple[int, int], profile: CountProfile) -> bool:
     """Whether the profile is decided for a by the (ell, k) level."""
     ell, k = pair
     _check_pair(profile.n, ell, k)
-    m = profile.n - ell - k + 1
+    m = _margin(profile.n, ell, k)
     return profile.na >= k and profile.nb < m
 
 
@@ -93,7 +103,7 @@ def covered_b(pair: tuple[int, int], profile: CountProfile) -> bool:
     """Whether the profile is decided for b by the (ell, k) level."""
     ell, k = pair
     _check_pair(profile.n, ell, k)
-    m = profile.n - ell - k + 1
+    m = _margin(profile.n, ell, k)
     return profile.na < k and profile.nb >= m
 
 
@@ -129,78 +139,52 @@ def interleave(seq: LKSequence) -> QuotaSeq:
     return QuotaSeq(seq.n, tuple(quotas))
 
 
-def _dual_table(table: CountTable) -> CountTable:
+def _row_thresholds(table: CountTable) -> tuple[int, ...]:
+    """Least a-support that wins each row, indexed by the indifferent count ell.
+
+    Row ell holds the profiles with n - ell voters not indifferent; a row
+    that a never wins reads n - ell + 1.
+    """
     n = table.n
-    return CountTable(
-        n,
-        tuple(table.outcome(p.nb, p.na).other for p in all_count_profiles(n)),
-    )
-
-
-def _strict_row_quota(table: CountTable, ell: int) -> int:
-    """Least a-support that wins on the row with exactly ell indifferent voters."""
-    size = table.n - ell
-    row = [table.outcome(j, size - j) for j in range(size + 1)]
-    for j in range(size):
-        if row[j] is Alternative.A and row[j + 1] is Alternative.B:
+    thresholds = []
+    for ell in range(n + 1):
+        size = n - ell
+        row = [table.outcome(j, size - j) for j in range(size + 1)]
+        t = next((j for j, outcome in enumerate(row) if outcome is Alternative.A), size + 1)
+        if Alternative.B in row[t:]:
             # strategy-proofness makes these rows monotone; refuse to read garbage
             raise AssertionError(
-                f"row with {ell} indifferent voters is not monotone at a-support {j}"
+                f"row with {ell} indifferent voters is not monotone above a-support {t}"
             )
-    for j, outcome in enumerate(row):
-        if outcome is Alternative.A:
-            return j
-    return size + 1
-
-
-def _extract_pairs_default_b(table: CountTable) -> list[tuple[int, int]]:
-    n = table.n
-    scan_order = sorted(all_count_profiles(n), key=lambda p: (p.indifferent, p.na, p.nb))
-    uncovered = {(p.na, p.nb) for p in scan_order}
-    pairs: list[tuple[int, int]] = []
-    while True:
-        witness = next(
-            (
-                p
-                for p in scan_order
-                if (p.na, p.nb) in uncovered and table.outcome(p.na, p.nb) is Alternative.A
-            ),
-            None,
-        )
-        if witness is None:
-            return pairs
-        ell = witness.indifferent
-        k = _strict_row_quota(table, ell)
-        if not 1 <= k <= n - ell:
-            raise AssertionError(
-                f"level {ell} produced quota {k}; the table cannot be strategy-proof"
-            )
-        m = n - ell - k + 1
-        uncovered = {
-            (na, nb)
-            for na, nb in uncovered
-            if not ((na >= k and nb < m) or (na < k and nb >= m))
-        }
-        pairs.append((ell, k))
+        thresholds.append(t)
+    return tuple(thresholds)
 
 
 def extract(table: CountTable) -> LKSequence:
     """Recover the level pairs of a strategy-proof table.
 
-    The default-a case is handled through the two-alternative symmetry:
-    extract the mirrored table with default b, then swap each quota for
-    its dual threshold m = n - ell - k + 1.
+    With default b, row ell opens the level (ell, t) when its threshold t
+    is below the last quota and a wins somewhere in the row.  The
+    default-a case walks the mirrored thresholds the same way and mirrors
+    the quotas back.
     """
     counterexample = oracle.find_manipulation(table)
     if counterexample is not None:
         raise NotStrategyProof(counterexample)
     n = table.n
     default = table.outcome(0, 0)
-    if default is Alternative.B:
-        pairs = _extract_pairs_default_b(table)
-    else:
-        mirrored = _extract_pairs_default_b(_dual_table(table))
-        pairs = [(ell, n - ell - k + 1) for ell, k in mirrored]
+    mirror = default is Alternative.A
+    rows = enumerate(_row_thresholds(table))
+    if mirror:
+        rows = [(ell, _margin(n, ell, t)) for ell, t in rows]
+    pairs = []
+    last = n + 1
+    for ell, t in rows:
+        if t < last and t <= n - ell:
+            pairs.append((ell, t))
+            last = t
+    if mirror:
+        pairs = [(ell, _margin(n, ell, k)) for ell, k in pairs]
     return LKSequence(n=n, default=default, pairs=tuple(pairs))
 
 

@@ -10,6 +10,11 @@ threshold per level below r:
   least y'_i voters support b, where y'_i = (n - r + 1) - y_i + i rewrites
   the stored threshold y_i onto the b side.
 
+Either way a wins exactly when at least x_i (or y_i) voters support a, so
+the stored thresholds are the row thresholds of the table, the least
+a-support that wins each indifference row, from the deepest level r - 1
+up to the strict row, for either default.
+
 The stored vectors are anchored at their first coordinate (x_1 = 1,
 y_1 = n - r + 1) and grow by at most one per level.  Converting a rule to
 its table and re-extracting the proper sequence is exact in both
@@ -26,7 +31,7 @@ from typing import Iterator
 
 from .core import Alternative, CountProfile, CountTable, QuotaSeq
 from .engine import is_proper, to_table
-from .extraction import represent
+from .extraction import _row_thresholds, represent
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +39,8 @@ class LPRule:
     """Indifference-quota rule: default, quota r, and a threshold per level.
 
     thresholds holds the x vector for default a and the y vector for
-    default b.
+    default b; for either default, thresholds[i - 1] is the least
+    a-support that wins with r - i voters indifferent.
     """
 
     n: int
@@ -80,10 +86,7 @@ def lp_eval(rule: LPRule, profile: CountProfile) -> Alternative:
     idle = profile.indifferent
     if idle >= rule.r:
         return rule.default
-    i = rule.r - idle  # 1 <= i <= r
-    if rule.default is Alternative.A:
-        return Alternative.A if profile.na >= rule.thresholds[i - 1] else Alternative.B
-    return Alternative.B if profile.nb >= rule.b_thresholds[i - 1] else Alternative.A
+    return Alternative.A if profile.na >= rule.thresholds[rule.r - idle - 1] else Alternative.B
 
 
 def lp_to_table(rule: LPRule) -> CountTable:
@@ -94,9 +97,9 @@ def lp_to_table(rule: LPRule) -> CountTable:
 def proper_to_lp(seq: QuotaSeq) -> LPRule:
     """Read an indifference-quota rule off the table of an onto proper sequence.
 
-    The quota r is pinned by the deepest indifference level that still
-    forces the default everywhere, and each threshold is the least support
-    that wins its level.  Constant rules are rejected: with no deviating
+    The quota r is one more than the deepest indifference row that is not
+    all default, and the thresholds are the row thresholds from that row
+    up to the strict one.  Constant rules are rejected: with no deviating
     profile there is no level to anchor r.
     """
     if not is_proper(seq):
@@ -105,30 +108,10 @@ def proper_to_lp(seq: QuotaSeq) -> LPRule:
     if not 1 <= seq.quotas[0] <= n:
         raise ValueError("constant rules have no indifference-quota form")
     table = to_table(seq)
-    default = table.outcome(0, 0)
-    deviating_votes = [
-        p.na + p.nb for p, outcome in table.items() if outcome is not default
-    ]
-    r = n - min(deviating_votes) + 1
-    thresholds = []
-    for i in range(1, r + 1):
-        votes = n - r + i
-        if default is Alternative.B:
-            y_prime = next(
-                nb
-                for nb in range(votes + 1)
-                if table.outcome(votes - nb, nb) is Alternative.B
-            )
-            thresholds.append((n - r + 1) - y_prime + i)
-        else:
-            thresholds.append(
-                next(
-                    na
-                    for na in range(votes + 1)
-                    if table.outcome(na, votes - na) is Alternative.A
-                )
-            )
-    return LPRule(n=n, default=default, r=r, thresholds=tuple(thresholds))
+    rows = _row_thresholds(table)
+    # strategy-proofness keeps 0 < t <= n - ell exactly on the rows that are not all default
+    r = 1 + max(ell for ell, t in enumerate(rows) if 0 < t <= n - ell)
+    return LPRule(n=n, default=table.outcome(0, 0), r=r, thresholds=rows[r - 1 :: -1])
 
 
 def lp_to_proper(rule: LPRule) -> QuotaSeq:

@@ -272,3 +272,25 @@ def test_module_entry_point():
         timeout=60,
     )
     assert proc.returncode == OK and proc.stdout == "16\n"
+
+
+@pytest.mark.parametrize("n", ["20000", "1000000000"])
+def test_count_too_long_to_print_is_refused_before_computing(capsys, n):
+    code, out, err = run(capsys, "count", "--n", n)
+    assert code == INVALID_INPUT and out == ""
+    assert "set_int_max_str_digits" not in err
+    assert "largest n that prints is" in err
+
+
+def test_count_prints_thousands_of_digits(capsys):
+    code, out, _ = run(capsys, "count", "--n", "14000")
+    assert code == OK and out == f"{2 ** 14001}\n" and len(out) == 4215 + 1
+
+
+def test_count_digit_limit_boundary(capsys, monkeypatch):
+    # 2**33 = 8589934592 has 10 digits and 2**34 has 11
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 10)
+    code, out, _ = run(capsys, "count", "--n", "32")
+    assert code == OK and out == "8589934592\n"
+    code, out, err = run(capsys, "count", "--n", "33")
+    assert code == INVALID_INPUT and out == "" and "largest n that prints is 32" in err

@@ -184,3 +184,55 @@ def test_extract_reproduces_table_via_psi():
             levels = extract(table)
             for p in all_count_profiles(n):
                 assert psi_eval(levels, p) is table.outcome(p.na, p.nb)
+
+
+def _reference_row_quota(n, outcome, ell):
+    size = n - ell
+    row = [outcome(j, size - j) for j in range(size + 1)]
+    for j in range(size):
+        if row[j] is A and row[j + 1] is B:
+            raise AssertionError(f"row {ell} is not monotone at a-support {j}")
+    return next((j for j, o in enumerate(row) if o is A), size + 1)
+
+
+def _reference_pairs_default_b(n, outcome):
+    profiles = sorted(
+        ((na, nb) for na in range(n + 1) for nb in range(n + 1 - na)),
+        key=lambda p: (n - p[0] - p[1], p[0], p[1]),
+    )
+    uncovered = set(profiles)
+    pairs = []
+    while True:
+        witness = next((p for p in profiles if p in uncovered and outcome(*p) is A), None)
+        if witness is None:
+            return pairs
+        ell = n - witness[0] - witness[1]
+        k = _reference_row_quota(n, outcome, ell)
+        assert 1 <= k <= n - ell
+        m = n - ell - k + 1
+        uncovered = {
+            (na, nb)
+            for na, nb in uncovered
+            if not ((na >= k and nb < m) or (na < k and nb >= m))
+        }
+        pairs.append((ell, k))
+
+
+def reference_levels(table):
+    """The uncovered-set walk: find the least-indifference a-win no level
+    covers yet, read its row's quota, shrink the set, repeat; default a
+    goes through the mirrored table."""
+    n = table.n
+    default = table.outcome(0, 0)
+    if default is B:
+        return default, tuple(_reference_pairs_default_b(n, table.outcome))
+    mirrored = _reference_pairs_default_b(n, lambda na, nb: table.outcome(nb, na).other)
+    return default, tuple((ell, n - ell - k + 1) for ell, k in mirrored)
+
+
+def test_extract_matches_uncovered_set_walk():
+    tables = [table for n in (1, 2, 3, 4) for table in exhaustive_sp_family(n)]
+    tables += [table for n in range(1, 9) for _, table in enumerate_all(n)]
+    for table in tables:
+        levels = extract(table)
+        assert (levels.default, levels.pairs) == reference_levels(table)

@@ -154,3 +154,54 @@ def test_rules_matching_table_round_trip_small():
             matches = rules_matching_table(table)
             assert matches == [proper_to_lp(seq)]
             assert all(lp_to_table(rule) == table for rule in matches)
+
+
+def reference_proper_to_lp(seq, table):
+    """Per-default row scans: r from the fewest votes that leave the default,
+    then the least b-support (default b) or a-support (default a) per level."""
+    n = seq.n
+    default = table.outcome(0, 0)
+    r = n + 1 - min(
+        na + nb
+        for na in range(n + 1)
+        for nb in range(n + 1 - na)
+        if table.outcome(na, nb) is not default
+    )
+    thresholds = []
+    for i in range(1, r + 1):
+        votes = n - r + i
+        if default is B:
+            y_prime = next(nb for nb in range(votes + 1) if table.outcome(votes - nb, nb) is B)
+            thresholds.append((n - r + 1) - y_prime + i)
+        else:
+            thresholds.append(next(na for na in range(votes + 1) if table.outcome(na, votes - na) is A))
+    return LPRule(n=n, default=default, r=r, thresholds=tuple(thresholds))
+
+
+def reference_lp_eval(rule, na, nb):
+    """Two-branch evaluation: x on the a side, the y' rewrite on the b side."""
+    idle = rule.n - na - nb
+    if idle >= rule.r:
+        return rule.default
+    i = rule.r - idle
+    y = rule.thresholds[i - 1]
+    if rule.default is A:
+        return A if na >= y else B
+    return B if nb >= (rule.n - rule.r + 1) - y + i else A
+
+
+def test_proper_to_lp_matches_row_scans():
+    for n in range(1, 9):
+        for seq, table in enumerate_all(n):
+            if is_onto(table):
+                assert proper_to_lp(seq) == reference_proper_to_lp(seq, table)
+
+
+def test_lp_eval_matches_two_branch_evaluation():
+    for n in range(1, 8):
+        for default in (B, A):
+            for rule in all_rules(n, default):
+                for na in range(n + 1):
+                    for nb in range(n + 1 - na):
+                        expected = reference_lp_eval(rule, na, nb)
+                        assert lp_eval(rule, CountProfile(na, nb, n)) is expected
