@@ -80,8 +80,11 @@ def _emit(text: str, out_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write output file {out_path}: {err}") from None
 
 
 def cmd_eval(args) -> int:

@@ -49,10 +49,9 @@ def proper_to_subset(seq: QuotaSeq) -> tuple[frozenset[int], Alternative]:
     """Inverse of subset_to_proper; rejects non-proper input."""
     if not is_proper(seq):
         raise ValueError(f"({seq}) is not proper")
-    interior = seq.quotas[:-1]
     if seq.quotas[-1] == seq.n + 1:
-        return frozenset(interior), Alternative.B
-    return frozenset(seq.n + 1 - q for q in interior), Alternative.A
+        return frozenset(seq.quotas[:-1]), Alternative.B
+    return frozenset(dual(seq).quotas[:-1]), Alternative.A
 
 
 def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountTable]]:
@@ -64,10 +63,10 @@ def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountT
     """
     if n < 1:
         raise ValueError(f"society size must be at least 1, got {n}")
-    total = 2 ** (n + 1)
-    if total > max_rules:
+    # decided from n alone: 2**(n+1) itself may be too large to build
+    if n + 1 >= max_rules.bit_length():
         raise SearchBudgetExceeded(
-            f"enumerating n={n} yields {total} rules, budget is {max_rules}"
+            f"enumerating n={n} yields 2**{n + 1} rules, budget is {max_rules}"
         )
     family = []
     for default in (Alternative.B, Alternative.A):

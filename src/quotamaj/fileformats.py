@@ -157,7 +157,7 @@ def _is_json_int(value) -> bool:
 def _parse_structured(text: str) -> CountTable | FullTable:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ValueError(f"bad JSON table: {err}") from None
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
         raise ValueError("structured table needs 'n' and 'entries' fields")

@@ -6,10 +6,11 @@ anchor for everything else: a rule is strategy-proof exactly when no
 single voter, at any profile, can flip the outcome to one they strictly
 prefer by misreporting.
 
-On anonymous tables the check collapses to four deviation rules per count
-profile.  A supporter of the losing alternative is the only voter with a
-motive, and their two misreports (switch to indifference, or to the other
-alternative) move the counts by one step each.
+On anonymous tables the check is one closure property.  Only a supporter
+of the losing alternative has a motive, and each misreport moves the
+counts one step, so a table is strategy-proof exactly when the profiles a
+wins stay closed under three moves: a gains a supporter, b loses one, and
+a b-supporter switches to a.  Each move is one shift of a bitmask.
 """
 
 from __future__ import annotations
@@ -44,16 +45,10 @@ class CountManipulation:
 
     @property
     def misreported_profile(self) -> CountProfile:
-        na, nb = self.profile.na, self.profile.nb
-        if self.truthful is Preference.A:
-            na -= 1
-        elif self.truthful is Preference.B:
-            nb -= 1
-        if self.misreport is Preference.A:
-            na += 1
-        elif self.misreport is Preference.B:
-            nb += 1
-        return CountProfile(na, nb, self.profile.n)
+        counts = dict(zip(Preference, (self.profile.na, self.profile.nb, 0)))
+        counts[self.truthful] -= 1
+        counts[self.misreport] += 1
+        return CountProfile(counts[Preference.A], counts[Preference.B], self.profile.n)
 
     def __str__(self) -> str:
         return (
@@ -135,35 +130,61 @@ def expand_to_full(table: CountTable) -> FullTable:
     )
 
 
+@lru_cache(maxsize=16)
+def _grid(n: int) -> tuple[int, tuple[int, ...], int]:
+    """Width, the bit na*(n+2) + nb of each profile in canonical order, valid mask."""
+    # the spare column n+1 is never valid, so no shift wraps into the next row
+    width = n + 2
+    bits = tuple(na * width + nb for na in range(n + 1) for nb in range(n + 1 - na))
+    valid = sum(((1 << (n + 1 - na)) - 1) << (na * width) for na in range(n + 1))
+    return width, bits, valid
+
+
+def _a_region(table: CountTable) -> int:
+    """The profiles that a wins, as a bitmask over the grid."""
+    bits = _grid(table.n)[1]
+    # one parse of a digit string: summing 1 << bit is quadratic
+    digits = bytearray(b"0" * (bits[-1] + 1))
+    for bit, outcome in zip(bits, table.outcomes):
+        if outcome is Alternative.A:
+            digits[-1 - bit] = ord("1")
+    return int(digits, 2)
+
+
+def _escapes(region: int, width: int, valid: int) -> tuple[int, int, int]:
+    """Where a gained a-supporter, a lost b-supporter and a b-to-a switch
+    lead out of the region; the table is strategy-proof iff all are empty."""
+    out = valid & ~region
+    return (region << width) & out, (region >> 1) & out, (region << (width - 1)) & out
+
+
 def find_manipulation(table: CountTable) -> CountManipulation | None:
     """First profitable misreport in canonical order, or None.
 
     Only a supporter of the losing alternative can profit, and only by
-    stepping to indifference or to the other alternative.
+    stepping to indifference or to the other alternative: an a-supporter
+    at the end of an escaping move, a b-supporter at its start.
     """
-    n = table.n
-    for p in all_count_profiles(n):
-        na, nb = p.na, p.nb
-        outcome = table.outcome(na, nb)
-        if outcome is Alternative.B and na >= 1:
-            for mis, qa, qb in (
-                (Preference.INDIFFERENT, na - 1, nb),
-                (Preference.B, na - 1, nb + 1),
-            ):
-                if table.outcome(qa, qb) is Alternative.A:
-                    return CountManipulation(
-                        p, Preference.A, mis, outcome, Alternative.A
-                    )
-        elif outcome is Alternative.A and nb >= 1:
-            for mis, qa, qb in (
-                (Preference.INDIFFERENT, na, nb - 1),
-                (Preference.A, na + 1, nb - 1),
-            ):
-                if table.outcome(qa, qb) is Alternative.B:
-                    return CountManipulation(
-                        p, Preference.B, mis, outcome, Alternative.B
-                    )
-    return None
+    width, _, valid = _grid(table.n)
+    gain, lose, switch = _escapes(_a_region(table), width, valid)
+    # honest profiles, in the order the misreports are tried at one profile;
+    # an a-supporter switching to b undoes a b-supporter's switch from an
+    # earlier profile, so it never comes first
+    moves = (
+        (gain, Preference.A, Preference.INDIFFERENT),
+        (lose << 1, Preference.B, Preference.INDIFFERENT),
+        (switch >> (width - 1), Preference.B, Preference.A),
+    )
+    honest = gain | lose << 1 | switch >> (width - 1)
+    if not honest:
+        return None
+    first = honest & -honest
+    truthful, misreport = next((t, m) for mask, t, m in moves if mask & first)
+    wanted = Alternative(truthful.value)
+    na, nb = divmod(first.bit_length() - 1, width)
+    return CountManipulation(
+        CountProfile(na, nb, table.n), truthful, misreport, wanted.other, wanted
+    )
 
 
 def check_strategy_proof(table: CountTable) -> bool:
@@ -213,28 +234,6 @@ def tables_equal(first: CountTable, second: CountTable) -> bool:
     return first.outcomes == second.outcomes
 
 
-def _closure_requirements(n: int) -> list[int]:
-    """For each profile position, the positions its a-outcome forces to a.
-
-    Encodes the four deviation rules as closure of the a-region under
-    gaining a supporter, losing a b-supporter, and a b-to-a switch; a
-    table is strategy-proof exactly when its a-region is closed.
-    """
-    profiles = all_count_profiles(n)
-    index = {(p.na, p.nb): i for i, p in enumerate(profiles)}
-    required = [0] * len(profiles)
-    for i, p in enumerate(profiles):
-        na, nb = p.na, p.nb
-        mask = 0
-        if na + nb < n:
-            mask |= 1 << index[(na + 1, nb)]
-        if nb >= 1:
-            mask |= 1 << index[(na, nb - 1)]
-            mask |= 1 << index[(na + 1, nb - 1)]
-        required[i] = mask
-    return required
-
-
 def exhaustive_sp_family(n: int) -> list[CountTable]:
     """Every strategy-proof count table, found by filtering all candidates.
 
@@ -247,16 +246,14 @@ def exhaustive_sp_family(n: int) -> list[CountTable]:
         raise SearchBudgetExceeded(
             f"exhaustive table search for n={n} would scan 2**{count_table_size(n)} candidates"
         )
-    size = count_table_size(n)
-    required = _closure_requirements(n)
-    bits = range(size)
+    width, bits, valid = _grid(n)
     a, b = Alternative.A, Alternative.B
     family = []
-    for mask in range(2**size):
-        inv = ~mask
-        if any(mask >> i & 1 and required[i] & inv for i in bits):
-            continue
-        family.append(
-            CountTable(n, tuple(a if mask >> i & 1 else b for i in bits))
-        )
-    return family
+    region = 0
+    while True:
+        if not any(_escapes(region, width, valid)):
+            family.append(CountTable(n, tuple(a if region >> bit & 1 else b for bit in bits)))
+        # the next subset of the valid profiles, in ascending order
+        region = (region - valid) & valid
+        if not region:
+            return family

@@ -294,3 +294,22 @@ def test_count_digit_limit_boundary(capsys, monkeypatch):
     assert code == OK and out == "8589934592\n"
     code, out, err = run(capsys, "count", "--n", "33")
     assert code == INVALID_INPUT and out == "" and "largest n that prints is 32" in err
+
+
+@pytest.mark.parametrize("n", ["20000", "1000000000"])
+def test_enum_budget_is_decided_from_n_alone(capsys, n):
+    code, out, err = run(capsys, "enum", "--n", n)
+    assert code == BUDGET_EXCEEDED and out == "" and "budget" in err
+    assert "set_int_max_str_digits" not in err and f"2**{int(n) + 1}" in err
+
+
+def test_deeply_nested_json_table_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 3, "entries": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    code, out, err = run(capsys, "verify", "--table", str(path))
+    assert code == INVALID_INPUT and out == "" and "bad JSON table" in err
+
+
+def test_enum_to_unwritable_path_is_invalid_input(tmp_path, capsys):
+    code, out, err = run(capsys, "enum", "--n", "2", "--out", str(tmp_path / "missing" / "family.txt"))
+    assert code == INVALID_INPUT and out == "" and "cannot write" in err

@@ -102,3 +102,10 @@ def test_enumerate_guard():
         enumerate_all(20, max_rules=1024)
     with pytest.raises(ValueError):
         enumerate_all(0)
+
+
+def test_enumerate_guard_boundary():
+    # 2**(n+1) rules are allowed exactly when they fit the budget
+    assert len(enumerate_all(3, max_rules=16)) == 16
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_all(3, max_rules=15)

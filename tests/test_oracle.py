@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quotamaj import (
@@ -18,6 +20,7 @@ from quotamaj import (
     find_manipulation_full,
     is_onto,
     reduce_to_counts,
+    subset_to_proper,
     tables_equal,
     to_table,
 )
@@ -172,8 +175,107 @@ def test_enumerated_family_strategy_proof():
 
 def test_soundness_link_small():
     # count-level and full-profile checkers agree on every anonymous table
-    for n in (1, 2):
+    for n in (1, 2, 3):
         for table in all_count_tables(n):
             assert check_strategy_proof(table) == check_strategy_proof_full(
                 expand_to_full(table)
             )
+
+
+@pytest.mark.slow
+def test_soundness_link_n4():
+    for table in all_count_tables(4):
+        assert check_strategy_proof(table) == check_strategy_proof_full(
+            expand_to_full(table)
+        )
+
+
+# Profile-by-profile references for the oracle's bitmask checks: a scan of
+# every profile with one branch per losing outcome, and a filter over
+# per-position closure requirements.  They share no code with the oracle.
+
+
+def reference_find_manipulation(table):
+    """(na, nb, truthful, misreport, honest, manipulated) of the first witness."""
+    n = table.n
+    for na in range(n + 1):
+        for nb in range(n + 1 - na):
+            outcome = table.outcome(na, nb)
+            if outcome is B and na >= 1:
+                for mis, qa, qb in (
+                    (Preference.INDIFFERENT, na - 1, nb),
+                    (Preference.B, na - 1, nb + 1),
+                ):
+                    if table.outcome(qa, qb) is A:
+                        return (na, nb, Preference.A, mis, outcome, A)
+            elif outcome is A and nb >= 1:
+                for mis, qa, qb in (
+                    (Preference.INDIFFERENT, na, nb - 1),
+                    (Preference.A, na + 1, nb - 1),
+                ):
+                    if table.outcome(qa, qb) is B:
+                        return (na, nb, Preference.B, mis, outcome, B)
+    return None
+
+
+def reference_sp_family(n):
+    profiles = [(na, nb) for na in range(n + 1) for nb in range(n + 1 - na)]
+    index = {p: i for i, p in enumerate(profiles)}
+    required = []
+    for na, nb in profiles:
+        mask = 0
+        if na + nb < n:
+            mask |= 1 << index[(na + 1, nb)]
+        if nb >= 1:
+            mask |= 1 << index[(na, nb - 1)]
+            mask |= 1 << index[(na + 1, nb - 1)]
+        required.append(mask)
+    bits = range(len(profiles))
+    family = []
+    for mask in range(2 ** len(profiles)):
+        if any(mask >> i & 1 and required[i] & ~mask for i in bits):
+            continue
+        family.append(tuple(A if mask >> i & 1 else B for i in bits))
+    return family
+
+
+def witness_fields(witness):
+    if witness is None:
+        return None
+    return (
+        witness.profile.na,
+        witness.profile.nb,
+        witness.truthful,
+        witness.misreport,
+        witness.honest_outcome,
+        witness.manipulated_outcome,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_find_manipulation_matches_profile_scan_on_every_table(n):
+    for table in all_count_tables(n):
+        assert witness_fields(find_manipulation(table)) == reference_find_manipulation(table)
+
+
+def test_find_manipulation_matches_profile_scan_near_strategy_proof():
+    # strategy-proof tables with a few flipped cells, so witnesses sit anywhere
+    rng = random.Random(11)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        subset = {v for v in range(1, n + 1) if rng.random() < 0.5}
+        cells = list(to_table(subset_to_proper(subset, rng.choice((A, B)), n)).outcomes)
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(cells))
+            cells[i] = cells[i].other
+        table = CountTable(n, tuple(cells))
+        expected = reference_find_manipulation(table)
+        assert witness_fields(find_manipulation(table)) == expected
+        found += expected is not None
+    assert 0 < found < 300
+
+
+def test_exhaustive_family_matches_closure_filter():
+    for n in (1, 2, 3, 4):
+        assert [t.outcomes for t in exhaustive_sp_family(n)] == reference_sp_family(n)
