@@ -93,6 +93,60 @@ def count_table_size(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
+#: The most count profiles a table sized from n alone may have.  Refusing
+#: larger n before anything is allocated keeps a hostile --n from
+#: exhausting memory; n=5000 (12,507,501 profiles) is within it.
+MAX_TABLE_PROFILES = 2**24
+
+
+def check_table_size(n: int) -> None:
+    """Raise SearchBudgetExceeded when a table for n would have too many profiles."""
+    size = count_table_size(n)
+    if size > MAX_TABLE_PROFILES:
+        raise SearchBudgetExceeded(
+            f"a table for n={n} has {size} profiles, budget is {MAX_TABLE_PROFILES}"
+        )
+
+
+# A mask is built as a string of '0'/'1' digits and parsed once: summing
+# n shifted rows would cost n times the size of the mask.
+
+
+def _prefix_rows(n: int, lengths: list[int]) -> int:
+    """Grid mask whose row na holds the profiles nb < lengths[na]."""
+    width = n + 2
+    # most significant row first; about twice as fast as filling _blank_digits,
+    # which matters where enumeration tabulates 2^(n+1) small tables
+    return int("".join(["0" * (width - c) + "1" * c for c in reversed(lengths)]), 2)
+
+
+def _blank_digits(n: int) -> bytearray:
+    """All-'0' digits of the padded grid; character na*(n+2) + nb is profile (na, nb)."""
+    return bytearray(b"0" * ((n + 1) * (n + 2)))
+
+
+@lru_cache(maxsize=16)
+def _diagonals(n: int) -> tuple[slice, ...]:
+    """For each ell, the slice of the digits holding the profiles with ell
+    indifferent voters, (j, n - ell - j) for j = 0, 1, ... in order."""
+    return tuple(slice(n - ell, (n - ell) * (n + 2) + 1, n + 1) for ell in range(n + 1))
+
+
+def _parse_digits(digits: bytearray) -> int:
+    # character i is bit i, so the least significant digit comes first
+    return int(digits[::-1], 2)
+
+
+@lru_cache(maxsize=16)
+def _grid(n: int) -> tuple[int, int]:
+    """Width n+2 of the padded grid of profiles and the mask of its valid bits.
+
+    Profile (na, nb) is bit na*(n+2) + nb.  The spare column n+1 is never
+    valid, so no shift by less than a row wraps a profile into the next row.
+    """
+    return n + 2, _prefix_rows(n, [n + 1 - na for na in range(n + 1)])
+
+
 @lru_cache(maxsize=64)
 def all_count_profiles(n: int) -> tuple[CountProfile, ...]:
     """All count profiles for society size n, lexicographic by (na, nb)."""
@@ -108,11 +162,6 @@ def all_full_profiles(n: int) -> Iterator[FullProfile]:
     if n < 1:
         raise ValueError(f"society size must be at least 1, got {n}")
     return itertools.product(PREFERENCES, repeat=n)
-
-
-def _count_index(n: int, na: int, nb: int) -> int:
-    # position of (na, nb) in all_count_profiles(n)
-    return na * (n + 1) - na * (na - 1) // 2 + nb
 
 
 def _full_index(profile: FullProfile) -> int:
@@ -158,53 +207,111 @@ class QuotaSeq:
         return ",".join(str(q) for q in self.quotas)
 
 
-@dataclass(frozen=True, slots=True)
+_DIGIT = {Alternative.A: b"1", Alternative.B: b"0"}
+_OUTCOME = {"1": Alternative.A, "0": Alternative.B}
+_LETTERS = str.maketrans("10", "ab")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class CountTable:
     """Total map from every count profile of a society to an alternative.
 
-    Outcomes are stored in the all_count_profiles order, which makes tables
-    directly comparable and hashable.
+    The table is stored as the set of profiles that a wins, a bitmask over
+    the padded grid of `_grid`: profile (na, nb) is bit na*(n+2) + nb.
+    Equal tables have equal masks, which makes tables directly comparable
+    and hashable; the outcomes in the all_count_profiles order are a view.
     """
 
     n: int
-    outcomes: tuple[Alternative, ...]
+    mask: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"society size must be at least 1, got {self.n}")
-        if len(self.outcomes) != count_table_size(self.n):
+    def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
+        if n < 1:
+            raise ValueError(f"society size must be at least 1, got {n}")
+        if len(outcomes) != count_table_size(n):
             raise ValueError(
-                f"expected {count_table_size(self.n)} outcomes for n={self.n}, "
-                f"got {len(self.outcomes)}"
+                f"expected {count_table_size(n)} outcomes for n={n}, got {len(outcomes)}"
             )
+        try:
+            cells = b"".join([_DIGIT[o] for o in outcomes])
+        except KeyError as bad:
+            raise ValueError(f"outcome must be an Alternative, got {bad.args[0]!r}") from None
+        width = n + 2
+        digits = _blank_digits(n)
+        start = 0
+        for na in range(n + 1):
+            stop = start + n + 1 - na
+            digits[na * width : na * width + stop - start] = cells[start:stop]
+            start = stop
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", _parse_digits(digits))
+
+    @classmethod
+    def _from_mask(cls, n: int, mask: int) -> "CountTable":
+        # trusted: the caller built mask inside the valid profiles of _grid(n)
+        table = object.__new__(cls)
+        object.__setattr__(table, "n", n)
+        object.__setattr__(table, "mask", mask)
+        return table
+
+    @classmethod
+    def _from_digits(cls, n: int, digits: bytearray) -> "CountTable":
+        # trusted: the caller set digits only at valid profiles of the grid
+        return cls._from_mask(n, _parse_digits(digits))
 
     @classmethod
     def from_function(cls, n: int, rule: Callable[[CountProfile], Alternative]) -> "CountTable":
+        check_table_size(n)
         return cls(n, tuple(rule(p) for p in all_count_profiles(n)))
 
     @classmethod
     def from_mapping(cls, n: int, outcomes: Mapping[tuple[int, int], Alternative]) -> "CountTable":
-        # checked before any profile list is built: n may come from an untrusted header
+        # checked before anything is allocated: n may come from an untrusted header
+        if n < 1:
+            raise ValueError(f"society size must be at least 1, got {n}")
         if len(outcomes) != count_table_size(n):
             raise ValueError(
                 f"table for n={n} needs {count_table_size(n)} entries, got {len(outcomes)}"
             )
-        try:
-            return cls(n, tuple(outcomes[(p.na, p.nb)] for p in all_count_profiles(n)))
-        except KeyError as missing:
-            raise ValueError(f"table is missing profile {missing.args[0]}") from None
+        # as many distinct keys as profiles, each a profile, is every profile once
+        width = n + 2
+        digits = _blank_digits(n)
+        for (na, nb), outcome in outcomes.items():
+            if na < 0 or nb < 0 or na + nb > n:
+                raise ValueError(f"table entry ({na}, {nb}) is not a count profile for n={n}")
+            if outcome is Alternative.A:
+                digits[na * width + nb] = ord("1")
+            elif outcome is not Alternative.B:
+                raise ValueError(f"outcome must be an Alternative, got {outcome!r}")
+        return cls._from_digits(n, digits)
+
+    def bit_string(self) -> str:
+        """The mask as '0'/'1' characters; character na*(n+2) + nb is profile (na, nb)."""
+        n = self.n
+        return format(self.mask, f"0{(n + 1) * (n + 2)}b")[::-1]
+
+    def _cells(self) -> str:
+        # one '0'/'1' per profile, in the all_count_profiles order
+        n, width = self.n, self.n + 2
+        bits = self.bit_string()
+        return "".join([bits[na * width : na * width + n + 1 - na] for na in range(n + 1)])
+
+    @property
+    def outcomes(self) -> tuple[Alternative, ...]:
+        """Outcomes in the all_count_profiles order."""
+        return tuple(map(_OUTCOME.__getitem__, self._cells()))
 
     def outcome(self, na: int, nb: int) -> Alternative:
         if na < 0 or nb < 0 or na + nb > self.n:
             raise ValueError(f"({na}, {nb}) is not a count profile for n={self.n}")
-        return self.outcomes[_count_index(self.n, na, nb)]
+        return Alternative.A if self.mask >> (na * (self.n + 2) + nb) & 1 else Alternative.B
 
     def items(self) -> Iterator[tuple[CountProfile, Alternative]]:
         return zip(all_count_profiles(self.n), self.outcomes)
 
     def outcome_string(self) -> str:
         """Outcomes as a compact 'abba...' string in canonical profile order."""
-        return "".join(o.value for o in self.outcomes)
+        return self._cells().translate(_LETTERS)
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,7 @@ why every sequence must contain such a terminal element.
 
 from __future__ import annotations
 
-from .core import Alternative, CountProfile, CountTable, QuotaSeq, all_count_profiles
+from .core import Alternative, CountProfile, CountTable, QuotaSeq, _prefix_rows, check_table_size
 
 
 def _decide(quotas: tuple[int, ...], n: int, na: int, nb: int) -> tuple[int, Alternative]:
@@ -110,9 +110,35 @@ def dual(seq: QuotaSeq) -> QuotaSeq:
 
 
 def to_table(seq: QuotaSeq) -> CountTable:
-    """Tabulate the rule over every count profile."""
+    """Tabulate the rule over every count profile.
+
+    first_a[na] is the first index whose quota na supporters of a meet
+    (k_i <= na), and first_b[nb] the first whose quota nb supporters of b
+    meet (k_i >= n+1-nb); one pass over the running minimum and maximum of
+    the quotas fills both, up to the first terminal.  a wins (na, nb)
+    exactly when first_a[na] < first_b[nb]; the two never tie on a
+    profile, since that would need n+1 voters.  first_b never increases,
+    so each row that a wins is a prefix, and a pointer walk finds its length.
+    """
     n = seq.n
-    quotas = seq.quotas
-    return CountTable(
-        n, tuple(_decide(quotas, n, p.na, p.nb)[1] for p in all_count_profiles(n))
-    )
+    check_table_size(n)
+    never = len(seq.quotas)
+    first_a = [never] * (n + 1)
+    first_b = [never] * (n + 1)
+    lo, hi = n + 1, 0  # na >= lo, and nb >= n+1-hi, are already decided
+    for i, k in enumerate(seq.quotas):
+        if k < lo:
+            first_a[k:lo] = [i] * (lo - k)
+            lo = k
+        if k > hi:
+            first_b[n + 1 - k : n + 1 - hi] = [i] * (k - hi)
+            hi = k
+        if k in (0, n + 1):
+            break
+    lengths = []
+    s = 0
+    for na in range(n + 1):
+        while s <= n and first_b[s] > first_a[na]:
+            s += 1
+        lengths.append(min(s, n + 1 - na))
+    return CountTable._from_mask(n, _prefix_rows(n, lengths))

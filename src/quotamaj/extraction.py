@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .canonical import canonicalize
-from .core import Alternative, CountProfile, CountTable, QuotaSeq
+from .core import Alternative, CountProfile, CountTable, QuotaSeq, _diagonals
 
 
 class NotStrategyProof(ValueError):
@@ -146,12 +146,14 @@ def _row_thresholds(table: CountTable) -> tuple[int, ...]:
     that a never wins reads n - ell + 1.
     """
     n = table.n
+    bits = table.bit_string()
     thresholds = []
-    for ell in range(n + 1):
-        size = n - ell
-        row = [table.outcome(j, size - j) for j in range(size + 1)]
-        t = next((j for j, outcome in enumerate(row) if outcome is Alternative.A), size + 1)
-        if Alternative.B in row[t:]:
+    for ell, diagonal in enumerate(_diagonals(n)):
+        row = bits[diagonal]
+        t = row.find("1")
+        if t < 0:
+            t = len(row)
+        elif row.find("0", t) >= 0:
             # strategy-proofness makes these rows monotone; refuse to read garbage
             raise AssertionError(
                 f"row with {ell} indifferent voters is not monotone above a-support {t}"

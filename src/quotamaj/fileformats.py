@@ -190,6 +190,7 @@ def _parse_structured(text: str) -> CountTable | FullTable:
 
 def format_family(family, n: int, fmt: str = TEXT) -> str:
     """Render an enumerated family of (sequence, table) pairs."""
+    rules = [(seq, table, *proper_to_subset(seq)) for seq, table in family]
     if fmt == STRUCTURED:
         return json.dumps(
             {
@@ -197,19 +198,18 @@ def format_family(family, n: int, fmt: str = TEXT) -> str:
                 "count": len(family),
                 "family": [
                     {
-                        "default": proper_to_subset(seq)[1].value,
-                        "subset": sorted(proper_to_subset(seq)[0]),
+                        "default": default.value,
+                        "subset": sorted(subset),
                         "quotas": list(seq.quotas),
                         "table": table.outcome_string(),
                     }
-                    for seq, table in family
+                    for seq, table, subset, default in rules
                 ],
             },
             indent=2,
         )
     lines = [f"n={n}", f"count={len(family)}"]
-    for seq, table in family:
-        subset, default = proper_to_subset(seq)
+    for seq, table, subset, default in rules:
         subset_txt = ",".join(str(v) for v in sorted(subset)) or "-"
         lines.append(f"{default.value} {subset_txt} {seq} {table.outcome_string()}")
     return "\n".join(lines) + "\n"

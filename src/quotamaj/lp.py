@@ -29,7 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Alternative, CountProfile, CountTable, QuotaSeq
+from .core import (
+    Alternative,
+    CountProfile,
+    CountTable,
+    QuotaSeq,
+    _blank_digits,
+    _diagonals,
+    check_table_size,
+)
 from .engine import is_proper, to_table
 from .extraction import _row_thresholds, represent
 
@@ -90,8 +98,23 @@ def lp_eval(rule: LPRule, profile: CountProfile) -> Alternative:
 
 
 def lp_to_table(rule: LPRule) -> CountTable:
-    """Tabulate an indifference-quota rule over every count profile."""
-    return CountTable.from_function(rule.n, lambda p: lp_eval(rule, p))
+    """Tabulate an indifference-quota rule over every count profile.
+
+    In each indifference row a wins from some support t on: t is
+    thresholds[i - 1] with r - i voters indifferent, and with r or more
+    it is 0 for default a and past the row's end for default b.
+    """
+    n, r = rule.n, rule.r
+    check_table_size(n)
+    digits = _blank_digits(n)
+    for ell, diagonal in enumerate(_diagonals(n)):
+        size = n - ell
+        if ell < r:
+            t = rule.thresholds[r - ell - 1]
+        else:
+            t = 0 if rule.default is Alternative.A else size + 1
+        digits[diagonal] = b"0" * t + b"1" * (size + 1 - t)
+    return CountTable._from_digits(n, digits)
 
 
 def proper_to_lp(seq: QuotaSeq) -> LPRule:
@@ -153,5 +176,5 @@ def rules_matching_table(table: CountTable) -> list[LPRule]:
         rule
         for default in (Alternative.B, Alternative.A)
         for rule in all_rules(table.n, default)
-        if lp_to_table(rule).outcomes == table.outcomes
+        if lp_to_table(rule) == table
     ]

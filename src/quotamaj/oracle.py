@@ -26,6 +26,7 @@ from .core import (
     FullTable,
     Preference,
     SearchBudgetExceeded,
+    _grid,
     all_count_profiles,
     all_full_profiles,
     count_of,
@@ -130,27 +131,6 @@ def expand_to_full(table: CountTable) -> FullTable:
     )
 
 
-@lru_cache(maxsize=16)
-def _grid(n: int) -> tuple[int, tuple[int, ...], int]:
-    """Width, the bit na*(n+2) + nb of each profile in canonical order, valid mask."""
-    # the spare column n+1 is never valid, so no shift wraps into the next row
-    width = n + 2
-    bits = tuple(na * width + nb for na in range(n + 1) for nb in range(n + 1 - na))
-    valid = sum(((1 << (n + 1 - na)) - 1) << (na * width) for na in range(n + 1))
-    return width, bits, valid
-
-
-def _a_region(table: CountTable) -> int:
-    """The profiles that a wins, as a bitmask over the grid."""
-    bits = _grid(table.n)[1]
-    # one parse of a digit string: summing 1 << bit is quadratic
-    digits = bytearray(b"0" * (bits[-1] + 1))
-    for bit, outcome in zip(bits, table.outcomes):
-        if outcome is Alternative.A:
-            digits[-1 - bit] = ord("1")
-    return int(digits, 2)
-
-
 def _escapes(region: int, width: int, valid: int) -> tuple[int, int, int]:
     """Where a gained a-supporter, a lost b-supporter and a b-to-a switch
     lead out of the region; the table is strategy-proof iff all are empty."""
@@ -165,8 +145,8 @@ def find_manipulation(table: CountTable) -> CountManipulation | None:
     stepping to indifference or to the other alternative: an a-supporter
     at the end of an escaping move, a b-supporter at its start.
     """
-    width, _, valid = _grid(table.n)
-    gain, lose, switch = _escapes(_a_region(table), width, valid)
+    width, valid = _grid(table.n)
+    gain, lose, switch = _escapes(table.mask, width, valid)
     # honest profiles, in the order the misreports are tried at one profile;
     # an a-supporter switching to b undoes a b-supporter's switch from an
     # earlier profile, so it never comes first
@@ -224,14 +204,14 @@ def check_strategy_proof_full(table: FullTable, max_n: int = 10) -> bool:
 
 def is_onto(table: CountTable) -> bool:
     """Whether both alternatives appear among the outcomes."""
-    return len(set(table.outcomes)) == 2
+    return table.mask not in (0, _grid(table.n)[1])
 
 
 def tables_equal(first: CountTable, second: CountTable) -> bool:
     """Pointwise equality over all count profiles."""
     if first.n != second.n:
         raise ValueError(f"society size mismatch: {first.n} vs {second.n}")
-    return first.outcomes == second.outcomes
+    return first.mask == second.mask
 
 
 def exhaustive_sp_family(n: int) -> list[CountTable]:
@@ -239,20 +219,18 @@ def exhaustive_sp_family(n: int) -> list[CountTable]:
 
     The candidate space has 2**((n+1)(n+2)/2) tables, so only n <= 5 is
     allowed (n=5 already means scanning about 2.1 million candidates).
-    Tables come out in ascending order of their a-region bitmask over the
-    canonical profile order.
+    Tables come out in ascending order of their mask.
     """
     if n > 5:
         raise SearchBudgetExceeded(
             f"exhaustive table search for n={n} would scan 2**{count_table_size(n)} candidates"
         )
-    width, bits, valid = _grid(n)
-    a, b = Alternative.A, Alternative.B
+    width, valid = _grid(n)
     family = []
     region = 0
     while True:
         if not any(_escapes(region, width, valid)):
-            family.append(CountTable(n, tuple(a if region >> bit & 1 else b for bit in bits)))
+            family.append(CountTable._from_mask(n, region))
         # the next subset of the valid profiles, in ascending order
         region = (region - valid) & valid
         if not region:

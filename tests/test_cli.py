@@ -313,3 +313,37 @@ def test_deeply_nested_json_table_is_invalid_input(tmp_path, capsys):
 def test_enum_to_unwritable_path_is_invalid_input(tmp_path, capsys):
     code, out, err = run(capsys, "enum", "--n", "2", "--out", str(tmp_path / "missing" / "family.txt"))
     assert code == INVALID_INPUT and out == "" and "cannot write" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canon", "--n", "1000000000", "--quotas", "0"],
+        ["convert", "--n", "1000000000", "--quotas", "1,1000000001"],
+        ["convert", "--n", "1000000000", "--default", "a", "--r", "1", "--thresholds", "1"],
+    ],
+)
+def test_tabulating_commands_refuse_huge_n_before_allocating(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == BUDGET_EXCEEDED and out == ""
+    assert f"budget is {core.MAX_TABLE_PROFILES}" in err
+
+
+def test_eval_never_tabulates_so_huge_n_succeeds(capsys):
+    code, out, _ = run(
+        capsys, "eval", "--n", "1000000000", "--quotas", "5,2,1000000001", "--na", "3", "--nb", "6"
+    )
+    assert code == OK and out == "a (lambda=1)\n"
+
+
+def test_table_size_limit_boundary(capsys, monkeypatch):
+    # n=5 has 21 count profiles and n=6 has 28
+    monkeypatch.setattr(core, "MAX_TABLE_PROFILES", core.count_table_size(5))
+    code, out, _ = run(capsys, "canon", "--n", "5", "--quotas", "3,0")
+    assert code == OK and out == "3,0\n"
+    code, out, _ = run(capsys, "convert", "--n", "5", "--default", "a", "--r", "1", "--thresholds", "1")
+    assert code == OK and out == "1,0\n"
+    code, out, err = run(capsys, "canon", "--n", "6", "--quotas", "3,0")
+    assert code == BUDGET_EXCEEDED and out == "" and "has 28 profiles, budget is 21" in err
+    code, out, err = run(capsys, "convert", "--n", "6", "--default", "a", "--r", "1", "--thresholds", "1")
+    assert code == BUDGET_EXCEEDED and out == "" and "has 28 profiles, budget is 21" in err

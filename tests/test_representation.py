@@ -1,0 +1,201 @@
+"""The stored a-region mask of CountTable against the per-cell code it replaced.
+
+Each `reference_*` function is the earlier cell-by-cell implementation,
+kept here as the definition the mask-based code must reproduce exactly.
+"""
+
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quotamaj import (
+    Alternative,
+    CountTable,
+    QuotaSeq,
+    all_count_profiles,
+    all_rules,
+    count_table_size,
+    enumerate_all,
+    exhaustive_sp_family,
+    lp_eval,
+    lp_to_table,
+    proper_to_subset,
+    to_table,
+)
+from quotamaj.extraction import _row_thresholds
+from quotamaj.fileformats import STRUCTURED, TEXT, format_family
+
+A, B = Alternative.A, Alternative.B
+
+
+def reference_to_table(seq):
+    # outcomes in the all_count_profiles order, each decided by the first
+    # quota that one side's support meets
+    n = seq.n
+
+    def decide(na, nb):
+        for k in seq.quotas:
+            if na >= k:
+                return A
+            if nb >= n + 1 - k:
+                return B
+        raise AssertionError("unreachable: sequence contains an element of {0, n+1}")
+
+    return tuple(decide(p.na, p.nb) for p in all_count_profiles(n))
+
+
+def reference_row_thresholds(table):
+    n = table.n
+    thresholds = []
+    for ell in range(n + 1):
+        size = n - ell
+        row = [table.outcome(j, size - j) for j in range(size + 1)]
+        t = next((j for j, outcome in enumerate(row) if outcome is A), size + 1)
+        if B in row[t:]:
+            raise AssertionError(
+                f"row with {ell} indifferent voters is not monotone above a-support {t}"
+            )
+        thresholds.append(t)
+    return tuple(thresholds)
+
+
+def reference_format_family(n, fmt):
+    family = []
+    for seq, _ in enumerate_all(n):
+        subset, default = proper_to_subset(seq)
+        family.append((seq, subset, default, "".join(o.value for o in reference_to_table(seq))))
+    if fmt == STRUCTURED:
+        return json.dumps(
+            {
+                "n": n,
+                "count": len(family),
+                "family": [
+                    {
+                        "default": default.value,
+                        "subset": sorted(subset),
+                        "quotas": list(seq.quotas),
+                        "table": cells,
+                    }
+                    for seq, subset, default, cells in family
+                ],
+            },
+            indent=2,
+        )
+    lines = [f"n={n}", f"count={len(family)}"]
+    for seq, subset, default, cells in family:
+        subset_txt = ",".join(str(v) for v in sorted(subset)) or "-"
+        lines.append(f"{default.value} {subset_txt} {seq} {cells}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_lp_to_table(rule):
+    return tuple(lp_eval(rule, p) for p in all_count_profiles(rule.n))
+
+
+def all_outcome_tuples(n):
+    return itertools.product((A, B), repeat=count_table_size(n))
+
+
+def short_sequences(n):
+    # every sequence of up to 4 entries over {0..n+1} that has a terminal,
+    # repeats and entries after the terminal included
+    for length in range(1, 5):
+        for quotas in itertools.product(range(n + 2), repeat=length):
+            if 0 in quotas or n + 1 in quotas:
+                yield QuotaSeq(n, quotas)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_to_table_matches_reference_on_every_short_sequence(n):
+    checked = 0
+    for seq in short_sequences(n):
+        assert to_table(seq).outcomes == reference_to_table(seq), seq
+        checked += 1
+    assert checked > 0
+
+
+@st.composite
+def long_sequences(draw):
+    n = draw(st.integers(1, 80))
+    body = draw(st.lists(st.integers(0, n + 1), max_size=3 * n))
+    terminal = draw(st.sampled_from([0, n + 1]))
+    at = draw(st.integers(0, len(body)))
+    return QuotaSeq(n, tuple(body[:at]) + (terminal,) + tuple(body[at:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_sequences())
+def test_to_table_matches_reference_on_long_sequences(seq):
+    assert to_table(seq).outcomes == reference_to_table(seq)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_thresholds_match_reference_on_strategy_proof_tables(n):
+    for table in exhaustive_sp_family(n):
+        assert _row_thresholds(table) == reference_row_thresholds(table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_thresholds_refuse_exactly_the_non_monotone_tables(n):
+    refused = 0
+    for outcomes in all_outcome_tuples(n):
+        table = CountTable(n, outcomes)
+        try:
+            expected = reference_row_thresholds(table)
+        except AssertionError as err:
+            with pytest.raises(AssertionError, match="not monotone") as got:
+                _row_thresholds(table)
+            assert str(got.value) == str(err)
+            refused += 1
+        else:
+            assert _row_thresholds(table) == expected
+    assert 0 < refused < 2 ** count_table_size(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_count_table_views_on_every_table(n):
+    profiles = all_count_profiles(n)
+    masks = set()
+    for outcomes in all_outcome_tuples(n):
+        table = CountTable(n, outcomes)
+        assert table.outcomes == outcomes
+        assert table.outcome_string() == "".join(o.value for o in outcomes)
+        assert [table.outcome(p.na, p.nb) for p in profiles] == list(outcomes)
+        assert list(table.items()) == list(zip(profiles, outcomes))
+        assert CountTable.from_mapping(n, {(p.na, p.nb): o for p, o in table.items()}) == table
+        masks.add(table.mask)
+    assert len(masks) == 2 ** count_table_size(n)
+
+
+def test_count_table_equality_and_hash_follow_n_and_mask():
+    first = to_table(QuotaSeq(3, (2, 4)))
+    second = CountTable(3, first.outcomes)
+    assert first == second and hash(first) == hash(second)
+    assert first != to_table(QuotaSeq(3, (3, 4)))
+    # the all-b tables of different societies share mask 0
+    assert to_table(QuotaSeq(2, (3,))) != to_table(QuotaSeq(3, (4,)))
+
+
+def test_count_table_rejects_outcomes_that_are_not_alternatives():
+    with pytest.raises(ValueError):
+        CountTable(1, (A, "b", B))
+    with pytest.raises(ValueError):
+        CountTable.from_mapping(1, {(0, 0): A, (0, 1): "b", (1, 0): B})
+    with pytest.raises(ValueError, match="not a count profile"):
+        CountTable.from_mapping(1, {(0, 0): A, (0, 1): B, (1, 1): B})
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("fmt", [TEXT, STRUCTURED])
+def test_format_family_is_byte_identical_to_reference(n, fmt):
+    assert format_family(enumerate_all(n), n, fmt) == reference_format_family(n, fmt)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lp_to_table_matches_per_profile_evaluation(n):
+    for default in (A, B):
+        for rule in all_rules(n, default):
+            assert lp_to_table(rule).outcomes == reference_lp_to_table(rule), rule
