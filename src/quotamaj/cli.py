@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Each command imports the library modules it runs only when it runs, so
+start-up loads no code that the command does not execute.
+
 Exit codes: 0 success, 2 invalid input, 3 a checked property is violated,
 4 an exhaustive search exceeded its budget.
 """
@@ -9,8 +12,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import canonical, engine, enumeration, extraction, fileformats, lp, oracle
-from .core import Alternative, CountProfile, CountTable, FullTable, QuotaSeq, SearchBudgetExceeded
+from .core import (
+    FORMATS,
+    TEXT,
+    Alternative,
+    CountProfile,
+    CountTable,
+    FullTable,
+    QuotaSeq,
+    SearchBudgetExceeded,
+)
 
 OK = 0
 INVALID_INPUT = 2
@@ -40,6 +51,7 @@ def _load_sequence(args) -> QuotaSeq:
     if args.seq_file is not None:
         if args.quotas is not None:
             raise ValueError("give either --quotas or --seq-file, not both")
+        from . import fileformats
         try:
             with open(args.seq_file, encoding="utf-8") as handle:
                 seq = fileformats.parse_sequence(handle.read())
@@ -56,6 +68,7 @@ def _load_sequence(args) -> QuotaSeq:
 
 
 def _load_table(path: str) -> CountTable | FullTable:
+    from . import fileformats
     try:
         with open(path, encoding="utf-8") as handle:
             return fileformats.parse_table(handle.read())
@@ -66,6 +79,7 @@ def _load_table(path: str) -> CountTable | FullTable:
 def _as_count_table(table: CountTable | FullTable) -> CountTable:
     if isinstance(table, CountTable):
         return table
+    from . import oracle
     try:
         return oracle.reduce_to_counts(table)
     except ValueError:
@@ -88,6 +102,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_eval(args) -> int:
+    from . import engine
     seq = _load_sequence(args)
     profile = CountProfile(args.na, args.nb, seq.n)
     outcome = engine.evaluate(seq, profile)
@@ -103,8 +118,10 @@ def cmd_canon(args) -> int:
         if args.n is None:
             raise ValueError("society size is required (--n)")
         subset = set(_parse_ints(args.subset, "--subset")) if args.subset != "-" else set()
+        from . import enumeration
         seq = enumeration.subset_to_proper(subset, _parse_alternative(args.default), args.n)
     else:
+        from . import canonical
         loaded = _load_sequence(args)
         seq = canonical.canonicalize(loaded.quotas, loaded.n)
     print(seq)
@@ -112,6 +129,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    from . import enumeration, fileformats
     family = enumeration.enumerate_all(args.n)
     _emit(fileformats.format_family(family, args.n, args.format), args.out)
     return OK
@@ -135,6 +153,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
     table = _load_table(args.table)
     violated = False
     if isinstance(table, FullTable):
@@ -165,8 +184,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_represent(args) -> int:
+    from . import extraction
     counts = _as_count_table(_load_table(args.table))
-    levels = extraction.extract(counts)
+    try:
+        levels = extraction.extract(counts)
+    except extraction.NotStrategyProof as err:
+        raise PropertyViolated(str(err)) from None
     seq = extraction._proper_form(levels)
     pairs = ",".join(f"({ell},{k})" for ell, k in levels.pairs) or "none"
     print(seq)
@@ -175,6 +198,7 @@ def cmd_represent(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from . import lp
     if args.quotas is not None or args.seq_file is not None:
         rule = lp.proper_to_lp(_load_sequence(args))
         vector = ",".join(str(v) for v in rule.thresholds)
@@ -230,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("enum", cmd_enum, "enumerate the full rule family")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--format", choices=fileformats.FORMATS, default=fileformats.TEXT)
+    p.add_argument("--format", choices=FORMATS, default=TEXT)
 
     add("count", cmd_count, "print the number of rules, 2^(n+1)")
 
@@ -257,9 +281,6 @@ def main(argv=None) -> int:
     except SearchBudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return BUDGET_EXCEEDED
-    except extraction.NotStrategyProof as err:
-        print(f"error: {err}", file=sys.stderr)
-        return PROPERTY_VIOLATED
     except PropertyViolated as err:
         print(f"error: {err}", file=sys.stderr)
         return PROPERTY_VIOLATED

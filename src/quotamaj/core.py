@@ -15,14 +15,56 @@ between threads or tasks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Mapping
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping
+from operator import attrgetter
 
 
 class SearchBudgetExceeded(RuntimeError):
     """An exhaustive search would exceed its configured budget."""
+
+
+class _Value:
+    """Immutable value over the fields named in a subclass's __slots__.
+
+    Equal fields make equal, equally hashed values of one class; the repr
+    is `Name(field=value, ...)`; assignment and deletion raise
+    AttributeError.  Subclasses store their fields through this __init__,
+    or with object.__setattr__ where values are built in hot loops.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # the tuple of field values in one C call: tables are compared in hot loops
+        cls._field_values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._field_values(self) == other._field_values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default reduction would restore the fields by assignment
+        return type(self), self._field_values(self)
 
 
 class Alternative(Enum):
@@ -48,21 +90,27 @@ class Preference(Enum):
         return self.value
 
 
+#: The table and family file formats; here rather than in fileformats so
+#: that the command line can offer them without loading that module.
+TEXT = "text"
+STRUCTURED = "structured"
+FORMATS = (TEXT, STRUCTURED)
+
 #: A full profile is one Preference per voter, in voter order.
 FullProfile = tuple[Preference, ...]
 
 PREFERENCES = (Preference.A, Preference.B, Preference.INDIFFERENT)
 
 
-@dataclass(frozen=True, slots=True)
-class CountProfile:
+class CountProfile(_Value):
     """Anonymous profile summary: na supporters of a, nb of b, society size n."""
 
-    na: int
-    nb: int
-    n: int
+    __slots__ = ("na", "nb", "n")
 
-    def __post_init__(self) -> None:
+    def __init__(self, na: int, nb: int, n: int) -> None:
+        object.__setattr__(self, "na", na)
+        object.__setattr__(self, "nb", nb)
+        object.__setattr__(self, "n", n)
         if self.n < 1:
             raise ValueError(f"society size must be at least 1, got {self.n}")
         if self.na < 0 or self.nb < 0:
@@ -172,8 +220,7 @@ def _full_index(profile: FullProfile) -> int:
     return idx
 
 
-@dataclass(frozen=True, slots=True)
-class QuotaSeq:
+class QuotaSeq(_Value):
     """A defining sequence of quotas (k_0, ..., k_r) over {0, ..., n+1}.
 
     The only structural requirement is that some element lies in {0, n+1},
@@ -182,14 +229,13 @@ class QuotaSeq:
     classified by the predicates in the engine module.
     """
 
-    n: int
-    quotas: tuple[int, ...]
+    __slots__ = ("n", "quotas")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"society size must be at least 1, got {self.n}")
-        if not isinstance(self.quotas, tuple):
-            object.__setattr__(self, "quotas", tuple(self.quotas))
+    def __init__(self, n: int, quotas: tuple[int, ...]) -> None:
+        if n < 1:
+            raise ValueError(f"society size must be at least 1, got {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "quotas", quotas if isinstance(quotas, tuple) else tuple(quotas))
         if not self.quotas:
             raise ValueError("quota sequence must be nonempty")
         for q in self.quotas:
@@ -212,8 +258,7 @@ _OUTCOME = {"1": Alternative.A, "0": Alternative.B}
 _LETTERS = str.maketrans("10", "ab")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CountTable:
+class CountTable(_Value):
     """Total map from every count profile of a society to an alternative.
 
     The table is stored as the set of profiles that a wins, a bitmask over
@@ -222,8 +267,7 @@ class CountTable:
     and hashable; the outcomes in the all_count_profiles order are a view.
     """
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
         if n < 1:
@@ -243,8 +287,7 @@ class CountTable:
             stop = start + n + 1 - na
             digits[na * width : na * width + stop - start] = cells[start:stop]
             start = stop
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", _parse_digits(digits))
+        super().__init__(n, _parse_digits(digits))
 
     @classmethod
     def _from_mask(cls, n: int, mask: int) -> "CountTable":
@@ -253,6 +296,9 @@ class CountTable:
         object.__setattr__(table, "n", n)
         object.__setattr__(table, "mask", mask)
         return table
+
+    def __reduce__(self):
+        return CountTable._from_mask, (self.n, self.mask)
 
     @classmethod
     def _from_digits(cls, n: int, digits: bytearray) -> "CountTable":
@@ -314,14 +360,13 @@ class CountTable:
         return self._cells().translate(_LETTERS)
 
 
-@dataclass(frozen=True, slots=True)
-class FullTable:
+class FullTable(_Value):
     """Total map from every full profile of length n to an alternative."""
 
-    n: int
-    outcomes: tuple[Alternative, ...]
+    __slots__ = ("n", "outcomes")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
+        super().__init__(n, outcomes)
         if self.n < 1:
             raise ValueError(f"society size must be at least 1, got {self.n}")
         if len(self.outcomes) != 3**self.n:

@@ -23,11 +23,9 @@ table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import oracle
 from .canonical import canonicalize
-from .core import Alternative, CountProfile, CountTable, QuotaSeq, _diagonals
+from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value, _diagonals
 
 
 class NotStrategyProof(ValueError):
@@ -53,19 +51,17 @@ def _check_pair(n: int, ell: int, k: int) -> None:
         raise ValueError(f"quota {k} outside [1, {n - ell}] for indifferent count {ell}")
 
 
-@dataclass(frozen=True, slots=True)
-class LKSequence:
+class LKSequence(_Value):
     """Levels of the recovery: (ell, k) pairs plus the default outcome.
 
     pairs[i] = (ell_i, k_i); the default is the outcome under unanimous
     indifference.  Constant tables carry no pairs at all.
     """
 
-    n: int
-    default: Alternative
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "default", "pairs")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, default: Alternative, pairs: tuple[tuple[int, int], ...]) -> None:
+        super().__init__(n, default, pairs)
         for ell, k in self.pairs:
             _check_pair(self.n, ell, k)
         if self.pairs and self.pairs[0][0] != 0:

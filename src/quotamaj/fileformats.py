@@ -16,9 +16,9 @@ profile.
 
 from __future__ import annotations
 
-import json
-
 from .core import (
+    STRUCTURED,
+    TEXT,
     Alternative,
     CountTable,
     FullProfile,
@@ -26,11 +26,6 @@ from .core import (
     Preference,
     QuotaSeq,
 )
-from .enumeration import proper_to_subset
-
-TEXT = "text"
-STRUCTURED = "structured"
-FORMATS = (TEXT, STRUCTURED)
 
 
 def _parse_outcome(token: str) -> Alternative:
@@ -64,6 +59,7 @@ def _parse_header(line: str) -> int:
 
 def format_count_table(table: CountTable, fmt: str = TEXT) -> str:
     if fmt == STRUCTURED:
+        import json
         return json.dumps(
             {
                 "n": table.n,
@@ -80,6 +76,7 @@ def format_count_table(table: CountTable, fmt: str = TEXT) -> str:
 
 def format_full_table(table: FullTable, fmt: str = TEXT) -> str:
     if fmt == STRUCTURED:
+        import json
         return json.dumps(
             {
                 "n": table.n,
@@ -155,6 +152,7 @@ def _is_json_int(value) -> bool:
 
 
 def _parse_structured(text: str) -> CountTable | FullTable:
+    import json
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:
@@ -190,8 +188,10 @@ def _parse_structured(text: str) -> CountTable | FullTable:
 
 def format_family(family, n: int, fmt: str = TEXT) -> str:
     """Render an enumerated family of (sequence, table) pairs."""
+    from .enumeration import proper_to_subset
     rules = [(seq, table, *proper_to_subset(seq)) for seq, table in family]
     if fmt == STRUCTURED:
+        import json
         return json.dumps(
             {
                 "n": n,

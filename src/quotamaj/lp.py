@@ -26,14 +26,14 @@ tables, one per onto rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .core import (
     Alternative,
     CountProfile,
     CountTable,
     QuotaSeq,
+    _Value,
     _blank_digits,
     _diagonals,
     check_table_size,
@@ -42,8 +42,7 @@ from .engine import is_proper, to_table
 from .extraction import _row_thresholds, represent
 
 
-@dataclass(frozen=True, slots=True)
-class LPRule:
+class LPRule(_Value):
     """Indifference-quota rule: default, quota r, and a threshold per level.
 
     thresholds holds the x vector for default a and the y vector for
@@ -51,12 +50,10 @@ class LPRule:
     a-support that wins with r - i voters indifferent.
     """
 
-    n: int
-    default: Alternative
-    r: int
-    thresholds: tuple[int, ...]
+    __slots__ = ("n", "default", "r", "thresholds")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, default: Alternative, r: int, thresholds: tuple[int, ...]) -> None:
+        super().__init__(n, default, r, thresholds)
         n, r = self.n, self.r
         if n < 1:
             raise ValueError(f"society size must be at least 1, got {n}")

@@ -15,7 +15,6 @@ a b-supporter switches to a.  Each move is one shift of a bitmask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
@@ -26,6 +25,7 @@ from .core import (
     FullTable,
     Preference,
     SearchBudgetExceeded,
+    _Value,
     _grid,
     all_count_profiles,
     all_full_profiles,
@@ -34,15 +34,14 @@ from .core import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class CountManipulation:
+class CountManipulation(_Value):
     """A profitable single-voter misreport on an anonymous table."""
 
-    profile: CountProfile
-    truthful: Preference
-    misreport: Preference
-    honest_outcome: Alternative
-    manipulated_outcome: Alternative
+    __slots__ = ("profile", "truthful", "misreport", "honest_outcome", "manipulated_outcome")
+
+    def __init__(self, profile: CountProfile, truthful: Preference, misreport: Preference,
+                 honest_outcome: Alternative, manipulated_outcome: Alternative) -> None:
+        super().__init__(profile, truthful, misreport, honest_outcome, manipulated_outcome)
 
     @property
     def misreported_profile(self) -> CountProfile:
@@ -59,15 +58,14 @@ class CountManipulation:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class FullManipulation:
+class FullManipulation(_Value):
     """A profitable misreport by one named voter on a full table."""
 
-    profile: FullProfile
-    voter: int
-    misreport: Preference
-    honest_outcome: Alternative
-    manipulated_outcome: Alternative
+    __slots__ = ("profile", "voter", "misreport", "honest_outcome", "manipulated_outcome")
+
+    def __init__(self, profile: FullProfile, voter: int, misreport: Preference,
+                 honest_outcome: Alternative, manipulated_outcome: Alternative) -> None:
+        super().__init__(profile, voter, misreport, honest_outcome, manipulated_outcome)
 
     @property
     def misreported_profile(self) -> FullProfile:

@@ -33,3 +33,23 @@ def test_layers_baseline_inputs_are_fixed():
     sequence = layers.random_sequence(500, 300, layers.RANDOM_SEED)
     assert len(sequence) == 300 and sequence[-1] == 501
     assert sequence == layers.random_sequence(500, 300, layers.RANDOM_SEED)
+
+
+def test_layers_startup_runs_one_command_per_cli_verb():
+    layers = load_tool()
+    commands = layers.startup_commands("worked.tbl")
+    verbs = ["eval", "canon", "enum", "count", "verify", "represent", "convert"]
+    assert sorted(commands) == sorted(["startup.import", *(f"startup.{verb}" for verb in verbs)])
+    assert all(commands[f"startup.{verb}"][2] == verb for verb in verbs)
+    timings = layers.startup_timings(repeats=1)
+    assert list(timings) == list(commands) and all(seconds > 0 for seconds in timings.values())
+
+
+def test_layers_reads_the_tier1_counts():
+    layers = load_tool()
+    assert layers.tier1_summary("221 passed, 2 skipped in 16.02s") == {
+        "passed": 221, "skipped": 2, "failed": 0, "error": 0,
+    }
+    assert layers.tier1_summary("1 failed, 220 passed, 2 skipped, 3 errors in 16s") == {
+        "passed": 220, "skipped": 2, "failed": 1, "error": 3,
+    }
