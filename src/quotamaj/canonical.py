@@ -10,11 +10,11 @@ untouched, drive the reduction:
   side, drop the earlier one: every profile it decides is decided one
   step later by its more extreme neighbour, with the same outcome.
 
-After truncating at the first terminal element, one left-to-right pass
-per step applies them: the first skips each entry inside the running
-range [lo, hi] of the entries before it, the second overwrites the last
-kept entry when a new one escapes on the same side as the previous
-escape, and appends it otherwise.  Neither step changes the range that
+After truncating at the first terminal element (`engine.length`), one
+pass of the escape-side walk (`engine._escape_sides`) per step applies
+them: the first keeps the entries that escape the range of the entries
+before them, and the second keeps only the last of each run of entries
+that escape on the same side.  Neither step changes the range that
 later entries are compared against, so the two passes reach the same
 proper sequence as rewriting to a fixed point.  The result is checked
 once, end to end, against the brute-force truth table of the truncated
@@ -28,28 +28,13 @@ import itertools
 from collections.abc import Sequence
 
 from .core import QuotaSeq, SearchBudgetExceeded
-from .engine import is_proper, is_valid_r_tuple, length, to_table
+from .engine import _escape_sides, is_proper, is_valid_r_tuple, length, to_table
 
 
 def truncate(raw: Sequence[int], n: int) -> QuotaSeq:
     """Prefix of a raw sequence up to and including its first element in {0, n+1}."""
-    if not raw:
-        raise ValueError("quota sequence must be nonempty")
-    for q in raw:
-        if not 0 <= q <= n + 1:
-            raise ValueError(f"quota {q} outside [0, {n + 1}] for society size {n}")
-    for i, q in enumerate(raw):
-        if q in (0, n + 1):
-            return QuotaSeq(n, tuple(raw[: i + 1]))
-    raise ValueError(
-        "quota sequence needs an element in {0, n+1}; "
-        "otherwise some profiles are never decided"
-    )
-
-
-def _require_truncated(seq: QuotaSeq) -> None:
-    if any(q in (0, seq.n + 1) for q in seq.quotas[:-1]):
-        raise ValueError("sequence must be truncated at its first element of {0, n+1}")
+    seq = QuotaSeq(n, tuple(raw))
+    return QuotaSeq(n, seq.quotas[: length(seq) + 1])
 
 
 def delete_dominated(seq: QuotaSeq) -> QuotaSeq:
@@ -58,22 +43,15 @@ def delete_dominated(seq: QuotaSeq) -> QuotaSeq:
     An interior entry k_g with min(earlier) <= k_g <= max(earlier) can never
     be the deciding index, so removing it preserves the rule.  Removing
     such an entry leaves the range of the entries before any later one
-    unchanged, so one pass against the running range [lo, hi] removes
-    every entry that leftmost-first removal to a fixed point would; the
-    terminal and the leading entry are never removed.
+    unchanged, so keeping the entries that escape it removes every entry
+    that leftmost-first removal to a fixed point would.  The leading entry
+    stays, and the terminal always escapes, so neither is removed.
     """
-    _require_truncated(seq)
     q = seq.quotas
-    kept = [q[0]]
-    lo = hi = q[0]
-    for v in q[1:-1]:
-        if lo <= v <= hi:
-            continue
-        kept.append(v)
-        lo, hi = min(lo, v), max(hi, v)
-    if len(q) > 1:
-        kept.append(q[-1])
-    return QuotaSeq(seq.n, tuple(kept))
+    if length(seq) != len(q) - 1:
+        raise ValueError("sequence must be truncated at its first element of {0, n+1}")
+    kept = [v for v, side in zip(q[1:], _escape_sides(q)) if side]
+    return QuotaSeq(seq.n, (q[0], *kept))
 
 
 def canonicalize(raw: Sequence[int], n: int) -> QuotaSeq:
@@ -86,19 +64,10 @@ def canonicalize(raw: Sequence[int], n: int) -> QuotaSeq:
     """
     seq = truncate(raw, n)
     q = delete_dominated(seq).quotas
-    kept = [q[0]]
-    lo = hi = q[0]
-    prev_side = 0
-    for v in q[1:]:
-        # every entry left escapes the range of the ones before it
-        side = 1 if v > hi else -1
-        lo, hi = min(lo, v), max(hi, v)
-        if side == prev_side:
-            kept[-1] = v
-        else:
-            kept.append(v)
-        prev_side = side
-    out = QuotaSeq(n, tuple(kept))
+    # every entry after the first escapes; keep the last of each same-side run
+    sides = _escape_sides(q) + [0]
+    kept = [v for v, side, after in zip(q[1:], sides, sides[1:]) if side != after]
+    out = QuotaSeq(n, (q[0], *kept))
     if not is_proper(out) or to_table(out) != to_table(seq):
         raise AssertionError(f"canonicalizing ({seq}) gave ({out}), which is not its proper form")
     return out

@@ -360,6 +360,18 @@ class CountTable(_Value):
         return self._cells().translate(_LETTERS)
 
 
+def _check_full_size(n: int, entries: int) -> None:
+    """Refuse a full table for n voters unless it has 3**n entries.
+
+    n may come from an untrusted header, so 3**n is formed only for an n
+    that `entries` can match.
+    """
+    if n < 1:
+        raise ValueError(f"society size must be at least 1, got {n}")
+    if n >= entries.bit_length() or 3**n != entries:
+        raise ValueError(f"table for n={n} needs 3**{n} entries, got {entries}")
+
+
 class FullTable(_Value):
     """Total map from every full profile of length n to an alternative."""
 
@@ -367,12 +379,7 @@ class FullTable(_Value):
 
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
         super().__init__(n, outcomes)
-        if self.n < 1:
-            raise ValueError(f"society size must be at least 1, got {self.n}")
-        if len(self.outcomes) != 3**self.n:
-            raise ValueError(
-                f"expected {3 ** self.n} outcomes for n={self.n}, got {len(self.outcomes)}"
-            )
+        _check_full_size(self.n, len(self.outcomes))
 
     @classmethod
     def from_function(cls, n: int, rule: Callable[[FullProfile], Alternative]) -> "FullTable":
@@ -380,8 +387,7 @@ class FullTable(_Value):
 
     @classmethod
     def from_mapping(cls, n: int, outcomes: Mapping[FullProfile, Alternative]) -> "FullTable":
-        if len(outcomes) != 3**n:
-            raise ValueError(f"table for n={n} needs {3 ** n} entries, got {len(outcomes)}")
+        _check_full_size(n, len(outcomes))
         try:
             return cls(n, tuple(outcomes[p] for p in all_full_profiles(n)))
         except KeyError as missing:

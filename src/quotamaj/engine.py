@@ -6,11 +6,24 @@ support b.  The two conditions are mutually exclusive (they would need
 n+1 voters between them), so the deciding index yields a single outcome.
 A quota equal to 0 or n+1 makes one condition vacuously true, which is
 why every sequence must contain such a terminal element.
+
+The b condition is the a condition on the quota mirrored by `_mirror`,
+the one map that swaps the alternatives in the package.  Where a sequence
+can decide is found in one place too: `length` finds its first terminal,
+and `_escape_sides` tells which later entries escape the earlier range.
 """
 
 from __future__ import annotations
 
 from .core import Alternative, CountProfile, CountTable, QuotaSeq, _prefix_rows, check_table_size
+
+
+def _mirror(size: int, k: int) -> int:
+    """Quota k with a and b swapped, among the `size` voters who are not indifferent.
+
+    At least k of them support a exactly when fewer than the mirror support b.
+    """
+    return size + 1 - k
 
 
 def _decide(quotas: tuple[int, ...], n: int, na: int, nb: int) -> tuple[int, Alternative]:
@@ -61,14 +74,24 @@ def length(seq: QuotaSeq) -> int:
     raise AssertionError("unreachable: sequence contains an element of {0, n+1}")
 
 
+def _escape_sides(quotas: tuple[int, ...]) -> list[int]:
+    """The side on which each entry after the first escapes the entries before it.
+
+    +1 above their range, -1 below it, and 0 weakly inside it: an entry
+    inside the range can never be the deciding index.
+    """
+    lo = hi = quotas[0]
+    sides = []
+    for v in quotas[1:]:
+        sides.append(1 if v > hi else -1 if v < lo else 0)
+        lo, hi = min(lo, v), max(hi, v)
+    return sides
+
+
 def is_valid_r_tuple(seq: QuotaSeq) -> bool:
     """Distinct entries, interior ones in [1, n], exactly one terminal, at the end."""
     q = seq.quotas
-    if len(set(q)) != len(q):
-        return False
-    if q[-1] not in (0, seq.n + 1):
-        return False
-    return all(1 <= v <= seq.n for v in q[:-1])
+    return len(set(q)) == len(q) and length(seq) == len(q) - 1
 
 
 def is_proper(seq: QuotaSeq) -> bool:
@@ -82,22 +105,10 @@ def is_proper(seq: QuotaSeq) -> bool:
 
     Any sequence is accepted; shapes that break a condition report False.
     """
-    q = seq.quotas
     if not is_valid_r_tuple(seq):
         return False
-    lo = hi = q[0]
-    prev_side = 0
-    for v in q[1:]:
-        if v > hi:
-            side, hi = 1, v
-        elif v < lo:
-            side, lo = -1, v
-        else:
-            return False
-        if side == prev_side:
-            return False
-        prev_side = side
-    return True
+    sides = _escape_sides(seq.quotas)
+    return 0 not in sides and all(a != b for a, b in zip(sides, sides[1:]))
 
 
 def dual(seq: QuotaSeq) -> QuotaSeq:
@@ -106,35 +117,41 @@ def dual(seq: QuotaSeq) -> QuotaSeq:
     Evaluating the dual sequence on the mirrored profile (nb, na) always
     yields the opposite outcome, and properness is preserved.
     """
-    return QuotaSeq(seq.n, tuple(seq.n + 1 - q for q in seq.quotas))
+    return QuotaSeq(seq.n, tuple(_mirror(seq.n, q) for q in seq.quotas))
+
+
+def _first_meeting(quotas: tuple[int, ...] | list[int], n: int) -> list[int]:
+    """first[s] is the first index whose quota s supporters meet (k_i <= s).
+
+    One pass over the running minimum fills it, up to the first 0, which
+    every s meets; an s that no quota admits reads len(quotas).
+    """
+    first = [len(quotas)] * (n + 1)
+    lo = n + 1  # s >= lo already met a quota
+    for i, k in enumerate(quotas):
+        if k < lo:
+            first[k:lo] = [i] * (lo - k)
+            lo = k
+            if k == 0:
+                break
+    return first
 
 
 def to_table(seq: QuotaSeq) -> CountTable:
     """Tabulate the rule over every count profile.
 
     first_a[na] is the first index whose quota na supporters of a meet
-    (k_i <= na), and first_b[nb] the first whose quota nb supporters of b
-    meet (k_i >= n+1-nb); one pass over the running minimum and maximum of
-    the quotas fills both, up to the first terminal.  a wins (na, nb)
-    exactly when first_a[na] < first_b[nb]; the two never tie on a
-    profile, since that would need n+1 voters.  first_b never increases,
-    so each row that a wins is a prefix, and a pointer walk finds its length.
+    (k_i <= na), and first_b[nb] the first whose mirrored quota nb
+    supporters of b meet (n+1-k_i <= nb): one `_first_meeting` fill on
+    the quotas and one on their mirrors.  a wins (na, nb) exactly when
+    first_a[na] < first_b[nb]; the two never tie on a profile, since that
+    would need n+1 voters.  first_b never increases, so each row that a
+    wins is a prefix, and a pointer walk finds its length.
     """
     n = seq.n
     check_table_size(n)
-    never = len(seq.quotas)
-    first_a = [never] * (n + 1)
-    first_b = [never] * (n + 1)
-    lo, hi = n + 1, 0  # na >= lo, and nb >= n+1-hi, are already decided
-    for i, k in enumerate(seq.quotas):
-        if k < lo:
-            first_a[k:lo] = [i] * (lo - k)
-            lo = k
-        if k > hi:
-            first_b[n + 1 - k : n + 1 - hi] = [i] * (k - hi)
-            hi = k
-        if k in (0, n + 1):
-            break
+    first_a = _first_meeting(seq.quotas, n)
+    first_b = _first_meeting([_mirror(n, k) for k in seq.quotas], n)
     lengths = []
     s = 0
     for na in range(n + 1):

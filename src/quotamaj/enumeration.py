@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .core import Alternative, CountTable, QuotaSeq, SearchBudgetExceeded
-from .engine import dual, is_proper, to_table
+from .engine import _mirror, dual, is_proper, to_table
 
 
 def subset_to_proper(subset: Iterable[int], default: Alternative, n: int) -> QuotaSeq:
@@ -49,9 +49,15 @@ def proper_to_subset(seq: QuotaSeq) -> tuple[frozenset[int], Alternative]:
     """Inverse of subset_to_proper; rejects non-proper input."""
     if not is_proper(seq):
         raise ValueError(f"({seq}) is not proper")
-    if seq.quotas[-1] == seq.n + 1:
-        return frozenset(seq.quotas[:-1]), Alternative.B
-    return frozenset(dual(seq).quotas[:-1]), Alternative.A
+    return _subset_of(seq)
+
+
+def _subset_of(seq: QuotaSeq) -> tuple[frozenset[int], Alternative]:
+    """Subset and default of a proper sequence: its interior, through `_mirror` for default a."""
+    *interior, terminal = seq.quotas
+    if terminal == seq.n + 1:
+        return frozenset(interior), Alternative.B
+    return frozenset(_mirror(seq.n, k) for k in interior), Alternative.A
 
 
 def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountTable]]:

@@ -11,14 +11,19 @@ A strategy-proof table is one threshold per indifference row: in the row
 of profiles with ell voters indifferent, a wins exactly from some support
 t(ell) on.  With default b, the recovery walks these thresholds once from
 the strict row down and opens the level (ell, t(ell)) wherever a wins in
-the row below the last opened quota; the default-a case walks the
-mirrored thresholds the same way and mirrors the quotas back.  The
-recorded ells strictly increase and (with default b) the quotas strictly
-decrease while ell + k never decreases, and replaying the pairs
-first-match reproduces the table exactly.  Interleaving ell + k with k
-and closing with a terminal turns the pairs into a defining quota
-sequence, whose proper form is then the canonical representation of the
-table.
+the row below the last opened quota.  The recorded ells strictly
+increase and the quotas strictly decrease while ell + k never decreases,
+and replaying the pairs first-match reproduces the table exactly.
+Interleaving ell + k with k and closing with n+1 turns the pairs into a
+defining quota sequence, whose proper form is then the canonical
+representation of the table.
+
+Default a is the mirror image of default b.  `engine._mirror` maps a
+quota k on the n - ell voters who are not indifferent to n - ell + 1 - k,
+its quota once a and b swap, so the margin m is the mirrored k.  A
+default-a table is recovered from its mirrored thresholds, its levels
+are validated and interleaved as the mirrored default-b levels, and the
+results are mirrored back.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 from . import oracle
 from .canonical import canonicalize
 from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value, _diagonals
+from .engine import _mirror, dual
 
 
 class NotStrategyProof(ValueError):
@@ -36,12 +42,9 @@ class NotStrategyProof(ValueError):
         self.counterexample = counterexample
 
 
-def _margin(n: int, ell: int, k: int) -> int:
-    """The b-side threshold of quota k with ell voters indifferent.
-
-    It is also the quota of the a/b-mirrored table, and its own inverse in k.
-    """
-    return n - ell - k + 1
+def _mirror_pairs(n: int, pairs) -> tuple[tuple[int, int], ...]:
+    """The (ell, k) pairs with a and b swapped: each k mirrored among the n - ell voters."""
+    return tuple((ell, _mirror(n - ell, k)) for ell, k in pairs)
 
 
 def _check_pair(n: int, ell: int, k: int) -> None:
@@ -69,38 +72,42 @@ class LKSequence(_Value):
         ells = [ell for ell, _ in self.pairs]
         if any(b <= a for a, b in zip(ells, ells[1:])):
             raise ValueError("indifferent counts must strictly increase")
-        ks = [k for _, k in self.pairs]
-        sums = [ell + k for ell, k in self.pairs]
-        if self.default is Alternative.B:
-            if any(b >= a for a, b in zip(ks, ks[1:])):
-                raise ValueError("quotas must strictly decrease when the default is b")
-            if any(b < a for a, b in zip(sums, sums[1:])):
-                raise ValueError("ell + k must not decrease when the default is b")
-        else:
-            if any(b > a for a, b in zip(ks, ks[1:])):
-                raise ValueError("quotas must not increase when the default is a")
-            if any(b <= a for a, b in zip(sums, sums[1:])):
-                raise ValueError("ell + k must strictly increase when the default is a")
+        pairs = self.pairs
+        strict, weak = "quotas must strictly decrease", "ell + k must not decrease"
+        if self.default is Alternative.A:
+            # validated as the mirrored default-b levels: mirroring turns
+            # each quota k into n+1 - (ell + k), so quotas and sums trade places
+            pairs = _mirror_pairs(self.n, pairs)
+            strict, weak = "ell + k must strictly increase", "quotas must not increase"
+        ks = [k for _, k in pairs]
+        sums = [ell + k for ell, k in pairs]
+        if any(b >= a for a, b in zip(ks, ks[1:])):
+            raise ValueError(f"{strict} when the default is {self.default.value}")
+        if any(b < a for a, b in zip(sums, sums[1:])):
+            raise ValueError(f"{weak} when the default is {self.default.value}")
 
     def margin(self, i: int) -> int:
         """The b-side threshold m of pair i: b needs at least m supporters."""
-        return _margin(self.n, *self.pairs[i])
+        ell, k = self.pairs[i]
+        return _mirror(self.n - ell, k)
 
 
 def covered_a(pair: tuple[int, int], profile: CountProfile) -> bool:
     """Whether the profile is decided for a by the (ell, k) level."""
     ell, k = pair
     _check_pair(profile.n, ell, k)
-    m = _margin(profile.n, ell, k)
-    return profile.na >= k and profile.nb < m
+    return profile.na >= k and profile.nb < _mirror(profile.n - ell, k)
 
 
 def covered_b(pair: tuple[int, int], profile: CountProfile) -> bool:
-    """Whether the profile is decided for b by the (ell, k) level."""
+    """Whether the profile is decided for b by the (ell, k) level.
+
+    That is, whether the mirrored profile is decided for a by the mirrored level.
+    """
     ell, k = pair
     _check_pair(profile.n, ell, k)
-    m = _margin(profile.n, ell, k)
-    return profile.na < k and profile.nb >= m
+    (mirrored,) = _mirror_pairs(profile.n, [pair])
+    return covered_a(mirrored, CountProfile(profile.nb, profile.na, profile.n))
 
 
 def psi_eval(seq: LKSequence, profile: CountProfile) -> Alternative:
@@ -121,17 +128,14 @@ def interleave(seq: LKSequence) -> QuotaSeq:
     """Quota sequence equivalent to first-match evaluation of the pairs.
 
     Default b lists ell+k then k per level and closes with n+1; default a
-    lists k then ell+k and closes with 0.
+    is the dual of the mirrored default-b levels.
     """
+    if seq.default is Alternative.A:
+        return dual(interleave(LKSequence(seq.n, Alternative.B, _mirror_pairs(seq.n, seq.pairs))))
     quotas: list[int] = []
-    if seq.default is Alternative.B:
-        for ell, k in seq.pairs:
-            quotas += [ell + k, k]
-        quotas.append(seq.n + 1)
-    else:
-        for ell, k in seq.pairs:
-            quotas += [k, ell + k]
-        quotas.append(0)
+    for ell, k in seq.pairs:
+        quotas += [ell + k, k]
+    quotas.append(seq.n + 1)
     return QuotaSeq(seq.n, tuple(quotas))
 
 
@@ -162,9 +166,8 @@ def extract(table: CountTable) -> LKSequence:
     """Recover the level pairs of a strategy-proof table.
 
     With default b, row ell opens the level (ell, t) when its threshold t
-    is below the last quota and a wins somewhere in the row.  The
-    default-a case walks the mirrored thresholds the same way and mirrors
-    the quotas back.
+    is below the last quota and a wins somewhere in the row.  Default a
+    walks the mirrored thresholds the same way and mirrors the pairs back.
     """
     counterexample = oracle.find_manipulation(table)
     if counterexample is not None:
@@ -174,7 +177,7 @@ def extract(table: CountTable) -> LKSequence:
     mirror = default is Alternative.A
     rows = enumerate(_row_thresholds(table))
     if mirror:
-        rows = [(ell, _margin(n, ell, t)) for ell, t in rows]
+        rows = _mirror_pairs(n, rows)
     pairs = []
     last = n + 1
     for ell, t in rows:
@@ -182,7 +185,7 @@ def extract(table: CountTable) -> LKSequence:
             pairs.append((ell, t))
             last = t
     if mirror:
-        pairs = [(ell, _margin(n, ell, k)) for ell, k in pairs]
+        pairs = _mirror_pairs(n, pairs)
     return LKSequence(n=n, default=default, pairs=tuple(pairs))
 
 

@@ -25,6 +25,7 @@ from .core import (
     FullTable,
     Preference,
     QuotaSeq,
+    _check_full_size,
 )
 
 
@@ -136,6 +137,7 @@ def _parse_text(text: str) -> CountTable | FullTable:
             entries[key] = _parse_outcome(out_tok)
         return CountTable.from_mapping(n, entries)
     if all(len(parts) == 2 for parts in body):
+        _check_full_size(n, len(body))  # before any profile of an untrusted length is read
         full_entries = {}
         for prof_tok, out_tok in body:
             profile = _parse_profile_string(prof_tok, n)
@@ -166,6 +168,7 @@ def _parse_structured(text: str) -> CountTable | FullTable:
     if not isinstance(entries, list) or not entries:
         raise ValueError("'entries' must be a nonempty list")
     if all(isinstance(e, dict) and "profile" in e for e in entries):
+        _check_full_size(n, len(entries))  # before any profile of an untrusted length is read
         full_entries = {}
         for e in entries:
             profile = _parse_profile_string(str(e["profile"]), n)
@@ -188,8 +191,9 @@ def _parse_structured(text: str) -> CountTable | FullTable:
 
 def format_family(family, n: int, fmt: str = TEXT) -> str:
     """Render an enumerated family of (sequence, table) pairs."""
-    from .enumeration import proper_to_subset
-    rules = [(seq, table, *proper_to_subset(seq)) for seq, table in family]
+    from .enumeration import _subset_of
+    # the family's sequences are proper by construction, so none is checked again
+    rules = [(seq, table, *_subset_of(seq)) for seq, table in family]
     if fmt == STRUCTURED:
         import json
         return json.dumps(

@@ -7,13 +7,15 @@ threshold per level below r:
 * with r or more voters indifferent the default alternative wins outright;
 * with exactly r - i indifferent (1 <= i <= r), a default-a rule picks a
   when at least x_i voters support a, and a default-b rule picks b when at
-  least y'_i voters support b, where y'_i = (n - r + 1) - y_i + i rewrites
-  the stored threshold y_i onto the b side.
+  least y'_i voters support b.
 
-Either way a wins exactly when at least x_i (or y_i) voters support a, so
-the stored thresholds are the row thresholds of the table, the least
-a-support that wins each indifference row, from the deepest level r - 1
-up to the strict row, for either default.
+The two defaults are mirror images: `engine._mirror` swaps a and b among
+the n - r + i voters who are not indifferent, and y'_i is the stored
+threshold y_i mirrored (`LPRule.b_thresholds`).  So either way a wins
+exactly when at least x_i (or y_i) voters support a, and the stored
+thresholds are the row thresholds of the table, the least a-support that
+wins each indifference row, from the deepest level r - 1 up to the
+strict row, for either default.
 
 The stored vectors are anchored at their first coordinate (x_1 = 1,
 y_1 = n - r + 1) and grow by at most one per level.  Converting a rule to
@@ -26,6 +28,7 @@ tables, one per onto rule.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 
 from .core import (
@@ -38,7 +41,7 @@ from .core import (
     _diagonals,
     check_table_size,
 )
-from .engine import is_proper, to_table
+from .engine import _mirror, is_proper, to_table
 from .extraction import _row_thresholds, represent
 
 
@@ -75,11 +78,11 @@ class LPRule(_Value):
 
     @property
     def b_thresholds(self) -> tuple[int, ...]:
-        """For default b, the y' rewrite of the thresholds onto the b side."""
+        """For default b, the least b-support that wins each level: the mirrored thresholds."""
         if self.default is not Alternative.B:
             raise ValueError("b-side thresholds exist only for default-b rules")
-        base = self.n - self.r + 1
-        return tuple(base - y + i for i, y in enumerate(self.thresholds, start=1))
+        n, r = self.n, self.r
+        return tuple(_mirror(n - r + i, y) for i, y in enumerate(self.thresholds, start=1))
 
 
 def lp_eval(rule: LPRule, profile: CountProfile) -> Alternative:
@@ -143,22 +146,9 @@ def all_rules(n: int, default: Alternative) -> Iterator[LPRule]:
     """Every valid indifference-quota rule for one default, in (r, vector) order."""
     for r in range(1, n + 1):
         base = 1 if default is Alternative.A else n - r + 1
-
-        def extend(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            i = len(prefix)
-            if i == r:
-                yield prefix
-                return
-            if i == 0:
-                choices = [base]
-            else:
-                choices = [
-                    v for v in (prefix[-1], prefix[-1] + 1) if v <= base + i
-                ]
-            for v in choices:
-                yield from extend(prefix + (v,))
-
-        for vector in extend(()):
+        # each threshold repeats the one before it or exceeds it by one
+        for steps in itertools.product((0, 1), repeat=r - 1):
+            vector = tuple(itertools.accumulate(steps, initial=base))
             yield LPRule(n=n, default=default, r=r, thresholds=vector)
 
 

@@ -347,3 +347,33 @@ def test_table_size_limit_boundary(capsys, monkeypatch):
     assert code == BUDGET_EXCEEDED and out == "" and "has 28 profiles, budget is 21" in err
     code, out, err = run(capsys, "convert", "--n", "6", "--default", "a", "--r", "1", "--thresholds", "1")
     assert code == BUDGET_EXCEEDED and out == "" and "has 28 profiles, budget is 21" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_full_table_header_size_is_checked_without_forming_3_to_the_n(tmp_path, capsys, fmt):
+    # one profile of the header's length: only the entry count is wrong
+    n = 20000
+    path = tmp_path / "huge.tbl"
+    if fmt == "text":
+        path.write_text(f"n={n}\n{'a' * n} a\n")
+    else:
+        path.write_text(json.dumps({"n": n, "entries": [{"profile": "a" * n, "out": "a"}]}))
+    code, out, err = run(capsys, "verify", "--table", str(path))
+    assert code == INVALID_INPUT and out == ""
+    assert f"n={n}" in err and f"3**{n}" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_full_table_size_check_keeps_small_tables_exact(tmp_path, capsys):
+    from quotamaj import FullTable
+    with pytest.raises(ValueError, match=r"needs 3\*\*2 entries, got 8"):
+        FullTable(2, (A,) * 8)
+    with pytest.raises(ValueError, match=r"needs 3\*\*1 entries, got 4"):
+        FullTable(1, (A,) * 4)
+    with pytest.raises(ValueError, match=r"needs 3\*\*1000000 entries, got 9"):
+        FullTable.from_mapping(1_000_000, dict.fromkeys(range(9), A))
+    assert FullTable(2, (A,) * 9).n == 2
+    path = tmp_path / "short.tbl"
+    path.write_text("n=2\n" + "".join(f"{p}{q} a\n" for p in "abi" for q in "ab"))
+    code, out, err = run(capsys, "verify", "--table", str(path))
+    assert code == INVALID_INPUT and out == "" and "needs 3**2 entries, got 6" in err

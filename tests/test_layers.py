@@ -53,3 +53,23 @@ def test_layers_reads_the_tier1_counts():
     assert layers.tier1_summary("1 failed, 220 passed, 2 skipped, 3 errors in 16s") == {
         "passed": 220, "skipped": 2, "failed": 1, "error": 3,
     }
+
+
+def test_layers_counts_source_lines(tmp_path):
+    layers = load_tool()
+    (tmp_path / "src" / "quotamaj").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "quotamaj" / "engine.py").write_text("a = 1\nb = 2\n")
+    (tmp_path / "src" / "quotamaj" / "core.py").write_text("c = 3\n")
+    (tmp_path / "src" / "quotamaj" / "notes.txt").write_text("not counted\n")
+    (tmp_path / "tests" / "test_x.py").write_text("def test():\n    pass\n\n")
+    assert layers.source_lines(tmp_path) == {
+        "src_total": 3,
+        "src_modules": {"core.py": 1, "engine.py": 2},
+        "tests_total": 3,
+    }
+    record = layers.source_lines()
+    modules = record["src_modules"]
+    assert "engine.py" in modules and "__init__.py" in modules
+    assert record["src_total"] == sum(modules.values()) and record["tests_total"] > 0
+    json.dumps(record)

@@ -12,8 +12,9 @@ exhaustive strategy-proof filter at n=5.  The `startup.*` timings are
 the wall times of a fresh interpreter that imports quotamaj, and of one
 small command per CLI verb, each run as a subprocess on the sources next
 to this script.  The file also records the Python version, whether
-assertions were on, and the wall time and counts of one run of the
-tier-1 suite.  Timings depend on the machine; compare files written on
+assertions were on, the wall time and counts of one run of the tier-1
+suite, and `source_lines`: the line counts of the package modules (in
+total and per module) and of the test files.  Timings depend on the machine; compare files written on
 the same one.  This script is not part of the test suite, so timing
 noise can never fail it.
 """
@@ -138,6 +139,19 @@ def tier1_run() -> dict:
     return {"wall_s": round(wall, 2), **tier1_summary(lines[-1] if lines else "")}
 
 
+def source_lines(root: Path = ROOT) -> dict:
+    """Line counts, as `wc -l` gives them, of src/quotamaj/*.py and tests/*.py."""
+    def count(path: Path) -> int:
+        return path.read_bytes().count(b"\n")
+
+    modules = {path.name: count(path) for path in sorted((root / "src" / "quotamaj").glob("*.py"))}
+    return {
+        "src_total": sum(modules.values()),
+        "src_modules": modules,
+        "tests_total": sum(count(path) for path in (root / "tests").glob("*.py")),
+    }
+
+
 def measure(cases, repeats: int) -> dict[str, float]:
     """Median seconds of each case over `repeats` runs."""
     timings = {}
@@ -170,6 +184,7 @@ def main(argv=None) -> int:
     timings.update(startup_timings(REPEATS))
     record = bench_record(args.label, REPEATS, timings)
     record["tier1"] = tier1_run()
+    record["source_lines"] = source_lines()
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(path)
