@@ -47,16 +47,20 @@ def _parse_alternative(text: str) -> Alternative:
         raise ValueError(f"default must be 'a' or 'b', got {text!r}")
 
 
+def _read_file(path: str, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as err:
+        raise ValueError(f"cannot read {what} file {path}: {err}") from None
+
+
 def _load_sequence(args) -> QuotaSeq:
     if args.seq_file is not None:
         if args.quotas is not None:
             raise ValueError("give either --quotas or --seq-file, not both")
         from . import fileformats
-        try:
-            with open(args.seq_file, encoding="utf-8") as handle:
-                seq = fileformats.parse_sequence(handle.read())
-        except OSError as err:
-            raise ValueError(f"cannot read sequence file {args.seq_file}: {err}") from None
+        seq = fileformats.parse_sequence(_read_file(args.seq_file, "sequence"))
         if args.n is not None and args.n != seq.n:
             raise ValueError(f"--n {args.n} contradicts the file's n={seq.n}")
         return seq
@@ -69,11 +73,7 @@ def _load_sequence(args) -> QuotaSeq:
 
 def _load_table(path: str) -> CountTable | FullTable:
     from . import fileformats
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return fileformats.parse_table(handle.read())
-    except OSError as err:
-        raise ValueError(f"cannot read table file {path}: {err}") from None
+    return fileformats.parse_table(_read_file(path, "table"))
 
 
 def _as_count_table(table: CountTable | FullTable) -> CountTable:

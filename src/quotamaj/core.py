@@ -131,9 +131,7 @@ class CountProfile(_Value):
 
 def count_of(profile: FullProfile) -> CountProfile:
     """Summarize a full profile into its anonymous support counts."""
-    na = sum(1 for p in profile if p is Preference.A)
-    nb = sum(1 for p in profile if p is Preference.B)
-    return CountProfile(na, nb, len(profile))
+    return CountProfile(profile.count(Preference.A), profile.count(Preference.B), len(profile))
 
 
 def count_table_size(n: int) -> int:

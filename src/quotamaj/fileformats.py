@@ -11,42 +11,22 @@ Two interchangeable formats:
   `{"profile": "abi...", "out": ...}` for full tables.
 
 Parsers accept entries in any order but demand exactly one entry per
-profile.
+profile.  Each format has one reader, which only splits its file into the
+society size n, the table kind and a sequence of (profile, outcome token)
+entries; one builder does every check on the entries and builds either
+table kind.  Both formats are written by one writer from rows that carry
+an entry's JSON fields, its text key and its outcome.
 """
 
 from __future__ import annotations
 
-from .core import (
-    STRUCTURED,
-    TEXT,
-    Alternative,
-    CountTable,
-    FullProfile,
-    FullTable,
-    Preference,
-    QuotaSeq,
-    _check_full_size,
-)
+import itertools
+
+from .core import STRUCTURED, TEXT, Alternative, CountTable, FullTable, QuotaSeq, _check_full_size
 
 
-def _parse_outcome(token: str) -> Alternative:
-    try:
-        return Alternative(token)
-    except ValueError:
-        raise ValueError(f"outcome must be 'a' or 'b', got {token!r}") from None
-
-
-def _parse_profile_string(token: str, n: int) -> FullProfile:
-    if len(token) != n:
-        raise ValueError(f"profile {token!r} does not have length {n}")
-    try:
-        return tuple(Preference(c) for c in token)
-    except ValueError:
-        raise ValueError(f"profile {token!r} has characters outside a/b/i") from None
-
-
-def _profile_string(profile: FullProfile) -> str:
-    return "".join(p.value for p in profile)
+_OUTCOMES = {"a": Alternative.A, "b": Alternative.B}
+_BASE3 = str.maketrans("abi", "012")
 
 
 def _parse_header(line: str) -> int:
@@ -58,39 +38,25 @@ def _parse_header(line: str) -> int:
         raise ValueError(f"bad society size in header {line!r}") from None
 
 
-def format_count_table(table: CountTable, fmt: str = TEXT) -> str:
+def _format_table(n: int, rows, fmt: str) -> str:
+    """Either format from (JSON fields, text key, outcome) rows in profile order."""
     if fmt == STRUCTURED:
         import json
-        return json.dumps(
-            {
-                "n": table.n,
-                "entries": [
-                    {"a": p.na, "b": p.nb, "out": o.value} for p, o in table.items()
-                ],
-            },
-            indent=2,
-        )
-    lines = [f"n={table.n}"]
-    lines += [f"{p.na} {p.nb} {o.value}" for p, o in table.items()]
-    return "\n".join(lines) + "\n"
+        entries = [{**fields, "out": o.value} for fields, _, o in rows]
+        return json.dumps({"n": n, "entries": entries}, indent=2)
+    return "\n".join([f"n={n}", *[f"{key} {o.value}" for _, key, o in rows]]) + "\n"
+
+
+def format_count_table(table: CountTable, fmt: str = TEXT) -> str:
+    rows = (({"a": p.na, "b": p.nb}, f"{p.na} {p.nb}", o) for p, o in table.items())
+    return _format_table(table.n, rows, fmt)
 
 
 def format_full_table(table: FullTable, fmt: str = TEXT) -> str:
-    if fmt == STRUCTURED:
-        import json
-        return json.dumps(
-            {
-                "n": table.n,
-                "entries": [
-                    {"profile": _profile_string(p), "out": o.value}
-                    for p, o in table.items()
-                ],
-            },
-            indent=2,
-        )
-    lines = [f"n={table.n}"]
-    lines += [f"{_profile_string(p)} {o.value}" for p, o in table.items()]
-    return "\n".join(lines) + "\n"
+    # profile strings in all_full_profiles order, a=0 < b=1 < i=2 per voter
+    profiles = map("".join, itertools.product("abi", repeat=table.n))
+    rows = (({"profile": p}, p, o) for p, o in zip(profiles, table.outcomes))
+    return _format_table(table.n, rows, fmt)
 
 
 def format_sequence(seq: QuotaSeq) -> str:
@@ -113,11 +79,50 @@ def parse_table(text: str) -> CountTable | FullTable:
     """Parse either table kind from either format, detecting both."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _parse_structured(stripped)
-    return _parse_text(text)
+        return _build_table(*_read_structured(stripped))
+    return _build_table(*_read_text(text))
 
 
-def _parse_text(text: str) -> CountTable | FullTable:
+def _parse_outcome(token: str) -> Alternative:
+    outcome = _OUTCOMES.get(token)
+    if outcome is None:
+        raise ValueError(f"outcome must be 'a' or 'b', got {token!r}")
+    return outcome
+
+
+def _build_table(n: int, full: bool, size: int, entries) -> CountTable | FullTable:
+    """Check and build a table from its (profile, outcome token) entries.
+
+    A count profile is a pair of ints; a full profile is a string, read as
+    its position in the all_full_profiles order (base 3, a=0, b=1, i=2).
+    """
+    if not full:
+        counts = {}
+        for key, token in entries:
+            if key in counts:
+                raise ValueError(f"duplicate entry for profile {key}")
+            counts[key] = _parse_outcome(token)
+        return CountTable.from_mapping(n, counts)
+    _check_full_size(n, size)  # before any profile of an untrusted length is read
+    outcomes = [None] * size
+    for profile, token in entries:
+        if len(profile) != n:
+            raise ValueError(f"profile {profile!r} does not have length {n}")
+        # stripping a/b/i from both ends leaves something exactly when some
+        # character is outside a/b/i; this must come before int(), which would
+        # also take '_', '+', spaces and non-ASCII digits
+        if profile.strip("abi"):
+            raise ValueError(f"profile {profile!r} has characters outside a/b/i")
+        index = int(profile.translate(_BASE3), 3)
+        if outcomes[index] is not None:
+            raise ValueError(f"duplicate entry for profile {profile!r}")
+        outcomes[index] = _parse_outcome(token)
+    # 3**n distinct positions below 3**n fill every slot
+    return FullTable(n, tuple(outcomes))
+
+
+def _read_text(text: str):
+    """n, whether the table is full, its entry count and its entries."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty table file")
@@ -126,34 +131,22 @@ def _parse_text(text: str) -> CountTable | FullTable:
     if any(len(parts) not in (2, 3) for parts in body):
         raise ValueError("table lines must be 'na nb outcome' or '<profile> outcome'")
     if all(len(parts) == 3 for parts in body):
-        entries = {}
-        for na_tok, nb_tok, out_tok in body:
-            try:
-                key = (int(na_tok), int(nb_tok))
-            except ValueError:
-                raise ValueError(f"bad counts {na_tok!r} {nb_tok!r}") from None
-            if key in entries:
-                raise ValueError(f"duplicate entry for profile {key}")
-            entries[key] = _parse_outcome(out_tok)
-        return CountTable.from_mapping(n, entries)
+        return n, False, len(body), map(_text_count_entry, body)
     if all(len(parts) == 2 for parts in body):
-        _check_full_size(n, len(body))  # before any profile of an untrusted length is read
-        full_entries = {}
-        for prof_tok, out_tok in body:
-            profile = _parse_profile_string(prof_tok, n)
-            if profile in full_entries:
-                raise ValueError(f"duplicate entry for profile {prof_tok!r}")
-            full_entries[profile] = _parse_outcome(out_tok)
-        return FullTable.from_mapping(n, full_entries)
+        return n, True, len(body), body
     raise ValueError("table mixes count-profile and full-profile lines")
 
 
-def _is_json_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
+def _text_count_entry(parts: list[str]):
+    na_tok, nb_tok, out_tok = parts
+    try:
+        return (int(na_tok), int(nb_tok)), out_tok
+    except ValueError:
+        raise ValueError(f"bad counts {na_tok!r} {nb_tok!r}") from None
 
 
-def _parse_structured(text: str) -> CountTable | FullTable:
+def _read_structured(text: str):
+    """n, whether the table is full, its entry count and its entries."""
     import json
     try:
         data = json.loads(text)
@@ -162,31 +155,33 @@ def _parse_structured(text: str) -> CountTable | FullTable:
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
         raise ValueError("structured table needs 'n' and 'entries' fields")
     n = data["n"]
-    if not _is_json_int(n):
+    # here and in the counts, `type(_) is int` refuses true and false, which
+    # JSON loads as bool, a subclass of int
+    if type(n) is not int:
         raise ValueError(f"society size must be an integer, got {n!r}")
     entries = data["entries"]
     if not isinstance(entries, list) or not entries:
         raise ValueError("'entries' must be a nonempty list")
     if all(isinstance(e, dict) and "profile" in e for e in entries):
-        _check_full_size(n, len(entries))  # before any profile of an untrusted length is read
-        full_entries = {}
-        for e in entries:
-            profile = _parse_profile_string(str(e["profile"]), n)
-            if profile in full_entries:
-                raise ValueError(f"duplicate entry for profile {e['profile']!r}")
-            full_entries[profile] = _parse_outcome(str(e.get("out")))
-        return FullTable.from_mapping(n, full_entries)
-    count_entries = {}
-    for e in entries:
-        if not isinstance(e, dict) or "a" not in e or "b" not in e or "out" not in e:
-            raise ValueError(f"count entry needs 'a', 'b' and 'out' fields: {e!r}")
-        key = (e["a"], e["b"])
-        if not all(_is_json_int(count) for count in key):
-            raise ValueError(f"support counts must be integers: {e!r}")
-        if key in count_entries:
-            raise ValueError(f"duplicate entry for profile {key}")
-        count_entries[key] = _parse_outcome(str(e["out"]))
-    return CountTable.from_mapping(n, count_entries)
+        return n, True, len(entries), map(_json_full_entry, entries)
+    return n, False, len(entries), map(_json_count_entry, entries)
+
+
+def _json_full_entry(e: dict):
+    if not isinstance(e["profile"], str):
+        raise ValueError(f"profile must be a string, got {e['profile']!r}")
+    if "out" not in e:
+        raise ValueError(f"full entry needs 'profile' and 'out' fields: {e!r}")
+    return e["profile"], str(e["out"])
+
+
+def _json_count_entry(e):
+    if not isinstance(e, dict) or "a" not in e or "b" not in e or "out" not in e:
+        raise ValueError(f"count entry needs 'a', 'b' and 'out' fields: {e!r}")
+    na, nb = e["a"], e["b"]
+    if type(na) is not int or type(nb) is not int:
+        raise ValueError(f"support counts must be integers: {e!r}")
+    return (na, nb), str(e["out"])
 
 
 def format_family(family, n: int, fmt: str = TEXT) -> str:

@@ -35,6 +35,18 @@ def test_layers_baseline_inputs_are_fixed():
     assert sequence == layers.random_sequence(500, 300, layers.RANDOM_SEED)
 
 
+def test_layers_times_parse_table_on_both_kinds_and_formats():
+    layers = load_tool()
+    timings = layers.parse_timings(repeats=1)
+    assert list(timings) == [
+        "parse_table.count.n140.text",
+        "parse_table.count.n140.json",
+        "parse_table.full.n8.text",
+        "parse_table.full.n8.json",
+    ]
+    assert all(seconds > 0 for seconds in timings.values())
+
+
 def test_layers_startup_runs_one_command_per_cli_verb():
     layers = load_tool()
     commands = layers.startup_commands("worked.tbl")

@@ -8,10 +8,11 @@ call on a fixed input: tabulation, the strategy-proofness check,
 extraction and representation of two tables (n=200 and n=500),
 canonicalization of a seeded 300-entry sequence at n=500 and of the
 constant rule at n=3000, enumeration at n=10, 12 and 14, and the
-exhaustive strategy-proof filter at n=5.  The `startup.*` timings are
-the wall times of a fresh interpreter that imports quotamaj, and of one
-small command per CLI verb, each run as a subprocess on the sources next
-to this script.  The file also records the Python version, whether
+exhaustive strategy-proof filter at n=5.  The `parse_table.*` timings
+read a count table at n=140 and a full table at n=8 from text and from
+JSON.  The `startup.*` timings are the wall times of a fresh interpreter
+that imports quotamaj, and of one small command per CLI verb, each run as
+a subprocess on the sources next to this script.  The file also records the Python version, whether
 assertions were on, the wall time and counts of one run of the tier-1
 suite, and `source_lines`: the line counts of the package modules (in
 total and per module) and of the test files.  Timings depend on the machine; compare files written on
@@ -45,7 +46,8 @@ from quotamaj import (
     represent,
     to_table,
 )
-from quotamaj.fileformats import format_count_table
+from quotamaj.fileformats import STRUCTURED, TEXT, format_count_table, format_full_table, parse_table
+from quotamaj.oracle import expand_to_full
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -85,6 +87,22 @@ def baseline_cases() -> list[tuple[str, object]]:
     cases += [(f"enumerate_all.n{n}", partial(enumerate_all, n)) for n in (10, 12, 14)]
     cases.append(("exhaustive_sp_family.n5", partial(exhaustive_sp_family, 5)))
     return cases
+
+
+def parse_timings(repeats: int) -> dict[str, float]:
+    """Median seconds of parse_table on a count table at n=140 and a full
+    table at n=8, each in both formats."""
+    count = to_table(QuotaSeq(140, (70, 100, 40, 141)))
+    full = expand_to_full(to_table(QuotaSeq(8, (4, 6, 2, 9))))
+    files = {
+        f"parse_table.{kind}.{fmt_name}": write(table, fmt)
+        for kind, table, write in (
+            ("count.n140", count, format_count_table),
+            ("full.n8", full, format_full_table),
+        )
+        for fmt_name, fmt in (("text", TEXT), ("json", STRUCTURED))
+    }
+    return measure([(name, partial(parse_table, text)) for name, text in files.items()], repeats)
 
 
 def startup_commands(table: str) -> dict[str, list[str]]:
@@ -181,6 +199,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     args = parser.parse_args(argv)
     timings = measure(baseline_cases(), REPEATS)
+    timings.update(parse_timings(REPEATS))
     timings.update(startup_timings(REPEATS))
     record = bench_record(args.label, REPEATS, timings)
     record["tier1"] = tier1_run()
