@@ -158,12 +158,18 @@ def check_table_size(n: int) -> None:
 # n shifted rows would cost n times the size of the mask.
 
 
+@lru_cache(maxsize=4)  # an entry holds (n+2)**2 characters
+def _row_digits(n: int) -> tuple[str, ...]:
+    """For c = 0..n+1, the digits of a grid row that holds the profiles nb < c,
+    most significant digit first."""
+    width = n + 2
+    return tuple(["0" * (width - c) + "1" * c for c in range(n + 2)])
+
+
 def _prefix_rows(n: int, lengths: list[int]) -> int:
     """Grid mask whose row na holds the profiles nb < lengths[na]."""
-    width = n + 2
-    # most significant row first; about twice as fast as filling _blank_digits,
-    # which matters where enumeration tabulates 2^(n+1) small tables
-    return int("".join(["0" * (width - c) + "1" * c for c in reversed(lengths)]), 2)
+    # most significant row first; about twice as fast as filling _blank_digits
+    return int("".join(map(_row_digits(n).__getitem__, reversed(lengths))), 2)
 
 
 def _blank_digits(n: int) -> bytearray:
@@ -176,6 +182,12 @@ def _diagonals(n: int) -> tuple[slice, ...]:
     """For each ell, the slice of the digits holding the profiles with ell
     indifferent voters, (j, n - ell - j) for j = 0, 1, ... in order."""
     return tuple(slice(n - ell, (n - ell) * (n + 2) + 1, n + 1) for ell in range(n + 1))
+
+
+@lru_cache(maxsize=16)
+def _rows(n: int) -> tuple[slice, ...]:
+    """For each na, the slice of the digits holding the profiles (na, nb), nb = 0..n-na."""
+    return tuple(slice(na * (n + 2), na * (n + 2) + n + 1 - na) for na in range(n + 1))
 
 
 def _parse_digits(digits: bytearray) -> int:
@@ -236,19 +248,20 @@ class QuotaSeq(_Value):
         object.__setattr__(self, "quotas", quotas if isinstance(quotas, tuple) else tuple(quotas))
         if not self.quotas:
             raise ValueError("quota sequence must be nonempty")
-        for q in self.quotas:
-            if not 0 <= q <= self.n + 1:
-                raise ValueError(
-                    f"quota {q} outside [0, {self.n + 1}] for society size {self.n}"
-                )
-        if not any(q in (0, self.n + 1) for q in self.quotas):
+        lo, hi = min(self.quotas), max(self.quotas)
+        if lo < 0 or hi > n + 1:
+            # the message names the first quota out of range, as a scan would
+            q = next(q for q in self.quotas if not 0 <= q <= n + 1)
+            raise ValueError(f"quota {q} outside [0, {n + 1}] for society size {n}")
+        # all quotas lie in [0, n+1], so one is terminal exactly when lo is 0 or hi is n+1
+        if lo != 0 and hi != n + 1:
             raise ValueError(
                 "quota sequence needs an element in {0, n+1}; "
                 "otherwise some profiles are never decided"
             )
 
     def __str__(self) -> str:
-        return ",".join(str(q) for q in self.quotas)
+        return ",".join(map(str, self.quotas))
 
 
 _DIGIT = {Alternative.A: b"1", Alternative.B: b"0"}
@@ -336,9 +349,7 @@ class CountTable(_Value):
 
     def _cells(self) -> str:
         # one '0'/'1' per profile, in the all_count_profiles order
-        n, width = self.n, self.n + 2
-        bits = self.bit_string()
-        return "".join([bits[na * width : na * width + n + 1 - na] for na in range(n + 1)])
+        return "".join(map(self.bit_string().__getitem__, _rows(self.n)))
 
     @property
     def outcomes(self) -> tuple[Alternative, ...]:

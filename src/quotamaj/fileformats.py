@@ -10,6 +10,17 @@ Two interchangeable formats:
   `{"a": na, "b": nb, "out": ...}` for count tables and
   `{"profile": "abi...", "out": ...}` for full tables.
 
+Family files, written by `format_family` for an enumerated family:
+
+* text: a `n=<int>` header line and a `count=<rules>` line, then one
+  `default subset quotas table` line per rule, e.g. `b 2,5 5,2,12 bb...`:
+  the default letter, the subset's members comma-separated (`-` for the
+  empty subset), the proper sequence, and the table's outcomes as a/b
+  letters in the canonical profile order.
+* structured: a JSON object `{"n": ..., "count": ..., "family": [...]}`
+  with one `{"default": ..., "subset": [...], "quotas": [...], "table":
+  ...}` entry per rule, laid out as `json.dumps(indent=2)` lays it out.
+
 Parsers accept entries in any order but demand exactly one entry per
 profile.  Each format has one reader, which only splits its file into the
 society size n, the table kind and a sequence of (profile, outcome token)
@@ -184,31 +195,31 @@ def _json_count_entry(e):
     return (na, nb), str(e["out"])
 
 
+def _json_ints(values) -> str:
+    # a list of ints as json.dumps(indent=2) writes it inside a family entry
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]" if values else "[]"
+
+
 def format_family(family, n: int, fmt: str = TEXT) -> str:
     """Render an enumerated family of (sequence, table) pairs."""
     from .enumeration import _subset_of
     # the family's sequences are proper by construction, so none is checked again
-    rules = [(seq, table, *_subset_of(seq)) for seq, table in family]
+    rules = ((seq, table, *_subset_of(seq)) for seq, table in family)
     if fmt == STRUCTURED:
-        import json
-        return json.dumps(
-            {
-                "n": n,
-                "count": len(family),
-                "family": [
-                    {
-                        "default": default.value,
-                        "subset": sorted(subset),
-                        "quotas": list(seq.quotas),
-                        "table": table.outcome_string(),
-                    }
-                    for seq, table, subset, default in rules
-                ],
-            },
-            indent=2,
-        )
-    lines = [f"n={n}", f"count={len(family)}"]
-    for seq, table, subset, default in rules:
-        subset_txt = ",".join(str(v) for v in sorted(subset)) or "-"
-        lines.append(f"{default.value} {subset_txt} {seq} {table.outcome_string()}")
-    return "\n".join(lines) + "\n"
+        # byte for byte what json.dumps(indent=2) writes, without its
+        # pure-Python encoder: every field is an int or a string of a/b
+        # letters, so nothing needs escaping
+        entries = [
+            f'    {{\n      "default": "{default.value}",\n'
+            f'      "subset": {_json_ints(sorted(subset))},\n'
+            f'      "quotas": {_json_ints(seq.quotas)},\n'
+            f'      "table": "{table.outcome_string()}"\n    }}'
+            for seq, table, subset, default in rules
+        ]
+        family_json = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+        return f'{{\n  "n": {n},\n  "count": {len(family)},\n  "family": {family_json}\n}}'
+    lines = [
+        f"{default.value} {','.join(map(str, sorted(subset))) or '-'} {seq} {table.outcome_string()}"
+        for seq, table, subset, default in rules
+    ]
+    return "\n".join([f"n={n}", f"count={len(family)}", *lines]) + "\n"

@@ -106,3 +106,44 @@ def test_full_table_structure():
     with pytest.raises(ValueError):
         table.outcome((A,))
     assert list(all_full_profiles(2)) == list(itertools.product((A, B, I), repeat=2))
+
+
+def reference_quota_seq_error(n, quotas):
+    # the per-entry checks of QuotaSeq, in order; None when all pass
+    if n < 1:
+        return ValueError(f"society size must be at least 1, got {n}")
+    if not quotas:
+        return ValueError("quota sequence must be nonempty")
+    for q in quotas:
+        if not 0 <= q <= n + 1:
+            return ValueError(f"quota {q} outside [0, {n + 1}] for society size {n}")
+    if not any(q in (0, n + 1) for q in quotas):
+        return ValueError(
+            "quota sequence needs an element in {0, n+1}; otherwise some profiles are never decided"
+        )
+    return None
+
+
+def assert_quota_seq_checks_like_reference(n, quotas):
+    expected = reference_quota_seq_error(n, quotas)
+    if expected is None:
+        assert QuotaSeq(n, quotas).quotas == tuple(quotas)
+        return
+    with pytest.raises(type(expected)) as got:
+        QuotaSeq(n, quotas)
+    assert str(got.value) == str(expected)
+
+
+@pytest.mark.parametrize(
+    "n, quotas",
+    [(3, ()), (0, (1,)), (-2, ()), (3, (5,)), (3, (-1,)), (3, (2, 5, -1, 4)), (3, (2, -1, 5, 4)),
+     (3, (1, 2, 3)), (3, (2,)), (3, (0,)), (3, (4,)), (3, (3, 1, 4)), (1, (1, 0, 2))],
+)
+def test_quota_seq_checks_like_per_entry_reference(n, quotas):
+    assert_quota_seq_checks_like_reference(n, quotas)
+
+
+@given(st.integers(1, 6), st.data())
+def test_quota_seq_checks_like_per_entry_reference_on_random_input(n, data):
+    quotas = data.draw(st.lists(st.integers(-2, n + 3), max_size=6))
+    assert_quota_seq_checks_like_reference(n, quotas)

@@ -109,3 +109,60 @@ def test_enumerate_guard_boundary():
     assert len(enumerate_all(3, max_rules=16)) == 16
     with pytest.raises(SearchBudgetExceeded):
         enumerate_all(3, max_rules=15)
+
+
+def reference_subset_to_proper(subset, default, n):
+    # the zig-zag filled one slot at a time, default a as the dual of default b
+    members = set(subset)
+    for v in members:
+        if not 1 <= v <= n:
+            raise ValueError(f"subset element {v} outside {{1, ..., {n}}}")
+    if default is A:
+        return dual(reference_subset_to_proper(members, B, n))
+    if not members:
+        return QuotaSeq(n, (n + 1,))
+    vals = sorted(members)
+    out = [0] * len(vals)
+    lo, hi = 0, len(vals) - 1
+    take_min = True
+    for pos in range(len(vals) - 1, -1, -1):
+        if take_min:
+            out[pos] = vals[lo]
+            lo += 1
+        else:
+            out[pos] = vals[hi]
+            hi -= 1
+        take_min = not take_min
+    return QuotaSeq(n, tuple(out) + (n + 1,))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_subset_to_proper_matches_reference_on_every_subset(n):
+    for mask in range(2**n):
+        subset = [i + 1 for i in range(n) if mask >> i & 1]
+        for default in (A, B):
+            assert subset_to_proper(subset, default, n) == reference_subset_to_proper(subset, default, n)
+
+
+@pytest.mark.parametrize(
+    "subset, n",
+    [({0}, 11), ({12}, 11), ({0, 12}, 11), ({12, 0}, 11), ({-3, 5, 99}, 11), ([7, -1, -2], 11),
+     ({2, 40, 3}, 5), ({1}, 0), (set(), 0)],
+)
+def test_subset_to_proper_rejects_like_reference(subset, n):
+    for default in (A, B):
+        with pytest.raises(ValueError) as expected:
+            reference_subset_to_proper(subset, default, n)
+        with pytest.raises(ValueError) as got:
+            subset_to_proper(subset, default, n)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 13), *(pytest.param(n, marks=pytest.mark.slow) for n in (13, 14))]
+)
+def test_enumerated_tables_equal_tabulation(n):
+    family = enumerate_all(n)
+    assert len(family) == 2 ** (n + 1)
+    for seq, table in family:
+        assert table == to_table(seq)

@@ -10,7 +10,7 @@ from quotamaj.fileformats import (
     parse_sequence,
     parse_table,
 )
-from quotamaj.enumeration import enumerate_all
+from quotamaj.enumeration import enumerate_all, proper_to_subset
 
 A, B = Alternative.A, Alternative.B
 
@@ -89,3 +89,21 @@ def test_family_format_golden_n1():
         "a - 0 aaa\n"
         "a 1 1,0 aba\n"
     )
+
+
+def test_structured_family_is_what_json_writes():
+    import json
+    for family, n in ((enumerate_all(2), 2), ([], 3)):
+        entries = [
+            {
+                "default": default.value,
+                "subset": sorted(subset),
+                "quotas": list(seq.quotas),
+                "table": table.outcome_string(),
+            }
+            for seq, table in family
+            for subset, default in [proper_to_subset(seq)]
+        ]
+        expected = json.dumps({"n": n, "count": len(family), "family": entries}, indent=2)
+        assert format_family(family, n, STRUCTURED) == expected
+    assert format_family([], 3) == "n=3\ncount=0\n"

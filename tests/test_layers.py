@@ -22,6 +22,7 @@ def test_layers_records_every_case_with_its_settings(tmp_path):
     assert all(seconds >= 0 for seconds in timings.values())
     record = layers.bench_record("smoke", 1, timings)
     assert record["assertions"] in ("on", "off") and record["python"]
+    assert record["statistic"] == "min" and record["repeats"] == 1
     assert set(record["timings_s"]) == set(timings)
     json.dumps(record)
 
@@ -44,6 +45,13 @@ def test_layers_times_parse_table_on_both_kinds_and_formats():
         "parse_table.full.n8.text",
         "parse_table.full.n8.json",
     ]
+    assert all(seconds > 0 for seconds in timings.values())
+
+
+def test_layers_times_format_family_in_both_formats():
+    layers = load_tool()
+    timings = layers.family_timings(repeats=1)
+    assert list(timings) == ["format_family.n12.text", "format_family.n12.structured"]
     assert all(seconds > 0 for seconds in timings.values())
 
 

@@ -23,6 +23,7 @@ from quotamaj import (
     lp_eval,
     lp_to_table,
     proper_to_subset,
+    subset_to_proper,
     to_table,
 )
 from quotamaj.extraction import _row_thresholds
@@ -199,3 +200,20 @@ def test_lp_to_table_matches_per_profile_evaluation(n):
     for default in (A, B):
         for rule in all_rules(n, default):
             assert lp_to_table(rule).outcomes == reference_lp_to_table(rule), rule
+
+
+def count_form(subset, default, n, na, nb):
+    # the outcome of the rule of `subset` and `default` counted from the subset alone
+    if default is B:
+        return A if sum(v <= na for v in subset) > sum(v > n - nb for v in subset) else B
+    return A if sum(v > n - na for v in subset) >= sum(v <= nb for v in subset) else B
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_count_form_matches_per_profile_evaluation(n):
+    profiles = all_count_profiles(n)
+    for mask in range(2**n):
+        subset = [i + 1 for i in range(n) if mask >> i & 1]
+        for default in (A, B):
+            expected = reference_to_table(subset_to_proper(subset, default, n))
+            assert tuple(count_form(subset, default, n, p.na, p.nb) for p in profiles) == expected

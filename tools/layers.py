@@ -3,19 +3,23 @@
     PYTHONPATH=src python3 tools/layers.py --label pr6
     PYTHONPATH=src python3 -O tools/layers.py --label pr6-noassert
 
-Each timing is the median of REPEATS perf_counter runs of one library
-call on a fixed input: tabulation, the strategy-proofness check,
+Each timing is the minimum of REPEATS perf_counter runs of one call on
+a fixed input; noise on a shared machine only adds time, so the best run
+is the steadiest figure, and the file records the statistic and the
+repeats.  The library calls are tabulation, the strategy-proofness check,
 extraction and representation of two tables (n=200 and n=500),
 canonicalization of a seeded 300-entry sequence at n=500 and of the
 constant rule at n=3000, enumeration at n=10, 12 and 14, and the
 exhaustive strategy-proof filter at n=5.  The `parse_table.*` timings
 read a count table at n=140 and a full table at n=8 from text and from
-JSON.  The `startup.*` timings are the wall times of a fresh interpreter
-that imports quotamaj, and of one small command per CLI verb, each run as
-a subprocess on the sources next to this script.  The file also records the Python version, whether
-assertions were on, the wall time and counts of one run of the tier-1
-suite, and `source_lines`: the line counts of the package modules (in
-total and per module) and of the test files.  Timings depend on the machine; compare files written on
+JSON, and the `format_family.*` timings write the family at n=12 as text
+and as JSON.  The `startup.*` timings are the wall times of a fresh
+interpreter that imports quotamaj, and of one small command per CLI
+verb, each run as a subprocess on the sources next to this script.  The
+file also records the Python version, whether assertions were on, the
+wall time and counts of one run of the tier-1 suite, and `source_lines`:
+the line counts of the package modules (in total and per module) and of
+the test files.  Timings depend on the machine; compare files written on
 the same one.  This script is not part of the test suite, so timing
 noise can never fail it.
 """
@@ -28,7 +32,6 @@ import platform
 import os
 import random
 import re
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -46,14 +49,21 @@ from quotamaj import (
     represent,
     to_table,
 )
-from quotamaj.fileformats import STRUCTURED, TEXT, format_count_table, format_full_table, parse_table
+from quotamaj.fileformats import (
+    STRUCTURED,
+    TEXT,
+    format_count_table,
+    format_family,
+    format_full_table,
+    parse_table,
+)
 from quotamaj.oracle import expand_to_full
 
 ROOT = Path(__file__).resolve().parents[1]
 
 TABLE_RULES = ((200, (100, 140, 60, 180, 20, 201)), (500, (250, 350, 150, 450, 50, 501)))
 RANDOM_SEED = 2020
-REPEATS = 3
+REPEATS = 5
 RUNNER = "import sys; from quotamaj.cli import main; sys.exit(main(sys.argv[1:]))"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
@@ -90,7 +100,7 @@ def baseline_cases() -> list[tuple[str, object]]:
 
 
 def parse_timings(repeats: int) -> dict[str, float]:
-    """Median seconds of parse_table on a count table at n=140 and a full
+    """Seconds of parse_table on a count table at n=140 and a full
     table at n=8, each in both formats."""
     count = to_table(QuotaSeq(140, (70, 100, 40, 141)))
     full = expand_to_full(to_table(QuotaSeq(8, (4, 6, 2, 9))))
@@ -103,6 +113,16 @@ def parse_timings(repeats: int) -> dict[str, float]:
         for fmt_name, fmt in (("text", TEXT), ("json", STRUCTURED))
     }
     return measure([(name, partial(parse_table, text)) for name, text in files.items()], repeats)
+
+
+def family_timings(repeats: int) -> dict[str, float]:
+    """Seconds of format_family on the family at n=12, in both formats."""
+    family = enumerate_all(12)
+    cases = [
+        (f"format_family.n12.{fmt_name}", partial(format_family, family, 12, fmt))
+        for fmt_name, fmt in (("text", TEXT), ("structured", STRUCTURED))
+    ]
+    return measure(cases, repeats)
 
 
 def startup_commands(table: str) -> dict[str, list[str]]:
@@ -125,7 +145,7 @@ def startup_commands(table: str) -> dict[str, list[str]]:
 
 
 def startup_timings(repeats: int) -> dict[str, float]:
-    """Median wall seconds of each start-up command, run as a subprocess."""
+    """Wall seconds of each start-up command, run as a subprocess."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as work:
         table = Path(work) / "worked.tbl"
@@ -171,7 +191,7 @@ def source_lines(root: Path = ROOT) -> dict:
 
 
 def measure(cases, repeats: int) -> dict[str, float]:
-    """Median seconds of each case over `repeats` runs."""
+    """Least seconds of each case over `repeats` runs."""
     timings = {}
     for name, thunk in cases:
         runs = []
@@ -179,7 +199,7 @@ def measure(cases, repeats: int) -> dict[str, float]:
             start = time.perf_counter()
             thunk()
             runs.append(time.perf_counter() - start)
-        timings[name] = statistics.median(runs)
+        timings[name] = min(runs)
     return timings
 
 
@@ -188,6 +208,7 @@ def bench_record(label: str, repeats: int, timings: dict[str, float]) -> dict:
         "label": label,
         "python": platform.python_version(),
         "assertions": "off" if sys.flags.optimize else "on",
+        "statistic": "min",
         "repeats": repeats,
         "timings_s": {name: round(seconds, 6) for name, seconds in timings.items()},
     }
@@ -200,6 +221,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     timings = measure(baseline_cases(), REPEATS)
     timings.update(parse_timings(REPEATS))
+    timings.update(family_timings(REPEATS))
     timings.update(startup_timings(REPEATS))
     record = bench_record(args.label, REPEATS, timings)
     record["tier1"] = tier1_run()
