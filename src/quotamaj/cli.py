@@ -130,8 +130,8 @@ def cmd_canon(args) -> int:
 
 def cmd_enum(args) -> int:
     from . import enumeration, fileformats
-    family = enumeration.enumerate_all(args.n)
-    _emit(fileformats.format_family(family, args.n, args.format), args.out)
+    rows = enumeration._family_rows(args.n)
+    _emit(fileformats._write_family(args.n, rows, args.format), args.out)
     return OK
 
 

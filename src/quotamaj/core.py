@@ -260,6 +260,14 @@ class QuotaSeq(_Value):
                 "otherwise some profiles are never decided"
             )
 
+    @classmethod
+    def _trusted(cls, n: int, quotas: tuple[int, ...]) -> "QuotaSeq":
+        # trusted: n >= 1 and the caller built quotas, a tuple over [0, n+1] with a terminal
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "n", n)
+        object.__setattr__(seq, "quotas", quotas)
+        return seq
+
     def __str__(self) -> str:
         return ",".join(map(str, self.quotas))
 

@@ -11,16 +11,17 @@ elementwise dual of the default-b half.  Counting both defaults gives
 Counted, with |J[x, y]| the number of members of J in [x, y], the rule
 of J with default b lets a win (na, nb) exactly when
 |J[1, na]| > |J[n-nb+1, n]|, and the rule with default a exactly when
-|J[n-na+1, n]| >= |J[1, nb]|.  `enumerate_all` builds the family's
-tables from this form, row by row, instead of tabulating each sequence.
+|J[n-na+1, n]| >= |J[1, nb]|.  From this form `_family_staircases` builds
+each rule's row lengths, its staircase; `enumerate_all` makes tables of
+them, and `enum` writes each rule from them with no per-rule objects.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain, repeat
+from itertools import chain
 
-from .core import Alternative, CountTable, QuotaSeq, SearchBudgetExceeded, _row_digits
+from .core import Alternative, CountTable, QuotaSeq, SearchBudgetExceeded
 from .engine import _mirror, is_proper
 
 
@@ -35,14 +36,19 @@ def subset_to_proper(subset: Iterable[int], default: Alternative, n: int) -> Quo
         # the message names the member that a scan of the set meets first
         v = next(v for v in members if not 1 <= v <= n)
         raise ValueError(f"subset element {v} outside {{1, ..., {n}}}")
-    # from the back: the least member, the greatest, the next least, ...
-    quotas = vals[:]
-    quotas[-1::-2] = vals[: (len(vals) + 1) // 2]
-    quotas[-2::-2] = vals[: (len(vals) - 1) // 2 : -1]
+    quotas = _zigzag(vals)
     quotas.append(n + 1)
     if default is Alternative.A:
         quotas = [_mirror(n, k) for k in quotas]
     return QuotaSeq(n, tuple(quotas))
+
+
+def _zigzag(vals: list[int]) -> list[int]:
+    """Interior of the sorted members' sequence: from the back, the least, the greatest, ..."""
+    quotas = vals[:]
+    quotas[-1::-2] = vals[: (len(vals) + 1) // 2]
+    quotas[-2::-2] = vals[: (len(vals) - 1) // 2 : -1]
+    return quotas
 
 
 def proper_to_subset(seq: QuotaSeq) -> tuple[frozenset[int], Alternative]:
@@ -60,54 +66,17 @@ def _subset_of(seq: QuotaSeq) -> tuple[frozenset[int], Alternative]:
     return frozenset(_mirror(seq.n, k) for k in interior), Alternative.A
 
 
-def _family_masks(n: int, subsets: list[list[int]]) -> tuple[list[int], list[int]]:
-    """The a-region masks of the default-b and the default-a rule of each subset.
+def _family_staircases(n: int, max_rules: int = 2**16):
+    """The subsets of {1, ..., n} in binary-counter order (so the first 2**k
+    are those of {1, ..., k}) and, for default b then a, rows[na][i]: the
+    c for which a wins (na, nb) under subset i's rule exactly when nb < c.
 
-    Row na of the default-b table of J is the prefix nb < c, where c = 0 when
-    J has no member at or below na, and otherwise c = n+1 - max(na, u), u
-    the |J[1, na]|-th largest member of J.  Row na of the default-a table
-    is nb < the (q+1)-th smallest member of J, q = |J[n-na+1, n]|, or
-    the whole row when J has no more than q members.  So a row depends only
-    on how many members lie on one side of a cut and on which members lie
-    on the other, and each row is built once for all 2**n subsets.
-    `subsets` is every subset of {1, ..., n} in binary-counter order, so
-    its first 2**k entries are the subsets of {1, ..., k}.
-    """
-    digits = _row_digits(n)
-    sizes = [len(s) for s in subsets]
-    rows_b, rows_a = [], []
-    for na in range(n + 1):
-        m = n - na  # the profiles of row na are nb = 0..m
-        lower = sizes[: 2**na]
-        # default b: a subset is its members at or below na (counted, in
-        # `lower`) and s, its members above na less na; with p members
-        # below, the row holds nb < m+1 - (the p-th largest of s, or 0)
-        row = []
-        pad = [0] * na
-        for s in subsets[: 2**m]:
-            by_count = [digits[0], *[digits[m + 1 - r] for r in (s[::-1] + pad)[:na]]]
-            row += map(by_count.__getitem__, lower)
-        rows_b.append(row)
-        # default a: a subset is its members at or below m (s) and its
-        # members above m (counted, in `lower`); with q members above, the
-        # row holds nb < the (q+1)-th smallest of s, or the whole row
-        by_count = [
-            [digits[s[q] if q < len(s) else m + 1] for s in subsets[: 2**m]] for q in range(na + 1)
-        ]
-        rows_a.append(list(chain.from_iterable(map(by_count.__getitem__, lower))))
-    # most significant row first, as in _prefix_rows
-    return tuple(
-        list(map(int, map("".join, zip(*reversed(rows))), repeat(2))) for rows in (rows_b, rows_a)
-    )
-
-
-def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountTable]]:
-    """Every anonymous strategy-proof rule for society size n, with its table.
-
-    Order: default b then default a; within a default, subsets in
-    binary-counter order (bit i-1 set means i is in the subset).  Emits
-    exactly 2**(n+1) pairs.  The tables are built row by row from the
-    subsets (see _family_masks), not by tabulating each sequence.
+    For the default-b rule of J, c = 0 when J has no member at or below na,
+    and otherwise c = n+1 - max(na, u), u the |J[1, na]|-th largest member
+    of J; for default a, c = the (q+1)-th smallest member of J, q =
+    |J[n-na+1, n]|, or the whole row when J has no more than q members.  So
+    a row depends only on how many members lie on one side of a cut and on
+    which lie on the other, and each row is built once for all 2**n subsets.
     """
     if n < 1:
         raise ValueError(f"society size must be at least 1, got {n}")
@@ -119,10 +88,66 @@ def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountT
     subsets = [[]]
     for v in range(1, n + 1):
         subsets += [s + [v] for s in subsets]
+    sizes = [len(s) for s in subsets]
+    rows_b, rows_a = [], []
+    for na in range(n + 1):
+        m = n - na  # the profiles of row na are nb = 0..m
+        lower, upper = sizes[: 2**na], subsets[: 2**m]
+        # default b: i is p = |J[1, na]| (`lower`, low bits) and s, the
+        # members above na less na (`upper`, high bits); c is 0 for p = 0,
+        # else m+1 - (the p-th largest of s, or 0)
+        by_count = [[0] * 2**m]
+        by_count += [[m + 1 - s[-p] if p <= len(s) else m + 1 for s in upper] for p in range(1, na + 1)]
+        rows_b.append(list(chain.from_iterable(zip(*map(by_count.__getitem__, lower)))))
+        # default a: i is s, the members at or below m (`upper`, low bits),
+        # and q members above m (`lower`, high bits); c is the (q+1)-th
+        # smallest of s, or the whole row
+        by_count = [[s[q] if q < len(s) else m + 1 for s in upper] for q in range(na + 1)]
+        rows_a.append(list(chain.from_iterable(map(by_count.__getitem__, lower))))
+    return subsets, (rows_b, rows_a)
+
+
+def _combine_rows(combine, pieces, rows):
+    """Per subset, `combine` over the pieces[na][c] of its row lengths c, in row order."""
+    return map(combine, zip(*[map(piece.__getitem__, row) for piece, row in zip(pieces, rows)]))
+
+
+def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountTable]]:
+    """Every anonymous strategy-proof rule for society size n, with its table.
+
+    Order: default b then default a; within a default, subsets in
+    binary-counter order (bit i-1 set means i is in the subset).  Emits
+    exactly 2**(n+1) pairs.  The tables are built row by row from the
+    subsets (see _family_staircases), not by tabulating each sequence.
+    """
+    subsets, staircases = _family_staircases(n, max_rules)
+    mirror = [_mirror(n, k) for k in range(n + 2)]
+    sequences_b = [(*_zigzag(s), n + 1) for s in subsets]
+    sequences_a = [tuple(map(mirror.__getitem__, q)) for q in sequences_b]
+    # row na of a mask holds the profiles nb < c at bits na*(n+2) + nb
+    row_masks = [[((1 << c) - 1) << na * (n + 2) for c in range(n + 2)] for na in range(n + 1)]
     family = []
-    for default, masks in zip((Alternative.B, Alternative.A), _family_masks(n, subsets)):
+    for sequences, rows in zip((sequences_b, sequences_a), staircases):
+        masks = _combine_rows(sum, row_masks, rows)
         family += [
-            (subset_to_proper(s, default, n), CountTable._from_mask(n, mask))
-            for s, mask in zip(subsets, masks)
+            (QuotaSeq._trusted(n, quotas), CountTable._from_mask(n, mask))
+            for quotas, mask in zip(sequences, masks)
         ]
     return family
+
+
+def _family_rows(n: int):
+    """The rules of `enumerate_all(n)` as the rows of `fileformats._write_family`:
+    (default letter, members, quotas, table letters), straight from the staircases."""
+    subsets, staircases = _family_staircases(n)
+    decimal = [str(k) for k in range(n + 2)]
+    mirrored = [decimal[_mirror(n, k)] for k in range(n + 2)]
+    # row na holds n+1-na profiles, the first c of which a wins
+    letters = [["a" * c + "b" * (n + 1 - na - c) for c in range(n + 2 - na)] for na in range(n + 1)]
+    members = [",".join(map(decimal.__getitem__, s)) for s in subsets]
+    sequences = [(*_zigzag(s), n + 1) for s in subsets]
+    return (
+        (default, subset, ",".join(map(quota_text.__getitem__, quotas)), table)
+        for default, quota_text, rows in zip("ba", (decimal, mirrored), staircases)
+        for subset, quotas, table in zip(members, sequences, _combine_rows("".join, letters, rows))
+    )

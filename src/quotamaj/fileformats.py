@@ -10,7 +10,8 @@ Two interchangeable formats:
   `{"a": na, "b": nb, "out": ...}` for count tables and
   `{"profile": "abi...", "out": ...}` for full tables.
 
-Family files, written by `format_family` for an enumerated family:
+Family files, written by `_write_family` from rows of strings, which `enum`
+builds from the staircases and `format_family` from (sequence, table) pairs:
 
 * text: a `n=<int>` header line and a `count=<rules>` line, then one
   `default subset quotas table` line per rule, e.g. `b 2,5 5,2,12 bb...`:
@@ -195,31 +196,37 @@ def _json_count_entry(e):
     return (na, nb), str(e["out"])
 
 
-def _json_ints(values) -> str:
-    # a list of ints as json.dumps(indent=2) writes it inside a family entry
-    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]" if values else "[]"
+def _json_list(decimals: str) -> str:
+    # comma-separated ints as json.dumps(indent=2) writes their list inside a family entry
+    return "[\n        " + decimals.replace(",", ",\n        ") + "\n      ]" if decimals else "[]"
 
 
-def format_family(family, n: int, fmt: str = TEXT) -> str:
-    """Render an enumerated family of (sequence, table) pairs."""
-    from .enumeration import _subset_of
-    # the family's sequences are proper by construction, so none is checked again
-    rules = ((seq, table, *_subset_of(seq)) for seq, table in family)
+def _write_family(n: int, rows, fmt: str) -> str:
+    """Either family format from (default letter, members, quotas, table
+    letters) rows, with members and quotas as comma-separated decimals."""
     if fmt == STRUCTURED:
         # byte for byte what json.dumps(indent=2) writes, without its
         # pure-Python encoder: every field is an int or a string of a/b
         # letters, so nothing needs escaping
         entries = [
-            f'    {{\n      "default": "{default.value}",\n'
-            f'      "subset": {_json_ints(sorted(subset))},\n'
-            f'      "quotas": {_json_ints(seq.quotas)},\n'
-            f'      "table": "{table.outcome_string()}"\n    }}'
-            for seq, table, subset, default in rules
+            f'    {{\n      "default": "{default}",\n'
+            f'      "subset": {_json_list(subset)},\n'
+            f'      "quotas": {_json_list(quotas)},\n'
+            f'      "table": "{table}"\n    }}'
+            for default, subset, quotas, table in rows
         ]
         family_json = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-        return f'{{\n  "n": {n},\n  "count": {len(family)},\n  "family": {family_json}\n}}'
-    lines = [
-        f"{default.value} {','.join(map(str, sorted(subset))) or '-'} {seq} {table.outcome_string()}"
-        for seq, table, subset, default in rules
-    ]
-    return "\n".join([f"n={n}", f"count={len(family)}", *lines]) + "\n"
+        return f'{{\n  "n": {n},\n  "count": {len(entries)},\n  "family": {family_json}\n}}'
+    lines = [f"{default} {subset or '-'} {quotas} {table}" for default, subset, quotas, table in rows]
+    return "\n".join([f"n={n}", f"count={len(lines)}", *lines]) + "\n"
+
+
+def format_family(family, n: int, fmt: str = TEXT) -> str:
+    """Render an enumerated family of (sequence, table) pairs."""
+    from .enumeration import _subset_of
+
+    def row(seq, table):
+        subset, default = _subset_of(seq)  # proper by construction, so not checked again
+        return default.value, ",".join(map(str, sorted(subset))), str(seq), table.outcome_string()
+
+    return _write_family(n, itertools.starmap(row, family), fmt)

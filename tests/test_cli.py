@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from quotamaj import core, oracle
-from quotamaj import Alternative, CountTable, QuotaSeq, to_table
+from quotamaj import Alternative, CountTable, QuotaSeq, enumerate_all, to_table
 from quotamaj.cli import BUDGET_EXCEEDED, INVALID_INPUT, OK, PROPERTY_VIOLATED, main
 from quotamaj.fileformats import format_count_table, format_full_table
 from quotamaj.oracle import expand_to_full
@@ -301,6 +301,15 @@ def test_enum_budget_is_decided_from_n_alone(capsys, n):
     code, out, err = run(capsys, "enum", "--n", n)
     assert code == BUDGET_EXCEEDED and out == "" and "budget" in err
     assert "set_int_max_str_digits" not in err and f"2**{int(n) + 1}" in err
+
+
+def test_enum_guard_edge(capsys):
+    code, out, err = run(capsys, "enum", "--n", "16")
+    assert code == BUDGET_EXCEEDED and out == "" and "2**17" in err and "budget is 65536" in err
+    with pytest.raises(ValueError) as expected:
+        enumerate_all(0)
+    code, out, err = run(capsys, "enum", "--n", "0")
+    assert code == INVALID_INPUT and out == "" and err == f"error: {expected.value}\n"
 
 
 def test_deeply_nested_json_table_is_invalid_input(tmp_path, capsys):

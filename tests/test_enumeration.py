@@ -14,6 +14,7 @@ from quotamaj import (
     subset_to_proper,
     to_table,
 )
+from quotamaj.enumeration import _family_staircases
 
 A, B = Alternative.A, Alternative.B
 
@@ -166,3 +167,23 @@ def test_enumerated_tables_equal_tabulation(n):
     assert len(family) == 2 ** (n + 1)
     for seq, table in family:
         assert table == to_table(seq)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_trusted_sequences_equal_public_construction(n):
+    family = [seq for seq, _ in enumerate_all(n)]
+    subsets = [[i + 1 for i in range(n) if mask >> i & 1] for mask in range(2**n)]
+    assert family == [subset_to_proper(s, default, n) for default in (B, A) for s in subsets]
+    for seq in family:
+        public = QuotaSeq(n, seq.quotas)
+        assert QuotaSeq._trusted(n, seq.quotas) == seq == public
+        assert hash(seq) == hash(public) and repr(seq) == repr(public)
+        assert type(seq.quotas) is tuple
+
+
+def test_family_guard_edge():
+    # the budget of 2**16 rules admits n = 15 and refuses n = 16 from n alone
+    subsets, (rows_b, rows_a) = _family_staircases(15)
+    assert len(subsets) == 2**15 and len(rows_b) == len(rows_a) == 16
+    with pytest.raises(SearchBudgetExceeded, match=r"2\*\*17"):
+        _family_staircases(16)

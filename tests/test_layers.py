@@ -4,7 +4,10 @@ import importlib.util
 import json
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "layers.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "layers.py"
 
 
 def load_tool():
@@ -53,6 +56,43 @@ def test_layers_times_format_family_in_both_formats():
     timings = layers.family_timings(repeats=1)
     assert list(timings) == ["format_family.n12.text", "format_family.n12.structured"]
     assert all(seconds > 0 for seconds in timings.values())
+
+
+def test_layers_times_the_enum_render_in_both_formats():
+    layers = load_tool()
+    from quotamaj import cli
+
+    emit = cli._emit
+    timings = layers.measure(layers.enum_cases(), repeats=1)
+    assert list(timings) == [
+        "enum.n12.text",
+        "enum.n12.structured",
+        "enum.n14.text",
+        "enum.n14.structured",
+    ]
+    assert all(seconds > 0 for seconds in timings.values())
+    assert cli._emit is emit
+
+
+def test_layers_worker_runs_named_cases_on_its_sources(tmp_path):
+    layers = load_tool()
+    names = [name for name, _ in layers.all_cases(tmp_path)]
+    assert len(names) == len(set(names))
+    assert {"enumerate_all.n14", "enum.n14.text", "format_family.n12.text", "startup.enum"} <= set(names)
+    worker = layers.Worker(layers.ROOT / "src", tmp_path)
+    try:
+        assert worker.cases == names
+        assert worker.run("to_table.n200") > 0 and worker.run("startup.import") > 0
+    finally:
+        worker.close()
+    assert worker.proc.returncode == 0
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
+def test_layers_exports_a_revision(tmp_path):
+    layers = load_tool()
+    src = layers.export_tree("HEAD", tmp_path)
+    assert (src / "quotamaj" / "cli.py").is_file() and (tmp_path / "tools" / "layers.py").is_file()
 
 
 def test_layers_startup_runs_one_command_per_cli_verb():

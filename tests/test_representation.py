@@ -26,6 +26,7 @@ from quotamaj import (
     subset_to_proper,
     to_table,
 )
+from quotamaj.cli import main
 from quotamaj.extraction import _row_thresholds
 from quotamaj.fileformats import STRUCTURED, TEXT, format_family
 
@@ -193,6 +194,17 @@ def test_count_table_rejects_outcomes_that_are_not_alternatives():
 @pytest.mark.parametrize("fmt", [TEXT, STRUCTURED])
 def test_format_family_is_byte_identical_to_reference(n, fmt):
     assert format_family(enumerate_all(n), n, fmt) == reference_format_family(n, fmt)
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 13), *(pytest.param(n, marks=pytest.mark.slow) for n in (13, 14))]
+)
+@pytest.mark.parametrize("fmt", [TEXT, STRUCTURED])
+def test_enum_writes_the_reference_family(tmp_path, n, fmt):
+    # `enum` writes its rules from the staircases, not through format_family
+    out = tmp_path / "family"
+    assert main(["enum", "--n", str(n), "--out", str(out), "--format", fmt]) == 0
+    assert out.read_bytes() == reference_format_family(n, fmt).encode()
 
 
 @pytest.mark.parametrize("n", range(1, 9))

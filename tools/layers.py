@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 tools/layers.py --label pr6
     PYTHONPATH=src python3 -O tools/layers.py --label pr6-noassert
+    PYTHONPATH=src python3 tools/layers.py --label pr6 --against HEAD~1
 
 Each timing is the minimum of REPEATS perf_counter runs of one call on
 a fixed input; noise on a shared machine only adds time, so the best run
@@ -13,9 +14,21 @@ constant rule at n=3000, enumeration at n=10, 12 and 14, and the
 exhaustive strategy-proof filter at n=5.  The `parse_table.*` timings
 read a count table at n=140 and a full table at n=8 from text and from
 JSON, and the `format_family.*` timings write the family at n=12 as text
-and as JSON.  The `startup.*` timings are the wall times of a fresh
+and as JSON.  The `enum.*` timings run what the `enum` command runs at
+n=12 and n=14 in both formats, with the output dropped instead of
+written.  The `startup.*` timings are the wall times of a fresh
 interpreter that imports quotamaj, and of one small command per CLI
-verb, each run as a subprocess on the sources next to this script.  The
+verb, each run as a subprocess on the sources of the imported quotamaj.
+
+With `--against <rev>`, the script also exports the tree of git
+revision <rev> into a temporary directory and times every case on both
+trees, one run at a time, alternating which tree runs first.  Each tree
+runs in its own worker process, started on this script with that tree's
+sources first on the path, so <rev> needs the library names this script
+uses.  The file then records both minima and the speed-up, the parent's
+minimum over this tree's, under `against`.  Two runs of this script
+minutes apart read unchanged code 30-100% apart on a shared machine; the
+interleaved runs of one invocation see the same load on both trees.  The
 file also records the Python version, whether assertions were on, the
 wall time and counts of one run of the tier-1 suite, and `source_lines`:
 the line counts of the package modules (in total and per module) and of
@@ -27,6 +40,7 @@ noise can never fail it.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import platform
 import os
@@ -34,11 +48,13 @@ import random
 import re
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from functools import partial
 from pathlib import Path
 
+import quotamaj
 from quotamaj import (
     QuotaSeq,
     canonicalize,
@@ -60,11 +76,14 @@ from quotamaj.fileformats import (
 from quotamaj.oracle import expand_to_full
 
 ROOT = Path(__file__).resolve().parents[1]
+# the sources of the imported quotamaj, which the start-up subprocesses run
+SRC = Path(quotamaj.__file__).resolve().parents[1]
 
 TABLE_RULES = ((200, (100, 140, 60, 180, 20, 201)), (500, (250, 350, 150, 450, 50, 501)))
 RANDOM_SEED = 2020
 REPEATS = 5
 RUNNER = "import sys; from quotamaj.cli import main; sys.exit(main(sys.argv[1:]))"
+SERVER = "import sys; sys.path.insert(0, sys.argv[1]); import layers; sys.exit(layers.serve_cases())"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -99,9 +118,9 @@ def baseline_cases() -> list[tuple[str, object]]:
     return cases
 
 
-def parse_timings(repeats: int) -> dict[str, float]:
-    """Seconds of parse_table on a count table at n=140 and a full
-    table at n=8, each in both formats."""
+def parse_cases() -> list[tuple[str, object]]:
+    """parse_table on a count table at n=140 and a full table at n=8, each
+    in both formats."""
     count = to_table(QuotaSeq(140, (70, 100, 40, 141)))
     full = expand_to_full(to_table(QuotaSeq(8, (4, 6, 2, 9))))
     files = {
@@ -112,17 +131,44 @@ def parse_timings(repeats: int) -> dict[str, float]:
         )
         for fmt_name, fmt in (("text", TEXT), ("json", STRUCTURED))
     }
-    return measure([(name, partial(parse_table, text)) for name, text in files.items()], repeats)
+    return [(name, partial(parse_table, text)) for name, text in files.items()]
 
 
-def family_timings(repeats: int) -> dict[str, float]:
-    """Seconds of format_family on the family at n=12, in both formats."""
+def parse_timings(repeats: int) -> dict[str, float]:
+    return measure(parse_cases(), repeats)
+
+
+def family_cases() -> list[tuple[str, object]]:
+    """format_family on the family at n=12, in both formats."""
     family = enumerate_all(12)
-    cases = [
+    return [
         (f"format_family.n12.{fmt_name}", partial(format_family, family, 12, fmt))
         for fmt_name, fmt in (("text", TEXT), ("structured", STRUCTURED))
     ]
-    return measure(cases, repeats)
+
+
+def family_timings(repeats: int) -> dict[str, float]:
+    return measure(family_cases(), repeats)
+
+
+def enum_render(n: int, fmt: str) -> None:
+    """Run what `enum --n <n> --format <fmt>` runs, dropping the output
+    where the command would write it."""
+    from quotamaj import cli
+    emit, cli._emit = cli._emit, lambda text, out: None
+    try:
+        cli.cmd_enum(argparse.Namespace(n=n, format=fmt, out=None))
+    finally:
+        cli._emit = emit
+
+
+def enum_cases() -> list[tuple[str, object]]:
+    """The `enum` command's render at n=12 and n=14, in both formats."""
+    return [
+        (f"enum.n{n}.{fmt_name}", partial(enum_render, n, fmt))
+        for n in (12, 14)
+        for fmt_name, fmt in (("text", TEXT), ("structured", STRUCTURED))
+    ]
 
 
 def startup_commands(table: str) -> dict[str, list[str]]:
@@ -144,18 +190,27 @@ def startup_commands(table: str) -> dict[str, list[str]]:
     }
 
 
+def startup_cases(work: Path) -> list[tuple[str, object]]:
+    """Each start-up command run as a subprocess in `work`, where its table is written."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    table = work / "worked.tbl"
+    table.write_text(format_count_table(to_table(QuotaSeq(11, (5, 2, 12)))), encoding="utf-8")
+    return [
+        (name, partial(subprocess.run, [sys.executable, *args], cwd=work, env=env,
+                       stdout=subprocess.DEVNULL, check=True))
+        for name, args in startup_commands(str(table)).items()
+    ]
+
+
 def startup_timings(repeats: int) -> dict[str, float]:
     """Wall seconds of each start-up command, run as a subprocess."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as work:
-        table = Path(work) / "worked.tbl"
-        table.write_text(format_count_table(to_table(QuotaSeq(11, (5, 2, 12)))), encoding="utf-8")
-        cases = [
-            (name, partial(subprocess.run, [sys.executable, *args], cwd=work, env=env,
-                           stdout=subprocess.DEVNULL, check=True))
-            for name, args in startup_commands(str(table)).items()
-        ]
-        return measure(cases, repeats)
+        return measure(startup_cases(Path(work)), repeats)
+
+
+def all_cases(work: Path) -> list[tuple[str, object]]:
+    """Every case this script times, in the order of its output."""
+    return [*baseline_cases(), *parse_cases(), *family_cases(), *enum_cases(), *startup_cases(work)]
 
 
 def tier1_summary(last_line: str) -> dict[str, int]:
@@ -190,17 +245,86 @@ def source_lines(root: Path = ROOT) -> dict:
     }
 
 
+def run_once(thunk) -> float:
+    start = time.perf_counter()
+    thunk()
+    return time.perf_counter() - start
+
+
 def measure(cases, repeats: int) -> dict[str, float]:
     """Least seconds of each case over `repeats` runs."""
-    timings = {}
-    for name, thunk in cases:
-        runs = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            thunk()
-            runs.append(time.perf_counter() - start)
-        timings[name] = min(runs)
-    return timings
+    return {name: min(run_once(thunk) for _ in range(repeats)) for name, thunk in cases}
+
+
+def serve_cases() -> int:
+    """The worker of --against: print where quotamaj comes from and the
+    case names as one JSON line, then run each case named on stdin once and
+    print its seconds."""
+    with tempfile.TemporaryDirectory() as work:
+        cases = dict(all_cases(Path(work)))
+        print(json.dumps({"src": str(SRC), "cases": list(cases)}), flush=True)
+        for line in sys.stdin:
+            print(run_once(cases[line.strip()]), flush=True)
+    return 0
+
+
+class Worker:
+    """A process that runs this script's cases on the sources in `src`."""
+
+    def __init__(self, src: Path, cwd: Path) -> None:
+        flags = ["-O"] if sys.flags.optimize else []
+        self.proc = subprocess.Popen(
+            [sys.executable, *flags, "-c", SERVER, str(Path(__file__).resolve().parent)],
+            cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        hello = json.loads(self.proc.stdout.readline())
+        if Path(hello["src"]) != src.resolve():
+            self.close()
+            raise RuntimeError(f"worker imported quotamaj from {hello['src']}, not {src}")
+        self.cases = hello["cases"]
+
+    def run(self, name: str) -> float:
+        self.proc.stdin.write(name + "\n")
+        self.proc.stdin.flush()
+        return float(self.proc.stdout.readline())
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, check=True).stdout
+
+
+def export_tree(rev: str, dest: Path) -> Path:
+    """Write the committed files of git revision `rev` under dest; return its sources."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def against(rev: str, repeats: int) -> tuple[dict[str, float], dict[str, float]]:
+    """Least seconds of every case on this tree and on the tree of `rev`,
+    from interleaved runs that alternate which tree runs first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        parent_src = export_tree(rev, tmp / "parent")
+        workers = []
+        try:
+            workers += [Worker(ROOT / "src", tmp), Worker(parent_src, tmp)]
+            change, parent = workers
+            runs = {name: ([], []) for name in change.cases}
+            for i, name in enumerate(change.cases):
+                for r in range(repeats):
+                    sides = [(change, runs[name][0]), (parent, runs[name][1])]
+                    for worker, seconds in sides[:: 1 if (i + r) % 2 else -1]:
+                        seconds.append(worker.run(name))
+        finally:
+            for worker in workers:
+                worker.close()
+    return tuple({name: min(pair[side]) for name, pair in runs.items()} for side in (0, 1))
 
 
 def bench_record(label: str, repeats: int, timings: dict[str, float]) -> dict:
@@ -218,12 +342,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    parser.add_argument("--against", metavar="REV", help="also time every case on git revision REV")
     args = parser.parse_args(argv)
-    timings = measure(baseline_cases(), REPEATS)
-    timings.update(parse_timings(REPEATS))
-    timings.update(family_timings(REPEATS))
-    timings.update(startup_timings(REPEATS))
+    if args.against is None:
+        with tempfile.TemporaryDirectory() as work:
+            timings = measure(all_cases(Path(work)), REPEATS)
+    else:
+        timings, parent = against(args.against, REPEATS)
     record = bench_record(args.label, REPEATS, timings)
+    if args.against is not None:
+        record["against"] = {
+            "rev": args.against,
+            "commit": git("rev-parse", args.against).decode().strip(),
+            "parent_s": {name: round(seconds, 6) for name, seconds in parent.items()},
+            "speedup": {name: round(parent[name] / timings[name], 3) for name in timings},
+        }
     record["tier1"] = tier1_run()
     record["source_lines"] = source_lines()
     path = args.out / f"BENCH_{args.label}.json"
