@@ -17,9 +17,10 @@ before them, and the second keeps only the last of each run of entries
 that escape on the same side.  Neither step changes the range that
 later entries are compared against, so the two passes reach the same
 proper sequence as rewriting to a fixed point.  The result is checked
-once, end to end, against the brute-force truth table of the truncated
-input; the check raises rather than asserts, so it also runs under
-``python -O``.
+once, end to end: its staircase (`engine._staircase`, the row lengths
+of its table) must equal that of the truncated input, a comparison in
+O(n + length) steps with no n² table.  The check raises rather than
+asserts, so it also runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import itertools
 from collections.abc import Sequence
 
 from .core import QuotaSeq, SearchBudgetExceeded
-from .engine import _escape_sides, is_proper, is_valid_r_tuple, length, to_table
+from .engine import _escape_sides, _staircase, is_proper, is_valid_r_tuple, length
 
 
 def truncate(raw: Sequence[int], n: int) -> QuotaSeq:
@@ -67,8 +68,8 @@ def canonicalize(raw: Sequence[int], n: int) -> QuotaSeq:
     # every entry after the first escapes; keep the last of each same-side run
     sides = _escape_sides(q) + [0]
     kept = [v for v, side, after in zip(q[1:], sides, sides[1:]) if side != after]
-    out = QuotaSeq(n, (q[0], *kept))
-    if not is_proper(out) or to_table(out) != to_table(seq):
+    out = QuotaSeq._trusted(n, (q[0], *kept))
+    if not is_proper(out) or _staircase(out) != _staircase(seq):
         raise AssertionError(f"canonicalizing ({seq}) gave ({out}), which is not its proper form")
     return out
 
@@ -106,7 +107,7 @@ def is_minimal(seq: QuotaSeq, max_candidates: int = 200_000) -> bool:
         raise SearchBudgetExceeded(
             f"minimality search needs {count} candidates, budget is {max_candidates}"
         )
-    table = to_table(seq)
+    target = _staircase(seq)
     return not any(
-        to_table(cand) == table for cand in _shorter_candidates(seq.n, target_length)
+        _staircase(cand) == target for cand in _shorter_candidates(seq.n, target_length)
     )

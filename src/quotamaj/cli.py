@@ -118,9 +118,12 @@ def cmd_canon(args) -> int:
         if args.n is None:
             raise ValueError("society size is required (--n)")
         subset = set(_parse_ints(args.subset, "--subset")) if args.subset != "-" else set()
+        default = _parse_alternative("b" if args.default is None else args.default)
         from . import enumeration
-        seq = enumeration.subset_to_proper(subset, _parse_alternative(args.default), args.n)
+        seq = enumeration.subset_to_proper(subset, default, args.n)
     else:
+        if args.default is not None:
+            raise ValueError("give either --subset with --default or a quota sequence, not both")
         from . import canonical
         loaded = _load_sequence(args)
         seq = canonical.canonicalize(loaded.quotas, loaded.n)
@@ -200,6 +203,8 @@ def cmd_represent(args) -> int:
 def cmd_convert(args) -> int:
     from . import lp
     if args.quotas is not None or args.seq_file is not None:
+        if (args.default, args.r, args.thresholds) != (None, None, None):
+            raise ValueError("give either a sequence or --default/--r/--thresholds, not both")
         rule = lp.proper_to_lp(_load_sequence(args))
         vector = ",".join(str(v) for v in rule.thresholds)
         name = "x" if rule.default is Alternative.A else "y"
@@ -250,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("canon", cmd_canon, "reduce a sequence to proper form, or build one from a subset", needs_n="optional")
     add_sequence_source(p)
     p.add_argument("--subset", help="comma-separated subset of {1..n}, or '-' for empty")
-    p.add_argument("--default", default="b", help="default outcome for --subset (a or b)")
+    p.add_argument("--default", help="default outcome for --subset (a or b; b if omitted)")
 
     p = add("enum", cmd_enum, "enumerate the full rule family")
     p.add_argument("--out", help="output file (default stdout)")

@@ -178,13 +178,6 @@ def _blank_digits(n: int) -> bytearray:
 
 
 @lru_cache(maxsize=16)
-def _diagonals(n: int) -> tuple[slice, ...]:
-    """For each ell, the slice of the digits holding the profiles with ell
-    indifferent voters, (j, n - ell - j) for j = 0, 1, ... in order."""
-    return tuple(slice(n - ell, (n - ell) * (n + 2) + 1, n + 1) for ell in range(n + 1))
-
-
-@lru_cache(maxsize=16)
 def _rows(n: int) -> tuple[slice, ...]:
     """For each na, the slice of the digits holding the profiles (na, nb), nb = 0..n-na."""
     return tuple(slice(na * (n + 2), na * (n + 2) + n + 1 - na) for na in range(n + 1))
@@ -320,11 +313,6 @@ class CountTable(_Value):
         return CountTable._from_mask, (self.n, self.mask)
 
     @classmethod
-    def _from_digits(cls, n: int, digits: bytearray) -> "CountTable":
-        # trusted: the caller set digits only at valid profiles of the grid
-        return cls._from_mask(n, _parse_digits(digits))
-
-    @classmethod
     def from_function(cls, n: int, rule: Callable[[CountProfile], Alternative]) -> "CountTable":
         check_table_size(n)
         return cls(n, tuple(rule(p) for p in all_count_profiles(n)))
@@ -348,12 +336,26 @@ class CountTable(_Value):
                 digits[na * width + nb] = ord("1")
             elif outcome is not Alternative.B:
                 raise ValueError(f"outcome must be an Alternative, got {outcome!r}")
-        return cls._from_digits(n, digits)
+        return cls._from_mask(n, _parse_digits(digits))
 
     def bit_string(self) -> str:
         """The mask as '0'/'1' characters; character na*(n+2) + nb is profile (na, nb)."""
         n = self.n
         return format(self.mask, f"0{(n + 1) * (n + 2)}b")[::-1]
+
+    def _staircase(self) -> list[int] | None:
+        """Row lengths c_0..c_n, a winning (na, nb) exactly when nb < c_na, or
+        None when a row is no prefix; `_prefix_rows` is the inverse."""
+        width = self.n + 2
+        bits = self.bit_string()
+        lengths = []
+        for start in range(0, len(bits), width):
+            # the spare column is '0', so every row has a first '0'
+            c = bits.index("0", start)
+            if bits.find("1", c, start + width) >= 0:
+                return None
+            lengths.append(c - start)
+        return lengths
 
     def _cells(self) -> str:
         # one '0'/'1' per profile, in the all_count_profiles order

@@ -11,6 +11,8 @@ The b condition is the a condition on the quota mirrored by `_mirror`,
 the one map that swaps the alternatives in the package.  Where a sequence
 can decide is found in one place too: `length` finds its first terminal,
 and `_escape_sides` tells which later entries escape the earlier range.
+A rule's table is one staircase, the row lengths of `_staircase`, and
+only `to_table` turns it into an n² mask.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def dual(seq: QuotaSeq) -> QuotaSeq:
     Evaluating the dual sequence on the mirrored profile (nb, na) always
     yields the opposite outcome, and properness is preserved.
     """
-    return QuotaSeq(seq.n, tuple(_mirror(seq.n, q) for q in seq.quotas))
+    return QuotaSeq._trusted(seq.n, tuple([_mirror(seq.n, q) for q in seq.quotas]))
 
 
 def _first_meeting(quotas: tuple[int, ...] | list[int], n: int) -> list[int]:
@@ -137,8 +139,8 @@ def _first_meeting(quotas: tuple[int, ...] | list[int], n: int) -> list[int]:
     return first
 
 
-def to_table(seq: QuotaSeq) -> CountTable:
-    """Tabulate the rule over every count profile.
+def _staircase(seq: QuotaSeq) -> list[int]:
+    """Row lengths c_0..c_n of the rule's table: a wins (na, nb) exactly when nb < c_na.
 
     first_a[na] is the first index whose quota na supporters of a meet
     (k_i <= na), and first_b[nb] the first whose mirrored quota nb
@@ -146,7 +148,8 @@ def to_table(seq: QuotaSeq) -> CountTable:
     the quotas and one on their mirrors.  a wins (na, nb) exactly when
     first_a[na] < first_b[nb]; the two never tie on a profile, since that
     would need n+1 voters.  first_b never increases, so each row that a
-    wins is a prefix, and a pointer walk finds its length.
+    wins is a prefix, and a pointer walk finds its length.  Too large an n
+    is refused first, so every reader of a rule's table has one size limit.
     """
     n = seq.n
     check_table_size(n)
@@ -158,4 +161,9 @@ def to_table(seq: QuotaSeq) -> CountTable:
         while s <= n and first_b[s] > first_a[na]:
             s += 1
         lengths.append(min(s, n + 1 - na))
-    return CountTable._from_mask(n, _prefix_rows(n, lengths))
+    return lengths
+
+
+def to_table(seq: QuotaSeq) -> CountTable:
+    """Tabulate the rule over every count profile: the mask of its staircase."""
+    return CountTable._from_mask(seq.n, _prefix_rows(seq.n, _staircase(seq)))

@@ -7,10 +7,10 @@ and a quota k on the remaining n - ell, a profile is
   (see `LKSequence.margin`) support b,
 * b-covered when fewer than k support a and at least m support b.
 
-A strategy-proof table is one threshold per indifference row: in the row
-of profiles with ell voters indifferent, a wins exactly from some support
-t(ell) on.  With default b, the recovery walks these thresholds once from
-the strict row down and opens the level (ell, t(ell)) wherever a wins in
+A strategy-proof table is one threshold per indifference row, read off
+its staircase: in the row of profiles with ell voters indifferent, a wins
+exactly from some support t(ell) on.  With default b, the recovery walks
+these thresholds once from the strict row down and opens the level (ell, t(ell)) wherever a wins in
 the row below the last opened quota.  The recorded ells strictly
 increase and the quotas strictly decrease while ell + k never decreases,
 and replaying the pairs first-match reproduces the table exactly.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from . import oracle
 from .canonical import canonicalize
-from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value, _diagonals
+from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value
 from .engine import _mirror, dual
 
 
@@ -124,42 +124,36 @@ def psi_eval(seq: LKSequence, profile: CountProfile) -> Alternative:
     return seq.default
 
 
+def _interleave(n: int, default: Alternative, pairs) -> QuotaSeq:
+    """Quota sequence equivalent to first-match evaluation of (ell, k) pairs
+    with 0 <= ell < n and 1 <= k <= n - ell: for default b, ell+k then k
+    per pair and n+1; default a is the dual of the mirrored pairs."""
+    if default is Alternative.A:
+        return dual(_interleave(n, Alternative.B, _mirror_pairs(n, pairs)))
+    quotas = [q for ell, k in pairs for q in (ell + k, k)]
+    quotas.append(n + 1)
+    return QuotaSeq._trusted(n, tuple(quotas))
+
+
 def interleave(seq: LKSequence) -> QuotaSeq:
-    """Quota sequence equivalent to first-match evaluation of the pairs.
+    """Quota sequence equivalent to first-match evaluation of the pairs."""
+    return _interleave(seq.n, seq.default, seq.pairs)
 
-    Default b lists ell+k then k per level and closes with n+1; default a
-    is the dual of the mirrored default-b levels.
+
+def _row_thresholds(n: int, lengths: list[int]) -> tuple[int, ...]:
+    """Least a-support that wins each row of a strategy-proof staircase, by
+    the indifferent count ell; a row that a never wins reads n - ell + 1.
+
+    a wins (j, n - ell - j) exactly when j + c_j > n - ell, and j + c_j
+    rises strictly to n+1, so one pointer walk finds every least j.
     """
-    if seq.default is Alternative.A:
-        return dual(interleave(LKSequence(seq.n, Alternative.B, _mirror_pairs(seq.n, seq.pairs))))
-    quotas: list[int] = []
-    for ell, k in seq.pairs:
-        quotas += [ell + k, k]
-    quotas.append(seq.n + 1)
-    return QuotaSeq(seq.n, tuple(quotas))
-
-
-def _row_thresholds(table: CountTable) -> tuple[int, ...]:
-    """Least a-support that wins each row, indexed by the indifferent count ell.
-
-    Row ell holds the profiles with n - ell voters not indifferent; a row
-    that a never wins reads n - ell + 1.
-    """
-    n = table.n
-    bits = table.bit_string()
     thresholds = []
-    for ell, diagonal in enumerate(_diagonals(n)):
-        row = bits[diagonal]
-        t = row.find("1")
-        if t < 0:
-            t = len(row)
-        elif row.find("0", t) >= 0:
-            # strategy-proofness makes these rows monotone; refuse to read garbage
-            raise AssertionError(
-                f"row with {ell} indifferent voters is not monotone above a-support {t}"
-            )
-        thresholds.append(t)
-    return tuple(thresholds)
+    j = 0
+    for size in range(n + 1):  # size = n - ell voters not indifferent
+        while j <= size and j + lengths[j] <= size:
+            j += 1
+        thresholds.append(j)
+    return tuple(reversed(thresholds))
 
 
 def extract(table: CountTable) -> LKSequence:
@@ -175,7 +169,7 @@ def extract(table: CountTable) -> LKSequence:
     n = table.n
     default = table.outcome(0, 0)
     mirror = default is Alternative.A
-    rows = enumerate(_row_thresholds(table))
+    rows = enumerate(_row_thresholds(n, table._staircase()))
     if mirror:
         rows = _mirror_pairs(n, rows)
     pairs = []

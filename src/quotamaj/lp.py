@@ -18,12 +18,13 @@ wins each indifference row, from the deepest level r - 1 up to the
 strict row, for either default.
 
 The stored vectors are anchored at their first coordinate (x_1 = 1,
-y_1 = n - r + 1) and grow by at most one per level.  Converting a rule to
-its table and re-extracting the proper sequence is exact in both
-directions.  The threshold vector read off a table is the only valid one:
-each level row of an onto table holds both outcomes, so its least winning
-support is forced, and the 2^(n+1) - 2 valid rules give pairwise-distinct
-tables, one per onto rule.
+y_1 = n - r + 1) and grow by at most one per level.  Conversion is exact
+both ways and builds no table: `proper_to_lp` reads the thresholds off
+the staircase, and `lp_to_proper` canonicalizes the interleaved levels.
+The threshold vector read off a table is the only valid one: each level
+row of an onto table holds both outcomes, so its least winning support is
+forced, and the 2^(n+1) - 2 valid rules give pairwise-distinct tables,
+one per onto rule.
 """
 
 from __future__ import annotations
@@ -31,18 +32,10 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from .core import (
-    Alternative,
-    CountProfile,
-    CountTable,
-    QuotaSeq,
-    _Value,
-    _blank_digits,
-    _diagonals,
-    check_table_size,
-)
-from .engine import _mirror, is_proper, to_table
-from .extraction import _row_thresholds, represent
+from .canonical import canonicalize
+from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value
+from .engine import _mirror, _staircase, is_proper, to_table
+from .extraction import _interleave, _row_thresholds
 
 
 class LPRule(_Value):
@@ -97,28 +90,22 @@ def lp_eval(rule: LPRule, profile: CountProfile) -> Alternative:
     return Alternative.A if profile.na >= rule.thresholds[rule.r - idle - 1] else Alternative.B
 
 
-def lp_to_table(rule: LPRule) -> CountTable:
-    """Tabulate an indifference-quota rule over every count profile.
+def _sequence(rule: LPRule) -> QuotaSeq:
+    """The rule's levels (ell, t), t the threshold with ell < r voters
+    indifferent, interleaved: each covers its own row, and since the table
+    is strategy-proof, any other profile a level covers has that outcome."""
+    r = rule.r
+    pairs = [(ell, rule.thresholds[r - ell - 1]) for ell in range(r)]
+    return _interleave(rule.n, rule.default, pairs)
 
-    In each indifference row a wins from some support t on: t is
-    thresholds[i - 1] with r - i voters indifferent, and with r or more
-    it is 0 for default a and past the row's end for default b.
-    """
-    n, r = rule.n, rule.r
-    check_table_size(n)
-    digits = _blank_digits(n)
-    for ell, diagonal in enumerate(_diagonals(n)):
-        size = n - ell
-        if ell < r:
-            t = rule.thresholds[r - ell - 1]
-        else:
-            t = 0 if rule.default is Alternative.A else size + 1
-        digits[diagonal] = b"0" * t + b"1" * (size + 1 - t)
-    return CountTable._from_digits(n, digits)
+
+def lp_to_table(rule: LPRule) -> CountTable:
+    """Tabulate an indifference-quota rule over every count profile."""
+    return to_table(_sequence(rule))
 
 
 def proper_to_lp(seq: QuotaSeq) -> LPRule:
-    """Read an indifference-quota rule off the table of an onto proper sequence.
+    """Read an indifference-quota rule off the staircase of an onto proper sequence.
 
     The quota r is one more than the deepest indifference row that is not
     all default, and the thresholds are the row thresholds from that row
@@ -130,16 +117,17 @@ def proper_to_lp(seq: QuotaSeq) -> LPRule:
     n = seq.n
     if not 1 <= seq.quotas[0] <= n:
         raise ValueError("constant rules have no indifference-quota form")
-    table = to_table(seq)
-    rows = _row_thresholds(table)
+    lengths = _staircase(seq)
+    rows = _row_thresholds(n, lengths)
     # strategy-proofness keeps 0 < t <= n - ell exactly on the rows that are not all default
     r = 1 + max(ell for ell, t in enumerate(rows) if 0 < t <= n - ell)
-    return LPRule(n=n, default=table.outcome(0, 0), r=r, thresholds=rows[r - 1 :: -1])
+    default = Alternative.A if lengths[0] else Alternative.B  # the winner of (0, 0)
+    return LPRule(n=n, default=default, r=r, thresholds=rows[r - 1 :: -1])
 
 
 def lp_to_proper(rule: LPRule) -> QuotaSeq:
     """The unique proper sequence whose table equals the rule's table."""
-    return represent(lp_to_table(rule))
+    return canonicalize(_sequence(rule).quotas, rule.n)
 
 
 def all_rules(n: int, default: Alternative) -> Iterator[LPRule]:

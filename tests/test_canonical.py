@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,17 @@ def test_canonicalize_properties(raw_n):
     assert to_table(proper) == to_table(truncate(raw, n))
     again = canonicalize(proper.quotas, n)
     assert again == proper
+
+
+def test_canonicalize_keeps_the_table_at_large_n():
+    # seeded, far beyond the n that the per-profile references reach
+    rng = random.Random(5000)
+    n = 5000
+    body = [rng.randint(1, n) for _ in range(300)]
+    raw = body + [rng.choice((0, n + 1))] + body[:20]
+    proper = canonicalize(raw, n)
+    assert is_proper(proper) and len(proper.quotas) > 2
+    assert to_table(proper) == to_table(truncate(raw, n))
 
 
 def test_canonicalize_exhaustive_small():
@@ -209,12 +221,12 @@ def test_canonicalize_matches_fixpoint_with_repeats_and_padding(raw_n):
 
 @pytest.mark.parametrize(
     "patch",
-    ["c.is_proper = lambda s: False", "c.to_table = lambda s: s.quotas"],
+    ["c.is_proper = lambda s: False", "c._staircase = lambda s: s.quotas"],
     ids=["not-proper", "table-differs"],
 )
 def test_canonicalize_check_survives_optimize(patch):
     # the end-to-end check is no assert statement, so python -O keeps it;
-    # 5,4,2,12 collapses to 5,2,12, so comparing quotas in place of tables differs
+    # 5,4,2,12 collapses to 5,2,12, so comparing quotas in place of staircases differs
     code = (
         "import quotamaj.canonical as c\n"
         f"{patch}\n"

@@ -170,6 +170,20 @@ def test_convert_both_directions(capsys):
     assert code == OK and out == "5,2,12\n"
 
 
+def test_convert_refuses_a_sequence_with_rule_flags(capsys):
+    for flags in (["--default", "a", "--r", "3", "--thresholds", "1,2,3"], ["--r", "3"], ["--default", "b"]):
+        code, out, err = run(capsys, "convert", "--n", "11", "--quotas", "5,2,12", *flags)
+        assert code == INVALID_INPUT and out == "" and "not both" in err
+
+
+def test_canon_refuses_default_with_a_sequence(capsys):
+    for default in ("a", "b"):
+        code, out, err = run(capsys, "canon", "--n", "11", "--quotas", "5,2,12", "--default", default)
+        assert code == INVALID_INPUT and out == "" and "not both" in err
+    code, out, _ = run(capsys, "canon", "--n", "11", "--subset", "2,5", "--default", "b")
+    assert code == OK and out == "5,2,12\n"
+
+
 def test_convert_rejects_constant(capsys):
     code, _, err = run(capsys, "convert", "--n", "11", "--quotas", "12")
     assert code == INVALID_INPUT and "error:" in err

@@ -7,14 +7,17 @@ from quotamaj import (
     QuotaSeq,
     SearchBudgetExceeded,
     all_count_profiles,
+    canonicalize,
     dual,
     enumerate_all,
+    extract,
     is_proper,
     proper_to_subset,
     subset_to_proper,
     to_table,
 )
 from quotamaj.enumeration import _family_staircases
+from quotamaj.extraction import _interleave
 
 A, B = Alternative.A, Alternative.B
 
@@ -169,16 +172,25 @@ def test_enumerated_tables_equal_tabulation(n):
         assert table == to_table(seq)
 
 
+def assert_equals_public_construction(seq):
+    public = QuotaSeq(seq.n, seq.quotas)
+    assert QuotaSeq._trusted(seq.n, seq.quotas) == seq == public
+    assert hash(seq) == hash(public) and repr(seq) == repr(public)
+    assert type(seq.quotas) is tuple
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_trusted_sequences_equal_public_construction(n):
-    family = [seq for seq, _ in enumerate_all(n)]
+    family = enumerate_all(n)
     subsets = [[i + 1 for i in range(n) if mask >> i & 1] for mask in range(2**n)]
-    assert family == [subset_to_proper(s, default, n) for default in (B, A) for s in subsets]
-    for seq in family:
-        public = QuotaSeq(n, seq.quotas)
-        assert QuotaSeq._trusted(n, seq.quotas) == seq == public
-        assert hash(seq) == hash(public) and repr(seq) == repr(public)
-        assert type(seq.quotas) is tuple
+    expected = [subset_to_proper(s, default, n) for default in (B, A) for s in subsets]
+    assert [seq for seq, _ in family] == expected
+    for seq, table in family:
+        # enumerate_all, dual, _interleave and canonicalize build trusted sequences
+        levels = extract(table)
+        interleaved = _interleave(n, levels.default, levels.pairs)
+        for trusted in (seq, dual(seq), interleaved, canonicalize(interleaved.quotas, n)):
+            assert_equals_public_construction(trusted)
 
 
 def test_family_guard_edge():

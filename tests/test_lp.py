@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quotamaj import (
@@ -13,7 +15,9 @@ from quotamaj import (
     lp_to_proper,
     lp_to_table,
     proper_to_lp,
+    represent,
     rules_matching_table,
+    subset_to_proper,
     to_table,
 )
 
@@ -118,6 +122,23 @@ def test_round_trip_all_onto_sequences():
             assert lp_to_table(rule) == table
             if n <= 6:
                 assert lp_to_proper(rule) == seq
+
+
+def test_round_trip_at_large_n():
+    # seeded onto proper sequences, from one level up to every member
+    rng = random.Random(2000)
+    n = 2000
+    for size in (1, 2, 17, n // 2, n):
+        for default in (B, A):
+            seq = subset_to_proper(rng.sample(range(1, n + 1), size), default, n)
+            assert lp_to_proper(proper_to_lp(seq)) == seq
+
+
+def test_lp_to_proper_matches_representing_the_rule_table():
+    for n in range(1, 9):
+        for default in (B, A):
+            for rule in all_rules(n, default):
+                assert lp_to_proper(rule) == represent(lp_to_table(rule)), rule
 
 
 def test_all_rules_are_strategy_proof_and_onto():

@@ -27,6 +27,8 @@ from quotamaj import (
     to_table,
 )
 from quotamaj.cli import main
+from quotamaj.core import _prefix_rows
+from quotamaj.engine import _staircase
 from quotamaj.extraction import _row_thresholds
 from quotamaj.fileformats import STRUCTURED, TEXT, format_family
 
@@ -137,24 +139,49 @@ def test_to_table_matches_reference_on_long_sequences(seq):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_row_thresholds_match_reference_on_strategy_proof_tables(n):
     for table in exhaustive_sp_family(n):
-        assert _row_thresholds(table) == reference_row_thresholds(table)
+        assert _row_thresholds(n, table._staircase()) == reference_row_thresholds(table)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_row_thresholds_match_reference_on_the_family(n):
+    for _, table in enumerate_all(n):
+        assert _row_thresholds(n, table._staircase()) == reference_row_thresholds(table)
+
+
+def has_non_prefix_row(table):
+    n = table.n
+    return any(
+        table.outcome(na, nb) is B and table.outcome(na, nb + 1) is A
+        for na in range(n + 1)
+        for nb in range(n - na)
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_row_thresholds_refuse_exactly_the_non_monotone_tables(n):
+def test_staircase_is_none_exactly_on_tables_with_a_non_prefix_row(n):
+    # the strategy-proofness gate of `extract` refuses every such table
+    # before its staircase is read
     refused = 0
     for outcomes in all_outcome_tuples(n):
         table = CountTable(n, outcomes)
-        try:
-            expected = reference_row_thresholds(table)
-        except AssertionError as err:
-            with pytest.raises(AssertionError, match="not monotone") as got:
-                _row_thresholds(table)
-            assert str(got.value) == str(err)
+        lengths = table._staircase()
+        if has_non_prefix_row(table):
+            assert lengths is None
             refused += 1
         else:
-            assert _row_thresholds(table) == expected
+            assert len(lengths) == n + 1
+            assert CountTable._from_mask(n, _prefix_rows(n, lengths)) == table
     assert 0 < refused < 2 ** count_table_size(n)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_family_staircases_rise_strictly_to_n_plus_1(n):
+    # the property the pointer walk of `_row_thresholds` rests on
+    for seq, table in enumerate_all(n):
+        lengths = _staircase(seq)
+        assert lengths == table._staircase()
+        sums = [na + c for na, c in enumerate(lengths)]
+        assert all(x < y or x == y == n + 1 for x, y in zip(sums, sums[1:])), seq
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
