@@ -3,13 +3,14 @@
 Each command imports the library modules it runs only when it runs, so
 start-up loads no code that the command does not execute.
 
-Exit codes: 0 success, 2 invalid input, 3 a checked property is violated,
-4 an exhaustive search exceeded its budget.
+Exit codes: 0 success, 1 the reader closed the output, 2 invalid input,
+3 a checked property is violated, 4 an exhaustive search exceeded its budget.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import (
@@ -24,6 +25,7 @@ from .core import (
 )
 
 OK = 0
+OUTPUT_CLOSED = 1
 INVALID_INPUT = 2
 PROPERTY_VIOLATED = 3
 BUDGET_EXCEEDED = 4
@@ -295,4 +297,14 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now writes to the null device, so the interpreter's last
+        # flush of what is still buffered cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status = OUTPUT_CLOSED
+    sys.exit(status)

@@ -100,6 +100,10 @@ FORMATS = (TEXT, STRUCTURED)
 FullProfile = tuple[Preference, ...]
 
 PREFERENCES = (Preference.A, Preference.B, Preference.INDIFFERENT)
+_LETTER = {p: p.value for p in PREFERENCES}
+#: A full profile's position in all_full_profiles is its letters read as
+#: base-3 digits, a=0, b=1, i=2, the first voter most significant.
+_BASE3 = str.maketrans("abi", "012")
 
 
 class CountProfile(_Value):
@@ -216,11 +220,11 @@ def all_full_profiles(n: int) -> Iterator[FullProfile]:
 
 
 def _full_index(profile: FullProfile) -> int:
-    # position of profile in all_full_profiles(len(profile)): base-3 digits a=0, b=1, i=2
-    idx = 0
-    for p in profile:
-        idx = idx * 3 + (0 if p is Preference.A else 1 if p is Preference.B else 2)
-    return idx
+    try:
+        letters = "".join([_LETTER[p] for p in profile])
+    except KeyError as bad:
+        raise ValueError(f"profile item must be a Preference, got {bad.args[0]!r}") from None
+    return int(letters.translate(_BASE3), 3)
 
 
 class QuotaSeq(_Value):
@@ -270,6 +274,15 @@ _OUTCOME = {"1": Alternative.A, "0": Alternative.B}
 _LETTERS = str.maketrans("10", "ab")
 
 
+def _check_outcomes(outcomes: tuple[Alternative, ...]) -> None:
+    """Raise ValueError naming the first outcome that is not an Alternative."""
+    outcomes = tuple(outcomes)  # any sequence; no copy of a tuple
+    # count compares by identity first, so no Enum is hashed
+    if outcomes.count(Alternative.A) + outcomes.count(Alternative.B) != len(outcomes):
+        bad = next(o for o in outcomes if o is not Alternative.A and o is not Alternative.B)
+        raise ValueError(f"outcome must be an Alternative, got {bad!r}")
+
+
 class CountTable(_Value):
     """Total map from every count profile of a society to an alternative.
 
@@ -288,10 +301,8 @@ class CountTable(_Value):
             raise ValueError(
                 f"expected {count_table_size(n)} outcomes for n={n}, got {len(outcomes)}"
             )
-        try:
-            cells = b"".join([_DIGIT[o] for o in outcomes])
-        except KeyError as bad:
-            raise ValueError(f"outcome must be an Alternative, got {bad.args[0]!r}") from None
+        _check_outcomes(outcomes)
+        cells = b"".join([_DIGIT[o] for o in outcomes])
         width = n + 2
         digits = _blank_digits(n)
         start = 0
@@ -399,6 +410,7 @@ class FullTable(_Value):
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
         super().__init__(n, outcomes)
         _check_full_size(self.n, len(self.outcomes))
+        _check_outcomes(self.outcomes)
 
     @classmethod
     def from_function(cls, n: int, rule: Callable[[FullProfile], Alternative]) -> "FullTable":

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import itertools
 
-from .core import STRUCTURED, TEXT, Alternative, CountTable, FullTable, QuotaSeq, _check_full_size
+from .core import STRUCTURED, TEXT, Alternative, CountTable, FullTable, QuotaSeq, _BASE3, _check_full_size
 
 
 _OUTCOMES = {"a": Alternative.A, "b": Alternative.B}
-_BASE3 = str.maketrans("abi", "012")
 
 
 def _parse_header(line: str) -> int:

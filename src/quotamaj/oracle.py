@@ -11,6 +11,10 @@ of the losing alternative has a motive, and each misreport moves the
 counts one step, so a table is strategy-proof exactly when the profiles a
 wins stay closed under three moves: a gains a supporter, b loses one, and
 a b-supporter switches to a.  Each move is one shift of a bitmask.
+
+On full tables a profile is its position p in all_full_profiles: voter v,
+of place w = 3**(n-1-v), declares the digit t = p // w % 3 (a=0, b=1,
+i=2), and misreporting m moves the profile to p + (m - t) * w.
 """
 
 from __future__ import annotations
@@ -23,13 +27,13 @@ from .core import (
     CountTable,
     FullProfile,
     FullTable,
+    PREFERENCES,
     Preference,
     SearchBudgetExceeded,
     _Value,
     _grid,
     all_count_profiles,
     all_full_profiles,
-    count_of,
     count_table_size,
 )
 
@@ -82,43 +86,36 @@ class FullManipulation(_Value):
         )
 
 
-def check_anonymous(
-    table: FullTable, classes: dict[tuple[int, int], Alternative] | None = None
-) -> bool:
-    """Whether the table is constant on every class of equal-count profiles.
-
-    When `classes` is given, it receives each class's outcome, keyed by
-    (na, nb), so that a caller can reduce the table in the same pass.
-    """
-    seen = {} if classes is None else classes
-    for profile, outcome in table.items():
-        counts = count_of(profile)
-        if seen.setdefault((counts.na, counts.nb), outcome) is not outcome:
-            return False
-    return True
-
-
-def reduce_to_counts(table: FullTable) -> CountTable:
-    """Collapse an anonymous full table to its count table.
-
-    The counts are collected by the anonymity check's own pass; a table
-    that is not anonymous raises ValueError.
-    """
-    outcomes: dict[tuple[int, int], Alternative] = {}
-    if not check_anonymous(table, outcomes):
-        raise ValueError("table is not anonymous; it has no count form")
-    return CountTable.from_mapping(table.n, outcomes)
-
-
 @lru_cache(maxsize=16)
 def _count_positions(n: int) -> tuple[int, ...]:
     # for each full profile in canonical order, the index of its count profile
     index = {(p.na, p.nb): i for i, p in enumerate(all_count_profiles(n))}
-    positions = []
-    for profile in all_full_profiles(n):
-        c = count_of(profile)
-        positions.append(index[(c.na, c.nb)])
-    return tuple(positions)
+    return tuple([index[p.count(Preference.A), p.count(Preference.B)]
+                  for p in all_full_profiles(n)])
+
+
+def _class_outcomes(table: FullTable) -> tuple[Alternative, ...] | None:
+    """Each count class's outcome in the all_count_profiles order, or None
+    when some profile's outcome differs from the one its class keeps."""
+    positions = _count_positions(table.n)
+    kept = dict(zip(positions, table.outcomes))  # each class keeps its last profile's
+    if list(map(kept.__getitem__, positions)) != list(table.outcomes):
+        return None
+    return tuple([kept[c] for c in range(len(kept))])
+
+
+def check_anonymous(table: FullTable) -> bool:
+    """Whether the table is constant on every class of equal-count profiles."""
+    return _class_outcomes(table) is not None
+
+
+def reduce_to_counts(table: FullTable) -> CountTable:
+    """Collapse an anonymous full table to its count table; a table that is
+    not anonymous raises ValueError."""
+    outcomes = _class_outcomes(table)
+    if outcomes is None:
+        raise ValueError("table is not anonymous; it has no count form")
+    return CountTable(table.n, outcomes)
 
 
 def expand_to_full(table: CountTable) -> FullTable:
@@ -169,35 +166,34 @@ def check_strategy_proof(table: CountTable) -> bool:
     return find_manipulation(table) is None
 
 
-def find_manipulation_full(table: FullTable, max_n: int = 10) -> FullManipulation | None:
-    """First profitable misreport over all profiles, voters, and misreports.
+#: The full scan visits 3**n profiles; larger tables are refused.
+MAX_FULL_SCAN_N = 10
 
-    No anonymity assumed.  Guarded because the scan visits 3**n profiles.
-    """
-    if table.n > max_n:
+
+def find_manipulation_full(table: FullTable) -> FullManipulation | None:
+    """First profitable misreport, no anonymity assumed: the least position,
+    then voter, then misreport in Preference order, or None."""
+    n = table.n
+    if n > MAX_FULL_SCAN_N:
         raise SearchBudgetExceeded(
-            f"full manipulation scan for n={table.n} exceeds the n<={max_n} guard"
+            f"full manipulation scan for n={n} exceeds the n<={MAX_FULL_SCAN_N} guard"
         )
-    for profile, outcome in table.items():
-        for voter, truthful in enumerate(profile):
-            if truthful is Preference.INDIFFERENT:
-                continue  # indifferent voters cannot profit
-            wanted = Alternative.A if truthful is Preference.A else Alternative.B
-            if outcome is wanted:
-                continue
-            changed = list(profile)
-            for mis in Preference:
-                if mis is truthful:
-                    continue
-                changed[voter] = mis
-                if table.outcome(tuple(changed)) is wanted:
-                    return FullManipulation(profile, voter, mis, outcome, wanted)
-                changed[voter] = truthful
+    outcomes = table.outcomes
+    places = [3 ** (n - 1 - v) for v in range(n)]
+    for p, honest in enumerate(outcomes):
+        # only a supporter of the loser can profit: digit 1 (b) when a wins, 0 (a) when b wins
+        t = 1 if honest is Alternative.A else 0
+        for voter, w in enumerate(places):
+            if p // w % 3 == t:
+                for m in range(3):
+                    if m != t and outcomes[p + (m - t) * w] is not honest:
+                        profile = tuple([PREFERENCES[p // u % 3] for u in places])
+                        return FullManipulation(profile, voter, PREFERENCES[m], honest, honest.other)
     return None
 
 
-def check_strategy_proof_full(table: FullTable, max_n: int = 10) -> bool:
-    return find_manipulation_full(table, max_n=max_n) is None
+def check_strategy_proof_full(table: FullTable) -> bool:
+    return find_manipulation_full(table) is None
 
 
 def is_onto(table: CountTable) -> bool:

@@ -8,7 +8,7 @@ import pytest
 
 from quotamaj import core, oracle
 from quotamaj import Alternative, CountTable, QuotaSeq, enumerate_all, to_table
-from quotamaj.cli import BUDGET_EXCEEDED, INVALID_INPUT, OK, PROPERTY_VIOLATED, main
+from quotamaj.cli import BUDGET_EXCEEDED, INVALID_INPUT, OK, OUTPUT_CLOSED, PROPERTY_VIOLATED, main
 from quotamaj.fileformats import format_count_table, format_full_table
 from quotamaj.oracle import expand_to_full
 
@@ -286,6 +286,25 @@ def test_module_entry_point():
         timeout=60,
     )
     assert proc.returncode == OK and proc.stdout == "16\n"
+
+
+def test_closed_output_exits_1_without_a_traceback():
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quotamaj", "enum", "--n", "3"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == OUTPUT_CLOSED == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("n", ["20000", "1000000000"])

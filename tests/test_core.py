@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -106,6 +107,25 @@ def test_full_table_structure():
     with pytest.raises(ValueError):
         table.outcome((A,))
     assert list(all_full_profiles(2)) == list(itertools.product((A, B, I), repeat=2))
+
+
+@pytest.mark.parametrize("bad", [1, "x", None, "a", Preference.A])
+def test_full_table_refuses_outcomes_that_are_not_alternatives(bad):
+    outcomes = (Alternative.A, bad, Alternative.B)
+    message = f"outcome must be an Alternative, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FullTable(1, outcomes)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CountTable(1, outcomes)
+
+
+@pytest.mark.parametrize("bad", ["zzz", "a", Alternative.A, 0, None])
+def test_full_table_outcome_refuses_profile_items_that_are_not_preferences(bad):
+    table = FullTable(2, (Alternative.A,) * 9)
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        table.outcome((A, bad))
+    with pytest.raises(ValueError, match="length"):
+        table.outcome((A, I, bad))
 
 
 def reference_quota_seq_error(n, quotas):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from quotamaj import (
     check_anonymous,
     check_strategy_proof,
     check_strategy_proof_full,
+    count_of,
     count_table_size,
     enumerate_all,
     exhaustive_sp_family,
@@ -122,9 +124,10 @@ def test_strategy_proof_full():
 
 
 def test_strategy_proof_full_guard():
-    table = expand_to_full(majority3())
-    with pytest.raises(SearchBudgetExceeded):
-        find_manipulation_full(table, max_n=2)
+    # the scan visits 3**n profiles: n=11 is refused, n=10 is scanned
+    with pytest.raises(SearchBudgetExceeded, match=r"n=11 exceeds the n<=10 guard"):
+        find_manipulation_full(FullTable(11, (A,) * 3**11))
+    assert find_manipulation_full(FullTable(10, (A,) * 3**10)) is None
 
 
 def test_is_onto():
@@ -279,3 +282,135 @@ def test_find_manipulation_matches_profile_scan_near_strategy_proof():
 def test_exhaustive_family_matches_closure_filter():
     for n in (1, 2, 3, 4):
         assert [t.outcomes for t in exhaustive_sp_family(n)] == reference_sp_family(n)
+
+
+# The profile-tuple scan and the count_of walk that the oracle's position
+# walks replaced.  They look outcomes up by profile tuple, not by position.
+
+
+def reference_find_manipulation_full(table):
+    """(profile, voter, misreport, honest, manipulated) of the first witness."""
+    profiles = list(itertools.product(Preference, repeat=table.n))
+    outcome_of = dict(zip(profiles, table.outcomes))
+    for profile in profiles:
+        outcome = outcome_of[profile]
+        for voter, truthful in enumerate(profile):
+            if truthful is Preference.INDIFFERENT:
+                continue  # indifferent voters cannot profit
+            wanted = A if truthful is Preference.A else B
+            if outcome is wanted:
+                continue
+            for mis in Preference:
+                changed = profile[:voter] + (mis,) + profile[voter + 1:]
+                if mis is not truthful and outcome_of[changed] is wanted:
+                    return (profile, voter, mis, outcome, wanted)
+    return None
+
+
+def reference_class_outcomes(table):
+    """Each class's outcome keyed by (na, nb), or None when the table is not
+    constant on some class of equal-count profiles."""
+    seen = {}
+    for profile, outcome in zip(itertools.product(Preference, repeat=table.n), table.outcomes):
+        counts = count_of(profile)
+        if seen.setdefault((counts.na, counts.nb), outcome) is not outcome:
+            return None
+    return seen
+
+
+def full_witness_fields(witness):
+    if witness is None:
+        return None
+    return (
+        witness.profile,
+        witness.voter,
+        witness.misreport,
+        witness.honest_outcome,
+        witness.manipulated_outcome,
+    )
+
+
+def assert_full_checks_match_references(table):
+    expected = reference_find_manipulation_full(table)
+    assert full_witness_fields(find_manipulation_full(table)) == expected
+    classes = reference_class_outcomes(table)
+    assert check_anonymous(table) == (classes is not None)
+    if classes is None:
+        with pytest.raises(ValueError, match="not anonymous"):
+            reduce_to_counts(table)
+    else:
+        assert reduce_to_counts(table) == CountTable.from_mapping(table.n, classes)
+    return expected is not None, classes is not None
+
+
+def flip(cells, positions):
+    flipped = list(cells)
+    for i in positions:
+        flipped[i] = flipped[i].other
+    return tuple(flipped)
+
+
+def test_full_checks_match_references_on_every_table_n2():
+    verdicts = set()
+    for cells in itertools.product((A, B), repeat=9):
+        verdicts.add(assert_full_checks_match_references(FullTable(2, cells)))
+    assert verdicts == {(m, a) for m in (False, True) for a in (False, True)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_full_checks_match_references_on_random_tables(n):
+    rng = random.Random(1300 + n)
+    for _ in range(40):
+        bias = rng.random()
+        cells = tuple(A if rng.random() < bias else B for _ in range(3**n))
+        assert_full_checks_match_references(FullTable(n, cells))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_full_checks_match_references_on_flipped_family_tables(n):
+    # up to three cells flipped in the count table (still anonymous) or in
+    # its full expansion (anonymous only when no cell flips)
+    rng = random.Random(1310 + n)
+    verdicts = set()
+    for k, (_, table) in enumerate(enumerate_all(n)):
+        flips = k % 4
+        counted = flip(table.outcomes, rng.sample(range(count_table_size(n)), flips))
+        full = expand_to_full(CountTable(n, counted))
+        verdicts.add(assert_full_checks_match_references(full))
+        full = expand_to_full(table)
+        cells = flip(full.outcomes, rng.sample(range(3**n), flips))
+        verdicts.add(assert_full_checks_match_references(FullTable(n, cells)))
+    assert {manipulable for manipulable, _ in verdicts} == {False, True}
+    # at n=1 every class of equal-count profiles is one profile
+    assert {anonymous for _, anonymous in verdicts} == ({True} if n == 1 else {False, True})
+
+
+SLOW_FAMILY_SIZES = [pytest.param(n, marks=pytest.mark.slow) for n in (7, 8)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), *SLOW_FAMILY_SIZES])
+def test_family_passes_the_full_level_checks(n):
+    for _, table in enumerate_all(n):
+        full = expand_to_full(table)
+        assert check_strategy_proof_full(full)
+        assert reduce_to_counts(full) == table
+
+
+def test_count_and_full_verdicts_agree_on_every_one_cell_flip_n5():
+    verdicts = set()
+    for _, table in enumerate_all(5):
+        for cell in range(count_table_size(5)):
+            flipped = CountTable(5, flip(table.outcomes, [cell]))
+            verdict = check_strategy_proof(flipped)
+            assert check_strategy_proof_full(expand_to_full(flipped)) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("n", [6, *SLOW_FAMILY_SIZES])
+def test_count_and_full_verdicts_agree_on_seeded_one_cell_flips(n):
+    rng = random.Random(1320 + n)
+    for _, table in enumerate_all(n):
+        for cell in rng.sample(range(count_table_size(n)), 3):
+            flipped = CountTable(n, flip(table.outcomes, [cell]))
+            assert check_strategy_proof_full(expand_to_full(flipped)) == check_strategy_proof(flipped)
