@@ -228,60 +228,84 @@ def cmd_convert(args) -> int:
     raise ValueError("convert needs a sequence (to a rule) or --r/--thresholds (to a sequence)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _sequence_source(p) -> None:
+    p.add_argument("--quotas", help="comma-separated quota sequence")
+    p.add_argument("--seq-file", help="sequence file (n=<size> header, one quota line)")
+
+
+def _eval_options(p) -> None:
+    _sequence_source(p)
+    p.add_argument("--na", type=int, required=True, help="supporters of a")
+    p.add_argument("--nb", type=int, required=True, help="supporters of b")
+
+
+def _canon_options(p) -> None:
+    _sequence_source(p)
+    p.add_argument("--subset", help="comma-separated subset of {1..n}, or '-' for empty")
+    p.add_argument("--default", help="default outcome for --subset (a or b; b if omitted)")
+
+
+def _enum_options(p) -> None:
+    p.add_argument("--out", help="output file (default stdout)")
+    p.add_argument("--format", choices=FORMATS, default=TEXT)
+
+
+def _table_option(p) -> None:
+    p.add_argument("--table", required=True, help="table file (count or full, text or JSON)")
+
+
+def _convert_options(p) -> None:
+    _sequence_source(p)
+    p.add_argument("--default", help="rule default (a or b)")
+    p.add_argument("--r", type=int, help="rule indifference quota")
+    p.add_argument("--thresholds", help="comma-separated rule thresholds")
+
+
+#: Each command's function, help, whether --n is required (True), optional
+#: or absent (False), and the adder of its other options.
+_COMMANDS = {
+    "eval": (cmd_eval, "evaluate a sequence on one count profile", "optional", _eval_options),
+    "canon": (cmd_canon, "reduce a sequence to proper form, or build one from a subset", "optional", _canon_options),
+    "enum": (cmd_enum, "enumerate the full rule family", True, _enum_options),
+    "count": (cmd_count, "print the number of rules, 2^(n+1)", True, None),
+    "verify": (cmd_verify, "check anonymity, strategy-proofness, and ontoness of a table", False, _table_option),
+    "represent": (cmd_represent, "extract the proper sequence from a table", False, _table_option),
+    "convert": (cmd_convert, "convert between a proper sequence and an indifference-quota rule", "optional", _convert_options),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone; both read a
+    command line that starts with `command` alike."""
     parser = argparse.ArgumentParser(
         prog="quotamaj",
         description="Quota-sequence voting rules: evaluate, canonicalize, "
         "enumerate, verify, represent, and convert.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, needs_n=True):
+    # the usage line names the choices the parser holds, so one command is
+    # given the names of all seven; with all seven argparse's own name
+    # reads the same, and errors still call the argument "command"
+    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name, (fn, help_text, needs_n, options) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         if needs_n == "optional":
             p.add_argument("--n", type=int, help="society size (or taken from --seq-file)")
         elif needs_n:
             p.add_argument("--n", type=int, required=True, help="society size")
-        return p
-
-    def add_sequence_source(p):
-        p.add_argument("--quotas", help="comma-separated quota sequence")
-        p.add_argument("--seq-file", help="sequence file (n=<size> header, one quota line)")
-
-    p = add("eval", cmd_eval, "evaluate a sequence on one count profile", needs_n="optional")
-    add_sequence_source(p)
-    p.add_argument("--na", type=int, required=True, help="supporters of a")
-    p.add_argument("--nb", type=int, required=True, help="supporters of b")
-
-    p = add("canon", cmd_canon, "reduce a sequence to proper form, or build one from a subset", needs_n="optional")
-    add_sequence_source(p)
-    p.add_argument("--subset", help="comma-separated subset of {1..n}, or '-' for empty")
-    p.add_argument("--default", help="default outcome for --subset (a or b; b if omitted)")
-
-    p = add("enum", cmd_enum, "enumerate the full rule family")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--format", choices=FORMATS, default=TEXT)
-
-    add("count", cmd_count, "print the number of rules, 2^(n+1)")
-
-    p = add("verify", cmd_verify, "check anonymity, strategy-proofness, and ontoness of a table", needs_n=False)
-    p.add_argument("--table", required=True, help="table file (count or full, text or JSON)")
-
-    p = add("represent", cmd_represent, "extract the proper sequence from a table", needs_n=False)
-    p.add_argument("--table", required=True, help="table file (count or full, text or JSON)")
-
-    p = add("convert", cmd_convert, "convert between a proper sequence and an indifference-quota rule", needs_n="optional")
-    add_sequence_source(p)
-    p.add_argument("--default", help="rule default (a or b)")
-    p.add_argument("--r", type=int, help="rule indifference quota")
-    p.add_argument("--thresholds", help="comma-separated rule thresholds")
-
+        if options is not None:
+            options(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a first word that names a command can only be that command: the
+    # parser has no other positional and no option that takes a value
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -192,6 +192,19 @@ def _parse_digits(digits: bytearray) -> int:
     return int(digits[::-1], 2)
 
 
+def _place_rows(n: int, cells: bytes) -> int:
+    """Grid mask from one b'1' (a wins) or b'0' per profile, in the
+    all_count_profiles order."""
+    width = n + 2
+    digits = _blank_digits(n)
+    start = 0
+    for na in range(n + 1):
+        stop = start + n + 1 - na
+        digits[na * width : na * width + stop - start] = cells[start:stop]
+        start = stop
+    return _parse_digits(digits)
+
+
 @lru_cache(maxsize=16)
 def _grid(n: int) -> tuple[int, int]:
     """Width n+2 of the padded grid of profiles and the mask of its valid bits.
@@ -302,15 +315,7 @@ class CountTable(_Value):
                 f"expected {count_table_size(n)} outcomes for n={n}, got {len(outcomes)}"
             )
         _check_outcomes(outcomes)
-        cells = b"".join([_DIGIT[o] for o in outcomes])
-        width = n + 2
-        digits = _blank_digits(n)
-        start = 0
-        for na in range(n + 1):
-            stop = start + n + 1 - na
-            digits[na * width : na * width + stop - start] = cells[start:stop]
-            start = stop
-        super().__init__(n, _parse_digits(digits))
+        super().__init__(n, _place_rows(n, b"".join([_DIGIT[o] for o in outcomes])))
 
     @classmethod
     def _from_mask(cls, n: int, mask: int) -> "CountTable":
@@ -408,7 +413,7 @@ class FullTable(_Value):
     __slots__ = ("n", "outcomes")
 
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
-        super().__init__(n, outcomes)
+        super().__init__(n, outcomes if isinstance(outcomes, tuple) else tuple(outcomes))
         _check_full_size(self.n, len(self.outcomes))
         _check_outcomes(self.outcomes)
 

@@ -24,20 +24,28 @@ builds from the staircases and `format_family` from (sequence, table) pairs:
 
 Parsers accept entries in any order but demand exactly one entry per
 profile.  Each format has one reader, which only splits its file into the
-society size n, the table kind and a sequence of (profile, outcome token)
-entries; one builder does every check on the entries and builds either
-table kind.  Both formats are written by one writer from rows that carry
-an entry's JSON fields, its text key and its outcome.
+society size n, the table kind, a sequence of (profile, outcome token)
+entries and the same entries as key and outcome columns; one builder does
+every check on the entries and builds either table kind.  A file in the
+canonical order, as the writers leave it, has the key columns of every
+profile for its n, so the builder compares those once and reads the
+outcome column in whole-table passes; any other file is checked entry by
+entry, which alone names a fault.  Both formats are written by one writer
+from rows that carry an entry's JSON fields, its text key and its outcome.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from operator import itemgetter
 
 from .core import STRUCTURED, TEXT, Alternative, CountTable, FullTable, QuotaSeq, _BASE3, _check_full_size
+from .core import _place_rows, count_table_size
 
 
 _OUTCOMES = {"a": Alternative.A, "b": Alternative.B}
+_CELLS = bytes.maketrans(b"ab", b"10")
 
 
 def _parse_header(line: str) -> int:
@@ -64,8 +72,7 @@ def format_count_table(table: CountTable, fmt: str = TEXT) -> str:
 
 
 def format_full_table(table: FullTable, fmt: str = TEXT) -> str:
-    # profile strings in all_full_profiles order, a=0 < b=1 < i=2 per voter
-    profiles = map("".join, itertools.product("abi", repeat=table.n))
+    (profiles,) = _canonical_keys(table.n, None)
     rows = (({"profile": p}, p, o) for p, o in zip(profiles, table.outcomes))
     return _format_table(table.n, rows, fmt)
 
@@ -101,12 +108,64 @@ def _parse_outcome(token: str) -> Alternative:
     return outcome
 
 
-def _build_table(n: int, full: bool, size: int, entries) -> CountTable | FullTable:
+@lru_cache(maxsize=4)
+def _canonical_keys(n: int, form) -> tuple[tuple, ...]:
+    """The key columns of a table for n in the canonical profile order: the
+    profile strings of a full table when form is None, else the na and nb
+    columns of a count table as `form` (str or int) values."""
+    if form is None:
+        # all_full_profiles order, a=0 < b=1 < i=2 per voter
+        return (tuple(map("".join, itertools.product("abi", repeat=n))),)
+    values = list(map(form, range(n + 1)))
+    na = itertools.chain.from_iterable(itertools.repeat(values[a], n + 1 - a) for a in range(n + 1))
+    nb = itertools.chain.from_iterable(values[: n + 1 - a] for a in range(n + 1))
+    return tuple(na), tuple(nb)
+
+
+def _whole_table(n: int, full: bool, size: int, form, columns):
+    """The table from an iterator over a file's key columns, then its
+    outcome column, when the keys are every profile once, in the canonical
+    order, and every outcome is 'a' or 'b'; None otherwise, and then the
+    per-entry checks name the fault."""
+    if n < 1:
+        return None
+    if full:
+        fits = n < size.bit_length() and 3**n == size  # 3**n only for an n that size can match
+    else:
+        fits = count_table_size(n) == size
+    if not fits:
+        return None
+    keys = []
+    for canonical in _canonical_keys(n, form):
+        keys.append(next(columns, None))
+        # a file in any other order fails at its first misplaced key, before
+        # the columns after it are formed
+        if keys[-1] != canonical:
+            return None
+    # true, false and 1.0 equal the ints 1, 0 and 1, so JSON counts must be exact ints
+    if form is int and {*map(type, keys[0]), *map(type, keys[1])} != {int}:
+        return None
+    outs = next(columns, None)
+    if outs is None or outs.count("a") + outs.count("b") != size:
+        return None
+    if full:
+        return FullTable(n, tuple(map(_OUTCOMES.__getitem__, outs)))
+    return CountTable._from_mask(n, _place_rows(n, "".join(outs).encode().translate(_CELLS)))
+
+
+def _build_table(n: int, full: bool, size: int, entries, form, columns) -> CountTable | FullTable:
     """Check and build a table from its (profile, outcome token) entries.
 
     A count profile is a pair of ints; a full profile is a string, read as
     its position in the all_full_profiles order (base 3, a=0, b=1, i=2).
+    A file in the canonical order is built from its `columns` in
+    whole-table passes by `_whole_table`, which `form`, the type of a count
+    table's keys, tells how the file writes them; any other file goes
+    through the per-entry checks.
     """
+    table = _whole_table(n, full, size, form, columns)
+    if table is not None:
+        return table
     if not full:
         counts = {}
         for key, token in entries:
@@ -133,19 +192,22 @@ def _build_table(n: int, full: bool, size: int, entries) -> CountTable | FullTab
 
 
 def _read_text(text: str):
-    """n, whether the table is full, its entry count and its entries."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """n, whether the table is full, its entry count, its entries, the form
+    of its count keys and its columns."""
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise ValueError("empty table file")
     n = _parse_header(lines[0])
-    body = [ln.split() for ln in lines[1:]]
-    if any(len(parts) not in (2, 3) for parts in body):
+    body = list(map(str.split, lines[1:]))
+    lengths = set(map(len, body))
+    if not lengths <= {2, 3}:
         raise ValueError("table lines must be 'na nb outcome' or '<profile> outcome'")
-    if all(len(parts) == 3 for parts in body):
-        return n, False, len(body), map(_text_count_entry, body)
-    if all(len(parts) == 2 for parts in body):
-        return n, True, len(body), body
-    raise ValueError("table mixes count-profile and full-profile lines")
+    if 2 in lengths and 3 in lengths:
+        raise ValueError("table mixes count-profile and full-profile lines")
+    if 2 in lengths:
+        return n, True, len(body), body, None, zip(*body)
+    # an empty body is a count table with no entries
+    return n, False, len(body), map(_text_count_entry, body), str, zip(*body)
 
 
 def _text_count_entry(parts: list[str]):
@@ -156,8 +218,19 @@ def _text_count_entry(parts: list[str]):
         raise ValueError(f"bad counts {na_tok!r} {nb_tok!r}") from None
 
 
+def _json_columns(entries: list, *fields: str):
+    """The entries' key fields, then their "out" fields, one column at a
+    time, ending before the first field that some entry lacks."""
+    try:
+        for field in (*fields, "out"):
+            yield tuple(map(itemgetter(field), entries))
+    except (TypeError, KeyError):  # an entry that is no dict, or lacks the field
+        return
+
+
 def _read_structured(text: str):
-    """n, whether the table is full, its entry count and its entries."""
+    """n, whether the table is full, its entry count, its entries, the form
+    of its count keys and its columns."""
     import json
     try:
         data = json.loads(text)
@@ -173,9 +246,12 @@ def _read_structured(text: str):
     entries = data["entries"]
     if not isinstance(entries, list) or not entries:
         raise ValueError("'entries' must be a nonempty list")
-    if all(isinstance(e, dict) and "profile" in e for e in entries):
-        return n, True, len(entries), map(_json_full_entry, entries)
-    return n, False, len(entries), map(_json_count_entry, entries)
+    # the profile column exists exactly when every entry is an object with a profile
+    columns = _json_columns(entries, "profile")
+    profiles = next(columns, None)
+    if profiles is not None:
+        return n, True, len(entries), map(_json_full_entry, entries), None, itertools.chain([profiles], columns)
+    return n, False, len(entries), map(_json_count_entry, entries), int, _json_columns(entries, "a", "b")
 
 
 def _json_full_entry(e: dict):

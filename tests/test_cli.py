@@ -276,6 +276,51 @@ def test_json_table_rejects_non_integer_sizes_and_counts(tmp_path, capsys, body)
     assert code == INVALID_INPUT and out == "" and "integer" in err
 
 
+def parsed(capsys, call):
+    """Exit code, stdout and stderr of a call that argparse may end."""
+    try:
+        code = call()
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["enum", "--n", "3", "--format", "xml"],
+        ["count", "--n", "3", "extra"],
+        ["verify", "-h"],
+        ["-h"],
+        ["--help"],
+        ["frobnicate"],
+        [],
+    ],
+    ids=["verify-no-table", "enum-bad-format", "extra-argument", "verify-help", "h", "help", "unknown", "empty"],
+)
+def test_one_command_parser_reads_like_the_full_one(capsys, monkeypatch, argv):
+    from quotamaj import cli
+
+    ours = parsed(capsys, lambda: main(argv))
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    assert parsed(capsys, lambda: main(argv)) == ours
+    assert ours[0] in (0, 2) and ours[1] + ours[2]
+
+
+def test_main_builds_only_the_named_command():
+    from quotamaj import cli
+
+    def commands(parser):
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        return list(sub.choices)
+
+    assert commands(cli._build_parser("verify")) == ["verify"]
+    assert commands(cli._build_parser()) == list(cli._COMMANDS) and len(cli._COMMANDS) == 7
+
+
 def test_module_entry_point():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

@@ -119,6 +119,15 @@ def test_full_table_refuses_outcomes_that_are_not_alternatives(bad):
         CountTable(1, outcomes)
 
 
+def test_full_table_stores_its_outcomes_as_a_tuple():
+    outcomes = [Alternative.A, Alternative.B, Alternative.A]
+    table = FullTable(1, outcomes)
+    assert table == FullTable(1, tuple(outcomes)) and type(table.outcomes) is tuple
+    assert hash(table) == hash(FullTable(1, tuple(outcomes)))
+    outcomes[0] = Alternative.B
+    assert table.outcomes[0] is Alternative.A
+
+
 @pytest.mark.parametrize("bad", ["zzz", "a", Alternative.A, 0, None])
 def test_full_table_outcome_refuses_profile_items_that_are_not_preferences(bad):
     table = FullTable(2, (Alternative.A,) * 9)

@@ -1,8 +1,14 @@
-import pytest
+import json
+import random
 
-from quotamaj import Alternative, CountTable, FullTable, Preference, QuotaSeq, to_table
+import pytest
+from test_fileformats_reference import plain, reference_parse_table, verdict
+
+from quotamaj import Alternative, CountTable, FullTable, Preference, QuotaSeq, cli, fileformats, to_table
+from quotamaj.cli import INVALID_INPUT
 from quotamaj.fileformats import (
     STRUCTURED,
+    TEXT,
     format_count_table,
     format_family,
     format_full_table,
@@ -107,3 +113,118 @@ def test_structured_family_is_what_json_writes():
         expected = json.dumps({"n": n, "count": len(family), "family": entries}, indent=2)
         assert format_family(family, n, STRUCTURED) == expected
     assert format_family([], 3) == "n=3\ncount=0\n"
+
+
+# Files in the canonical profile order are built from whole columns, and
+# every other goes through the per-entry checks; the tests below reach
+# sizes that the reference agreement tests, which stop at n <= 3, never do.
+
+
+def random_table(kind, n, seed):
+    rng = random.Random(seed)
+    if kind == "count":
+        size = (n + 1) * (n + 2) // 2
+        return CountTable(n, tuple(rng.choice((A, B)) for _ in range(size)))
+    return FullTable(n, tuple(rng.choice((A, B)) for _ in range(3**n)))
+
+
+def table_file(kind, n, fmt, seed=0):
+    write = format_count_table if kind == "count" else format_full_table
+    return write(random_table(kind, n, seed), fmt)
+
+
+def split_file(text):
+    """A table file's entries, as token lists or JSON objects, and the
+    function that writes a file of the same header from entries."""
+    if text.startswith("{"):
+        data = json.loads(text)
+        return data["entries"], lambda entries: json.dumps({**data, "entries": entries})
+    header, *body = text.splitlines()
+    return [line.split() for line in body], lambda entries: "\n".join([header, *map(" ".join, entries)]) + "\n"
+
+
+def recording_whole_table(monkeypatch):
+    """The tables, or None, that the whole-table path returns from now on."""
+    results = []
+    whole = fileformats._whole_table
+
+    def recording(*args):
+        results.append(whole(*args))
+        return results[-1]
+
+    monkeypatch.setattr(fileformats, "_whole_table", recording)
+    return results
+
+
+@pytest.mark.parametrize("fmt", [TEXT, STRUCTURED])
+@pytest.mark.parametrize("kind, n", [("count", 40), ("count", 140), ("full", 6)])
+def test_canonical_and_shuffled_files_give_the_same_table(monkeypatch, kind, n, fmt):
+    text = table_file(kind, n, fmt)
+    entries, write = split_file(text)
+    random.Random(n).shuffle(entries)
+    results = recording_whole_table(monkeypatch)
+    assert parse_table(text) == parse_table(write(entries)) == random_table(kind, n, 0)
+    assert results[0] == random_table(kind, n, 0) and results[1] is None
+
+
+@pytest.mark.parametrize("value, field, at", [(True, "b", 1), (False, "a", 0), (1.0, "b", 1)])
+def test_json_counts_equal_to_ints_are_still_refused(tmp_path, capsys, value, field, at):
+    # true, false and 1.0 compare equal to the ints 1, 0 and 1 of the canonical columns
+    entries, write = split_file(table_file("count", 40, STRUCTURED))
+    assert entries[at][field] == value
+    entries[at][field] = value
+    path = tmp_path / "table.json"
+    path.write_text(write(entries))
+    code = cli.main(["verify", "--table", str(path)])
+    captured = capsys.readouterr()
+    assert code == INVALID_INPUT and captured.out == ""
+    assert captured.err == f"error: support counts must be integers: {entries[at]!r}\n"
+
+
+def fault(kind, fmt, how, entries):
+    """Apply one fault to a copy of the entries of a canonical file."""
+    entries = [dict(e) if isinstance(e, dict) else list(e) for e in entries]
+    keys = ["profile"] if kind == "full" else ["a", "b"]
+    if how == "outcome-c":
+        entries[7]["out" if fmt == STRUCTURED else -1] = "c"
+    elif how == "count-01":
+        entries[1][1] = "0" + entries[1][1]
+    elif how == "duplicate":
+        for key in keys if fmt == STRUCTURED else range(len(keys)):
+            entries[9][key] = entries[5][key]
+    elif how == "extra":
+        entries.append(entries[3])
+    elif how == "missing":
+        del entries[len(entries) // 2]
+    return entries
+
+
+@pytest.mark.parametrize(
+    "kind, n, fmt, how",
+    [
+        (kind, n, fmt, how)
+        for kind, n in (("count", 40), ("full", 6))
+        for fmt in (TEXT, STRUCTURED)
+        for how in ("outcome-c", "duplicate", "extra", "missing")
+    ]
+    # a count with a leading zero, which int() reads, exists only in text
+    + [("count", 40, TEXT, "count-01")],
+)
+def test_faults_in_canonical_files_get_the_reference_verdict(kind, n, fmt, how):
+    entries, write = split_file(table_file(kind, n, fmt))
+    text = write(fault(kind, fmt, how, entries))
+    ours = verdict(lambda t: plain(parse_table(t)), text)
+    assert ours == verdict(reference_parse_table, text)
+    assert ours[0] == ("table" if how == "count-01" else "error")
+
+
+@pytest.mark.parametrize("text", [
+    "n=1000000\n0 0 b\n0 1 b\n1 0 a\n",
+    "n=40\na b\nb b\ni a\n",
+    '{"n": 40, "entries": [{"a": 0, "b": 0, "out": "b"}, {"a": 0, "b": 1, "out": "b"}, {"a": 1, "b": 0, "out": "a"}]}',
+])
+def test_no_canonical_columns_for_a_header_the_entry_count_does_not_match(text):
+    fileformats._canonical_keys.cache_clear()
+    with pytest.raises(ValueError, match="needs"):
+        parse_table(text)
+    assert fileformats._canonical_keys.cache_info().currsize == 0

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ def test_layers_records_every_case_with_its_settings(tmp_path):
     record = layers.bench_record("smoke", 1, timings)
     assert record["assertions"] in ("on", "off") and record["python"]
     assert record["statistic"] == "min" and record["repeats"] == 1
+    assert record["dont_write_bytecode"] is sys.dont_write_bytecode
     assert set(record["timings_s"]) == set(timings)
     json.dumps(record)
 
@@ -49,6 +51,22 @@ def test_layers_times_parse_table_on_both_kinds_and_formats():
         "parse_table.full.n8.json",
     ]
     assert all(seconds > 0 for seconds in timings.values())
+
+
+def test_layers_times_parse_table_on_shuffled_count_tables():
+    layers = load_tool()
+    cases = layers.shuffled_cases()
+    timings = layers.measure(cases, repeats=1)
+    assert list(timings) == [
+        "parse_table.count.n140.shuffled.text",
+        "parse_table.count.n140.shuffled.json",
+    ]
+    assert all(seconds > 0 for seconds in timings.values())
+    # the same tables as the canonical-order files, whose entries are not in that order
+    canonical = dict(layers.parse_cases())
+    for fmt_name, (_, parse) in zip(("text", "json"), cases):
+        assert parse() == canonical[f"parse_table.count.n140.{fmt_name}"]()
+        assert parse.args[0] != canonical[f"parse_table.count.n140.{fmt_name}"].args[0]
 
 
 def test_layers_times_format_family_in_both_formats():
@@ -79,6 +97,7 @@ def test_layers_worker_runs_named_cases_on_its_sources(tmp_path):
     names = [name for name, _ in layers.all_cases(tmp_path)]
     assert len(names) == len(set(names))
     assert {"enumerate_all.n14", "enum.n14.text", "format_family.n12.text", "startup.enum"} <= set(names)
+    assert {name for name, _ in layers.shuffled_cases()} <= set(names)
     worker = layers.Worker(layers.ROOT / "src", tmp_path)
     try:
         assert worker.cases == names

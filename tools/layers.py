@@ -13,8 +13,10 @@ canonicalization of a seeded 300-entry sequence at n=500 and of the
 constant rule at n=3000, enumeration at n=10, 12 and 14, and the
 exhaustive strategy-proof filter at n=5.  The `parse_table.*` timings
 read a count table at n=140 and a full table at n=8 from text and from
-JSON, and the `format_family.*` timings write the family at n=12 as text
-and as JSON.  The `enum.*` timings run what the `enum` command runs at
+JSON, files in the canonical order that are read in whole-table passes,
+and the count table at n=140 with its entries shuffled, which is read
+entry by entry; the `format_family.*` timings write the family at n=12
+as text and as JSON.  The `enum.*` timings run what the `enum` command runs at
 n=12 and n=14 in both formats, with the output dropped instead of
 written.  The `startup.*` timings are the wall times of a fresh
 interpreter that imports quotamaj, and of one small command per CLI
@@ -29,7 +31,9 @@ uses.  The file then records both minima and the speed-up, the parent's
 minimum over this tree's, under `against`.  Two runs of this script
 minutes apart read unchanged code 30-100% apart on a shared machine; the
 interleaved runs of one invocation see the same load on both trees.  The
-file also records the Python version, whether assertions were on, the
+file also records the Python version, whether assertions were on,
+whether bytecode is written (`sys.dont_write_bytecode`: without cached
+bytecode every start-up command compiles the modules it imports), the
 wall time and counts of one run of the tier-1 suite, and `source_lines`:
 the line counts of the package modules (in total and per module) and of
 the test files.  Timings depend on the machine; compare files written on
@@ -138,6 +142,30 @@ def parse_timings(repeats: int) -> dict[str, float]:
     return measure(parse_cases(), repeats)
 
 
+def shuffled(text: str, seed: int) -> str:
+    """A table file with its entries in a seeded random order."""
+    rng = random.Random(seed)
+    if text.startswith("{"):
+        data = json.loads(text)
+        rng.shuffle(data["entries"])
+        return json.dumps(data, indent=2)
+    header, *body = text.splitlines()
+    rng.shuffle(body)
+    return "\n".join([header, *body]) + "\n"
+
+
+def shuffled_cases() -> list[tuple[str, object]]:
+    """parse_table on the count table at n=140 of parse_cases with its
+    entries shuffled, in both formats: a file out of the canonical order
+    is read entry by entry."""
+    count = to_table(QuotaSeq(140, (70, 100, 40, 141)))
+    return [
+        (f"parse_table.count.n140.shuffled.{fmt_name}",
+         partial(parse_table, shuffled(format_count_table(count, fmt), RANDOM_SEED)))
+        for fmt_name, fmt in (("text", TEXT), ("json", STRUCTURED))
+    ]
+
+
 def family_cases() -> list[tuple[str, object]]:
     """format_family on the family at n=12, in both formats."""
     family = enumerate_all(12)
@@ -210,7 +238,10 @@ def startup_timings(repeats: int) -> dict[str, float]:
 
 def all_cases(work: Path) -> list[tuple[str, object]]:
     """Every case this script times, in the order of its output."""
-    return [*baseline_cases(), *parse_cases(), *family_cases(), *enum_cases(), *startup_cases(work)]
+    return [
+        *baseline_cases(), *parse_cases(), *shuffled_cases(), *family_cases(), *enum_cases(),
+        *startup_cases(work),
+    ]
 
 
 def tier1_summary(last_line: str) -> dict[str, int]:
@@ -332,6 +363,8 @@ def bench_record(label: str, repeats: int, timings: dict[str, float]) -> dict:
         "label": label,
         "python": platform.python_version(),
         "assertions": "off" if sys.flags.optimize else "on",
+        # without cached bytecode every start-up command compiles what it imports
+        "dont_write_bytecode": sys.dont_write_bytecode,
         "statistic": "min",
         "repeats": repeats,
         "timings_s": {name: round(seconds, 6) for name, seconds in timings.items()},
