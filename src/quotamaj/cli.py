@@ -22,6 +22,7 @@ from .core import (
     FullTable,
     QuotaSeq,
     SearchBudgetExceeded,
+    _check_society,
 )
 
 OK = 0
@@ -134,15 +135,14 @@ def cmd_canon(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    from . import enumeration, fileformats
+    from . import enumeration
     rows = enumeration._family_rows(args.n)
-    _emit(fileformats._write_family(args.n, rows, args.format), args.out)
+    _emit(enumeration._write_family(args.n, rows, args.format), args.out)
     return OK
 
 
 def cmd_count(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"society size must be at least 1, got {args.n}")
+    _check_society(args.n)
     # the digit limit exists from Python 3.10.7 on; 0 means no limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:

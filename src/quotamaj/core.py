@@ -106,6 +106,11 @@ _LETTER = {p: p.value for p in PREFERENCES}
 _BASE3 = str.maketrans("abi", "012")
 
 
+def _check_society(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"society size must be at least 1, got {n}")
+
+
 class CountProfile(_Value):
     """Anonymous profile summary: na supporters of a, nb of b, society size n."""
 
@@ -115,8 +120,7 @@ class CountProfile(_Value):
         object.__setattr__(self, "na", na)
         object.__setattr__(self, "nb", nb)
         object.__setattr__(self, "n", n)
-        if self.n < 1:
-            raise ValueError(f"society size must be at least 1, got {self.n}")
+        _check_society(self.n)
         if self.na < 0 or self.nb < 0:
             raise ValueError(f"negative support count in ({self.na}, {self.nb})")
         if self.na + self.nb > self.n:
@@ -218,8 +222,7 @@ def _grid(n: int) -> tuple[int, int]:
 @lru_cache(maxsize=64)
 def all_count_profiles(n: int) -> tuple[CountProfile, ...]:
     """All count profiles for society size n, lexicographic by (na, nb)."""
-    if n < 1:
-        raise ValueError(f"society size must be at least 1, got {n}")
+    _check_society(n)
     return tuple(
         CountProfile(na, nb, n) for na in range(n + 1) for nb in range(n + 1 - na)
     )
@@ -227,8 +230,7 @@ def all_count_profiles(n: int) -> tuple[CountProfile, ...]:
 
 def all_full_profiles(n: int) -> Iterator[FullProfile]:
     """All 3**n full profiles, in lexicographic (a, b, i) per-voter order."""
-    if n < 1:
-        raise ValueError(f"society size must be at least 1, got {n}")
+    _check_society(n)
     return itertools.product(PREFERENCES, repeat=n)
 
 
@@ -252,8 +254,7 @@ class QuotaSeq(_Value):
     __slots__ = ("n", "quotas")
 
     def __init__(self, n: int, quotas: tuple[int, ...]) -> None:
-        if n < 1:
-            raise ValueError(f"society size must be at least 1, got {n}")
+        _check_society(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "quotas", quotas if isinstance(quotas, tuple) else tuple(quotas))
         if not self.quotas:
@@ -308,8 +309,7 @@ class CountTable(_Value):
     __slots__ = ("n", "mask")
 
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
-        if n < 1:
-            raise ValueError(f"society size must be at least 1, got {n}")
+        _check_society(n)
         if len(outcomes) != count_table_size(n):
             raise ValueError(
                 f"expected {count_table_size(n)} outcomes for n={n}, got {len(outcomes)}"
@@ -336,8 +336,7 @@ class CountTable(_Value):
     @classmethod
     def from_mapping(cls, n: int, outcomes: Mapping[tuple[int, int], Alternative]) -> "CountTable":
         # checked before anything is allocated: n may come from an untrusted header
-        if n < 1:
-            raise ValueError(f"society size must be at least 1, got {n}")
+        _check_society(n)
         if len(outcomes) != count_table_size(n):
             raise ValueError(
                 f"table for n={n} needs {count_table_size(n)} entries, got {len(outcomes)}"
@@ -401,8 +400,7 @@ def _check_full_size(n: int, entries: int) -> None:
     n may come from an untrusted header, so 3**n is formed only for an n
     that `entries` can match.
     """
-    if n < 1:
-        raise ValueError(f"society size must be at least 1, got {n}")
+    _check_society(n)
     if n >= entries.bit_length() or 3**n != entries:
         raise ValueError(f"table for n={n} needs 3**{n} entries, got {entries}")
 

@@ -12,7 +12,10 @@ the one map that swaps the alternatives in the package.  Where a sequence
 can decide is found in one place too: `length` finds its first terminal,
 and `_escape_sides` tells which later entries escape the earlier range.
 A rule's table is one staircase, the row lengths of `_staircase`, and
-only `to_table` turns it into an n² mask.
+only `to_table` turns it into an n² mask.  Extraction and the
+indifference-quota rules share the level maps: `_row_thresholds` reads
+each indifference row's least winning a-support off the staircase, and
+`_interleave` turns (ell, k) levels back into a sequence.
 """
 
 from __future__ import annotations
@@ -122,6 +125,22 @@ def dual(seq: QuotaSeq) -> QuotaSeq:
     return QuotaSeq._trusted(seq.n, tuple([_mirror(seq.n, q) for q in seq.quotas]))
 
 
+def _mirror_pairs(n: int, pairs) -> tuple[tuple[int, int], ...]:
+    """The (ell, k) pairs with a and b swapped: each k mirrored among the n - ell voters."""
+    return tuple((ell, _mirror(n - ell, k)) for ell, k in pairs)
+
+
+def _interleave(n: int, default: Alternative, pairs) -> QuotaSeq:
+    """Quota sequence equivalent to first-match evaluation of (ell, k) pairs
+    with 0 <= ell < n and 1 <= k <= n - ell: for default b, ell+k then k
+    per pair and n+1; default a is the dual of the mirrored pairs."""
+    if default is Alternative.A:
+        return dual(_interleave(n, Alternative.B, _mirror_pairs(n, pairs)))
+    quotas = [q for ell, k in pairs for q in (ell + k, k)]
+    quotas.append(n + 1)
+    return QuotaSeq._trusted(n, tuple(quotas))
+
+
 def _first_meeting(quotas: tuple[int, ...] | list[int], n: int) -> list[int]:
     """first[s] is the first index whose quota s supporters meet (k_i <= s).
 
@@ -162,6 +181,22 @@ def _staircase(seq: QuotaSeq) -> list[int]:
             s += 1
         lengths.append(min(s, n + 1 - na))
     return lengths
+
+
+def _row_thresholds(n: int, lengths: list[int]) -> tuple[int, ...]:
+    """Least a-support that wins each row of a strategy-proof staircase, by
+    the indifferent count ell; a row that a never wins reads n - ell + 1.
+
+    a wins (j, n - ell - j) exactly when j + c_j > n - ell, and j + c_j
+    rises strictly to n+1, so one pointer walk finds every least j.
+    """
+    thresholds = []
+    j = 0
+    for size in range(n + 1):  # size = n - ell voters not indifferent
+        while j <= size and j + lengths[j] <= size:
+            j += 1
+        thresholds.append(j)
+    return tuple(reversed(thresholds))
 
 
 def to_table(seq: QuotaSeq) -> CountTable:

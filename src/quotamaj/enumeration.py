@@ -13,7 +13,18 @@ of J with default b lets a win (na, nb) exactly when
 |J[1, na]| > |J[n-nb+1, n]|, and the rule with default a exactly when
 |J[n-na+1, n]| >= |J[1, nb]|.  From this form `_family_staircases` builds
 each rule's row lengths, its staircase; `enumerate_all` makes tables of
-them, and `enum` writes each rule from them with no per-rule objects.
+them, and `_family_rows` the rows of a family file, with no per-rule
+objects.  `_write_family` writes those rows, or the rows that
+`fileformats.format_family` makes of (sequence, table) pairs, as:
+
+* text: a `n=<int>` header line and a `count=<rules>` line, then one
+  `default subset quotas table` line per rule, e.g. `b 2,5 5,2,12 bb...`:
+  the default letter, the subset's members comma-separated (`-` for the
+  empty subset), the proper sequence, and the table's outcomes as a/b
+  letters in the canonical profile order.
+* structured: a JSON object `{"n": ..., "count": ..., "family": [...]}`
+  with one `{"default": ..., "subset": [...], "quotas": [...], "table":
+  ...}` entry per rule, laid out as `json.dumps(indent=2)` lays it out.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import chain
 
-from .core import Alternative, CountTable, QuotaSeq, SearchBudgetExceeded
+from .core import STRUCTURED, Alternative, CountTable, QuotaSeq, SearchBudgetExceeded, _check_society
 from .engine import _mirror, is_proper
 
 
@@ -78,8 +89,7 @@ def _family_staircases(n: int, max_rules: int = 2**16):
     a row depends only on how many members lie on one side of a cut and on
     which lie on the other, and each row is built once for all 2**n subsets.
     """
-    if n < 1:
-        raise ValueError(f"society size must be at least 1, got {n}")
+    _check_society(n)
     # decided from n alone: 2**(n+1) itself may be too large to build
     if n + 1 >= max_rules.bit_length():
         raise SearchBudgetExceeded(
@@ -137,7 +147,7 @@ def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountT
 
 
 def _family_rows(n: int):
-    """The rules of `enumerate_all(n)` as the rows of `fileformats._write_family`:
+    """The rules of `enumerate_all(n)` as the rows of `_write_family`:
     (default letter, members, quotas, table letters), straight from the staircases."""
     subsets, staircases = _family_staircases(n)
     decimal = [str(k) for k in range(n + 2)]
@@ -151,3 +161,27 @@ def _family_rows(n: int):
         for default, quota_text, rows in zip("ba", (decimal, mirrored), staircases)
         for subset, quotas, table in zip(members, sequences, _combine_rows("".join, letters, rows))
     )
+
+
+def _json_list(decimals: str) -> str:
+    # comma-separated ints as json.dumps(indent=2) writes their list inside a family entry
+    return "[\n        " + decimals.replace(",", ",\n        ") + "\n      ]" if decimals else "[]"
+
+
+def _write_family(n: int, rows, fmt: str) -> str:
+    """Either family format from rows of strings, as `_family_rows` gives them."""
+    if fmt == STRUCTURED:
+        # byte for byte what json.dumps(indent=2) writes, without its
+        # pure-Python encoder: every field is an int or a string of a/b
+        # letters, so nothing needs escaping
+        entries = [
+            f'    {{\n      "default": "{default}",\n'
+            f'      "subset": {_json_list(subset)},\n'
+            f'      "quotas": {_json_list(quotas)},\n'
+            f'      "table": "{table}"\n    }}'
+            for default, subset, quotas, table in rows
+        ]
+        family_json = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+        return f'{{\n  "n": {n},\n  "count": {len(entries)},\n  "family": {family_json}\n}}'
+    lines = [f"{default} {subset or '-'} {quotas} {table}" for default, subset, quotas, table in rows]
+    return "\n".join([f"n={n}", f"count={len(lines)}", *lines]) + "\n"

@@ -8,15 +8,15 @@ and a quota k on the remaining n - ell, a profile is
 * b-covered when fewer than k support a and at least m support b.
 
 A strategy-proof table is one threshold per indifference row, read off
-its staircase: in the row of profiles with ell voters indifferent, a wins
-exactly from some support t(ell) on.  With default b, the recovery walks
-these thresholds once from the strict row down and opens the level (ell, t(ell)) wherever a wins in
-the row below the last opened quota.  The recorded ells strictly
-increase and the quotas strictly decrease while ell + k never decreases,
-and replaying the pairs first-match reproduces the table exactly.
-Interleaving ell + k with k and closing with n+1 turns the pairs into a
-defining quota sequence, whose proper form is then the canonical
-representation of the table.
+its staircase by `engine._row_thresholds`: in the row of profiles with
+ell voters indifferent, a wins exactly from some support t(ell) on.
+With default b, the recovery walks these thresholds once from the strict
+row down and opens the level (ell, t(ell)) wherever a wins in the row
+below the last opened quota.  The recorded ells strictly increase and
+the quotas strictly decrease while ell + k never decreases, and
+replaying the pairs first-match reproduces the table exactly.
+`engine._interleave` turns the pairs into a defining quota sequence,
+whose proper form is then the canonical representation of the table.
 
 Default a is the mirror image of default b.  `engine._mirror` maps a
 quota k on the n - ell voters who are not indifferent to n - ell + 1 - k,
@@ -31,7 +31,7 @@ from __future__ import annotations
 from . import oracle
 from .canonical import canonicalize
 from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value
-from .engine import _mirror, dual
+from .engine import _interleave, _mirror, _mirror_pairs, _row_thresholds
 
 
 class NotStrategyProof(ValueError):
@@ -40,11 +40,6 @@ class NotStrategyProof(ValueError):
     def __init__(self, counterexample: oracle.CountManipulation):
         super().__init__(f"table is manipulable: {counterexample}")
         self.counterexample = counterexample
-
-
-def _mirror_pairs(n: int, pairs) -> tuple[tuple[int, int], ...]:
-    """The (ell, k) pairs with a and b swapped: each k mirrored among the n - ell voters."""
-    return tuple((ell, _mirror(n - ell, k)) for ell, k in pairs)
 
 
 def _check_pair(n: int, ell: int, k: int) -> None:
@@ -124,36 +119,9 @@ def psi_eval(seq: LKSequence, profile: CountProfile) -> Alternative:
     return seq.default
 
 
-def _interleave(n: int, default: Alternative, pairs) -> QuotaSeq:
-    """Quota sequence equivalent to first-match evaluation of (ell, k) pairs
-    with 0 <= ell < n and 1 <= k <= n - ell: for default b, ell+k then k
-    per pair and n+1; default a is the dual of the mirrored pairs."""
-    if default is Alternative.A:
-        return dual(_interleave(n, Alternative.B, _mirror_pairs(n, pairs)))
-    quotas = [q for ell, k in pairs for q in (ell + k, k)]
-    quotas.append(n + 1)
-    return QuotaSeq._trusted(n, tuple(quotas))
-
-
 def interleave(seq: LKSequence) -> QuotaSeq:
     """Quota sequence equivalent to first-match evaluation of the pairs."""
     return _interleave(seq.n, seq.default, seq.pairs)
-
-
-def _row_thresholds(n: int, lengths: list[int]) -> tuple[int, ...]:
-    """Least a-support that wins each row of a strategy-proof staircase, by
-    the indifferent count ell; a row that a never wins reads n - ell + 1.
-
-    a wins (j, n - ell - j) exactly when j + c_j > n - ell, and j + c_j
-    rises strictly to n+1, so one pointer walk finds every least j.
-    """
-    thresholds = []
-    j = 0
-    for size in range(n + 1):  # size = n - ell voters not indifferent
-        while j <= size and j + lengths[j] <= size:
-            j += 1
-        thresholds.append(j)
-    return tuple(reversed(thresholds))
 
 
 def extract(table: CountTable) -> LKSequence:

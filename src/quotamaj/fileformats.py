@@ -10,18 +10,6 @@ Two interchangeable formats:
   `{"a": na, "b": nb, "out": ...}` for count tables and
   `{"profile": "abi...", "out": ...}` for full tables.
 
-Family files, written by `_write_family` from rows of strings, which `enum`
-builds from the staircases and `format_family` from (sequence, table) pairs:
-
-* text: a `n=<int>` header line and a `count=<rules>` line, then one
-  `default subset quotas table` line per rule, e.g. `b 2,5 5,2,12 bb...`:
-  the default letter, the subset's members comma-separated (`-` for the
-  empty subset), the proper sequence, and the table's outcomes as a/b
-  letters in the canonical profile order.
-* structured: a JSON object `{"n": ..., "count": ..., "family": [...]}`
-  with one `{"default": ..., "subset": [...], "quotas": [...], "table":
-  ...}` entry per rule, laid out as `json.dumps(indent=2)` lays it out.
-
 Parsers accept entries in any order but demand exactly one entry per
 profile.  Each format has one reader, which only splits its file into the
 society size n, the table kind, a sequence of (profile, outcome token)
@@ -32,6 +20,7 @@ profile for its n, so the builder compares those once and reads the
 outcome column in whole-table passes; any other file is checked entry by
 entry, which alone names a fault.  Both formats are written by one writer
 from rows that carry an entry's JSON fields, its text key and its outcome.
+Family files have their own writer, `enumeration._write_family`.
 """
 
 from __future__ import annotations
@@ -271,34 +260,9 @@ def _json_count_entry(e):
     return (na, nb), str(e["out"])
 
 
-def _json_list(decimals: str) -> str:
-    # comma-separated ints as json.dumps(indent=2) writes their list inside a family entry
-    return "[\n        " + decimals.replace(",", ",\n        ") + "\n      ]" if decimals else "[]"
-
-
-def _write_family(n: int, rows, fmt: str) -> str:
-    """Either family format from (default letter, members, quotas, table
-    letters) rows, with members and quotas as comma-separated decimals."""
-    if fmt == STRUCTURED:
-        # byte for byte what json.dumps(indent=2) writes, without its
-        # pure-Python encoder: every field is an int or a string of a/b
-        # letters, so nothing needs escaping
-        entries = [
-            f'    {{\n      "default": "{default}",\n'
-            f'      "subset": {_json_list(subset)},\n'
-            f'      "quotas": {_json_list(quotas)},\n'
-            f'      "table": "{table}"\n    }}'
-            for default, subset, quotas, table in rows
-        ]
-        family_json = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-        return f'{{\n  "n": {n},\n  "count": {len(entries)},\n  "family": {family_json}\n}}'
-    lines = [f"{default} {subset or '-'} {quotas} {table}" for default, subset, quotas, table in rows]
-    return "\n".join([f"n={n}", f"count={len(lines)}", *lines]) + "\n"
-
-
 def format_family(family, n: int, fmt: str = TEXT) -> str:
     """Render an enumerated family of (sequence, table) pairs."""
-    from .enumeration import _subset_of
+    from .enumeration import _subset_of, _write_family
 
     def row(seq, table):
         subset, default = _subset_of(seq)  # proper by construction, so not checked again

@@ -19,8 +19,9 @@ strict row, for either default.
 
 The stored vectors are anchored at their first coordinate (x_1 = 1,
 y_1 = n - r + 1) and grow by at most one per level.  Conversion is exact
-both ways and builds no table: `proper_to_lp` reads the thresholds off
-the staircase, and `lp_to_proper` canonicalizes the interleaved levels.
+both ways and builds no table: with the level maps of `engine`,
+`proper_to_lp` reads the thresholds off the staircase, and `lp_to_proper`
+canonicalizes the interleaved levels.
 The threshold vector read off a table is the only valid one: each level
 row of an onto table holds both outcomes, so its least winning support is
 forced, and the 2^(n+1) - 2 valid rules give pairwise-distinct tables,
@@ -33,9 +34,8 @@ import itertools
 from collections.abc import Iterator
 
 from .canonical import canonicalize
-from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value
-from .engine import _mirror, _staircase, is_proper, to_table
-from .extraction import _interleave, _row_thresholds
+from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value, _check_society
+from .engine import _interleave, _mirror, _row_thresholds, _staircase, is_proper, to_table
 
 
 class LPRule(_Value):
@@ -51,8 +51,7 @@ class LPRule(_Value):
     def __init__(self, n: int, default: Alternative, r: int, thresholds: tuple[int, ...]) -> None:
         super().__init__(n, default, r, thresholds)
         n, r = self.n, self.r
-        if n < 1:
-            raise ValueError(f"society size must be at least 1, got {n}")
+        _check_society(n)
         if not 1 <= r <= n:
             raise ValueError(f"indifference quota {r} outside [1, {n}]")
         t = self.thresholds

@@ -32,8 +32,6 @@ from .core import (
     SearchBudgetExceeded,
     _Value,
     _grid,
-    all_count_profiles,
-    all_full_profiles,
     count_table_size,
 )
 
@@ -88,10 +86,13 @@ class FullManipulation(_Value):
 
 @lru_cache(maxsize=16)
 def _count_positions(n: int) -> tuple[int, ...]:
-    # for each full profile in canonical order, the index of its count profile
-    index = {(p.na, p.nb): i for i, p in enumerate(all_count_profiles(n))}
-    return tuple([index[p.count(Preference.A), p.count(Preference.B)]
-                  for p in all_full_profiles(n)])
+    # for each full profile in canonical order, the index na*(2n+3-na)/2 + nb of its
+    # count profile, via na*(n+1) + nb: each voter's a, b or i adds one to na, nb or neither
+    codes = [0]
+    for _ in range(n):
+        codes = [c + d for c in codes for d in (n + 1, 1, 0)]
+    index = [na * (2 * n + 3 - na) // 2 + nb for na in range(n + 1) for nb in range(n + 1)]
+    return tuple(map(index.__getitem__, codes))
 
 
 def _class_outcomes(table: FullTable) -> tuple[Alternative, ...] | None:

@@ -124,6 +124,22 @@ def test_layers_startup_runs_one_command_per_cli_verb():
     assert list(timings) == list(commands) and all(seconds > 0 for seconds in timings.values())
 
 
+def test_layers_records_the_modules_each_startup_command_loads(tmp_path):
+    layers = load_tool()
+    loads = layers.startup_loads(tmp_path)
+    assert list(loads) == list(layers.startup_commands("worked.tbl"))
+    assert loads["startup.import"]["modules"] == ["quotamaj"]
+    assert loads["startup.count"]["modules"] == ["quotamaj", "quotamaj.cli", "quotamaj.core"]
+    assert loads["startup.convert"]["modules"] == [
+        "quotamaj", "quotamaj.canonical", "quotamaj.cli", "quotamaj.core", "quotamaj.engine", "quotamaj.lp",
+    ]
+    lines = layers.source_lines(layers.ROOT)["src_modules"]
+    for load in loads.values():
+        files = [f"{m.partition('.')[2] or '__init__'}.py" for m in load["modules"]]
+        assert load["source_lines"] == sum(lines[name] for name in files)
+    json.dumps(loads)
+
+
 def test_layers_reads_the_tier1_counts():
     layers = load_tool()
     assert layers.tier1_summary("221 passed, 2 skipped in 16.02s") == {

@@ -10,6 +10,8 @@ from quotamaj import (
     Preference,
     QuotaSeq,
     SearchBudgetExceeded,
+    all_count_profiles,
+    all_full_profiles,
     check_anonymous,
     check_strategy_proof,
     check_strategy_proof_full,
@@ -26,6 +28,7 @@ from quotamaj import (
     tables_equal,
     to_table,
 )
+from quotamaj.oracle import _count_positions
 
 A, B = Alternative.A, Alternative.B
 
@@ -76,6 +79,13 @@ def test_reduce_to_counts():
     assert reduce_to_counts(expand_to_full(majority3())) == majority3()
     with pytest.raises(ValueError):
         reduce_to_counts(dictatorship2())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_count_positions_match_a_count_of_walk(n):
+    # the digit-count map against a walk over the profile objects
+    index = {p: i for i, p in enumerate(all_count_profiles(n))}
+    assert _count_positions(n) == tuple(index[count_of(p)] for p in all_full_profiles(n))
 
 
 def test_expand_reduce_round_trip():

@@ -189,3 +189,31 @@ def test_verify_on_a_text_table_loads_no_extraction_lp_or_json(tmp_path):
     assert out == "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n"
     assert "quotamaj.oracle" in modules
     assert not modules & (LIBRARY_ONLY - {"quotamaj.oracle"})
+
+
+# the package modules beyond quotamaj, cli and core that each command loads:
+# the ones it runs and no others
+LOADS = {
+    "eval": {"engine"},
+    "count": set(),
+    "canon": {"canonical", "engine"},
+    "canon-subset": {"engine", "enumeration"},
+    "enum": {"engine", "enumeration"},
+    "enum-structured": {"engine", "enumeration"},
+    "verify": {"fileformats", "oracle"},
+    "represent": {"canonical", "engine", "extraction", "fileformats", "oracle"},
+    # both directions: `convert --quotas` runs no canonicalization, but the
+    # module that holds both directions loads `canonical` for the other
+    "convert": {"canonical", "engine", "lp"},
+    "convert-rule": {"canonical", "engine", "lp"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_loads_exactly_the_modules_it_runs(tmp_path, command):
+    argv, _ = COMMANDS[command]
+    table = write_table(tmp_path)
+    modules, _ = loaded_by(tmp_path, CHILD, *[table if a == "TABLE" else a for a in argv])
+    package = {m for m in modules if m.split(".")[0] == "quotamaj"}
+    assert package == {"quotamaj", "quotamaj.cli", "quotamaj.core", *(f"quotamaj.{m}" for m in LOADS[command])}
+    assert "json" not in modules  # the tables here are text, and the family writer lays out its own JSON

@@ -33,3 +33,39 @@ def test_oracle_imports_only_core_from_the_package():
         if alias.name.startswith("quotamaj")
     ]
     assert package == ["core"]
+
+
+def top_level_package_imports(path):
+    """The package modules that loading `path` loads: its module-level imports only."""
+    imported = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            imported |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("quotamaj."):
+            imported.add(node.module.removeprefix("quotamaj."))
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.removeprefix("quotamaj.") for a in node.names if a.name.startswith("quotamaj.")}
+    return imported
+
+
+# `lp` reads the level maps from `engine`, not from `extraction` (which
+# would load the oracle too), and the family writer sits in `enumeration`,
+# so neither it nor `fileformats` loads the other; commands load the rest lazily
+TOP_LEVEL_IMPORTS = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "canonical": {"core", "engine"},
+    "cli": {"core"},
+    "core": set(),
+    "engine": {"core"},
+    "enumeration": {"core", "engine"},
+    "extraction": {"canonical", "core", "engine", "oracle"},
+    "fileformats": {"core"},
+    "lp": {"canonical", "core", "engine"},
+    "oracle": {"core"},
+}
+
+
+def test_each_module_imports_only_its_layers_at_top_level():
+    found = {path.stem: top_level_package_imports(path) for path in sorted(SOURCE.glob("*.py"))}
+    assert found == TOP_LEVEL_IMPORTS

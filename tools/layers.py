@@ -34,11 +34,13 @@ interleaved runs of one invocation see the same load on both trees.  The
 file also records the Python version, whether assertions were on,
 whether bytecode is written (`sys.dont_write_bytecode`: without cached
 bytecode every start-up command compiles the modules it imports), the
-wall time and counts of one run of the tier-1 suite, and `source_lines`:
-the line counts of the package modules (in total and per module) and of
-the test files.  Timings depend on the machine; compare files written on
-the same one.  This script is not part of the test suite, so timing
-noise can never fail it.
+wall time and counts of one run of the tier-1 suite, `startup_loads`:
+the package modules that each `startup.*` command loads and their total
+source lines, which is what it compiles without cached bytecode, and
+`source_lines`: the line counts of the package modules (in total and per
+module) and of the test files.  Timings depend on the machine; compare
+files written on the same one.  This script is not part of the test
+suite, so timing noise can never fail it.
 """
 
 from __future__ import annotations
@@ -87,6 +89,14 @@ TABLE_RULES = ((200, (100, 140, 60, 180, 20, 201)), (500, (250, 350, 150, 450, 5
 RANDOM_SEED = 2020
 REPEATS = 5
 RUNNER = "import sys; from quotamaj.cli import main; sys.exit(main(sys.argv[1:]))"
+# runs the code of a start-up command, then prints the package modules it loaded to stderr
+LISTER = (
+    "import sys\n"
+    "try:\n"
+    "    exec(sys.argv.pop(1))\n"
+    "finally:\n"
+    "    print(*sorted(m for m in sys.modules if m.split('.')[0] == 'quotamaj'), file=sys.stderr)\n"
+)
 SERVER = "import sys; sys.path.insert(0, sys.argv[1]); import layers; sys.exit(layers.serve_cases())"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
@@ -218,16 +228,38 @@ def startup_commands(table: str) -> dict[str, list[str]]:
     }
 
 
+def worked_table(work: Path) -> str:
+    """Write the count table of the worked rule into `work`; return its path."""
+    table = work / "worked.tbl"
+    table.write_text(format_count_table(to_table(QuotaSeq(11, (5, 2, 12)))), encoding="utf-8")
+    return str(table)
+
+
 def startup_cases(work: Path) -> list[tuple[str, object]]:
     """Each start-up command run as a subprocess in `work`, where its table is written."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    table = work / "worked.tbl"
-    table.write_text(format_count_table(to_table(QuotaSeq(11, (5, 2, 12)))), encoding="utf-8")
     return [
         (name, partial(subprocess.run, [sys.executable, *args], cwd=work, env=env,
                        stdout=subprocess.DEVNULL, check=True))
-        for name, args in startup_commands(str(table)).items()
+        for name, args in startup_commands(worked_table(work)).items()
     ]
+
+
+def startup_loads(work: Path) -> dict[str, dict]:
+    """The package modules each start-up command loads, from one run, and
+    their source lines: what the command compiles when no bytecode is cached."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    loads = {}
+    for name, (flag, code, *argv) in startup_commands(worked_table(work)).items():
+        proc = subprocess.run([sys.executable, flag, LISTER, code, *argv], cwd=work, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True)
+        modules = proc.stderr.splitlines()[-1].split()
+        files = [SRC / "quotamaj" / f"{m.partition('.')[2] or '__init__'}.py" for m in modules]
+        loads[name] = {
+            "modules": modules,
+            "source_lines": sum(path.read_bytes().count(b"\n") for path in files),
+        }
+    return loads
 
 
 def startup_timings(repeats: int) -> dict[str, float]:
@@ -390,6 +422,8 @@ def main(argv=None) -> int:
             "parent_s": {name: round(seconds, 6) for name, seconds in parent.items()},
             "speedup": {name: round(parent[name] / timings[name], 3) for name in timings},
         }
+    with tempfile.TemporaryDirectory() as work:
+        record["startup_loads"] = startup_loads(Path(work))
     record["tier1"] = tier1_run()
     record["source_lines"] = source_lines()
     path = args.out / f"BENCH_{args.label}.json"
