@@ -10,8 +10,6 @@ imported from its module on first use, so a command pays only for the
 code it runs.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 # module -> the public names it defines
@@ -48,13 +46,15 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        return import_module(f".{name}", __name__)
-    if name not in _MODULE_OF:
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    # the import statement's own hook, so `python -X importtime` reports
+    # the load; it binds the submodule as an attribute of the package
+    __import__(f"{__name__}.{module}")
+    if module != name:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
 
 
 def __dir__() -> list[str]:

@@ -259,13 +259,10 @@ class QuotaSeq(_Value):
         object.__setattr__(self, "quotas", quotas if isinstance(quotas, tuple) else tuple(quotas))
         if not self.quotas:
             raise ValueError("quota sequence must be nonempty")
-        lo, hi = min(self.quotas), max(self.quotas)
-        if lo < 0 or hi > n + 1:
-            # the message names the first quota out of range, as a scan would
-            q = next(q for q in self.quotas if not 0 <= q <= n + 1)
-            raise ValueError(f"quota {q} outside [0, {n + 1}] for society size {n}")
-        # all quotas lie in [0, n+1], so one is terminal exactly when lo is 0 or hi is n+1
-        if lo != 0 and hi != n + 1:
+        for q in self.quotas:
+            if not 0 <= q <= n + 1:
+                raise ValueError(f"quota {q} outside [0, {n + 1}] for society size {n}")
+        if 0 not in self.quotas and n + 1 not in self.quotas:
             raise ValueError(
                 "quota sequence needs an element in {0, n+1}; "
                 "otherwise some profiles are never decided"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from quotamaj import core, oracle
-from quotamaj import Alternative, CountTable, QuotaSeq, enumerate_all, to_table
+from quotamaj import Alternative, CountTable, FullTable, Preference, QuotaSeq, enumerate_all, to_table
 from quotamaj.cli import BUDGET_EXCEEDED, INVALID_INPUT, OK, OUTPUT_CLOSED, PROPERTY_VIOLATED, main
 from quotamaj.fileformats import format_count_table, format_full_table
 from quotamaj.oracle import expand_to_full
@@ -50,6 +51,30 @@ def test_canon(capsys):
     assert code == OK and out == "0\n"
     code, _, err = run(capsys, "canon", "--n", "11")
     assert code == INVALID_INPUT and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--n", "5", "--quotas", "3,x", "--na", "0", "--nb", "0"],
+         "--quotas must be a comma-separated list of integers, got '3,x'"),
+        (["canon", "--n", "5", "--subset", "1,,2"],
+         "--subset must be a comma-separated list of integers, got '1,,2'"),
+        (["convert", "--n", "5", "--default", "a", "--r", "2", "--thresholds", "1;2"],
+         "--thresholds must be a comma-separated list of integers, got '1;2'"),
+        (["canon", "--n", "5", "--subset", "1", "--default", "c"], "default must be 'a' or 'b', got 'c'"),
+        (["canon", "--subset", "1"], "society size is required (--n)"),
+        (["convert", "--n", "5", "--default", "a", "--r", "1"],
+         "converting a rule needs --default, --r and --thresholds"),
+        (["convert", "--default", "a", "--r", "1", "--thresholds", "1"], "society size is required (--n)"),
+        (["convert"], "convert needs a sequence (to a rule) or --r/--thresholds (to a sequence)"),
+    ],
+    ids=["quotas", "subset", "thresholds", "default-c", "subset-without-n", "r-without-thresholds",
+         "rule-without-n", "bare-convert"],
+)
+def test_flag_errors_exit_2_with_their_own_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == INVALID_INPUT and out == "" and err == f"error: {message}\n"
 
 
 def test_count(capsys):
@@ -122,6 +147,47 @@ def test_verify_full_anonymous_table(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--table", str(path))
     assert code == OK
     assert "anonymous: yes" in out and "strategy-proof: yes" in out
+
+
+def dictator(p):
+    return A if p[0] is Preference.A else B
+
+
+def contrarian(p):
+    # voter 0 decides unless indifferent; then voter 1's favourite loses
+    if p[0] is not Preference.INDIFFERENT:
+        return dictator(p)
+    return B if p[1] is Preference.A else A
+
+
+WITNESS = re.compile(r"at profile (\w+), voter (\d+) \((\w)\) misreporting as (\w) turns (\w) into (\w)")
+
+
+@pytest.mark.parametrize("rule", [dictator, contrarian])
+def test_verify_and_represent_non_anonymous_full_tables(tmp_path, capsys, rule):
+    table = FullTable.from_function(2, rule)
+    path = tmp_path / "full.tbl"
+    path.write_text(format_full_table(table))
+    code, out, err = run(capsys, "verify", "--table", str(path))
+    assert code == PROPERTY_VIOLATED and err == "error: verification found a counterexample\n"
+    anonymous, strategy_proof = out.splitlines()  # no onto line without a count table
+    assert anonymous == "anonymous: no"
+    if rule is dictator:
+        assert strategy_proof == "strategy-proof: yes"
+    else:
+        assert strategy_proof == (
+            "strategy-proof: no (at profile ia, voter 1 (a) misreporting as b turns b into a)"
+        )
+        # replay the printed witness: the misreport wins the voter's favourite
+        profile, voter, truth, lie, honest, manipulated = WITNESS.search(strategy_proof).groups()
+        voter = int(voter)
+        assert profile[voter] == truth == manipulated != honest
+        misreported = profile[:voter] + lie + profile[voter + 1 :]
+        assert table.outcome(tuple(map(Preference, profile))).value == honest
+        assert table.outcome(tuple(map(Preference, misreported))).value == manipulated
+    code, out, err = run(capsys, "represent", "--table", str(path))
+    assert code == PROPERTY_VIOLATED and out == ""
+    assert err == "error: table is not anonymous: two profiles with equal counts disagree\n"
 
 
 def test_represent(tmp_path, capsys):
@@ -411,9 +477,14 @@ def test_enum_to_unwritable_path_is_invalid_input(tmp_path, capsys):
     ],
 )
 def test_tabulating_commands_refuse_huge_n_before_allocating(capsys, argv):
+    # only convert --quotas reads the rule's table; canonicalizing a
+    # sequence never builds anything sized by n, so it takes any n
     code, out, err = run(capsys, *argv)
-    assert code == BUDGET_EXCEEDED and out == ""
-    assert f"budget is {core.MAX_TABLE_PROFILES}" in err
+    if argv[0] == "convert" and "--quotas" in argv:
+        assert code == BUDGET_EXCEEDED and out == ""
+        assert f"budget is {core.MAX_TABLE_PROFILES}" in err
+    else:
+        assert code == OK and out == {"canon": "0\n", "convert": "1,0\n"}[argv[0]]
 
 
 def test_eval_never_tabulates_so_huge_n_succeeds(capsys):
@@ -426,14 +497,13 @@ def test_eval_never_tabulates_so_huge_n_succeeds(capsys):
 def test_table_size_limit_boundary(capsys, monkeypatch):
     # n=5 has 21 count profiles and n=6 has 28
     monkeypatch.setattr(core, "MAX_TABLE_PROFILES", core.count_table_size(5))
-    code, out, _ = run(capsys, "canon", "--n", "5", "--quotas", "3,0")
+    code, out, _ = run(capsys, "convert", "--n", "5", "--quotas", "3,0")
+    assert code == OK and out == "default=a r=3 x=1,2,3\n"
+    code, out, err = run(capsys, "convert", "--n", "6", "--quotas", "3,0")
+    assert code == BUDGET_EXCEEDED and out == "" and "has 28 profiles, budget is 21" in err
+    # canonicalizing builds no table, so the limit does not apply
+    code, out, _ = run(capsys, "canon", "--n", "6", "--quotas", "3,0")
     assert code == OK and out == "3,0\n"
-    code, out, _ = run(capsys, "convert", "--n", "5", "--default", "a", "--r", "1", "--thresholds", "1")
-    assert code == OK and out == "1,0\n"
-    code, out, err = run(capsys, "canon", "--n", "6", "--quotas", "3,0")
-    assert code == BUDGET_EXCEEDED and out == "" and "has 28 profiles, budget is 21" in err
-    code, out, err = run(capsys, "convert", "--n", "6", "--default", "a", "--r", "1", "--thresholds", "1")
-    assert code == BUDGET_EXCEEDED and out == "" and "has 28 profiles, budget is 21" in err
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])

@@ -172,6 +172,23 @@ def test_quota_seq_checks_like_per_entry_reference(n, quotas):
     assert_quota_seq_checks_like_reference(n, quotas)
 
 
+@pytest.mark.parametrize("quotas", [(0, float("nan")), (float("nan"), 0)], ids=["nan-last", "nan-first"])
+def test_quota_seq_refuses_nan_wherever_it_stands(quotas):
+    # nan compares false with everything, so no min/max pre-check can see it
+    with pytest.raises(ValueError, match=r"^quota nan outside \[0, 4\] for society size 3$"):
+        QuotaSeq(3, quotas)
+    assert_quota_seq_checks_like_reference(3, quotas)
+
+
+def test_tables_refuse_a_wrong_outcome_count_or_a_key_that_is_no_profile():
+    with pytest.raises(ValueError, match="^expected 6 outcomes for n=2, got 1$"):
+        CountTable(2, (Alternative.A,))
+    # three keys for n=1, so only the missing profile is wrong
+    keys = [(A,), (B,), ("i",)]
+    with pytest.raises(ValueError, match="^table is missing profile"):
+        FullTable.from_mapping(1, dict.fromkeys(keys, Alternative.A))
+
+
 @given(st.integers(1, 6), st.data())
 def test_quota_seq_checks_like_per_entry_reference_on_random_input(n, data):
     quotas = data.draw(st.lists(st.integers(-2, n + 3), max_size=6))

@@ -80,6 +80,12 @@ def test_psi_eval_worked_levels():
         assert psi_eval(levels, p) is table.outcome(p.na, p.nb)
 
 
+def test_psi_eval_refuses_a_profile_of_another_society():
+    levels = LKSequence(11, B, ((0, 5),))
+    with pytest.raises(ValueError, match="^society size mismatch: levels have n=11, profile has n=10$"):
+        psi_eval(levels, CountProfile(3, 6, 10))
+
+
 def test_interleave_examples():
     levels = LKSequence(11, B, ((0, 5), (1, 4), (2, 3), (3, 2)))
     assert interleave(levels).quotas == (5, 5, 5, 4, 5, 3, 5, 2, 12)

@@ -74,6 +74,11 @@ def test_parse_rejects_bad_tables():
         parse_table('{"n": 1, "entries": [{"a": 0}]}')
 
 
+def test_structured_table_with_no_entries_is_refused():
+    with pytest.raises(ValueError, match="^'entries' must be a nonempty list$"):
+        parse_table('{"n": 1, "entries": []}')
+
+
 def test_sequence_round_trip():
     seq = QuotaSeq(11, (5, 2, 12))
     assert format_sequence(seq) == "n=11\n5,2,12\n"

@@ -107,6 +107,44 @@ def test_layers_worker_runs_named_cases_on_its_sources(tmp_path):
     assert worker.proc.returncode == 0
 
 
+def test_layers_against_counts_the_pairs_each_tree_wins(tmp_path, monkeypatch):
+    layers = load_tool()
+    # seconds of each run of each case, this tree's then the parent's
+    script = {
+        "faster": ([1.0] * 5, [2.0] * 5),
+        "slower": ([2.0] * 5, [1.0] * 5),
+        "mixed": ([1.0, 3.0, 1.0, 3.0, 1.0], [2.0] * 5),
+    }
+
+    class StubWorker:
+        def __init__(self, src, cwd):
+            self.side = 0 if src == layers.ROOT / "src" else 1
+            self.cases = list(script)
+            self.done = dict.fromkeys(script, 0)
+
+        def run(self, name):
+            self.done[name] += 1
+            return script[name][self.side][self.done[name] - 1]
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(layers, "Worker", StubWorker)
+    monkeypatch.setattr(layers, "export_tree", lambda rev, dest: dest / "src")
+    change, parent, wins = layers.against("REV", layers.REPEATS)
+    assert change == {"faster": 1.0, "slower": 2.0, "mixed": 1.0}
+    assert parent == {"faster": 2.0, "slower": 1.0, "mixed": 2.0}
+    assert wins == {"faster": 5, "slower": 0, "mixed": 3}
+    # the wins go under `against` in the BENCH file
+    monkeypatch.setattr(layers, "git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(layers, "startup_loads", lambda work: {})
+    monkeypatch.setattr(layers, "tier1_run", lambda: {})
+    assert layers.main(["--label", "stub", "--out", str(tmp_path), "--against", "REV"]) == 0
+    record = json.loads((tmp_path / "BENCH_stub.json").read_text())
+    assert record["against"]["wins"] == wins and record["against"]["commit"] == "0123abc"
+    assert record["against"]["speedup"] == {"faster": 2.0, "slower": 0.5, "mixed": 2.0}
+
+
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
 def test_layers_exports_a_revision(tmp_path):
     layers = load_tool()

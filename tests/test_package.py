@@ -191,6 +191,22 @@ def test_verify_on_a_text_table_loads_no_extraction_lp_or_json(tmp_path):
     assert not modules & (LIBRARY_ONLY - {"quotamaj.oracle"})
 
 
+def test_the_import_profiler_reports_the_modules_a_command_loads(tmp_path):
+    # the package loads each module through the import statement's hook,
+    # which `-X importtime` times, so the lazily loaded ones are listed too
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "quotamaj", "verify", "--table", write_table(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    reported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert {"quotamaj.fileformats", "quotamaj.oracle"} <= reported
+
+
 # the package modules beyond quotamaj, cli and core that each command loads:
 # the ones it runs and no others
 LOADS = {

@@ -27,10 +27,14 @@ revision <rev> into a temporary directory and times every case on both
 trees, one run at a time, alternating which tree runs first.  Each tree
 runs in its own worker process, started on this script with that tree's
 sources first on the path, so <rev> needs the library names this script
-uses.  The file then records both minima and the speed-up, the parent's
-minimum over this tree's, under `against`.  Two runs of this script
-minutes apart read unchanged code 30-100% apart on a shared machine; the
-interleaved runs of one invocation see the same load on both trees.  The
+uses.  The file then records both minima, the speed-up (the parent's
+minimum over this tree's) and `wins` (how many of the REPEATS pairs of
+runs this tree ran faster) under `against`.  Minima alone cannot tell a
+change of a few percent from noise, so read a speed-up as resolved only
+at REPEATS wins out of REPEATS, and a slowdown only at none.  Two runs
+of this script minutes apart read unchanged code 30-100% apart on a
+shared machine; the interleaved runs of one invocation see the same
+load on both trees.  The
 file also records the Python version, whether assertions were on,
 whether bytecode is written (`sys.dont_write_bytecode`: without cached
 bytecode every start-up command compiles the modules it imports), the
@@ -368,9 +372,10 @@ def export_tree(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def against(rev: str, repeats: int) -> tuple[dict[str, float], dict[str, float]]:
+def against(rev: str, repeats: int) -> tuple[dict[str, float], dict[str, float], dict[str, int]]:
     """Least seconds of every case on this tree and on the tree of `rev`,
-    from interleaved runs that alternate which tree runs first."""
+    from interleaved runs that alternate which tree runs first, and for each
+    case the number of those pairs of runs that this tree won."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         parent_src = export_tree(rev, tmp / "parent")
@@ -387,7 +392,9 @@ def against(rev: str, repeats: int) -> tuple[dict[str, float], dict[str, float]]
         finally:
             for worker in workers:
                 worker.close()
-    return tuple({name: min(pair[side]) for name, pair in runs.items()} for side in (0, 1))
+    change_s, parent_s = ({name: min(pair[side]) for name, pair in runs.items()} for side in (0, 1))
+    wins = {name: sum(c < p for c, p in zip(*pair)) for name, pair in runs.items()}
+    return change_s, parent_s, wins
 
 
 def bench_record(label: str, repeats: int, timings: dict[str, float]) -> dict:
@@ -413,7 +420,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as work:
             timings = measure(all_cases(Path(work)), REPEATS)
     else:
-        timings, parent = against(args.against, REPEATS)
+        timings, parent, wins = against(args.against, REPEATS)
     record = bench_record(args.label, REPEATS, timings)
     if args.against is not None:
         record["against"] = {
@@ -421,6 +428,7 @@ def main(argv=None) -> int:
             "commit": git("rev-parse", args.against).decode().strip(),
             "parent_s": {name: round(seconds, 6) for name, seconds in parent.items()},
             "speedup": {name: round(parent[name] / timings[name], 3) for name in timings},
+            "wins": wins,
         }
     with tempfile.TemporaryDirectory() as work:
         record["startup_loads"] = startup_loads(Path(work))
