@@ -32,7 +32,8 @@ from .engine import _escape_sides, _staircase, is_valid_r_tuple, length
 def truncate(raw: Sequence[int], n: int) -> QuotaSeq:
     """Prefix of a raw sequence up to and including its first element in {0, n+1}."""
     seq = QuotaSeq(n, tuple(raw))
-    return QuotaSeq(n, seq.quotas[: length(seq) + 1])
+    # a prefix of checked quotas that keeps the first terminal is checked too
+    return QuotaSeq._trusted(n, seq.quotas[: length(seq) + 1])
 
 
 def delete_dominated(seq: QuotaSeq) -> QuotaSeq:
@@ -49,7 +50,7 @@ def delete_dominated(seq: QuotaSeq) -> QuotaSeq:
     if length(seq) != len(q) - 1:
         raise ValueError("sequence must be truncated at its first element of {0, n+1}")
     kept = [v for v, side in zip(q[1:], _escape_sides(q)) if side]
-    return QuotaSeq(seq.n, (q[0], *kept))
+    return QuotaSeq._trusted(seq.n, (q[0], *kept))
 
 
 def canonicalize(raw: Sequence[int], n: int) -> QuotaSeq:

@@ -136,8 +136,7 @@ def cmd_canon(args) -> int:
 
 def cmd_enum(args) -> int:
     from . import enumeration
-    rows = enumeration._family_rows(args.n)
-    _emit(enumeration._write_family(args.n, rows, args.format), args.out)
+    _emit(enumeration._family_file(args.n, args.format), args.out)
     return OK
 
 

@@ -111,6 +111,14 @@ def _check_society(n: int) -> None:
         raise ValueError(f"society size must be at least 1, got {n}")
 
 
+def _mirror(size: int, k: int) -> int:
+    """Quota k with a and b swapped, among the `size` voters who are not indifferent.
+
+    At least k of them support a exactly when fewer than the mirror support b.
+    """
+    return size + 1 - k
+
+
 class CountProfile(_Value):
     """Anonymous profile summary: na supporters of a, nb of b, society size n."""
 

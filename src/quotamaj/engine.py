@@ -7,7 +7,7 @@ n+1 voters between them), so the deciding index yields a single outcome.
 A quota equal to 0 or n+1 makes one condition vacuously true, which is
 why every sequence must contain such a terminal element.
 
-The b condition is the a condition on the quota mirrored by `_mirror`,
+The b condition is the a condition on the quota mirrored by `core._mirror`,
 the one map that swaps the alternatives in the package.  Where a sequence
 can decide is found in one place too: `length` finds its first terminal,
 and `_escape_sides` tells which later entries escape the earlier range.
@@ -20,15 +20,7 @@ each indifference row's least winning a-support off the staircase, and
 
 from __future__ import annotations
 
-from .core import Alternative, CountProfile, CountTable, QuotaSeq, _prefix_rows, check_table_size
-
-
-def _mirror(size: int, k: int) -> int:
-    """Quota k with a and b swapped, among the `size` voters who are not indifferent.
-
-    At least k of them support a exactly when fewer than the mirror support b.
-    """
-    return size + 1 - k
+from .core import Alternative, CountProfile, CountTable, QuotaSeq, _mirror, _prefix_rows, check_table_size
 
 
 def _decide(quotas: tuple[int, ...], n: int, na: int, nb: int) -> tuple[int, Alternative]:

@@ -3,18 +3,21 @@
 Proper sequences with default b correspond one-to-one with subsets J of
 {1, ..., n}: the interior entries are exactly J, arranged by taking the
 minimum of what remains for the last interior slot, then the maximum of
-what remains, and so on backwards to the front.  The empty set maps to
-the constant-b singleton (n+1).  The default-a half of the family is the
-elementwise dual of the default-b half.  Counting both defaults gives
+what remains, and so on backwards to the front.  So the interior of J is
+that of J - {min J, max J} followed by max J, min J.  The empty set maps
+to the constant-b singleton (n+1).  The default-a half of the family is
+the elementwise dual of the default-b half.  Counting both defaults gives
 2**(n+1) rules, every one with a distinct truth table.
 
 Counted, with |J[x, y]| the number of members of J in [x, y], the rule
 of J with default b lets a win (na, nb) exactly when
 |J[1, na]| > |J[n-nb+1, n]|, and the rule with default a exactly when
 |J[n-na+1, n]| >= |J[1, nb]|.  From this form `_family_staircases` builds
-each rule's row lengths, its staircase; `enumerate_all` makes tables of
-them, and `_family_rows` the rows of a family file, with no per-rule
-objects.  `_write_family` writes those rows, or the rows that
+each row of every rule's staircase, its row lengths, as a column over the
+family, and `_subset_texts` the subsets' members and sequences, each in
+a few slice assignments over all subsets.  `enumerate_all` makes tables
+and sequences of these columns, and `_write_family` a family file, with
+no Python step per rule.  It writes them, or the columns that
 `fileformats.format_family` makes of (sequence, table) pairs, as:
 
 * text: a `n=<int>` header line and a `count=<rules>` line, then one
@@ -30,10 +33,10 @@ objects.  `_write_family` writes those rows, or the rows that
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain
+from itertools import repeat
+from operator import add, itemgetter
 
-from .core import STRUCTURED, Alternative, CountTable, QuotaSeq, SearchBudgetExceeded, _check_society
-from .engine import _mirror, is_proper
+from .core import STRUCTURED, TEXT, Alternative, CountTable, QuotaSeq, SearchBudgetExceeded, _check_society, _mirror
 
 
 def subset_to_proper(subset: Iterable[int], default: Alternative, n: int) -> QuotaSeq:
@@ -47,23 +50,18 @@ def subset_to_proper(subset: Iterable[int], default: Alternative, n: int) -> Quo
         # the message names the member that a scan of the set meets first
         v = next(v for v in members if not 1 <= v <= n)
         raise ValueError(f"subset element {v} outside {{1, ..., {n}}}")
-    quotas = _zigzag(vals)
-    quotas.append(n + 1)
+    # from the back of the interior: the least member, the greatest, the next least, ...
+    quotas = [*vals, n + 1]
+    quotas[-2::-2] = vals[: (len(vals) + 1) // 2]
+    quotas[-3::-2] = vals[: (len(vals) - 1) // 2 : -1]
     if default is Alternative.A:
         quotas = [_mirror(n, k) for k in quotas]
     return QuotaSeq(n, tuple(quotas))
 
 
-def _zigzag(vals: list[int]) -> list[int]:
-    """Interior of the sorted members' sequence: from the back, the least, the greatest, ..."""
-    quotas = vals[:]
-    quotas[-1::-2] = vals[: (len(vals) + 1) // 2]
-    quotas[-2::-2] = vals[: (len(vals) - 1) // 2 : -1]
-    return quotas
-
-
 def proper_to_subset(seq: QuotaSeq) -> tuple[frozenset[int], Alternative]:
     """Inverse of subset_to_proper; rejects non-proper input."""
+    from .engine import is_proper
     if not is_proper(seq):
         raise ValueError(f"({seq}) is not proper")
     return _subset_of(seq)
@@ -77,49 +75,53 @@ def _subset_of(seq: QuotaSeq) -> tuple[frozenset[int], Alternative]:
     return frozenset(_mirror(seq.n, k) for k in interior), Alternative.A
 
 
-def _family_staircases(n: int, max_rules: int = 2**16):
-    """The subsets of {1, ..., n} in binary-counter order (so the first 2**k
-    are those of {1, ..., k}) and, for default b then a, rows[na][i]: the
-    c for which a wins (na, nb) under subset i's rule exactly when nb < c.
+def _place(row, start, by_count, counts, l_step, u_step):
+    """row[start + l*l_step + u*u_step] = by_count[counts[l]][u] for every l
+    and u, in one slice assignment per l or per u, whichever are fewer."""
+    if len(counts) <= len(by_count[0]):
+        blocks, step, stride = map(by_count.__getitem__, counts), l_step, u_step
+    else:  # two counts or more, so the getter returns tuples
+        blocks, step, stride = map(itemgetter(*counts), zip(*by_count)), u_step, l_step
+    for k, block in enumerate(blocks):
+        row[start + k * step : start + k * step + len(block) * stride : stride] = block
 
-    For the default-b rule of J, c = 0 when J has no member at or below na,
-    and otherwise c = n+1 - max(na, u), u the |J[1, na]|-th largest member
-    of J; for default a, c = the (q+1)-th smallest member of J, q =
-    |J[n-na+1, n]|, or the whole row when J has no more than q members.  So
-    a row depends only on how many members lie on one side of a cut and on
-    which lie on the other, and each row is built once for all 2**n subsets.
-    """
+
+def _family_staircases(n: int, pieces, max_rules: int = 2**16) -> list[list]:
+    """For each row na, pieces[na][c] for every rule in the order of
+    `enumerate_all`, c the row's length: a wins (na, nb) exactly when
+    nb < c.  `pieces` yields the rows na = 0..n, each indexed by c, and is
+    read only once n is within the budget.
+
+    Row na cuts J in two.  For default b, with p = |J[1, na]| and s the
+    members above na less na, c is 0 for p = 0 and otherwise n+1-na less
+    the p-th largest of s (0 if s has fewer); for default a, with
+    q = |J[n-na+1, n]| and s the members up to n-na, c is the (q+1)-th
+    smallest of s, or n+1-na if s has no more.  So each row is a table
+    over (count, s), placed over the family in slice assignments."""
     _check_society(n)
     # decided from n alone: 2**(n+1) itself may be too large to build
     if n + 1 >= max_rules.bit_length():
         raise SearchBudgetExceeded(
             f"enumerating n={n} yields 2**{n + 1} rules, budget is {max_rules}"
         )
+    # the subsets in binary-counter order: the first 2**k are those of {1, ..., k}
     subsets = [[]]
     for v in range(1, n + 1):
         subsets += [s + [v] for s in subsets]
     sizes = [len(s) for s in subsets]
-    rows_b, rows_a = [], []
-    for na in range(n + 1):
+    rows = []
+    for na, piece in zip(range(n + 1), pieces):
         m = n - na  # the profiles of row na are nb = 0..m
-        lower, upper = sizes[: 2**na], subsets[: 2**m]
-        # default b: i is p = |J[1, na]| (`lower`, low bits) and s, the
-        # members above na less na (`upper`, high bits); c is 0 for p = 0,
-        # else m+1 - (the p-th largest of s, or 0)
-        by_count = [[0] * 2**m]
-        by_count += [[m + 1 - s[-p] if p <= len(s) else m + 1 for s in upper] for p in range(1, na + 1)]
-        rows_b.append(list(chain.from_iterable(zip(*map(by_count.__getitem__, lower)))))
-        # default a: i is s, the members at or below m (`upper`, low bits),
-        # and q members above m (`lower`, high bits); c is the (q+1)-th
-        # smallest of s, or the whole row
-        by_count = [[s[q] if q < len(s) else m + 1 for s in upper] for q in range(na + 1)]
-        rows_a.append(list(chain.from_iterable(map(by_count.__getitem__, lower))))
-    return subsets, (rows_b, rows_a)
-
-
-def _combine_rows(combine, pieces, rows):
-    """Per subset, `combine` over the pieces[na][c] of its row lengths c, in row order."""
-    return map(combine, zip(*[map(piece.__getitem__, row) for piece, row in zip(pieces, rows)]))
+        counts, upper, row = sizes[: 2**na], subsets[: 2**m], [None] * 2 ** (n + 1)
+        # default b: p in the low bits of i, s in the high
+        by_count = [[piece[0]] * 2**m]
+        by_count += [[piece[m + 1 - s[-p]] if p <= len(s) else piece[m + 1] for s in upper] for p in range(1, na + 1)]
+        _place(row, 0, by_count, counts, 1, 2**na)
+        # default a: s in the low bits of i, q in the high
+        by_count = [[piece[s[q]] if q < len(s) else piece[m + 1] for s in upper] for q in range(na + 1)]
+        _place(row, 2**n, by_count, counts, 2**m, 1)
+        rows.append(row)
+    return rows
 
 
 def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountTable]]:
@@ -130,58 +132,73 @@ def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountT
     exactly 2**(n+1) pairs.  The tables are built row by row from the
     subsets (see _family_staircases), not by tabulating each sequence.
     """
-    subsets, staircases = _family_staircases(n, max_rules)
-    mirror = [_mirror(n, k) for k in range(n + 2)]
-    sequences_b = [(*_zigzag(s), n + 1) for s in subsets]
-    sequences_a = [tuple(map(mirror.__getitem__, q)) for q in sequences_b]
     # row na of a mask holds the profiles nb < c at bits na*(n+2) + nb
-    row_masks = [[((1 << c) - 1) << na * (n + 2) for c in range(n + 2)] for na in range(n + 1)]
-    family = []
-    for sequences, rows in zip((sequences_b, sequences_a), staircases):
-        masks = _combine_rows(sum, row_masks, rows)
-        family += [
-            (QuotaSeq._trusted(n, quotas), CountTable._from_mask(n, mask))
-            for quotas, mask in zip(sequences, masks)
-        ]
-    return family
+    row_masks = ([((1 << c) - 1) << na * (n + 2) for c in range(n + 2 - na)] for na in range(n + 1))
+    masks = map(sum, zip(*_family_staircases(n, row_masks, max_rules)))
+    _, sequences = _subset_texts(n, ((), (), (), ()), [(k,) for k in range(n + 2)])
+    return [(QuotaSeq._trusted(n, q), CountTable._from_mask(n, mask)) for q, mask in zip(sequences, masks)]
 
 
-def _family_rows(n: int):
-    """The rules of `enumerate_all(n)` as the rows of `_write_family`:
-    (default letter, members, quotas, table letters), straight from the staircases."""
-    subsets, staircases = _family_staircases(n)
-    decimal = [str(k) for k in range(n + 2)]
-    mirrored = [decimal[_mirror(n, k)] for k in range(n + 2)]
-    # row na holds n+1-na profiles, the first c of which a wins
-    letters = [["a" * c + "b" * (n + 1 - na - c) for c in range(n + 2 - na)] for na in range(n + 1)]
-    members = [",".join(map(decimal.__getitem__, s)) for s in subsets]
-    sequences = [(*_zigzag(s), n + 1) for s in subsets]
-    return (
-        (default, subset, ",".join(map(quota_text.__getitem__, quotas)), table)
-        for default, quota_text, rows in zip("ba", (decimal, mirrored), staircases)
-        for subset, quotas, table in zip(members, sequences, _combine_rows("".join, letters, rows))
-    )
+#: The opener, separator and closer of a nonempty list of ints in a family
+#: file, and its empty list; structured as json.dumps(indent=2) lays them out.
+_LISTS = {TEXT: ("", ",", "", "-"), STRUCTURED: ("[\n        ", ",\n        ", "\n      ]", "[]")}
 
 
-def _json_list(decimals: str) -> str:
-    # comma-separated ints as json.dumps(indent=2) writes their list inside a family entry
-    return "[\n        " + decimals.replace(",", ",\n        ") + "\n      ]" if decimals else "[]"
+def _subset_texts(n: int, layout, names) -> tuple[list, list]:
+    """The members of the subsets of {1, ..., n} in binary-counter order and
+    their sequences for default b then a, written with names[k] for k and a
+    `layout` as in `_LISTS`: texts, or tuples for names[k] = (k,) and ().
+    Adding v to the first 2**(v-1) subsets gives the next 2**(v-1); those
+    with least member lo and greatest hi lie at a stride of 2**lo, as do
+    those of {lo+1, ..., hi-1} whose interiors theirs extend."""
+    opener, sep, closer, empty = layout
+    members = [opener]
+    for v in names[1 : n + 1]:
+        members += [opener + v, *map(add, members[1:], repeat(sep + v))]
+    members = [empty, *map(add, members[1:], repeat(closer))]
+    quotas = []
+    for name in (names, names[::-1]):  # name[k] writes quota k, then its mirror
+        interiors = [opener] * 2**n  # each entry followed by `sep`
+        for hi in range(1, n + 1):
+            interiors[2 ** (hi - 1)] = opener + name[hi] + sep
+            for lo in range(1, hi):
+                pair = name[hi] + sep + name[lo] + sep
+                inner = interiors[: 2 ** (hi - 1) : 2**lo]
+                interiors[2 ** (lo - 1) + 2 ** (hi - 1) : 2**hi : 2**lo] = map(add, inner, repeat(pair))
+        quotas += map(add, interiors, repeat(name[n + 1] + closer))
+    return members, quotas
 
 
-def _write_family(n: int, rows, fmt: str) -> str:
-    """Either family format from rows of strings, as `_family_rows` gives them."""
+def _family_file(n: int, fmt: str) -> str:
+    """The family file of `enumerate_all(n)`: row na of a table is c a's, then b's up to n+1-na."""
+    letters = (["a" * c + "b" * (n + 1 - na - c) for c in range(n + 2 - na)] for na in range(n + 1))
+    tables = _family_staircases(n, letters)
+    members, quotas = _subset_texts(n, _LISTS[fmt], [str(k) for k in range(n + 2)])
+    return _write_family(n, fmt, ["b"] * 2**n + ["a"] * 2**n, members * 2, quotas, tables)
+
+
+def _write_family(n: int, fmt: str, defaults, members, quotas, tables) -> str:
+    """Either family format from columns of one text per rule: the default
+    letters, the members and the quotas as `fmt` writes them, then the
+    columns whose texts, in turn, make up each rule's table."""
+    count = len(defaults)
     if fmt == STRUCTURED:
-        # byte for byte what json.dumps(indent=2) writes, without its
-        # pure-Python encoder: every field is an int or a string of a/b
-        # letters, so nothing needs escaping
-        entries = [
-            f'    {{\n      "default": "{default}",\n'
-            f'      "subset": {_json_list(subset)},\n'
-            f'      "quotas": {_json_list(quotas)},\n'
-            f'      "table": "{table}"\n    }}'
-            for default, subset, quotas, table in rows
-        ]
-        family_json = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-        return f'{{\n  "n": {n},\n  "count": {len(entries)},\n  "family": {family_json}\n}}'
-    lines = [f"{default} {subset or '-'} {quotas} {table}" for default, subset, quotas, table in rows]
-    return "\n".join([f"n={n}", f"count={len(lines)}", *lines]) + "\n"
+        # byte for byte what json.dumps(indent=2) writes: every field is an
+        # int or a string of a/b letters, so nothing needs escaping
+        if not count:
+            return f'{{\n  "n": {n},\n  "count": 0,\n  "family": []\n}}'
+        head = f'{{\n  "n": {n},\n  "count": {count},\n  "family": [\n'
+        entry = ['    {\n      "default": "', defaults, '",\n      "subset": ', members,
+                 ',\n      "quotas": ', quotas, ',\n      "table": "', *tables, '"\n    },\n']
+    else:
+        head = f"n={n}\ncount={count}\n"
+        entry = [defaults, " ", members, " ", quotas, " ", *tables, "\n"]
+    # repeat the texts between the fields, then fill each field's slots from its column
+    out = [slot if isinstance(slot, str) else "" for slot in entry] * count
+    for i, slot in enumerate(entry):
+        if not isinstance(slot, str):
+            out[i :: len(entry)] = slot
+    if fmt == STRUCTURED:
+        out[-1] = '"\n    }\n  ]\n}'  # no comma after the last entry
+    out.insert(0, head)
+    return "".join(out)

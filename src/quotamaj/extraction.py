@@ -18,7 +18,7 @@ replaying the pairs first-match reproduces the table exactly.
 `engine._interleave` turns the pairs into a defining quota sequence,
 whose proper form is then the canonical representation of the table.
 
-Default a is the mirror image of default b.  `engine._mirror` maps a
+Default a is the mirror image of default b.  `core._mirror` maps a
 quota k on the n - ell voters who are not indifferent to n - ell + 1 - k,
 its quota once a and b swap, so the margin m is the mirrored k.  A
 default-a table is recovered from its mirrored thresholds, its levels
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from . import oracle
 from .canonical import canonicalize
-from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value
-from .engine import _interleave, _mirror, _mirror_pairs, _row_thresholds
+from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value, _mirror
+from .engine import _interleave, _mirror_pairs, _row_thresholds
 
 
 class NotStrategyProof(ValueError):

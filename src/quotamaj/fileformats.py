@@ -262,10 +262,13 @@ def _json_count_entry(e):
 
 def format_family(family, n: int, fmt: str = TEXT) -> str:
     """Render an enumerated family of (sequence, table) pairs."""
-    from .enumeration import _subset_of, _write_family
-
-    def row(seq, table):
-        subset, default = _subset_of(seq)  # proper by construction, so not checked again
-        return default.value, ",".join(map(str, sorted(subset))), str(seq), table.outcome_string()
-
-    return _write_family(n, itertools.starmap(row, family), fmt)
+    from .enumeration import _LISTS, _subset_of, _write_family
+    opener, sep, closer, empty = _LISTS.get(fmt, _LISTS[TEXT])  # any other format writes text
+    family = list(family)
+    pairs = [_subset_of(seq) for seq, _ in family]  # proper by construction, so not checked again
+    members, quotas = (
+        [opener + sep.join(map(str, v)) + closer if v else empty for v in lists]
+        for lists in ([sorted(subset) for subset, _ in pairs], [seq.quotas for seq, _ in family])
+    )
+    tables = [table.outcome_string() for _, table in family]
+    return _write_family(n, fmt, [default.value for _, default in pairs], members, quotas, [tables])

@@ -9,7 +9,7 @@ threshold per level below r:
   when at least x_i voters support a, and a default-b rule picks b when at
   least y'_i voters support b.
 
-The two defaults are mirror images: `engine._mirror` swaps a and b among
+The two defaults are mirror images: `core._mirror` swaps a and b among
 the n - r + i voters who are not indifferent, and y'_i is the stored
 threshold y_i mirrored (`LPRule.b_thresholds`).  So either way a wins
 exactly when at least x_i (or y_i) voters support a, and the stored
@@ -34,8 +34,8 @@ import itertools
 from collections.abc import Iterator
 
 from .canonical import canonicalize
-from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value, _check_society
-from .engine import _interleave, _mirror, _row_thresholds, _staircase, is_proper, to_table
+from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value, _check_society, _mirror
+from .engine import _interleave, _row_thresholds, _staircase, is_proper, to_table
 
 
 class LPRule(_Value):

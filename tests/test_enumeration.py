@@ -194,8 +194,9 @@ def test_trusted_sequences_equal_public_construction(n):
 
 
 def test_family_guard_edge():
-    # the budget of 2**16 rules admits n = 15 and refuses n = 16 from n alone
-    subsets, (rows_b, rows_a) = _family_staircases(15)
-    assert len(subsets) == 2**15 and len(rows_b) == len(rows_a) == 16
+    # the budget of 2**16 rules admits n = 15 and refuses n = 16 from n alone;
+    # with the row lengths c as the pieces, each row holds every rule's c
+    rows = _family_staircases(15, [list(range(17 - na)) for na in range(16)])
+    assert len(rows) == 16 and {len(row) for row in rows} == {2**16}
     with pytest.raises(SearchBudgetExceeded, match=r"2\*\*17"):
-        _family_staircases(16)
+        _family_staircases(16, [list(range(18 - na)) for na in range(17)])

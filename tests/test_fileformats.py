@@ -102,22 +102,43 @@ def test_family_format_golden_n1():
     )
 
 
-def test_structured_family_is_what_json_writes():
-    import json
-    for family, n in ((enumerate_all(2), 2), ([], 3)):
-        entries = [
-            {
-                "default": default.value,
-                "subset": sorted(subset),
-                "quotas": list(seq.quotas),
-                "table": table.outcome_string(),
-            }
-            for seq, table in family
-            for subset, default in [proper_to_subset(seq)]
+def reference_family_file(rules, n, fmt):
+    # one entry per rule, as json.dumps or an f-string lays it out
+    entries = [
+        (default.value, sorted(subset), seq, table.outcome_string())
+        for seq, table in rules
+        for subset, default in [proper_to_subset(seq)]
+    ]
+    if fmt == STRUCTURED:
+        family = [
+            {"default": default, "subset": members, "quotas": list(seq.quotas), "table": cells}
+            for default, members, seq, cells in entries
         ]
-        expected = json.dumps({"n": n, "count": len(family), "family": entries}, indent=2)
-        assert format_family(family, n, STRUCTURED) == expected
+        return json.dumps({"n": n, "count": len(entries), "family": family}, indent=2)
+    lines = [
+        f"{default} {','.join(map(str, members)) or '-'} {seq} {cells}\n" for default, members, seq, cells in entries
+    ]
+    return f"n={n}\ncount={len(entries)}\n" + "".join(lines)
+
+
+def test_structured_family_is_what_json_writes():
+    for family, n in ((enumerate_all(2), 2), ([], 3)):
+        assert format_family(family, n, STRUCTURED) == reference_family_file(family, n, STRUCTURED)
     assert format_family([], 3) == "n=3\ncount=0\n"
+
+
+@pytest.mark.parametrize("fmt", [TEXT, STRUCTURED])
+def test_format_family_on_any_family(fmt):
+    # a shuffled part of the family holds both empty subsets, and its
+    # defaults switch more than once; the empty family has no entries
+    family = enumerate_all(4)
+    rng = random.Random(2020)
+    part = [family[0], family[16], *rng.sample(family[1:16] + family[17:], 12)]
+    rng.shuffle(part)
+    defaults = [proper_to_subset(seq)[1] for seq, _ in part]
+    assert sum(x is not y for x, y in zip(defaults, defaults[1:])) > 1
+    for rules in (part, []):
+        assert format_family(iter(rules), 4, fmt) == reference_family_file(rules, 4, fmt)
 
 
 # Files in the canonical profile order are built from whole columns, and

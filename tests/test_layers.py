@@ -83,6 +83,10 @@ def test_layers_times_the_enum_render_in_both_formats():
     emit = cli._emit
     timings = layers.measure(layers.enum_cases(), repeats=1)
     assert list(timings) == [
+        "enum.n10.text",
+        "enum.n10.structured",
+        "enum.n11.text",
+        "enum.n11.structured",
         "enum.n12.text",
         "enum.n12.structured",
         "enum.n14.text",

@@ -213,9 +213,9 @@ LOADS = {
     "eval": {"engine"},
     "count": set(),
     "canon": {"canonical", "engine"},
-    "canon-subset": {"engine", "enumeration"},
-    "enum": {"engine", "enumeration"},
-    "enum-structured": {"engine", "enumeration"},
+    "canon-subset": {"enumeration"},
+    "enum": {"enumeration"},
+    "enum-structured": {"enumeration"},
     "verify": {"fileformats", "oracle"},
     "represent": {"canonical", "engine", "extraction", "fileformats", "oracle"},
     # both directions: `convert --quotas` runs no canonicalization, but the

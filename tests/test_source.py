@@ -50,7 +50,8 @@ def top_level_package_imports(path):
 
 # `lp` reads the level maps from `engine`, not from `extraction` (which
 # would load the oracle too), and the family writer sits in `enumeration`,
-# so neither it nor `fileformats` loads the other; commands load the rest lazily
+# so neither it nor `fileformats` loads the other; `enumeration` reads the
+# duality map from `core`; commands load the rest lazily
 TOP_LEVEL_IMPORTS = {
     "__init__": set(),
     "__main__": {"cli"},
@@ -58,7 +59,7 @@ TOP_LEVEL_IMPORTS = {
     "cli": {"core"},
     "core": set(),
     "engine": {"core"},
-    "enumeration": {"core", "engine"},
+    "enumeration": {"core"},
     "extraction": {"canonical", "core", "engine", "oracle"},
     "fileformats": {"core"},
     "lp": {"canonical", "core", "engine"},
@@ -69,3 +70,8 @@ TOP_LEVEL_IMPORTS = {
 def test_each_module_imports_only_its_layers_at_top_level():
     found = {path.stem: top_level_package_imports(path) for path in sorted(SOURCE.glob("*.py"))}
     assert found == TOP_LEVEL_IMPORTS
+
+
+def test_the_duality_map_is_one_function():
+    from quotamaj import core, engine
+    assert engine._mirror is core._mirror

@@ -17,7 +17,7 @@ JSON, files in the canonical order that are read in whole-table passes,
 and the count table at n=140 with its entries shuffled, which is read
 entry by entry; the `format_family.*` timings write the family at n=12
 as text and as JSON.  The `enum.*` timings run what the `enum` command runs at
-n=12 and n=14 in both formats, with the output dropped instead of
+n=10, 11, 12 and 14 in both formats, with the output dropped instead of
 written.  The `startup.*` timings are the wall times of a fresh
 interpreter that imports quotamaj, and of one small command per CLI
 verb, each run as a subprocess on the sources of the imported quotamaj.
@@ -205,10 +205,11 @@ def enum_render(n: int, fmt: str) -> None:
 
 
 def enum_cases() -> list[tuple[str, object]]:
-    """The `enum` command's render at n=12 and n=14, in both formats."""
+    """The `enum` command's render at n=10, 11, 12 and 14, in both formats;
+    the `family` benchmark's median command is at n=10 and its tail at n=11."""
     return [
         (f"enum.n{n}.{fmt_name}", partial(enum_render, n, fmt))
-        for n in (12, 14)
+        for n in (10, 11, 12, 14)
         for fmt_name, fmt in (("text", TEXT), ("structured", STRUCTURED))
     ]
 
