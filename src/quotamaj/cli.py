@@ -54,7 +54,7 @@ def _read_file(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ValueError(f"cannot read {what} file {path}: {err}") from None
 
 

@@ -187,19 +187,24 @@ def _read_text(text: str):
     if not lines:
         raise ValueError("empty table file")
     n = _parse_header(lines[0])
-    body = list(map(str.split, lines[1:]))
-    lengths = set(map(len, body))
+    lengths = set(map(len, map(str.split, lines[1:])))  # each line's split is dropped at once
     if not lengths <= {2, 3}:
         raise ValueError("table lines must be 'na nb outcome' or '<profile> outcome'")
     if 2 in lengths and 3 in lengths:
         raise ValueError("table mixes count-profile and full-profile lines")
-    if 2 in lengths:
-        return n, True, len(body), body, None, zip(*body)
-    # an empty body is a count table with no entries
-    return n, False, len(body), map(_text_count_entry, body), str, zip(*body)
+    full = 2 in lengths  # an empty body is a count table with no entries
+    width = 2 if full else 3
+    # one token list for the body: split() breaks at every line break too
+    tokens = text.split()
+    del tokens[: len(lines[0].split())]
+    columns = (tuple(tokens[k::width]) for k in range(width))  # tuples, as _canonical_keys
+    entries = zip(*[iter(tokens)] * width)
+    if full:
+        return n, True, len(lines) - 1, entries, None, columns
+    return n, False, len(lines) - 1, map(_text_count_entry, entries), str, columns
 
 
-def _text_count_entry(parts: list[str]):
+def _text_count_entry(parts: tuple[str, str, str]):
     na_tok, nb_tok, out_tok = parts
     try:
         return (int(na_tok), int(nb_tok)), out_tok

@@ -10,7 +10,9 @@ On anonymous tables the check is one closure property.  Only a supporter
 of the losing alternative has a motive, and each misreport moves the
 counts one step, so a table is strategy-proof exactly when the profiles a
 wins stay closed under three moves: a gains a supporter, b loses one, and
-a b-supporter switches to a.  Each move is one shift of a bitmask.
+a b-supporter switches to a.  Each move is one shift of a bitmask.  The
+search for every such table builds the a-regions that the moves allow
+row by row, not all 2**((n+1)(n+2)/2) tables.
 
 On full tables a profile is its position p in all_full_profiles: voter v,
 of place w = 3**(n-1-v), declares the digit t = p // w % 3 (a=0, b=1,
@@ -22,17 +24,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import (
-    Alternative,
-    CountProfile,
-    CountTable,
-    FullProfile,
-    FullTable,
-    PREFERENCES,
-    Preference,
-    SearchBudgetExceeded,
-    _Value,
-    _grid,
-    count_table_size,
+    PREFERENCES, Alternative, CountProfile, CountTable, FullProfile, FullTable, Preference,
+    SearchBudgetExceeded, _Value, _check_society, _grid, _prefix_rows,
 )
 
 
@@ -210,23 +203,23 @@ def tables_equal(first: CountTable, second: CountTable) -> bool:
 
 
 def exhaustive_sp_family(n: int) -> list[CountTable]:
-    """Every strategy-proof count table, found by filtering all candidates.
+    """Every strategy-proof count table, in ascending order of its mask.
 
-    The candidate space has 2**((n+1)(n+2)/2) tables, so only n <= 5 is
-    allowed (n=5 already means scanning about 2.1 million candidates).
-    Tables come out in ascending order of their mask.
+    Closure under "b loses a supporter" makes each row na of the a-region a
+    prefix nb < c_na, 0 <= c_na <= n+1-na; closure under "a gains one" then
+    forces c_na >= min(c_{na-1}, n+1-na), and the switch, a loss and then a
+    gain, adds nothing.  Each such staircase is still kept only if
+    `_escapes` finds no escape.  There are 2**(n+1), the paper's count, so
+    n > 15 is refused before any is built, as `enumerate_all` refuses it.
     """
-    if n > 5:
+    _check_society(n)
+    if n > 15:
         raise SearchBudgetExceeded(
-            f"exhaustive table search for n={n} would scan 2**{count_table_size(n)} candidates"
+            f"exhaustive table search for n={n} would build 2**{n + 1} staircases, budget is 2**16"
         )
+    stairs = [[c] for c in range(n + 2)]
+    for top in range(n, 0, -1):  # top = n+1-na for the rows na = 1..n
+        stairs = [s + [c] for s in stairs for c in range(min(s[-1], top), top + 1)]
     width, valid = _grid(n)
-    family = []
-    region = 0
-    while True:
-        if not any(_escapes(region, width, valid)):
-            family.append(CountTable._from_mask(n, region))
-        # the next subset of the valid profiles, in ascending order
-        region = (region - valid) & valid
-        if not region:
-            return family
+    masks = sorted(_prefix_rows(n, s) for s in stairs)
+    return [CountTable._from_mask(n, m) for m in masks if not any(_escapes(m, width, valid))]

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-lines; `--runslow` adds the long-running n=5 exhaustion tier.
+lines; `--runslow` adds the long-running exhaustive search for n=13..15.
 """
 
 import itertools
@@ -79,27 +79,24 @@ def test_criterion_1_counting():
     report("1 (2^(n+1) distinct rules, n=1..8)", ok and elapsed < 5.0, f"{elapsed:.2f}s")
 
 
+def _family_is_exhaustive(n):
+    found = [table.mask for table in exhaustive_sp_family(n)]
+    return len(found) == 2 ** (n + 1) and found == sorted(t.mask for _, t in enumerate_all(n))
+
+
 def test_criterion_2_converse_by_exhaustion():
     start = time.perf_counter()
-    ok = True
-    for n in range(1, 5):
-        found = exhaustive_sp_family(n)
-        built = {table.outcomes for _, table in enumerate_all(n)}
-        if len(found) != 2 ** (n + 1) or {t.outcomes for t in found} != built:
-            ok = False
-            break
+    ok = all(map(_family_is_exhaustive, range(1, 13)))
     elapsed = time.perf_counter() - start
-    report("2 (exhaustive filter = family, n=1..4)", ok and elapsed < 10.0, f"{elapsed:.2f}s")
+    report("2 (exhaustive search = family, n=1..12)", ok and elapsed < 10.0, f"{elapsed:.2f}s")
 
 
 @pytest.mark.slow
-def test_criterion_2_converse_by_exhaustion_n5():
+def test_criterion_2_converse_by_exhaustion_n13_to_15():
     start = time.perf_counter()
-    found = exhaustive_sp_family(5)
-    built = {table.outcomes for _, table in enumerate_all(5)}
-    ok = len(found) == 64 and {t.outcomes for t in found} == built
+    ok = all(map(_family_is_exhaustive, range(13, 16)))
     elapsed = time.perf_counter() - start
-    report("2-slow (exhaustive filter = family, n=5)", ok and elapsed < 600.0, f"{elapsed:.1f}s")
+    report("2-slow (exhaustive search = family, n=13..15)", ok and elapsed < 600.0, f"{elapsed:.1f}s")
 
 
 def test_criterion_3_worked_example_equivalences():

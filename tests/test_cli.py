@@ -260,6 +260,17 @@ def test_missing_table_file(capsys):
     assert code == INVALID_INPUT and "cannot read" in err
 
 
+def test_undecodable_file_is_named(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"n=1\n0 0 \xff\n")
+    code, out, err = run(capsys, "verify", "--table", str(path))
+    assert code == INVALID_INPUT and out == ""
+    assert f"cannot read table file {path}: 'utf-8' codec can't decode byte 0xff" in err
+    code, out, err = run(capsys, "canon", "--seq-file", str(path))
+    assert code == INVALID_INPUT and out == ""
+    assert f"cannot read sequence file {path}: 'utf-8' codec" in err
+
+
 def test_enum_budget_exit_code(capsys):
     code, _, err = run(capsys, "enum", "--n", "30")
     assert code == BUDGET_EXCEEDED and "budget" in err

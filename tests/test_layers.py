@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from quotamaj import QuotaSeq, to_table
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "layers.py"
 
@@ -69,6 +71,14 @@ def test_layers_times_parse_table_on_shuffled_count_tables():
         assert parse.args[0] != canonical[f"parse_table.count.n140.{fmt_name}"].args[0]
 
 
+def test_layers_times_parse_table_on_a_large_count_table_in_both_orders():
+    layers = load_tool()
+    (name, canonical), (shuffled_name, shuffled) = layers.large_parse_cases(30)
+    assert (name, shuffled_name) == ("parse_table.count.n30.text", "parse_table.count.n30.shuffled.text")
+    assert canonical.args[0] != shuffled.args[0]
+    assert canonical() == shuffled() == to_table(QuotaSeq(30, (15, 21, 9, 31)))
+
+
 def test_layers_times_format_family_in_both_formats():
     layers = load_tool()
     timings = layers.family_timings(repeats=1)
@@ -102,6 +112,7 @@ def test_layers_worker_runs_named_cases_on_its_sources(tmp_path):
     assert len(names) == len(set(names))
     assert {"enumerate_all.n14", "enum.n14.text", "format_family.n12.text", "startup.enum"} <= set(names)
     assert {name for name, _ in layers.shuffled_cases()} <= set(names)
+    assert {"parse_table.count.n1000.text", "parse_table.count.n1000.shuffled.text"} <= set(names)
     worker = layers.Worker(layers.ROOT / "src", tmp_path)
     try:
         assert worker.cases == names

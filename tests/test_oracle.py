@@ -28,7 +28,8 @@ from quotamaj import (
     tables_equal,
     to_table,
 )
-from quotamaj.oracle import _count_positions
+from quotamaj.core import _grid
+from quotamaj.oracle import _count_positions, _escapes
 
 A, B = Alternative.A, Alternative.B
 
@@ -163,15 +164,31 @@ def test_exhaustive_family_sizes():
 
 
 def test_exhaustive_family_guard():
-    with pytest.raises(SearchBudgetExceeded):
-        exhaustive_sp_family(6)
+    with pytest.raises(SearchBudgetExceeded, match=r"n=16 would build 2\*\*17 staircases"):
+        exhaustive_sp_family(16)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"society size must be at least 1, got {n}"):
+            exhaustive_sp_family(n)
 
 
 def test_exhaustive_family_matches_enumeration():
-    for n in (1, 2, 3):
-        found = {t.outcomes for t in exhaustive_sp_family(n)}
-        built = {t.outcomes for _, t in enumerate_all(n)}
-        assert found == built
+    for n in range(1, 13):
+        found = [t.mask for t in exhaustive_sp_family(n)]
+        assert found == sorted(t.mask for _, t in enumerate_all(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exhaustive_family_is_every_closed_row_prefix_table(n):
+    # closure under "b loses a supporter" alone makes each row na a prefix
+    # nb < c with 0 <= c <= n+1-na, so filtering every such table through
+    # the three moves finds the whole family
+    width, valid = _grid(n)
+    found = []
+    for stairs in itertools.product(*(range(n + 2 - na) for na in range(n + 1))):
+        mask = sum(((1 << c) - 1) << (na * width) for na, c in enumerate(stairs))
+        if not any(_escapes(mask, width, valid)):
+            found.append(mask)
+    assert sorted(found) == [t.mask for t in exhaustive_sp_family(n)]
 
 
 def test_exhaustive_family_members_pass_checker():

@@ -11,16 +11,17 @@ repeats.  The library calls are tabulation, the strategy-proofness check,
 extraction and representation of two tables (n=200 and n=500),
 canonicalization of a seeded 300-entry sequence at n=500 and of the
 constant rule at n=3000, enumeration at n=10, 12 and 14, and the
-exhaustive strategy-proof filter at n=5.  The `parse_table.*` timings
+exhaustive strategy-proof search at n=5.  The `parse_table.*` timings
 read a count table at n=140 and a full table at n=8 from text and from
 JSON, files in the canonical order that are read in whole-table passes,
-and the count table at n=140 with its entries shuffled, which is read
-entry by entry; the `format_family.*` timings write the family at n=12
-as text and as JSON.  The `enum.*` timings run what the `enum` command runs at
-n=10, 11, 12 and 14 in both formats, with the output dropped instead of
-written.  The `startup.*` timings are the wall times of a fresh
-interpreter that imports quotamaj, and of one small command per CLI
-verb, each run as a subprocess on the sources of the imported quotamaj.
+the count table at n=140 with its entries shuffled, which is read entry
+by entry, and a text count table at n=1000 in both orders; the
+`format_family.*` timings write the family at n=12 as text and as JSON.
+The `enum.*` timings run what the `enum` command runs at n=10, 11, 12
+and 14 in both formats, with the output dropped instead of written.
+The `startup.*` timings are the wall times of a fresh interpreter that
+imports quotamaj, and of one small command per CLI verb, each run as a
+subprocess on the sources of the imported quotamaj.
 
 With `--against <rev>`, the script also exports the tree of git
 revision <rev> into a temporary directory and times every case on both
@@ -180,6 +181,17 @@ def shuffled_cases() -> list[tuple[str, object]]:
     ]
 
 
+def large_parse_cases(n: int = 1000) -> list[tuple[str, object]]:
+    """parse_table on a text count table, in the canonical order and with
+    its entries shuffled; at n=1000 it has 501,501 entries, where the
+    reader's per-entry objects dominate."""
+    text = format_count_table(to_table(QuotaSeq(n, (n // 2, 7 * n // 10, 3 * n // 10, n + 1))))
+    return [
+        (f"parse_table.count.n{n}.text", partial(parse_table, text)),
+        (f"parse_table.count.n{n}.shuffled.text", partial(parse_table, shuffled(text, RANDOM_SEED))),
+    ]
+
+
 def family_cases() -> list[tuple[str, object]]:
     """format_family on the family at n=12, in both formats."""
     family = enumerate_all(12)
@@ -276,7 +288,8 @@ def startup_timings(repeats: int) -> dict[str, float]:
 def all_cases(work: Path) -> list[tuple[str, object]]:
     """Every case this script times, in the order of its output."""
     return [
-        *baseline_cases(), *parse_cases(), *shuffled_cases(), *family_cases(), *enum_cases(),
+        *baseline_cases(), *parse_cases(), *shuffled_cases(), *large_parse_cases(), *family_cases(),
+        *enum_cases(),
         *startup_cases(work),
     ]
 
