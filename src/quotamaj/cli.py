@@ -1,7 +1,12 @@
 """Command-line front end.
 
 Each command imports the library modules it runs only when it runs, so
-start-up loads no code that the command does not execute.
+start-up loads no code that the command does not execute.  Each command's
+options are declared once, in `_COMMANDS`.  A command line that is just
+the command and its full flags, each with a well-formed value, is read
+straight from that table; every other line, help and usage errors among
+them, goes to argparse, which is built from the same table and loaded
+only then.
 
 Exit codes: 0 success, 1 the reader closed the output, 2 invalid input,
 3 a checked property is violated, 4 an exhaustive search exceeded its budget.
@@ -9,21 +14,11 @@ Exit codes: 0 success, 1 the reader closed the output, 2 invalid input,
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
-from .core import (
-    FORMATS,
-    TEXT,
-    Alternative,
-    CountProfile,
-    CountTable,
-    FullTable,
-    QuotaSeq,
-    SearchBudgetExceeded,
-    _check_society,
-)
+from .core import FORMATS, Alternative, CountProfile, QuotaSeq, SearchBudgetExceeded, _check_society
 
 OK = 0
 OUTPUT_CLOSED = 1
@@ -80,6 +75,7 @@ def _load_table(path: str) -> CountTable | FullTable:
 
 
 def _as_count_table(table: CountTable | FullTable) -> CountTable:
+    from .tables import CountTable
     if isinstance(table, CountTable):
         return table
     from . import oracle
@@ -158,6 +154,7 @@ def cmd_count(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import oracle
+    from .tables import FullTable
     table = _load_table(args.table)
     violated = False
     if isinstance(table, FullTable):
@@ -227,55 +224,49 @@ def cmd_convert(args) -> int:
     raise ValueError("convert needs a sequence (to a rule) or --r/--thresholds (to a sequence)")
 
 
-def _sequence_source(p) -> None:
-    p.add_argument("--quotas", help="comma-separated quota sequence")
-    p.add_argument("--seq-file", help="sequence file (n=<size> header, one quota line)")
+#: The options that every command reading a quota sequence takes, as
+#: flag -> (int or str, whether required, choices or None, help).
+_SEQUENCE = {
+    "--n": (int, False, None, "society size (or taken from --seq-file)"),
+    "--quotas": (str, False, None, "comma-separated quota sequence"),
+    "--seq-file": (str, False, None, "sequence file (n=<size> header, one quota line)"),
+}
+_TABLE_OPTION = {"--table": (str, True, None, "table file (count or full, text or JSON)")}
 
-
-def _eval_options(p) -> None:
-    _sequence_source(p)
-    p.add_argument("--na", type=int, required=True, help="supporters of a")
-    p.add_argument("--nb", type=int, required=True, help="supporters of b")
-
-
-def _canon_options(p) -> None:
-    _sequence_source(p)
-    p.add_argument("--subset", help="comma-separated subset of {1..n}, or '-' for empty")
-    p.add_argument("--default", help="default outcome for --subset (a or b; b if omitted)")
-
-
-def _enum_options(p) -> None:
-    p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--format", choices=FORMATS, default=TEXT)
-
-
-def _table_option(p) -> None:
-    p.add_argument("--table", required=True, help="table file (count or full, text or JSON)")
-
-
-def _convert_options(p) -> None:
-    _sequence_source(p)
-    p.add_argument("--default", help="rule default (a or b)")
-    p.add_argument("--r", type=int, help="rule indifference quota")
-    p.add_argument("--thresholds", help="comma-separated rule thresholds")
-
-
-#: Each command's function, help, whether --n is required (True), optional
-#: or absent (False), and the adder of its other options.
+#: Each command's function, help and options, as in `_SEQUENCE`; an
+#: option with choices defaults to the first, any other to None.
 _COMMANDS = {
-    "eval": (cmd_eval, "evaluate a sequence on one count profile", "optional", _eval_options),
-    "canon": (cmd_canon, "reduce a sequence to proper form, or build one from a subset", "optional", _canon_options),
-    "enum": (cmd_enum, "enumerate the full rule family", True, _enum_options),
-    "count": (cmd_count, "print the number of rules, 2^(n+1)", True, None),
-    "verify": (cmd_verify, "check anonymity, strategy-proofness, and ontoness of a table", False, _table_option),
-    "represent": (cmd_represent, "extract the proper sequence from a table", False, _table_option),
-    "convert": (cmd_convert, "convert between a proper sequence and an indifference-quota rule", "optional", _convert_options),
+    "eval": (cmd_eval, "evaluate a sequence on one count profile", {
+        **_SEQUENCE,
+        "--na": (int, True, None, "supporters of a"),
+        "--nb": (int, True, None, "supporters of b"),
+    }),
+    "canon": (cmd_canon, "reduce a sequence to proper form, or build one from a subset", {
+        **_SEQUENCE,
+        "--subset": (str, False, None, "comma-separated subset of {1..n}, or '-' for empty"),
+        "--default": (str, False, None, "default outcome for --subset (a or b; b if omitted)"),
+    }),
+    "enum": (cmd_enum, "enumerate the full rule family", {
+        "--n": (int, True, None, "society size"),
+        "--out": (str, False, None, "output file (default stdout)"),
+        "--format": (str, False, FORMATS, None),
+    }),
+    "count": (cmd_count, "print the number of rules, 2^(n+1)", {"--n": (int, True, None, "society size")}),
+    "verify": (cmd_verify, "check anonymity, strategy-proofness, and ontoness of a table", _TABLE_OPTION),
+    "represent": (cmd_represent, "extract the proper sequence from a table", _TABLE_OPTION),
+    "convert": (cmd_convert, "convert between a proper sequence and an indifference-quota rule", {
+        **_SEQUENCE,
+        "--default": (str, False, None, "rule default (a or b)"),
+        "--r": (int, False, None, "rule indifference quota"),
+        "--thresholds": (str, False, None, "comma-separated rule thresholds"),
+    }),
 }
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of `command` alone; both read a
     command line that starts with `command` alike."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="quotamaj",
         description="Quota-sequence voting rules: evaluate, canonicalize, "
@@ -286,26 +277,57 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # reads the same, and errors still call the argument "command"
     every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-    for name, (fn, help_text, needs_n, options) in _COMMANDS.items():
+    for name, (fn, help_text, options) in _COMMANDS.items():
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        if needs_n == "optional":
-            p.add_argument("--n", type=int, help="society size (or taken from --seq-file)")
-        elif needs_n:
-            p.add_argument("--n", type=int, required=True, help="society size")
-        if options is not None:
-            options(p)
+        for flag, (kind, required, choices, option_help) in options.items():
+            p.add_argument(flag, type=kind, required=required, choices=choices,
+                           default=choices[0] if choices else None, help=option_help)
     return parser
+
+
+def _read_command_line(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that argparse makes of `<command> (--flag value)*`,
+    when each flag is the full name of an option of the command, given
+    once, every required option is given and every value is well formed;
+    None for any other line."""
+    options = _COMMANDS[argv[0]][2] if argv and argv[0] in _COMMANDS else {}
+    given = dict(zip(argv[1::2], argv[2::2]))
+    # a word without a pair, a repeated flag, or one abbreviated, misspelled or no flag at all
+    if not options or len(argv) != 2 * len(given) + 1 or not given.keys() <= options.keys():
+        return None
+    args = SimpleNamespace(command=argv[0], fn=_COMMANDS[argv[0]][0])
+    for flag, (kind, required, choices, _) in options.items():
+        value = given.get(flag)
+        if value is None:
+            if required:
+                return None
+            value = choices[0] if choices else None
+        # argparse reads a leading '-' by rules of its own, as a flag or a
+        # negative number; the bare '-' is a value
+        elif value.startswith("-") and (flag, value) != ("--subset", "-"):
+            return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a first word that names a command can only be that command: the
-    # parser has no other positional and no option that takes a value
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _read_command_line(argv)
+    if args is None:
+        # a first word that names a command can only be that command: the
+        # parser has no other positional and no option that takes a value
+        parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except SearchBudgetExceeded as err:

@@ -12,7 +12,7 @@ the one map that swaps the alternatives in the package.  Where a sequence
 can decide is found in one place too: `length` finds its first terminal,
 and `_escape_sides` tells which later entries escape the earlier range.
 A rule's table is one staircase, the row lengths of `_staircase`, and
-only `to_table` turns it into an n² mask.  Extraction and the
+only `to_table` turns it into an n² mask, so only it loads `tables`.  Extraction and the
 indifference-quota rules share the level maps: `_row_thresholds` reads
 each indifference row's least winning a-support off the staircase, and
 `_interleave` turns (ell, k) levels back into a sequence.
@@ -20,7 +20,7 @@ each indifference row's least winning a-support off the staircase, and
 
 from __future__ import annotations
 
-from .core import Alternative, CountProfile, CountTable, QuotaSeq, _mirror, _prefix_rows, check_table_size
+from .core import Alternative, CountProfile, QuotaSeq, _mirror, check_table_size
 
 
 def _decide(quotas: tuple[int, ...], n: int, na: int, nb: int) -> tuple[int, Alternative]:
@@ -193,4 +193,5 @@ def _row_thresholds(n: int, lengths: list[int]) -> tuple[int, ...]:
 
 def to_table(seq: QuotaSeq) -> CountTable:
     """Tabulate the rule over every count profile: the mask of its staircase."""
+    from .tables import CountTable, _prefix_rows  # the one function here that makes a table
     return CountTable._from_mask(seq.n, _prefix_rows(seq.n, _staircase(seq)))

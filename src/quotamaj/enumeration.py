@@ -36,7 +36,7 @@ from collections.abc import Iterable
 from itertools import repeat
 from operator import add, itemgetter
 
-from .core import STRUCTURED, TEXT, Alternative, CountTable, QuotaSeq, SearchBudgetExceeded, _check_society, _mirror
+from .core import STRUCTURED, TEXT, Alternative, QuotaSeq, SearchBudgetExceeded, _check_society, _mirror
 
 
 def subset_to_proper(subset: Iterable[int], default: Alternative, n: int) -> QuotaSeq:
@@ -132,6 +132,7 @@ def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountT
     exactly 2**(n+1) pairs.  The tables are built row by row from the
     subsets (see _family_staircases), not by tabulating each sequence.
     """
+    from .tables import CountTable  # `enum` writes letters and loads no table
     # row na of a mask holds the profiles nb < c at bits na*(n+2) + nb
     row_masks = ([((1 << c) - 1) << na * (n + 2) for c in range(n + 2 - na)] for na in range(n + 1))
     masks = map(sum, zip(*_family_staircases(n, row_masks, max_rules)))

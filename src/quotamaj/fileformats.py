@@ -19,7 +19,8 @@ canonical order, as the writers leave it, has the key columns of every
 profile for its n, so the builder compares those once and reads the
 outcome column in whole-table passes; any other file is checked entry by
 entry, which alone names a fault.  Both formats are written by one writer
-from rows that carry an entry's JSON fields, its text key and its outcome.
+from the entries of the format asked for: text lines, or the JSON objects
+that only structured output builds.
 Family files have their own writer, `enumeration._write_family`.
 """
 
@@ -46,24 +47,30 @@ def _parse_header(line: str) -> int:
         raise ValueError(f"bad society size in header {line!r}") from None
 
 
-def _format_table(n: int, rows, fmt: str) -> str:
-    """Either format from (JSON fields, text key, outcome) rows in profile order."""
+def _format_table(n: int, entries: list, fmt: str) -> str:
+    """Either format from its entries in profile order: JSON objects for
+    structured output, text lines for any other."""
     if fmt == STRUCTURED:
         import json
-        entries = [{**fields, "out": o.value} for fields, _, o in rows]
         return json.dumps({"n": n, "entries": entries}, indent=2)
-    return "\n".join([f"n={n}", *[f"{key} {o.value}" for _, key, o in rows]]) + "\n"
+    return "\n".join([f"n={n}", *entries]) + "\n"
 
 
 def format_count_table(table: CountTable, fmt: str = TEXT) -> str:
-    rows = (({"a": p.na, "b": p.nb}, f"{p.na} {p.nb}", o) for p, o in table.items())
-    return _format_table(table.n, rows, fmt)
+    if fmt == STRUCTURED:
+        entries = [{"a": p.na, "b": p.nb, "out": o.value} for p, o in table.items()]
+    else:
+        entries = [f"{p.na} {p.nb} {o.value}" for p, o in table.items()]
+    return _format_table(table.n, entries, fmt)
 
 
 def format_full_table(table: FullTable, fmt: str = TEXT) -> str:
     (profiles,) = _canonical_keys(table.n, None)
-    rows = (({"profile": p}, p, o) for p, o in zip(profiles, table.outcomes))
-    return _format_table(table.n, rows, fmt)
+    if fmt == STRUCTURED:
+        entries = [{"profile": p, "out": o.value} for p, o in zip(profiles, table.outcomes)]
+    else:
+        entries = [f"{p} {o.value}" for p, o in zip(profiles, table.outcomes)]
+    return _format_table(table.n, entries, fmt)
 
 
 def format_sequence(seq: QuotaSeq) -> str:

@@ -34,7 +34,8 @@ import itertools
 from collections.abc import Iterator
 
 from .canonical import canonicalize
-from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value, _check_society, _mirror
+# `CountTable` in annotations is `tables.CountTable`, which `to_table` loads
+from .core import Alternative, CountProfile, QuotaSeq, _Value, _check_society, _mirror
 from .engine import _interleave, _row_thresholds, _staircase, is_proper, to_table
 
 

@@ -1,0 +1,273 @@
+"""Outcome tables, maps from every profile of a society to an alternative.
+
+A `CountTable` is a bitmask over the padded grid of count profiles, a
+`FullTable` one outcome per full profile.  Full per-voter profiles exist
+only so that anonymity itself, and single-voter manipulation, can be
+checked against the raw definitions.  Only code that builds or reads a
+table loads this module: `core` forwards its names here on first use, so
+the commands that build no table (`eval`, `canon`, `convert`, `enum`,
+`count`) do not compile it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections.abc import Callable, Iterator, Mapping
+from enum import Enum
+from functools import lru_cache
+
+from .core import (
+    Alternative, CountProfile, _Value, _check_society, all_count_profiles, check_table_size, count_table_size,
+)
+
+
+class Preference(Enum):
+    """One voter's declaration: prefer a, prefer b, or indifferent."""
+
+    A = "a"
+    B = "b"
+    INDIFFERENT = "i"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+#: A full profile is one Preference per voter, in voter order.
+FullProfile = tuple[Preference, ...]
+
+PREFERENCES = (Preference.A, Preference.B, Preference.INDIFFERENT)
+
+
+def count_of(profile: FullProfile) -> CountProfile:
+    """Summarize a full profile into its anonymous support counts."""
+    return CountProfile(profile.count(Preference.A), profile.count(Preference.B), len(profile))
+
+
+def all_full_profiles(n: int) -> Iterator[FullProfile]:
+    """All 3**n full profiles, in lexicographic (a, b, i) per-voter order."""
+    _check_society(n)
+    return itertools.product(PREFERENCES, repeat=n)
+
+
+_LETTER = {p: p.value for p in PREFERENCES}
+#: A full profile's position in all_full_profiles is its letters read as
+#: base-3 digits, a=0, b=1, i=2, the first voter most significant.
+_BASE3 = str.maketrans("abi", "012")
+
+
+def _full_index(profile: FullProfile) -> int:
+    try:
+        letters = "".join([_LETTER[p] for p in profile])
+    except KeyError as bad:
+        raise ValueError(f"profile item must be a Preference, got {bad.args[0]!r}") from None
+    return int(letters.translate(_BASE3), 3)
+
+
+# A mask is built as a string of '0'/'1' digits and parsed once: summing
+# n shifted rows would cost n times the size of the mask.
+
+
+@lru_cache(maxsize=4)  # an entry holds (n+2)**2 characters
+def _row_digits(n: int) -> tuple[str, ...]:
+    """For c = 0..n+1, the digits of a grid row that holds the profiles nb < c,
+    most significant digit first."""
+    width = n + 2
+    return tuple(["0" * (width - c) + "1" * c for c in range(n + 2)])
+
+
+def _prefix_rows(n: int, lengths: list[int]) -> int:
+    """Grid mask whose row na holds the profiles nb < lengths[na]."""
+    # most significant row first; about twice as fast as filling _blank_digits
+    return int("".join(map(_row_digits(n).__getitem__, reversed(lengths))), 2)
+
+
+def _blank_digits(n: int) -> bytearray:
+    """All-'0' digits of the padded grid; character na*(n+2) + nb is profile (na, nb)."""
+    return bytearray(b"0" * ((n + 1) * (n + 2)))
+
+
+@lru_cache(maxsize=16)
+def _rows(n: int) -> tuple[slice, ...]:
+    """For each na, the slice of the digits holding the profiles (na, nb), nb = 0..n-na."""
+    return tuple(slice(na * (n + 2), na * (n + 2) + n + 1 - na) for na in range(n + 1))
+
+
+def _parse_digits(digits: bytearray) -> int:
+    # character i is bit i, so the least significant digit comes first
+    return int(digits[::-1], 2)
+
+
+def _place_rows(n: int, cells: bytes) -> int:
+    """Grid mask from one b'1' (a wins) or b'0' per profile, in the
+    all_count_profiles order."""
+    width = n + 2
+    digits = _blank_digits(n)
+    start = 0
+    for na in range(n + 1):
+        stop = start + n + 1 - na
+        digits[na * width : na * width + stop - start] = cells[start:stop]
+        start = stop
+    return _parse_digits(digits)
+
+
+@lru_cache(maxsize=16)
+def _grid(n: int) -> tuple[int, int]:
+    """Width n+2 of the padded grid of profiles and the mask of its valid bits.
+
+    Profile (na, nb) is bit na*(n+2) + nb.  The spare column n+1 is never
+    valid, so no shift by less than a row wraps a profile into the next row.
+    """
+    return n + 2, _prefix_rows(n, [n + 1 - na for na in range(n + 1)])
+
+
+_DIGIT = {Alternative.A: b"1", Alternative.B: b"0"}
+_OUTCOME = {"1": Alternative.A, "0": Alternative.B}
+_LETTERS = str.maketrans("10", "ab")
+
+
+def _check_outcomes(outcomes: tuple[Alternative, ...]) -> None:
+    """Raise ValueError naming the first outcome that is not an Alternative."""
+    outcomes = tuple(outcomes)  # any sequence; no copy of a tuple
+    # count compares by identity first, so no Enum is hashed
+    if outcomes.count(Alternative.A) + outcomes.count(Alternative.B) != len(outcomes):
+        bad = next(o for o in outcomes if o is not Alternative.A and o is not Alternative.B)
+        raise ValueError(f"outcome must be an Alternative, got {bad!r}")
+
+
+class CountTable(_Value):
+    """Total map from every count profile of a society to an alternative.
+
+    The table is stored as the set of profiles that a wins, a bitmask over
+    the padded grid of `_grid`: profile (na, nb) is bit na*(n+2) + nb.
+    Equal tables have equal masks, which makes tables directly comparable
+    and hashable; the outcomes in the all_count_profiles order are a view.
+    """
+
+    __slots__ = ("n", "mask")
+
+    def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
+        _check_society(n)
+        if len(outcomes) != count_table_size(n):
+            raise ValueError(
+                f"expected {count_table_size(n)} outcomes for n={n}, got {len(outcomes)}"
+            )
+        _check_outcomes(outcomes)
+        super().__init__(n, _place_rows(n, b"".join([_DIGIT[o] for o in outcomes])))
+
+    @classmethod
+    def _from_mask(cls, n: int, mask: int) -> "CountTable":
+        # trusted: the caller built mask inside the valid profiles of _grid(n)
+        table = object.__new__(cls)
+        object.__setattr__(table, "n", n)
+        object.__setattr__(table, "mask", mask)
+        return table
+
+    def __reduce__(self):
+        return CountTable._from_mask, (self.n, self.mask)
+
+    @classmethod
+    def from_function(cls, n: int, rule: Callable[[CountProfile], Alternative]) -> "CountTable":
+        check_table_size(n)
+        return cls(n, tuple(rule(p) for p in all_count_profiles(n)))
+
+    @classmethod
+    def from_mapping(cls, n: int, outcomes: Mapping[tuple[int, int], Alternative]) -> "CountTable":
+        # checked before anything is allocated: n may come from an untrusted header
+        _check_society(n)
+        if len(outcomes) != count_table_size(n):
+            raise ValueError(
+                f"table for n={n} needs {count_table_size(n)} entries, got {len(outcomes)}"
+            )
+        # as many distinct keys as profiles, each a profile, is every profile once
+        width = n + 2
+        digits = _blank_digits(n)
+        for (na, nb), outcome in outcomes.items():
+            if na < 0 or nb < 0 or na + nb > n:
+                raise ValueError(f"table entry ({na}, {nb}) is not a count profile for n={n}")
+            if outcome is Alternative.A:
+                digits[na * width + nb] = ord("1")
+            elif outcome is not Alternative.B:
+                raise ValueError(f"outcome must be an Alternative, got {outcome!r}")
+        return cls._from_mask(n, _parse_digits(digits))
+
+    def bit_string(self) -> str:
+        """The mask as '0'/'1' characters; character na*(n+2) + nb is profile (na, nb)."""
+        n = self.n
+        return format(self.mask, f"0{(n + 1) * (n + 2)}b")[::-1]
+
+    def _staircase(self) -> list[int] | None:
+        """Row lengths c_0..c_n, a winning (na, nb) exactly when nb < c_na, or
+        None when a row is no prefix; `_prefix_rows` is the inverse."""
+        width = self.n + 2
+        bits = self.bit_string()
+        lengths = []
+        for start in range(0, len(bits), width):
+            # the spare column is '0', so every row has a first '0'
+            c = bits.index("0", start)
+            if bits.find("1", c, start + width) >= 0:
+                return None
+            lengths.append(c - start)
+        return lengths
+
+    def _cells(self) -> str:
+        # one '0'/'1' per profile, in the all_count_profiles order
+        return "".join(map(self.bit_string().__getitem__, _rows(self.n)))
+
+    @property
+    def outcomes(self) -> tuple[Alternative, ...]:
+        """Outcomes in the all_count_profiles order."""
+        return tuple(map(_OUTCOME.__getitem__, self._cells()))
+
+    def outcome(self, na: int, nb: int) -> Alternative:
+        if na < 0 or nb < 0 or na + nb > self.n:
+            raise ValueError(f"({na}, {nb}) is not a count profile for n={self.n}")
+        return Alternative.A if self.mask >> (na * (self.n + 2) + nb) & 1 else Alternative.B
+
+    def items(self) -> Iterator[tuple[CountProfile, Alternative]]:
+        return zip(all_count_profiles(self.n), self.outcomes)
+
+    def outcome_string(self) -> str:
+        """Outcomes as a compact 'abba...' string in canonical profile order."""
+        return self._cells().translate(_LETTERS)
+
+
+def _check_full_size(n: int, entries: int) -> None:
+    """Refuse a full table for n voters unless it has 3**n entries.
+
+    n may come from an untrusted header, so 3**n is formed only for an n
+    that `entries` can match.
+    """
+    _check_society(n)
+    if n >= entries.bit_length() or 3**n != entries:
+        raise ValueError(f"table for n={n} needs 3**{n} entries, got {entries}")
+
+
+class FullTable(_Value):
+    """Total map from every full profile of length n to an alternative."""
+
+    __slots__ = ("n", "outcomes")
+
+    def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
+        super().__init__(n, outcomes if isinstance(outcomes, tuple) else tuple(outcomes))
+        _check_full_size(self.n, len(self.outcomes))
+        _check_outcomes(self.outcomes)
+
+    @classmethod
+    def from_function(cls, n: int, rule: Callable[[FullProfile], Alternative]) -> "FullTable":
+        return cls(n, tuple(rule(p) for p in all_full_profiles(n)))
+
+    @classmethod
+    def from_mapping(cls, n: int, outcomes: Mapping[FullProfile, Alternative]) -> "FullTable":
+        _check_full_size(n, len(outcomes))
+        try:
+            return cls(n, tuple(outcomes[p] for p in all_full_profiles(n)))
+        except KeyError as missing:
+            raise ValueError(f"table is missing profile {missing.args[0]}") from None
+
+    def outcome(self, profile: FullProfile) -> Alternative:
+        if len(profile) != self.n:
+            raise ValueError(f"profile length {len(profile)} does not match n={self.n}")
+        return self.outcomes[_full_index(profile)]
+
+    def items(self) -> Iterator[tuple[FullProfile, Alternative]]:
+        return zip(all_full_profiles(self.n), self.outcomes)

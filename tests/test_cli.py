@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -545,3 +546,55 @@ def test_full_table_size_check_keeps_small_tables_exact(tmp_path, capsys):
     path.write_text("n=2\n" + "".join(f"{p}{q} a\n" for p in "abi" for q in "ab"))
     code, out, err = run(capsys, "verify", "--table", str(path))
     assert code == INVALID_INPUT and out == "" and "needs 3**2 entries, got 6" in err
+
+
+def command_lines_written_in(path):
+    """The command lines that the test file at `path` writes out: the
+    arguments after capsys of each `run` call, and each list that holds a
+    string; an argument computed when the test runs reads 'FILE'."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run":
+            words = node.args[1:]
+        elif isinstance(node, ast.List) and any(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+            words = node.elts
+        else:
+            continue
+        lines.append([e.value if isinstance(e, ast.Constant) and isinstance(e.value, str) else "FILE" for e in words])
+    return lines
+
+
+def test_the_table_reader_reads_every_written_command_line_as_argparse_does():
+    from quotamaj import cli
+
+    tests = Path(__file__).resolve().parent
+    accepted = 0
+    for argv in command_lines_written_in(tests / "test_cli.py") + command_lines_written_in(tests / "test_package.py"):
+        args = cli._read_command_line(argv)
+        if args is not None:
+            accepted += 1
+            assert vars(args) == vars(cli._build_parser().parse_args(argv)), argv
+    assert accepted >= 50
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--tab", "worked.tbl"],
+        ["count", "--n=5"],
+        ["count", "--n", "3", "--n", "4"],
+        ["canon", "--n", "3", "--quotas", "-1,2"],
+        ["count", "--n", "-3"],
+        ["count", "--n", "3", "--"],
+        ["canon", "--n", "3", "--quotas", "--"],
+        ["canon", "--n", "3", "--quotas", "-"],
+        ["verify", "--n", "3"],
+        ["enum", "--n", "3", "--format", "xml"],
+    ],
+    ids=["abbreviated", "equals", "repeated", "negative-list", "negative-int", "trailing-dashes",
+         "dashes-value", "dash-value", "foreign-flag", "bad-choice"],
+)
+def test_the_table_reader_leaves_every_other_line_to_argparse(argv):
+    from quotamaj import cli
+
+    assert cli._read_command_line(argv) is None

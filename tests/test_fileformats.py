@@ -254,3 +254,13 @@ def test_no_canonical_columns_for_a_header_the_entry_count_does_not_match(text):
     with pytest.raises(ValueError, match="needs"):
         parse_table(text)
     assert fileformats._canonical_keys.cache_info().currsize == 0
+
+
+def test_formatting_tables_for_many_sizes_keeps_a_few_profile_lists():
+    from quotamaj import core
+
+    for n in range(1, 40):
+        for fmt in (TEXT, STRUCTURED):
+            format_count_table(to_table(QuotaSeq(n, (n + 1,))), fmt)
+    info = core.all_count_profiles.cache_info()
+    assert info.maxsize <= 4 and info.currsize <= info.maxsize

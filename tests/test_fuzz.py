@@ -23,7 +23,7 @@ from quotamaj import (
     subset_to_proper,
     to_table,
 )
-from quotamaj.cli import main
+from quotamaj.cli import _build_parser, _read_command_line, main
 from quotamaj.fileformats import (
     STRUCTURED,
     TEXT,
@@ -195,3 +195,12 @@ def test_cli_ends_in_a_documented_exit_code(command_line):
             except SystemExit as exit_:  # argparse rejects the command line
                 code = exit_.code
     assert code in EXIT_CODES
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_lines())
+def test_the_table_reader_reads_generated_command_lines_as_argparse_does(command_line):
+    argv, _ = command_line
+    args = _read_command_line(argv)
+    if args is not None:
+        assert vars(args) == vars(_build_parser().parse_args(argv))

@@ -171,8 +171,9 @@ def test_layers_startup_runs_one_command_per_cli_verb():
     layers = load_tool()
     commands = layers.startup_commands("worked.tbl")
     verbs = ["eval", "canon", "enum", "count", "verify", "represent", "convert"]
-    assert sorted(commands) == sorted(["startup.import", *(f"startup.{verb}" for verb in verbs)])
-    assert all(commands[f"startup.{verb}"][2] == verb for verb in verbs)
+    shapes = ["canon.subset", "canon.seq_file", "verify.json", "enum.structured", "convert.rule"]
+    assert sorted(commands) == sorted(["startup.import", *(f"startup.{name}" for name in verbs + shapes)])
+    assert all(commands[f"startup.{name}"][2] == name.partition(".")[0] for name in verbs + shapes)
     timings = layers.startup_timings(repeats=1)
     assert list(timings) == list(commands) and all(seconds > 0 for seconds in timings.values())
 

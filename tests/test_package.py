@@ -216,8 +216,8 @@ LOADS = {
     "canon-subset": {"enumeration"},
     "enum": {"enumeration"},
     "enum-structured": {"enumeration"},
-    "verify": {"fileformats", "oracle"},
-    "represent": {"canonical", "engine", "extraction", "fileformats", "oracle"},
+    "verify": {"fileformats", "oracle", "tables"},
+    "represent": {"canonical", "engine", "extraction", "fileformats", "oracle", "tables"},
     # both directions: `convert --quotas` runs no canonicalization, but the
     # module that holds both directions loads `canonical` for the other
     "convert": {"canonical", "engine", "lp"},
@@ -233,3 +233,28 @@ def test_each_command_loads_exactly_the_modules_it_runs(tmp_path, command):
     package = {m for m in modules if m.split(".")[0] == "quotamaj"}
     assert package == {"quotamaj", "quotamaj.cli", "quotamaj.core", *(f"quotamaj.{m}" for m in LOADS[command])}
     assert "json" not in modules  # the tables here are text, and the family writer lays out its own JSON
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_command_loads_argparse_gettext_or_locale(tmp_path, command):
+    # each of these lines is read from the option table, not by argparse
+    argv, _ = COMMANDS[command]
+    table = write_table(tmp_path)
+    modules, _ = loaded_by(tmp_path, CHILD, *[table if a == "TABLE" else a for a in argv])
+    assert not modules & {"argparse", "gettext", "locale"}
+
+
+def test_help_still_comes_from_argparse(tmp_path, monkeypatch):
+    from quotamaj.cli import _build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal's width
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "quotamaj", "-h"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == _build_parser().format_help()

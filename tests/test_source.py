@@ -64,6 +64,7 @@ TOP_LEVEL_IMPORTS = {
     "fileformats": {"core"},
     "lp": {"canonical", "core", "engine"},
     "oracle": {"core"},
+    "tables": {"core"},
 }
 
 
@@ -75,3 +76,18 @@ def test_each_module_imports_only_its_layers_at_top_level():
 def test_the_duality_map_is_one_function():
     from quotamaj import core, engine
     assert engine._mirror is core._mirror
+
+
+def test_core_forwards_every_name_the_table_layer_defines():
+    from quotamaj import core, tables
+
+    defined = set()
+    for node in ast.parse((SOURCE / "tables.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {target.id for target in node.targets}
+    assert core._TABLE_NAMES == defined
+    assert all(getattr(core, name) is getattr(tables, name) for name in defined)
+    # no other name: the import system asks every module for __path__
+    assert not hasattr(core, "__path__") and not hasattr(core, "no_such_name")

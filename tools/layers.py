@@ -20,8 +20,11 @@ by entry, and a text count table at n=1000 in both orders; the
 The `enum.*` timings run what the `enum` command runs at n=10, 11, 12
 and 14 in both formats, with the output dropped instead of written.
 The `startup.*` timings are the wall times of a fresh interpreter that
-imports quotamaj, and of one small command per CLI verb, each run as a
-subprocess on the sources of the imported quotamaj.
+imports quotamaj, of one small command per CLI verb, and of the other
+command shapes the CLI benchmark sends (`canon --subset`, `canon
+--seq-file`, `verify` on a JSON table, `enum --format structured` and
+`convert` from a rule), each run as a subprocess on the sources of the
+imported quotamaj.
 
 With `--against <rev>`, the script also exports the tree of git
 revision <rev> into a temporary directory and times every case on both
@@ -227,8 +230,10 @@ def enum_cases() -> list[tuple[str, object]]:
 
 
 def startup_commands(table: str) -> dict[str, list[str]]:
-    """Interpreter arguments of the bare import and of one small command per
-    CLI verb; `table` names a count-table file."""
+    """Interpreter arguments of the bare import, of one small command per
+    CLI verb, and of the other command shapes that the CLI benchmark sends;
+    `table` names a text count-table file, which `worked_table` writes next
+    to its JSON form and to a sequence file."""
     worked = ["--n", "11", "--quotas", "5,2,12"]
     verbs = {
         "eval": ["eval", *worked, "--na", "3", "--nb", "6"],
@@ -238,6 +243,11 @@ def startup_commands(table: str) -> dict[str, list[str]]:
         "represent": ["represent", "--table", table],
         "convert": ["convert", *worked],
         "enum": ["enum", "--n", "10"],
+        "canon.subset": ["canon", "--n", "11", "--subset", "2,5", "--default", "b"],
+        "canon.seq_file": ["canon", "--seq-file", str(Path(table).with_suffix(".seq"))],
+        "verify.json": ["verify", "--table", str(Path(table).with_suffix(".json"))],
+        "enum.structured": ["enum", "--n", "10", "--format", "structured"],
+        "convert.rule": ["convert", "--n", "11", "--default", "a", "--r", "3", "--thresholds", "1,2,2"],
     }
     return {
         "startup.import": ["-c", "import quotamaj"],
@@ -246,10 +256,15 @@ def startup_commands(table: str) -> dict[str, list[str]]:
 
 
 def worked_table(work: Path) -> str:
-    """Write the count table of the worked rule into `work`; return its path."""
-    table = work / "worked.tbl"
-    table.write_text(format_count_table(to_table(QuotaSeq(11, (5, 2, 12)))), encoding="utf-8")
-    return str(table)
+    """Write the count table of the worked rule into `work` as text and as
+    JSON, and the rule padded with a dominated entry as a sequence file;
+    return the text table's path."""
+    table = to_table(QuotaSeq(11, (5, 2, 12)))
+    (work / "worked.json").write_text(format_count_table(table, STRUCTURED), encoding="utf-8")
+    (work / "worked.seq").write_text("n=11\n5,2,7,12\n", encoding="utf-8")
+    path = work / "worked.tbl"
+    path.write_text(format_count_table(table), encoding="utf-8")
+    return str(path)
 
 
 def startup_cases(work: Path) -> list[tuple[str, object]]:
