@@ -69,22 +69,18 @@ def _load_sequence(args) -> QuotaSeq:
     return QuotaSeq(args.n, _parse_ints(args.quotas, "--quotas"))
 
 
-def _load_table(path: str) -> CountTable | FullTable:
-    from . import fileformats
-    return fileformats.parse_table(_read_file(path, "table"))
-
-
-def _as_count_table(table: CountTable | FullTable) -> CountTable:
+def _load_counts(path: str) -> tuple[CountTable | FullTable, CountTable | None]:
+    """The table in the file at `path` and its count table: the table
+    itself, the reduction of an anonymous full table, or None."""
+    from . import fileformats, oracle
     from .tables import CountTable
+    table = fileformats.parse_table(_read_file(path, "table"))
     if isinstance(table, CountTable):
-        return table
-    from . import oracle
+        return table, table
     try:
-        return oracle.reduce_to_counts(table)
-    except ValueError:
-        raise PropertyViolated(
-            "table is not anonymous: two profiles with equal counts disagree"
-        ) from None
+        return table, oracle.reduce_to_counts(table)
+    except ValueError:  # not anonymous
+        return table, None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -154,39 +150,25 @@ def cmd_count(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import oracle
-    from .tables import FullTable
-    table = _load_table(args.table)
-    violated = False
-    if isinstance(table, FullTable):
-        try:
-            counts = oracle.reduce_to_counts(table)
-        except ValueError:
-            counts = None
-        print(f"anonymous: {'no' if counts is None else 'yes'}")
-        if counts is not None:
-            witness = oracle.find_manipulation(counts)
-        else:
-            violated = True
-            witness = oracle.find_manipulation_full(table)
-    else:
-        counts = table
+    table, counts = _load_counts(args.table)
+    if counts is table:
         print("anonymous: yes (count table)")
-        witness = oracle.find_manipulation(counts)
-    if witness is None:
-        print("strategy-proof: yes")
     else:
-        violated = True
-        print(f"strategy-proof: no ({witness})")
+        print(f"anonymous: {'no' if counts is None else 'yes'}")
+    witness = oracle.find_manipulation_full(table) if counts is None else oracle.find_manipulation(counts)
+    print("strategy-proof: yes" if witness is None else f"strategy-proof: no ({witness})")
     if counts is not None:
         print(f"onto: {'yes' if oracle.is_onto(counts) else 'no'}")
-    if violated:
+    if counts is None or witness is not None:
         raise PropertyViolated("verification found a counterexample")
     return OK
 
 
 def cmd_represent(args) -> int:
     from . import extraction
-    counts = _as_count_table(_load_table(args.table))
+    counts = _load_counts(args.table)[1]
+    if counts is None:
+        raise PropertyViolated("table is not anonymous: two profiles with equal counts disagree")
     try:
         levels = extraction.extract(counts)
     except extraction.NotStrategyProof as err:

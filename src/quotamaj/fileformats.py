@@ -18,9 +18,9 @@ every check on the entries and builds either table kind.  A file in the
 canonical order, as the writers leave it, has the key columns of every
 profile for its n, so the builder compares those once and reads the
 outcome column in whole-table passes; any other file is checked entry by
-entry, which alone names a fault.  Both formats are written by one writer
-from the entries of the format asked for: text lines, or the JSON objects
-that only structured output builds.
+entry, which alone names a fault.  One writer writes both table kinds in
+both formats: it zips the same canonical key columns with the table's
+outcome letters.
 Family files have their own writer, `enumeration._write_family`.
 """
 
@@ -30,8 +30,8 @@ import itertools
 from functools import lru_cache
 from operator import itemgetter
 
-from .core import STRUCTURED, TEXT, Alternative, CountTable, FullTable, QuotaSeq, _BASE3, _check_full_size
-from .core import _place_rows, count_table_size
+# the table layer is loaded by the table readers alone, so reading a sequence file does not load it
+from .core import STRUCTURED, TEXT, Alternative, QuotaSeq, count_table_size
 
 
 _OUTCOMES = {"a": Alternative.A, "b": Alternative.B}
@@ -47,30 +47,26 @@ def _parse_header(line: str) -> int:
         raise ValueError(f"bad society size in header {line!r}") from None
 
 
-def _format_table(n: int, entries: list, fmt: str) -> str:
-    """Either format from its entries in profile order: JSON objects for
+def _format_table(n: int, fields: tuple[str, ...], keys: tuple[tuple, ...], letters: str, fmt: str) -> str:
+    """Either format from a table's key columns, named `fields`, and its
+    outcome letters, both in the canonical profile order: JSON objects for
     structured output, text lines for any other."""
+    rows = zip(*keys, letters)
     if fmt == STRUCTURED:
         import json
-        return json.dumps({"n": n, "entries": entries}, indent=2)
-    return "\n".join([f"n={n}", *entries]) + "\n"
+        names = (*fields, "out")
+        return json.dumps({"n": n, "entries": [dict(zip(names, row)) for row in rows]}, indent=2)
+    return "\n".join([f"n={n}", *map(" ".join, rows)]) + "\n"
 
 
 def format_count_table(table: CountTable, fmt: str = TEXT) -> str:
-    if fmt == STRUCTURED:
-        entries = [{"a": p.na, "b": p.nb, "out": o.value} for p, o in table.items()]
-    else:
-        entries = [f"{p.na} {p.nb} {o.value}" for p, o in table.items()]
-    return _format_table(table.n, entries, fmt)
+    keys = _canonical_keys(table.n, int if fmt == STRUCTURED else str)
+    return _format_table(table.n, ("a", "b"), keys, table.outcome_string(), fmt)
 
 
 def format_full_table(table: FullTable, fmt: str = TEXT) -> str:
-    (profiles,) = _canonical_keys(table.n, None)
-    if fmt == STRUCTURED:
-        entries = [{"profile": p, "out": o.value} for p, o in zip(profiles, table.outcomes)]
-    else:
-        entries = [f"{p} {o.value}" for p, o in zip(profiles, table.outcomes)]
-    return _format_table(table.n, entries, fmt)
+    letters = "".join([o.value for o in table.outcomes])
+    return _format_table(table.n, ("profile",), _canonical_keys(table.n, None), letters, fmt)
 
 
 def format_sequence(seq: QuotaSeq) -> str:
@@ -123,6 +119,7 @@ def _whole_table(n: int, full: bool, size: int, form, columns):
     outcome column, when the keys are every profile once, in the canonical
     order, and every outcome is 'a' or 'b'; None otherwise, and then the
     per-entry checks name the fault."""
+    from .tables import CountTable, FullTable, _place_rows
     if n < 1:
         return None
     if full:
@@ -159,6 +156,7 @@ def _build_table(n: int, full: bool, size: int, entries, form, columns) -> Count
     table's keys, tells how the file writes them; any other file goes
     through the per-entry checks.
     """
+    from .tables import CountTable, FullTable, _BASE3, _check_full_size
     table = _whole_table(n, full, size, form, columns)
     if table is not None:
         return table

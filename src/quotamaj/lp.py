@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from .canonical import canonicalize
 # `CountTable` in annotations is `tables.CountTable`, which `to_table` loads
 from .core import Alternative, CountProfile, QuotaSeq, _Value, _check_society, _mirror
 from .engine import _interleave, _row_thresholds, _staircase, is_proper, to_table
@@ -127,6 +126,7 @@ def proper_to_lp(seq: QuotaSeq) -> LPRule:
 
 def lp_to_proper(rule: LPRule) -> QuotaSeq:
     """The unique proper sequence whose table equals the rule's table."""
+    from .canonical import canonicalize
     return canonicalize(_sequence(rule).quotas, rule.n)
 
 

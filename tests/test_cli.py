@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from quotamaj import core, oracle
 from quotamaj import Alternative, CountTable, FullTable, Preference, QuotaSeq, enumerate_all, to_table
+from quotamaj import subset_to_proper
 from quotamaj.cli import BUDGET_EXCEEDED, INVALID_INPUT, OK, OUTPUT_CLOSED, PROPERTY_VIOLATED, main
 from quotamaj.fileformats import format_count_table, format_full_table
 from quotamaj.oracle import expand_to_full
@@ -25,6 +27,17 @@ def run(capsys, *argv):
 
 def majority3():
     return CountTable.from_function(3, lambda p: A if p.na > p.nb else B)
+
+
+def manipulable3():
+    def rule(p):
+        if (p.na, p.nb) == (1, 1):
+            return A
+        if (p.na, p.nb) == (2, 1):
+            return B
+        return A if p.na > p.nb else B
+
+    return CountTable.from_function(3, rule)
 
 
 def test_eval_worked_rule(capsys):
@@ -115,15 +128,8 @@ def test_verify_good_table(tmp_path, capsys):
 
 
 def test_verify_manipulable_table(tmp_path, capsys):
-    def rule(p):
-        if (p.na, p.nb) == (1, 1):
-            return A
-        if (p.na, p.nb) == (2, 1):
-            return B
-        return A if p.na > p.nb else B
-
     path = tmp_path / "broken.tbl"
-    path.write_text(format_count_table(CountTable.from_function(3, rule)))
+    path.write_text(format_count_table(manipulable3()))
     code, out, err = run(capsys, "verify", "--table", str(path))
     assert code == PROPERTY_VIOLATED
     assert "strategy-proof: no" in out and "error:" in err
@@ -209,15 +215,8 @@ def test_represent_worked_rule(tmp_path, capsys):
 
 
 def test_represent_manipulable_is_property_violation(tmp_path, capsys):
-    def rule(p):
-        if (p.na, p.nb) == (1, 1):
-            return A
-        if (p.na, p.nb) == (2, 1):
-            return B
-        return A if p.na > p.nb else B
-
     path = tmp_path / "broken.tbl"
-    path.write_text(format_count_table(CountTable.from_function(3, rule)))
+    path.write_text(format_count_table(manipulable3()))
     code, _, err = run(capsys, "represent", "--table", str(path))
     assert code == PROPERTY_VIOLATED and "manipulable" in err
 
@@ -598,3 +597,185 @@ def test_the_table_reader_leaves_every_other_line_to_argparse(argv):
     from quotamaj import cli
 
     assert cli._read_command_line(argv) is None
+
+
+# `verify` and `represent` on count and full tables in both formats, on
+# malformed files and on a full table too large to scan: the outputs and
+# exit codes below were recorded from both commands when each read its
+# table by a path of its own, and one loader must keep them byte for byte.
+
+
+RECORDED_TABLES = {
+    "count-sp": lambda: to_table(QuotaSeq(11, (5, 2, 12))),
+    "count-manipulable": manipulable3,
+    "full-sp": lambda: expand_to_full(majority3()),
+    "full-manipulable": lambda: expand_to_full(manipulable3()),
+    "full-dictator": lambda: FullTable.from_function(2, dictator),
+    "full-contrarian": lambda: FullTable.from_function(2, contrarian),
+}
+MALFORMED = {
+    "empty": "",
+    "header": "m=1\n0 0 b\n0 1 b\n1 0 a\n",
+    "mixed": "n=1\n0 0 b\nab a\n",
+    "outcome": "n=1\n0 0 b\n0 1 c\n1 0 a\n",
+    "missing-entry": "n=1\n0 0 b\n0 1 b\n",
+    "json": '{"n": 1, "entries": [',
+    "json-fields": '{"n": 1}',
+}
+
+
+def recorded_file(case, fmt):
+    """The name of the file of one recorded case, written into the working
+    directory; the case "absent" names no file."""
+    if case == "absent":
+        return "absent.tbl"
+    if case in MALFORMED:
+        text = MALFORMED[case]
+    elif case == "full-dictator-n11":
+        # voter 0 decides: the first third of the profiles starts with a
+        table = FullTable(11, (A,) * 3**10 + (B,) * (2 * 3**10))
+        text = format_full_table(table, fmt)
+    else:
+        table = RECORDED_TABLES[case]()
+        text = (format_count_table if case.startswith("count") else format_full_table)(table, fmt)
+    name = f"{case}.{'json' if fmt == 'structured' else 'tbl'}"
+    Path(name).write_text(text, encoding="utf-8")
+    return name
+
+
+RECORDED = {
+    "verify count-sp text": (0, "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n", ""),
+    "verify count-sp structured": (0, "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n", ""),
+    "verify count-manipulable text": (
+        3, "anonymous: yes (count table)\nstrategy-proof: no (at na=2 nb=1, a-voter misreporting as i turns b into a)\nonto: yes\n",
+        "error: verification found a counterexample\n",
+    ),
+    "verify count-manipulable structured": (
+        3, "anonymous: yes (count table)\nstrategy-proof: no (at na=2 nb=1, a-voter misreporting as i turns b into a)\nonto: yes\n",
+        "error: verification found a counterexample\n",
+    ),
+    "verify full-sp text": (0, "anonymous: yes\nstrategy-proof: yes\nonto: yes\n", ""),
+    "verify full-sp structured": (0, "anonymous: yes\nstrategy-proof: yes\nonto: yes\n", ""),
+    "verify full-manipulable text": (
+        3, "anonymous: yes\nstrategy-proof: no (at na=2 nb=1, a-voter misreporting as i turns b into a)\nonto: yes\n",
+        "error: verification found a counterexample\n",
+    ),
+    "verify full-manipulable structured": (
+        3, "anonymous: yes\nstrategy-proof: no (at na=2 nb=1, a-voter misreporting as i turns b into a)\nonto: yes\n",
+        "error: verification found a counterexample\n",
+    ),
+    "verify full-dictator text": (
+        3, "anonymous: no\nstrategy-proof: yes\n",
+        "error: verification found a counterexample\n",
+    ),
+    "verify full-dictator structured": (
+        3, "anonymous: no\nstrategy-proof: yes\n",
+        "error: verification found a counterexample\n",
+    ),
+    "verify full-contrarian text": (
+        3, "anonymous: no\nstrategy-proof: no (at profile ia, voter 1 (a) misreporting as b turns b into a)\n",
+        "error: verification found a counterexample\n",
+    ),
+    "verify full-contrarian structured": (
+        3, "anonymous: no\nstrategy-proof: no (at profile ia, voter 1 (a) misreporting as b turns b into a)\n",
+        "error: verification found a counterexample\n",
+    ),
+    "verify full-dictator-n11 text": (
+        4, "anonymous: no\n",
+        "error: full manipulation scan for n=11 exceeds the n<=10 guard\n",
+    ),
+    "verify empty text": (2, "", "error: empty table file\n"),
+    "verify header text": (2, "", "error: expected a 'n=<size>' header, got 'm=1'\n"),
+    "verify mixed text": (2, "", "error: table mixes count-profile and full-profile lines\n"),
+    "verify outcome text": (2, "", "error: outcome must be 'a' or 'b', got 'c'\n"),
+    "verify missing-entry text": (2, "", "error: table for n=1 needs 3 entries, got 2\n"),
+    "verify json text": (2, "", "error: bad JSON table: Expecting value: line 1 column 22 (char 21)\n"),
+    "verify json-fields text": (2, "", "error: structured table needs 'n' and 'entries' fields\n"),
+    "verify absent text": (
+        2, "",
+        "error: cannot read table file absent.tbl: [Errno 2] No such file or directory: 'absent.tbl'\n",
+    ),
+    "represent count-sp text": (0, "5,2,12\nx=b; (l,k)=(0,5),(1,4),(2,3),(3,2)\n", ""),
+    "represent count-sp structured": (0, "5,2,12\nx=b; (l,k)=(0,5),(1,4),(2,3),(3,2)\n", ""),
+    "represent count-manipulable text": (
+        3, "",
+        "error: table is manipulable: at na=2 nb=1, a-voter misreporting as i turns b into a\n",
+    ),
+    "represent count-manipulable structured": (
+        3, "",
+        "error: table is manipulable: at na=2 nb=1, a-voter misreporting as i turns b into a\n",
+    ),
+    "represent full-sp text": (0, "2,3,1,4\nx=b; (l,k)=(0,2),(2,1)\n", ""),
+    "represent full-sp structured": (0, "2,3,1,4\nx=b; (l,k)=(0,2),(2,1)\n", ""),
+    "represent full-manipulable text": (
+        3, "",
+        "error: table is manipulable: at na=2 nb=1, a-voter misreporting as i turns b into a\n",
+    ),
+    "represent full-manipulable structured": (
+        3, "",
+        "error: table is manipulable: at na=2 nb=1, a-voter misreporting as i turns b into a\n",
+    ),
+    "represent full-dictator text": (
+        3, "",
+        "error: table is not anonymous: two profiles with equal counts disagree\n",
+    ),
+    "represent full-dictator structured": (
+        3, "",
+        "error: table is not anonymous: two profiles with equal counts disagree\n",
+    ),
+    "represent full-contrarian text": (
+        3, "",
+        "error: table is not anonymous: two profiles with equal counts disagree\n",
+    ),
+    "represent full-contrarian structured": (
+        3, "",
+        "error: table is not anonymous: two profiles with equal counts disagree\n",
+    ),
+    "represent full-dictator-n11 text": (
+        3, "",
+        "error: table is not anonymous: two profiles with equal counts disagree\n",
+    ),
+    "represent empty text": (2, "", "error: empty table file\n"),
+    "represent header text": (2, "", "error: expected a 'n=<size>' header, got 'm=1'\n"),
+    "represent mixed text": (2, "", "error: table mixes count-profile and full-profile lines\n"),
+    "represent outcome text": (2, "", "error: outcome must be 'a' or 'b', got 'c'\n"),
+    "represent missing-entry text": (2, "", "error: table for n=1 needs 3 entries, got 2\n"),
+    "represent json text": (2, "", "error: bad JSON table: Expecting value: line 1 column 22 (char 21)\n"),
+    "represent json-fields text": (2, "", "error: structured table needs 'n' and 'entries' fields\n"),
+    "represent absent text": (
+        2, "",
+        "error: cannot read table file absent.tbl: [Errno 2] No such file or directory: 'absent.tbl'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED))
+def test_verify_and_represent_print_what_they_printed_before(tmp_path, monkeypatch, capsys, key):
+    command, case, fmt = key.split()
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, command, "--table", recorded_file(case, fmt)) == RECORDED[key]
+
+
+def test_represent_refuses_exactly_the_full_tables_verify_finds_not_anonymous(tmp_path, capsys):
+    refused = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            subset = {v for v in range(1, n + 1) if rng.random() < 0.5}
+            count = to_table(subset_to_proper(subset, rng.choice((A, B)), n))
+        else:
+            count = CountTable(n, tuple(rng.choice((A, B)) for _ in range((n + 1) * (n + 2) // 2)))
+        outcomes = list(expand_to_full(count).outcomes)
+        # a flip in a class of one profile, or two that cancel, leave the table anonymous
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i = rng.randrange(len(outcomes))
+            outcomes[i] = outcomes[i].other
+        path = tmp_path / f"full{seed}.tbl"
+        path.write_text(format_full_table(FullTable(n, tuple(outcomes))))
+        _, verified, _ = run(capsys, "verify", "--table", str(path))
+        _, _, err = run(capsys, "represent", "--table", str(path))
+        not_anonymous = err == "error: table is not anonymous: two profiles with equal counts disagree\n"
+        assert ("anonymous: no" in verified.splitlines()) == not_anonymous
+        refused.append(not_anonymous)
+    assert any(refused) and not all(refused)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -16,7 +17,8 @@ from quotamaj.fileformats import (
     parse_sequence,
     parse_table,
 )
-from quotamaj.enumeration import enumerate_all, proper_to_subset
+from quotamaj.enumeration import enumerate_all, proper_to_subset, subset_to_proper
+from quotamaj.oracle import expand_to_full, find_manipulation, find_manipulation_full
 
 A, B = Alternative.A, Alternative.B
 
@@ -264,3 +266,63 @@ def test_formatting_tables_for_many_sizes_keeps_a_few_profile_lists():
             format_count_table(to_table(QuotaSeq(n, (n + 1,))), fmt)
     info = core.all_count_profiles.cache_info()
     assert info.maxsize <= 4 and info.currsize <= info.maxsize
+
+
+# The table writers as they were when each built one entry per profile, the
+# count writer from `table.items()`; the writers that zip the canonical key
+# columns with the outcome letters must write the same bytes.
+
+
+def reference_format_count_table(table, fmt=TEXT):
+    if fmt == STRUCTURED:
+        entries = [{"a": p.na, "b": p.nb, "out": o.value} for p, o in table.items()]
+        return json.dumps({"n": table.n, "entries": entries}, indent=2)
+    return "\n".join([f"n={table.n}", *(f"{p.na} {p.nb} {o.value}" for p, o in table.items())]) + "\n"
+
+
+def reference_format_full_table(table, fmt=TEXT):
+    profiles = map("".join, itertools.product("abi", repeat=table.n))
+    if fmt == STRUCTURED:
+        entries = [{"profile": p, "out": o.value} for p, o in zip(profiles, table.outcomes)]
+        return json.dumps({"n": table.n, "entries": entries}, indent=2)
+    return "\n".join([f"n={table.n}", *(f"{p} {o.value}" for p, o in zip(profiles, table.outcomes))]) + "\n"
+
+
+def writer_tables(n, seed):
+    """A constant, a strategy-proof and a manipulable count table for n."""
+    rng = random.Random(seed)
+    subset = {v for v in range(1, n + 1) if rng.random() < 0.5}
+    proper = to_table(subset_to_proper(subset, rng.choice((A, B)), n))
+    manipulable = random_table("count", n, seed)
+    while find_manipulation(manipulable) is None:  # a coin-flip table almost never is strategy-proof
+        seed += 1
+        manipulable = random_table("count", n, seed)
+    assert find_manipulation(proper) is None
+    return to_table(QuotaSeq(n, (n + 1,))), proper, manipulable
+
+
+@pytest.mark.parametrize("fmt", [TEXT, STRUCTURED])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_count_table_writer_writes_the_reference_bytes(n, fmt):
+    for table in writer_tables(n, seed=n):
+        assert format_count_table(table, fmt) == reference_format_count_table(table, fmt)
+
+
+@pytest.mark.parametrize("fmt", [TEXT, STRUCTURED])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_full_table_writer_writes_the_reference_bytes(n, fmt):
+    constant, proper, _ = map(expand_to_full, writer_tables(n, seed=n))
+    manipulable = random_table("full", n, n)
+    assert find_manipulation_full(proper) is None and find_manipulation_full(manipulable) is not None
+    for table in (constant, proper, manipulable):
+        assert format_full_table(table, fmt) == reference_format_full_table(table, fmt)
+
+
+def test_the_count_table_writer_builds_no_count_profiles():
+    from quotamaj import core
+
+    table = to_table(QuotaSeq(30, (15, 31)))
+    core.all_count_profiles.cache_clear()
+    for fmt in (TEXT, STRUCTURED):
+        format_count_table(table, fmt)
+    assert core.all_count_profiles.cache_info().currsize == 0

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from quotamaj import QuotaSeq, to_table
+from quotamaj.fileformats import parse_table
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "layers.py"
@@ -79,6 +80,19 @@ def test_layers_times_parse_table_on_a_large_count_table_in_both_orders():
     assert canonical() == shuffled() == to_table(QuotaSeq(30, (15, 21, 9, 31)))
 
 
+def test_layers_times_the_table_writers():
+    layers = load_tool()
+    cases = layers.writer_cases(30)
+    assert [name for name, _ in cases] == [
+        "format_count_table.n30.text",
+        "format_count_table.n30.structured",
+        "format_full_table.n8.text",
+    ]
+    count = to_table(QuotaSeq(30, (15, 21, 9, 31)))
+    assert [parse_table(write()) for _, write in cases[:2]] == [count, count]
+    assert parse_table(cases[2][1]()) == dict(layers.parse_cases())["parse_table.full.n8.text"]()
+
+
 def test_layers_times_format_family_in_both_formats():
     layers = load_tool()
     timings = layers.family_timings(repeats=1)
@@ -113,6 +127,7 @@ def test_layers_worker_runs_named_cases_on_its_sources(tmp_path):
     assert {"enumerate_all.n14", "enum.n14.text", "format_family.n12.text", "startup.enum"} <= set(names)
     assert {name for name, _ in layers.shuffled_cases()} <= set(names)
     assert {"parse_table.count.n1000.text", "parse_table.count.n1000.shuffled.text"} <= set(names)
+    assert {"format_count_table.n1000.text", "format_full_table.n8.text"} <= set(names)
     worker = layers.Worker(layers.ROOT / "src", tmp_path)
     try:
         assert worker.cases == names
@@ -185,7 +200,7 @@ def test_layers_records_the_modules_each_startup_command_loads(tmp_path):
     assert loads["startup.import"]["modules"] == ["quotamaj"]
     assert loads["startup.count"]["modules"] == ["quotamaj", "quotamaj.cli", "quotamaj.core"]
     assert loads["startup.convert"]["modules"] == [
-        "quotamaj", "quotamaj.canonical", "quotamaj.cli", "quotamaj.core", "quotamaj.engine", "quotamaj.lp",
+        "quotamaj", "quotamaj.cli", "quotamaj.core", "quotamaj.engine", "quotamaj.lp",
     ]
     lines = layers.source_lines(layers.ROOT)["src_modules"]
     for load in loads.values():

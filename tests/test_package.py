@@ -154,11 +154,20 @@ def write_table(tmp_path):
     return str(path)
 
 
+def command_line(tmp_path, command):
+    """The command's argv, with TABLE and SEQ naming files written into tmp_path."""
+    seq = tmp_path / "worked.seq"
+    seq.write_text("n=11\n5,2,7,12\n")
+    files = {"TABLE": write_table(tmp_path), "SEQ": str(seq)}
+    return [files.get(a, a) for a in COMMANDS[command][0]]
+
+
 COMMANDS = {
     "eval": (["eval", "--n", "11", "--quotas", "5,2,12", "--na", "3", "--nb", "6"], "a (lambda=1)\n"),
     "count": (["count", "--n", "3"], "16\n"),
     "canon": (["canon", "--n", "11", "--quotas", "5,2,7,12"], "5,2,12\n"),
     "canon-subset": (["canon", "--n", "11", "--subset", "2,5"], "5,2,12\n"),
+    "canon-seq-file": (["canon", "--seq-file", "SEQ"], "5,2,12\n"),
     "enum": (["enum", "--n", "2"], None),
     "enum-structured": (["enum", "--n", "2", "--format", "structured"], None),
     "verify": (["verify", "--table", "TABLE"], None),
@@ -170,10 +179,9 @@ COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_no_command_loads_dataclasses_inspect_or_typing(tmp_path, command):
-    argv, expected = COMMANDS[command]
-    table = write_table(tmp_path)
-    modules, out = loaded_by(tmp_path, CHILD, *[table if a == "TABLE" else a for a in argv])
+    modules, out = loaded_by(tmp_path, CHILD, *command_line(tmp_path, command))
     assert not modules & HEAVY
+    expected = COMMANDS[command][1]
     if expected is not None:
         assert out == expected
 
@@ -214,22 +222,22 @@ LOADS = {
     "count": set(),
     "canon": {"canonical", "engine"},
     "canon-subset": {"enumeration"},
+    # the sequence reader, which loads no table layer
+    "canon-seq-file": {"canonical", "engine", "fileformats"},
     "enum": {"enumeration"},
     "enum-structured": {"enumeration"},
     "verify": {"fileformats", "oracle", "tables"},
     "represent": {"canonical", "engine", "extraction", "fileformats", "oracle", "tables"},
-    # both directions: `convert --quotas` runs no canonicalization, but the
-    # module that holds both directions loads `canonical` for the other
-    "convert": {"canonical", "engine", "lp"},
+    # `convert --quotas` runs no canonicalization, so only the other
+    # direction loads `canonical`
+    "convert": {"engine", "lp"},
     "convert-rule": {"canonical", "engine", "lp"},
 }
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_each_command_loads_exactly_the_modules_it_runs(tmp_path, command):
-    argv, _ = COMMANDS[command]
-    table = write_table(tmp_path)
-    modules, _ = loaded_by(tmp_path, CHILD, *[table if a == "TABLE" else a for a in argv])
+    modules, _ = loaded_by(tmp_path, CHILD, *command_line(tmp_path, command))
     package = {m for m in modules if m.split(".")[0] == "quotamaj"}
     assert package == {"quotamaj", "quotamaj.cli", "quotamaj.core", *(f"quotamaj.{m}" for m in LOADS[command])}
     assert "json" not in modules  # the tables here are text, and the family writer lays out its own JSON
@@ -238,9 +246,7 @@ def test_each_command_loads_exactly_the_modules_it_runs(tmp_path, command):
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_no_command_loads_argparse_gettext_or_locale(tmp_path, command):
     # each of these lines is read from the option table, not by argparse
-    argv, _ = COMMANDS[command]
-    table = write_table(tmp_path)
-    modules, _ = loaded_by(tmp_path, CHILD, *[table if a == "TABLE" else a for a in argv])
+    modules, _ = loaded_by(tmp_path, CHILD, *command_line(tmp_path, command))
     assert not modules & {"argparse", "gettext", "locale"}
 
 

@@ -49,9 +49,11 @@ def top_level_package_imports(path):
 
 
 # `lp` reads the level maps from `engine`, not from `extraction` (which
-# would load the oracle too), and the family writer sits in `enumeration`,
-# so neither it nor `fileformats` loads the other; `enumeration` reads the
-# duality map from `core`; commands load the rest lazily
+# would load the oracle too), and loads `canonical` in `lp_to_proper` alone;
+# the family writer sits in `enumeration`, so neither it nor `fileformats`
+# loads the other, and `fileformats` loads `tables` in its table readers
+# alone; `enumeration` reads the duality map from `core`; commands load the
+# rest lazily
 TOP_LEVEL_IMPORTS = {
     "__init__": set(),
     "__main__": {"cli"},
@@ -62,7 +64,7 @@ TOP_LEVEL_IMPORTS = {
     "enumeration": {"core"},
     "extraction": {"canonical", "core", "engine", "oracle"},
     "fileformats": {"core"},
-    "lp": {"canonical", "core", "engine"},
+    "lp": {"core", "engine"},
     "oracle": {"core"},
     "tables": {"core"},
 }

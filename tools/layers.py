@@ -16,6 +16,8 @@ read a count table at n=140 and a full table at n=8 from text and from
 JSON, files in the canonical order that are read in whole-table passes,
 the count table at n=140 with its entries shuffled, which is read entry
 by entry, and a text count table at n=1000 in both orders; the
+`format_count_table.*` timings write that table at n=1000 as text and as
+JSON, `format_full_table.n8.text` the full table at n=8 as text, and the
 `format_family.*` timings write the family at n=12 as text and as JSON.
 The `enum.*` timings run what the `enum` command runs at n=10, 11, 12
 and 14 in both formats, with the output dropped instead of written.
@@ -195,6 +197,19 @@ def large_parse_cases(n: int = 1000) -> list[tuple[str, object]]:
     ]
 
 
+def writer_cases(n: int = 1000) -> list[tuple[str, object]]:
+    """format_count_table on the count table of large_parse_cases in both
+    formats, and format_full_table on the full table at n=8 of parse_cases
+    as text."""
+    count = to_table(QuotaSeq(n, (n // 2, 7 * n // 10, 3 * n // 10, n + 1)))
+    full = expand_to_full(to_table(QuotaSeq(8, (4, 6, 2, 9))))
+    return [
+        *((f"format_count_table.n{n}.{fmt_name}", partial(format_count_table, count, fmt))
+          for fmt_name, fmt in (("text", TEXT), ("structured", STRUCTURED))),
+        ("format_full_table.n8.text", partial(format_full_table, full)),
+    ]
+
+
 def family_cases() -> list[tuple[str, object]]:
     """format_family on the family at n=12, in both formats."""
     family = enumerate_all(12)
@@ -303,8 +318,8 @@ def startup_timings(repeats: int) -> dict[str, float]:
 def all_cases(work: Path) -> list[tuple[str, object]]:
     """Every case this script times, in the order of its output."""
     return [
-        *baseline_cases(), *parse_cases(), *shuffled_cases(), *large_parse_cases(), *family_cases(),
-        *enum_cases(),
+        *baseline_cases(), *parse_cases(), *shuffled_cases(), *large_parse_cases(), *writer_cases(),
+        *family_cases(), *enum_cases(),
         *startup_cases(work),
     ]
 
