@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "canonical": ("canonicalize", "delete_dominated", "is_minimal", "truncate"),
     "core": (
-        "Alternative", "CountProfile", "CountTable", "FullProfile", "FullTable", "Preference",
-        "QuotaSeq", "SearchBudgetExceeded", "all_count_profiles", "all_full_profiles",
-        "count_of", "count_table_size",
+        "Alternative", "CountProfile", "QuotaSeq", "SearchBudgetExceeded", "all_count_profiles",
+        "count_table_size",
     ),
     "engine": (
         "dual", "evaluate", "evaluate_strict_quota", "is_proper", "is_valid_r_tuple", "length",
@@ -39,6 +38,7 @@ _EXPORTS = {
         "find_manipulation", "find_manipulation_full", "is_onto", "reduce_to_counts",
         "tables_equal",
     ),
+    "tables": ("CountTable", "FullProfile", "FullTable", "Preference", "all_full_profiles", "count_of"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -68,6 +68,10 @@ def canonicalize(raw: Sequence[int], n: int) -> QuotaSeq:
     return QuotaSeq._trusted(n, (q[0], *kept))
 
 
+#: The most shorter sequences `is_minimal` may generate.
+MAX_CANDIDATES = 200_000
+
+
 def _shorter_candidates(n: int, max_length: int):
     interior = range(1, n + 1)
     for ell in range(max_length):
@@ -85,21 +89,21 @@ def _candidate_count(n: int, max_length: int) -> int:
     return total
 
 
-def is_minimal(seq: QuotaSeq, max_candidates: int = 200_000) -> bool:
+def is_minimal(seq: QuotaSeq) -> bool:
     """Whether no strictly shorter sequence of distinct quotas defines the same rule.
 
     Checked by exhaustive generation of every shorter candidate, so it is an
     independent certificate that properness really is minimality.  Raises
     SearchBudgetExceeded rather than guessing when the candidate space is
-    larger than max_candidates.
+    larger than MAX_CANDIDATES.
     """
     if not is_valid_r_tuple(seq):
         raise ValueError(f"({seq}) is not a sequence of distinct quotas ending at 0 or n+1")
     target_length = length(seq)
     count = _candidate_count(seq.n, target_length)
-    if count > max_candidates:
+    if count > MAX_CANDIDATES:
         raise SearchBudgetExceeded(
-            f"minimality search needs {count} candidates, budget is {max_candidates}"
+            f"minimality search needs {count} candidates, budget is {MAX_CANDIDATES}"
         )
     target = _staircase(seq)
     return not any(

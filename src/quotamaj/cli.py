@@ -245,23 +245,16 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone; both read a
-    command line that starts with `command` alike."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for the lines `_read_command_line` leaves to it."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="quotamaj",
         description="Quota-sequence voting rules: evaluate, canonicalize, "
         "enumerate, verify, represent, and convert.",
     )
-    # the usage line names the choices the parser holds, so one command is
-    # given the names of all seven; with all seven argparse's own name
-    # reads the same, and errors still call the argument "command"
-    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, help_text, options) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         for flag, (kind, required, choices, option_help) in options.items():
@@ -304,12 +297,7 @@ def _read_command_line(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_command_line(argv)
-    if args is None:
-        # a first word that names a command can only be that command: the
-        # parser has no other positional and no option that takes a value
-        parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-        args = parser.parse_args(argv)
+    args = _read_command_line(argv) or _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except SearchBudgetExceeded as err:

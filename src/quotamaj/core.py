@@ -9,8 +9,8 @@ remaining n - na - nb voters are indifferent.
 Everything here is an immutable value; instances can be shared freely
 between threads or tasks.  Every command loads this module.  The tables,
 and the full per-voter profiles they range over, live in `tables`, which
-this module loads when one of its names is first read here: only the
-commands that build or read a table load it.
+this module loads when one of their public names is first read here:
+only the commands that build or read a table load it.
 """
 
 from __future__ import annotations
@@ -134,6 +134,10 @@ def count_table_size(n: int) -> int:
 #: exhausting memory; n=5000 (12,507,501 profiles) is within it.
 MAX_TABLE_PROFILES = 2**24
 
+#: The most rules or tables a search over the whole family may build:
+#: there are 2**(n+1) for n voters, so n=15 is the largest n searched.
+MAX_RULES = 2**16
+
 
 def check_table_size(n: int) -> None:
     """Raise SearchBudgetExceeded when a table for n would have too many profiles."""
@@ -191,17 +195,10 @@ class QuotaSeq(_Value):
         return ",".join(map(str, self.quotas))
 
 
-#: The names that `tables` defines; reading one here loads that module
-_TABLE_NAMES = frozenset({
-    "CountTable", "FullProfile", "FullTable", "PREFERENCES", "Preference", "_BASE3", "_DIGIT",
-    "_LETTER", "_LETTERS", "_OUTCOME", "_blank_digits", "_check_full_size", "_check_outcomes",
-    "_full_index", "_grid", "_parse_digits", "_place_rows", "_prefix_rows", "_row_digits", "_rows",
-    "all_full_profiles", "count_of",
-})
-
-
 def __getattr__(name: str):
-    if name not in _TABLE_NAMES:
+    from . import _EXPORTS
+    # only the public names: the rest of the table layer is read from `tables`
+    if name not in _EXPORTS["tables"]:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import tables
     globals()[name] = value = getattr(tables, name)

@@ -36,7 +36,7 @@ from collections.abc import Iterable
 from itertools import repeat
 from operator import add, itemgetter
 
-from .core import STRUCTURED, TEXT, Alternative, QuotaSeq, SearchBudgetExceeded, _check_society, _mirror
+from .core import MAX_RULES, STRUCTURED, TEXT, Alternative, QuotaSeq, SearchBudgetExceeded, _check_society, _mirror
 
 
 def subset_to_proper(subset: Iterable[int], default: Alternative, n: int) -> QuotaSeq:
@@ -86,11 +86,11 @@ def _place(row, start, by_count, counts, l_step, u_step):
         row[start + k * step : start + k * step + len(block) * stride : stride] = block
 
 
-def _family_staircases(n: int, pieces, max_rules: int = 2**16) -> list[list]:
+def _family_staircases(n: int, pieces) -> list[list]:
     """For each row na, pieces[na][c] for every rule in the order of
     `enumerate_all`, c the row's length: a wins (na, nb) exactly when
     nb < c.  `pieces` yields the rows na = 0..n, each indexed by c, and is
-    read only once n is within the budget.
+    read only once 2**(n+1) is within MAX_RULES.
 
     Row na cuts J in two.  For default b, with p = |J[1, na]| and s the
     members above na less na, c is 0 for p = 0 and otherwise n+1-na less
@@ -100,9 +100,9 @@ def _family_staircases(n: int, pieces, max_rules: int = 2**16) -> list[list]:
     over (count, s), placed over the family in slice assignments."""
     _check_society(n)
     # decided from n alone: 2**(n+1) itself may be too large to build
-    if n + 1 >= max_rules.bit_length():
+    if n + 1 >= MAX_RULES.bit_length():
         raise SearchBudgetExceeded(
-            f"enumerating n={n} yields 2**{n + 1} rules, budget is {max_rules}"
+            f"enumerating n={n} yields 2**{n + 1} rules, budget is {MAX_RULES}"
         )
     # the subsets in binary-counter order: the first 2**k are those of {1, ..., k}
     subsets = [[]]
@@ -124,7 +124,7 @@ def _family_staircases(n: int, pieces, max_rules: int = 2**16) -> list[list]:
     return rows
 
 
-def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountTable]]:
+def enumerate_all(n: int) -> list[tuple[QuotaSeq, CountTable]]:
     """Every anonymous strategy-proof rule for society size n, with its table.
 
     Order: default b then default a; within a default, subsets in
@@ -135,7 +135,7 @@ def enumerate_all(n: int, max_rules: int = 2**16) -> list[tuple[QuotaSeq, CountT
     from .tables import CountTable  # `enum` writes letters and loads no table
     # row na of a mask holds the profiles nb < c at bits na*(n+2) + nb
     row_masks = ([((1 << c) - 1) << na * (n + 2) for c in range(n + 2 - na)] for na in range(n + 1))
-    masks = map(sum, zip(*_family_staircases(n, row_masks, max_rules)))
+    masks = map(sum, zip(*_family_staircases(n, row_masks)))
     _, sequences = _subset_texts(n, ((), (), (), ()), [(k,) for k in range(n + 2)])
     return [(QuotaSeq._trusted(n, q), CountTable._from_mask(n, mask)) for q, mask in zip(sequences, masks)]
 

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from . import oracle
 from .canonical import canonicalize
-from .core import Alternative, CountProfile, CountTable, QuotaSeq, _Value, _mirror
+# `CountTable` in annotations is `tables.CountTable`, which a caller loads to build one
+from .core import Alternative, CountProfile, QuotaSeq, _Value, _mirror
 from .engine import _interleave, _mirror_pairs, _row_thresholds
 
 

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import (
-    PREFERENCES, Alternative, CountProfile, CountTable, FullProfile, FullTable, Preference,
-    SearchBudgetExceeded, _Value, _check_society, _grid, _prefix_rows,
-)
+from .core import MAX_RULES, Alternative, CountProfile, SearchBudgetExceeded, _Value, _check_society
+from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid, _prefix_rows
 
 
 class CountManipulation(_Value):
@@ -210,12 +208,14 @@ def exhaustive_sp_family(n: int) -> list[CountTable]:
     forces c_na >= min(c_{na-1}, n+1-na), and the switch, a loss and then a
     gain, adds nothing.  Each such staircase is still kept only if
     `_escapes` finds no escape.  There are 2**(n+1), the paper's count, so
-    n > 15 is refused before any is built, as `enumerate_all` refuses it.
+    n is refused before any is built when that exceeds MAX_RULES, as
+    `enumerate_all` refuses it.
     """
     _check_society(n)
-    if n > 15:
+    budget = MAX_RULES.bit_length() - 1  # 2**budget is the largest power of two within it
+    if n + 1 > budget:
         raise SearchBudgetExceeded(
-            f"exhaustive table search for n={n} would build 2**{n + 1} staircases, budget is 2**16"
+            f"exhaustive table search for n={n} would build 2**{n + 1} staircases, budget is 2**{budget}"
         )
     stairs = [[c] for c in range(n + 2)]
     for top in range(n, 0, -1):  # top = n+1-na for the rows na = 1..n

@@ -4,9 +4,9 @@ A `CountTable` is a bitmask over the padded grid of count profiles, a
 `FullTable` one outcome per full profile.  Full per-voter profiles exist
 only so that anonymity itself, and single-voter manipulation, can be
 checked against the raw definitions.  Only code that builds or reads a
-table loads this module: `core` forwards its names here on first use, so
-the commands that build no table (`eval`, `canon`, `convert`, `enum`,
-`count`) do not compile it.
+table loads this module: `core` forwards its public names here on first
+use, so the commands that build no table (`eval`, `canon`, `convert`,
+`enum`, `count`) do not compile it.
 """
 
 from __future__ import annotations

@@ -173,7 +173,7 @@ def test_is_minimal_budget():
         11, (6, 5, 7, 4, 8, 3, 9, 2, 10, 1, 11, 12)
     )
     with pytest.raises(SearchBudgetExceeded):
-        is_minimal(long_seq, max_candidates=10)
+        is_minimal(long_seq)
 
 
 def _delete_dominated_leftmost(s):

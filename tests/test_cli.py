@@ -363,39 +363,68 @@ def parsed(capsys, call):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify"],
-        ["enum", "--n", "3", "--format", "xml"],
-        ["count", "--n", "3", "extra"],
-        ["verify", "-h"],
-        ["-h"],
-        ["--help"],
-        ["frobnicate"],
-        [],
-    ],
-    ids=["verify-no-table", "enum-bad-format", "extra-argument", "verify-help", "h", "help", "unknown", "empty"],
+# Help and usage errors, recorded byte for byte (exit code, stdout, stderr)
+# when a line naming a command built the parser of that command alone and
+# any other line the parser of all seven; the one parser of all seven must
+# give the same bytes for both.  argparse wraps help to the terminal's width,
+# which the test fixes at 80 columns.
+USAGE = "usage: quotamaj [-h] {eval,canon,enum,count,verify,represent,convert} ...\n"
+HELP = (
+    USAGE + "\n"
+    "Quota-sequence voting rules: evaluate, canonicalize, enumerate, verify,\n"
+    "represent, and convert.\n"
+    "\n"
+    "positional arguments:\n"
+    "  {eval,canon,enum,count,verify,represent,convert}\n"
+    "    eval                evaluate a sequence on one count profile\n"
+    "    canon               reduce a sequence to proper form, or build one from a\n"
+    "                        subset\n"
+    "    enum                enumerate the full rule family\n"
+    "    count               print the number of rules, 2^(n+1)\n"
+    "    verify              check anonymity, strategy-proofness, and ontoness of a\n"
+    "                        table\n"
+    "    represent           extract the proper sequence from a table\n"
+    "    convert             convert between a proper sequence and an indifference-\n"
+    "                        quota rule\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
 )
-def test_one_command_parser_reads_like_the_full_one(capsys, monkeypatch, argv):
-    from quotamaj import cli
+VERIFY_USAGE = "usage: quotamaj verify [-h] --table TABLE\n"
+RECORDED_USAGE = {
+    "empty": ([], 2, "", USAGE + "quotamaj: error: the following arguments are required: command\n"),
+    "h": (["-h"], 0, HELP, ""),
+    "help": (["--help"], 0, HELP, ""),
+    "verify-help": (["verify", "-h"], 0, (
+        VERIFY_USAGE + "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --table TABLE  table file (count or full, text or JSON)\n"
+    ), ""),
+    "verify-no-table": (["verify"], 2, "", (
+        VERIFY_USAGE + "quotamaj verify: error: the following arguments are required: --table\n"
+    )),
+    "enum-bad-format": (["enum", "--n", "3", "--format", "xml"], 2, "", (
+        "usage: quotamaj enum [-h] --n N [--out OUT] [--format {text,structured}]\n"
+        "quotamaj enum: error: argument --format: invalid choice: 'xml' (choose from 'text', 'structured')\n"
+    )),
+    "extra-argument": (["count", "--n", "3", "extra"], 2, "", (
+        USAGE + "quotamaj: error: unrecognized arguments: extra\n"
+    )),
+    "unknown": (["frobnicate"], 2, "", (
+        USAGE + "quotamaj: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'eval', 'canon', 'enum', 'count', 'verify', 'represent', 'convert')\n"
+    )),
+    "equals": (["count", "--n=5"], 0, "64\n", ""),
+    "repeated": (["count", "--n", "3", "--n", "4"], 0, "32\n", ""),
+}
 
-    ours = parsed(capsys, lambda: main(argv))
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
-    assert parsed(capsys, lambda: main(argv)) == ours
-    assert ours[0] in (0, 2) and ours[1] + ours[2]
 
-
-def test_main_builds_only_the_named_command():
-    from quotamaj import cli
-
-    def commands(parser):
-        (sub,) = [a for a in parser._actions if a.dest == "command"]
-        return list(sub.choices)
-
-    assert commands(cli._build_parser("verify")) == ["verify"]
-    assert commands(cli._build_parser()) == list(cli._COMMANDS) and len(cli._COMMANDS) == 7
+@pytest.mark.parametrize("name", list(RECORDED_USAGE))
+def test_one_command_parser_reads_like_the_full_one(capsys, monkeypatch, name):
+    argv, *recorded = RECORDED_USAGE[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parsed(capsys, lambda: main(argv)) == tuple(recorded)
 
 
 def test_module_entry_point():
@@ -597,6 +626,24 @@ def test_the_table_reader_leaves_every_other_line_to_argparse(argv):
     from quotamaj import cli
 
     assert cli._read_command_line(argv) is None
+
+
+def test_the_table_reader_reads_every_benchmark_command_line(tmp_path, monkeypatch):
+    # argparse serves only help and usage errors: every line that the
+    # benchmark's workloads send is read from the option table
+    from quotamaj import cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    argvs = []
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            work = tmp_path / f"{workload}-{seed}"
+            work.mkdir()
+            argvs += [c.argv for r in range(3) for c in workloads.build_round(workload, seed, r, work)]
+    assert len(argvs) > 1000  # 1,251 when this test was written
+    assert [argv for argv in argvs if cli._read_command_line(argv) is None] == []
 
 
 # `verify` and `represent` on count and full tables in both formats, on

@@ -16,8 +16,8 @@ from quotamaj import (
     subset_to_proper,
     to_table,
 )
+from quotamaj.engine import _interleave
 from quotamaj.enumeration import _family_staircases
-from quotamaj.extraction import _interleave
 
 A, B = Alternative.A, Alternative.B
 
@@ -103,16 +103,20 @@ def test_enumerate_duality():
 
 def test_enumerate_guard():
     with pytest.raises(SearchBudgetExceeded):
-        enumerate_all(20, max_rules=1024)
+        enumerate_all(20)
     with pytest.raises(ValueError):
         enumerate_all(0)
 
 
-def test_enumerate_guard_boundary():
+def test_enumerate_guard_boundary(monkeypatch):
     # 2**(n+1) rules are allowed exactly when they fit the budget
-    assert len(enumerate_all(3, max_rules=16)) == 16
-    with pytest.raises(SearchBudgetExceeded):
-        enumerate_all(3, max_rules=15)
+    from quotamaj import enumeration
+
+    monkeypatch.setattr(enumeration, "MAX_RULES", 16)
+    assert len(enumerate_all(3)) == 16
+    monkeypatch.setattr(enumeration, "MAX_RULES", 15)
+    with pytest.raises(SearchBudgetExceeded, match="budget is 15"):
+        enumerate_all(3)
 
 
 def reference_subset_to_proper(subset, default, n):

@@ -193,6 +193,18 @@ def test_layers_startup_runs_one_command_per_cli_verb():
     assert list(timings) == list(commands) and all(seconds > 0 for seconds in timings.values())
 
 
+def test_layers_times_the_command_lines_argparse_reads(tmp_path):
+    layers = load_tool()
+    cases = layers.fallback_cases(tmp_path)
+    assert [name for name, _ in cases] == ["startup.help", "startup.usage_error"]
+    assert not {name for name, _ in cases} & set(layers.startup_commands("worked.tbl"))
+    assert {name for name, _ in cases} <= {name for name, _ in layers.all_cases(tmp_path)}
+    timings = layers.measure(cases, repeats=1)
+    assert all(seconds > 0 for seconds in timings.values())
+    with pytest.raises(RuntimeError, match="exited with 0, not 2"):
+        layers.run_expecting(2, [sys.executable, "-c", "pass"])
+
+
 def test_layers_records_the_modules_each_startup_command_loads(tmp_path):
     layers = load_tool()
     loads = layers.startup_loads(tmp_path)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -23,13 +24,16 @@ from quotamaj import (
     find_manipulation,
     find_manipulation_full,
     is_onto,
+    proper_to_subset,
     reduce_to_counts,
+    represent,
     subset_to_proper,
     tables_equal,
     to_table,
 )
-from quotamaj.core import _grid
+from quotamaj.enumeration import _family_staircases
 from quotamaj.oracle import _count_positions, _escapes
+from quotamaj.tables import _grid, _prefix_rows
 
 A, B = Alternative.A, Alternative.B
 
@@ -441,3 +445,75 @@ def test_count_and_full_verdicts_agree_on_seeded_one_cell_flips(n):
         for cell in rng.sample(range(count_table_size(n)), 3):
             flipped = CountTable(n, flip(table.outcomes, [cell]))
             assert check_strategy_proof_full(expand_to_full(flipped)) == check_strategy_proof(flipped)
+
+
+# The strategy-proof tables are the staircases c_0..c_n, a winning (na, nb)
+# exactly when nb < c_na, with 0 <= c_na <= n+1-na and
+# c_na >= min(c_{na-1}, n+1-na) (see `exhaustive_sp_family`).  Counted by a
+# suffix dynamic program, there are 2**(n+1) of them far beyond the n that
+# any enumeration reaches, and the same program draws them uniformly.
+
+
+def staircase_ways(n):
+    """ways[na][c]: the staircases of rows na..n whose row na has length c."""
+    ways = [[1, 1]]  # row n: c is 0 or 1
+    for top in range(2, n + 2):  # top = n+1-na for the rows na = n-1..0
+        # tail[k]: the ways with row na+1 at least k long; that row is at most top-1
+        tail = [*accumulate(reversed(ways[-1]))][::-1]
+        ways.append([tail[min(c, top - 1)] for c in range(top + 1)])
+    return ways[::-1]
+
+
+def sample_staircase(rng, n, ways):
+    """A uniformly drawn staircase for n, with `ways` = staircase_ways(n)."""
+    stairs, low = [], 0
+    for na, row in enumerate(ways):
+        pick = rng.randrange(sum(row[low:]))
+        for c in range(low, n + 2 - na):
+            if pick < row[c]:
+                break
+            pick -= row[c]
+        stairs.append(c)
+        low = min(c, n - na)  # the least length of the next row
+    return stairs
+
+
+@pytest.mark.parametrize(
+    "sizes", [range(1, 201), pytest.param(range(201, 301), marks=pytest.mark.slow)], ids=["n1-200", "n201-300"]
+)
+def test_the_staircases_number_two_to_the_n_plus_1(sizes):
+    for n in sizes:
+        assert sum(staircase_ways(n)[0]) == 2 ** (n + 1), n
+
+
+def test_the_staircase_sampler_draws_every_staircase_of_the_family():
+    n = 3
+    family = {tuple(table._staircase()) for table in exhaustive_sp_family(n)}
+    rng = random.Random(2020)
+    drawn = [tuple(sample_staircase(rng, n, staircase_ways(n))) for _ in range(800)]
+    assert set(drawn) == family
+    # 50 draws each are expected; a wrong weight would skew this far more
+    assert all(25 <= drawn.count(stairs) <= 75 for stairs in family)
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_sampled_staircases_are_represented_and_round_trip(n):
+    rng = random.Random(1900 + n)
+    ways = staircase_ways(n)
+    for _ in range(10):
+        stairs = sample_staircase(rng, n, ways)
+        assert all(0 <= c <= n + 1 - na for na, c in enumerate(stairs))
+        assert all(c >= min(above, n + 1 - na) for na, (above, c) in enumerate(zip(stairs, stairs[1:]), 1))
+        table = CountTable._from_mask(n, _prefix_rows(n, stairs))
+        assert find_manipulation(table) is None
+        seq = represent(table)
+        assert to_table(seq).mask == table.mask
+        assert subset_to_proper(*proper_to_subset(seq), n) == seq
+
+
+def test_exhaustive_family_has_the_staircases_of_the_enumeration():
+    # the enumerator's row lengths against the enumeration's, with no table tabulated
+    for n in range(1, 13):
+        found = {tuple(table._staircase()) for table in exhaustive_sp_family(n)}
+        rows = _family_staircases(n, [range(n + 2 - na) for na in range(n + 1)])
+        assert found == set(zip(*rows)) and len(found) == 2 ** (n + 1)

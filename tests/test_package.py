@@ -22,9 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PUBLIC = {
     "canonical": ("canonicalize", "delete_dominated", "is_minimal", "truncate"),
     "core": (
-        "Alternative", "CountProfile", "CountTable", "FullProfile", "FullTable", "Preference",
-        "QuotaSeq", "SearchBudgetExceeded", "all_count_profiles", "all_full_profiles",
-        "count_of", "count_table_size",
+        "Alternative", "CountProfile", "QuotaSeq", "SearchBudgetExceeded", "all_count_profiles",
+        "count_table_size",
     ),
     "engine": (
         "dual", "evaluate", "evaluate_strict_quota", "is_proper", "is_valid_r_tuple", "length",
@@ -45,6 +44,7 @@ PUBLIC = {
         "find_manipulation", "find_manipulation_full", "is_onto", "reduce_to_counts",
         "tables_equal",
     ),
+    "tables": ("CountTable", "FullProfile", "FullTable", "Preference", "all_full_profiles", "count_of"),
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
 

@@ -27,10 +27,9 @@ from quotamaj import (
     to_table,
 )
 from quotamaj.cli import main
-from quotamaj.core import _prefix_rows
-from quotamaj.engine import _staircase
-from quotamaj.extraction import _row_thresholds
+from quotamaj.engine import _row_thresholds, _staircase
 from quotamaj.fileformats import STRUCTURED, TEXT, format_family
+from quotamaj.tables import _prefix_rows
 
 A, B = Alternative.A, Alternative.B
 

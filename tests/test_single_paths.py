@@ -33,7 +33,7 @@ from quotamaj import (
     to_table,
     truncate,
 )
-from quotamaj.engine import _mirror
+from quotamaj.core import _mirror
 from quotamaj.enumeration import _subset_of
 from quotamaj.extraction import _check_pair
 

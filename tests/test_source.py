@@ -1,7 +1,11 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "quotamaj"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "quotamaj"
 
 
 def test_library_has_no_assert_statements():
@@ -18,7 +22,8 @@ def test_library_has_no_assert_statements():
 
 
 def test_oracle_imports_only_core_from_the_package():
-    # the oracle checks raw definitions, so it must not reach the quota-sequence machinery
+    # the oracle checks raw definitions, so it must not reach the quota-sequence
+    # machinery: it reads the domain model from `core` and the tables from `tables`
     tree = ast.parse((SOURCE / "oracle.py").read_text())
     package = [
         node.module
@@ -32,7 +37,7 @@ def test_oracle_imports_only_core_from_the_package():
         for alias in node.names
         if alias.name.startswith("quotamaj")
     ]
-    assert package == ["core"]
+    assert package == ["core", "tables"]
 
 
 def top_level_package_imports(path):
@@ -65,7 +70,7 @@ TOP_LEVEL_IMPORTS = {
     "extraction": {"canonical", "core", "engine", "oracle"},
     "fileformats": {"core"},
     "lp": {"core", "engine"},
-    "oracle": {"core"},
+    "oracle": {"core", "tables"},
     "tables": {"core"},
 }
 
@@ -81,15 +86,74 @@ def test_the_duality_map_is_one_function():
 
 
 def test_core_forwards_every_name_the_table_layer_defines():
+    # the public ones: `core` forwards exactly the names that the package
+    # exports from `tables`; any other, private ones included, raises
+    # AttributeError without loading `tables`
+    import quotamaj
     from quotamaj import core, tables
 
+    public = quotamaj._EXPORTS["tables"]
+    assert all(getattr(core, name) is getattr(tables, name) for name in public)
+    assert not any(hasattr(core, name) for name in defined_names(SOURCE / "tables.py") - set(public))
+    script = (
+        "import sys\n"
+        "from quotamaj import core\n"
+        "try:\n"
+        "    core._grid\n"
+        "except AttributeError as err:\n"
+        "    print(err, 'quotamaj.tables' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "module 'quotamaj.core' has no attribute '_grid' False\n", proc.stderr
+    # no other name: the import system asks every module for __path__
+    assert not hasattr(core, "__path__") and not hasattr(core, "no_such_name")
+
+
+def defined_names(path):
+    """The names the module at `path` binds at top level other than by importing them."""
     defined = set()
-    for node in ast.parse((SOURCE / "tables.py").read_text()).body:
+    for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, ast.Assign):
-            defined |= {target.id for target in node.targets}
-    assert core._TABLE_NAMES == defined
-    assert all(getattr(core, name) is getattr(tables, name) for name in defined)
-    # no other name: the import system asks every module for __path__
-    assert not hasattr(core, "__path__") and not hasattr(core, "no_such_name")
+            defined |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    return defined
+
+
+def imports_from_the_package(path):
+    """(line, module, name) of each name that `path` imports from a package
+    module, the module as a file stem; `from . import m` names module m."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level > 0:
+            module = node.module or "__init__"
+        elif node.module == "quotamaj" or (node.module or "").startswith("quotamaj."):
+            module = node.module.removeprefix("quotamaj").removeprefix(".") or "__init__"
+        else:
+            continue
+        found += [(node.lineno, module, alias.name) for alias in node.names]
+    return found
+
+
+def test_each_name_is_imported_from_the_module_that_defines_it():
+    modules = {path.stem for path in SOURCE.glob("*.py")}
+    defined = {module: defined_names(SOURCE / f"{module}.py") for module in modules}
+    # in the package every name, and in the tests and tools every private
+    # name, comes from its home; a public re-export such as
+    # `fileformats.TEXT` serves the tests and tools, not the package
+    wrong = [
+        f"{path.name}:{line} {name} from {module}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line, module, name in imports_from_the_package(path)
+        if name not in defined[module] and not (module == "__init__" and name in modules)
+    ]
+    wrong += [
+        f"{path.parent.name}/{path.name}:{line} {name} from {module}"
+        for path in sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+        for line, module, name in imports_from_the_package(path)
+        if name.startswith("_") and name not in defined[module]
+    ]
+    assert wrong == []

@@ -26,7 +26,9 @@ imports quotamaj, of one small command per CLI verb, and of the other
 command shapes the CLI benchmark sends (`canon --subset`, `canon
 --seq-file`, `verify` on a JSON table, `enum --format structured` and
 `convert` from a rule), each run as a subprocess on the sources of the
-imported quotamaj.
+imported quotamaj.  `startup.help` and `startup.usage_error` time the
+same way the two command lines that argparse reads, `-h` and `verify`
+without its required `--table`.
 
 With `--against <rev>`, the script also exports the tree of git
 revision <rev> into a temporary directory and times every case on both
@@ -292,6 +294,28 @@ def startup_cases(work: Path) -> list[tuple[str, object]]:
     ]
 
 
+#: Command lines that argparse reads, with their exit statuses
+FALLBACK = {"startup.help": (["-h"], 0), "startup.usage_error": (["verify"], 2)}
+
+
+def run_expecting(status: int, argv: list[str], **kwargs) -> None:
+    """Run `argv` as subprocess.run(argv, **kwargs) does; raise RuntimeError
+    unless it exits with `status`."""
+    returncode = subprocess.run(argv, **kwargs).returncode
+    if returncode != status:
+        raise RuntimeError(f"{argv} exited with {returncode}, not {status}")
+
+
+def fallback_cases(work: Path) -> list[tuple[str, object]]:
+    """Each command line of FALLBACK run as a subprocess in `work`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return [
+        (name, partial(run_expecting, status, [sys.executable, "-c", RUNNER, *argv], cwd=work, env=env,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
+        for name, (argv, status) in FALLBACK.items()
+    ]
+
+
 def startup_loads(work: Path) -> dict[str, dict]:
     """The package modules each start-up command loads, from one run, and
     their source lines: what the command compiles when no bytecode is cached."""
@@ -320,7 +344,7 @@ def all_cases(work: Path) -> list[tuple[str, object]]:
     return [
         *baseline_cases(), *parse_cases(), *shuffled_cases(), *large_parse_cases(), *writer_cases(),
         *family_cases(), *enum_cases(),
-        *startup_cases(work),
+        *startup_cases(work), *fallback_cases(work),
     ]
 
 
