@@ -17,7 +17,8 @@ each row of every rule's staircase, its row lengths, as a column over the
 family, and `_subset_texts` the subsets' members and sequences, each in
 a few slice assignments over all subsets.  `enumerate_all` makes tables
 and sequences of these columns, and `_write_family` a family file, with
-no Python step per rule.  It writes them, or the columns that
+no Python step per rule, through `_write_columns`, the one writer of
+every file, tables too.  It writes them, or the columns that
 `fileformats.format_family` makes of (sequence, table) pairs, as:
 
 * text: a `n=<int>` header line and a `count=<rules>` line, then one
@@ -132,9 +133,9 @@ def enumerate_all(n: int) -> list[tuple[QuotaSeq, CountTable]]:
     exactly 2**(n+1) pairs.  The tables are built row by row from the
     subsets (see _family_staircases), not by tabulating each sequence.
     """
-    from .tables import CountTable  # `enum` writes letters and loads no table
-    # row na of a mask holds the profiles nb < c at bits na*(n+2) + nb
-    row_masks = ([((1 << c) - 1) << na * (n + 2) for c in range(n + 2 - na)] for na in range(n + 1))
+    from .tables import CountTable, _prefix_rows  # `enum` writes letters and loads no table
+    # the mask whose row na alone holds the profiles nb < c
+    row_masks = ([_prefix_rows(n, [0] * na + [c]) for c in range(n + 2 - na)] for na in range(n + 1))
     masks = map(sum, zip(*_family_staircases(n, row_masks)))
     _, sequences = _subset_texts(n, ((), (), (), ()), [(k,) for k in range(n + 2)])
     return [(QuotaSeq._trusted(n, q), CountTable._from_mask(n, mask)) for q, mask in zip(sequences, masks)]
@@ -183,23 +184,29 @@ def _write_family(n: int, fmt: str, defaults, members, quotas, tables) -> str:
     letters, the members and the quotas as `fmt` writes them, then the
     columns whose texts, in turn, make up each rule's table."""
     count = len(defaults)
-    if fmt == STRUCTURED:
-        # byte for byte what json.dumps(indent=2) writes: every field is an
-        # int or a string of a/b letters, so nothing needs escaping
-        if not count:
-            return f'{{\n  "n": {n},\n  "count": 0,\n  "family": []\n}}'
-        head = f'{{\n  "n": {n},\n  "count": {count},\n  "family": [\n'
-        entry = ['    {\n      "default": "', defaults, '",\n      "subset": ', members,
-                 ',\n      "quotas": ', quotas, ',\n      "table": "', *tables, '"\n    },\n']
-    else:
-        head = f"n={n}\ncount={count}\n"
+    if fmt != STRUCTURED:
         entry = [defaults, " ", members, " ", quotas, " ", *tables, "\n"]
+        return _write_columns(f"n={n}\ncount={count}\n", entry, "\n")
+    if not count:  # json.dumps writes an empty list on one line
+        return f'{{\n  "n": {n},\n  "count": 0,\n  "family": []\n}}'
+    entry = ['    {\n      "default": "', defaults, '",\n      "subset": ', members,
+             ',\n      "quotas": ', quotas, ',\n      "table": "', *tables, '"\n    },\n']
+    return _write_columns(f'{{\n  "n": {n},\n  "count": {count},\n  "family": [\n', entry, '"\n    }\n  ]\n}')
+
+
+def _write_columns(head: str, entry: list, last: str) -> str:
+    """`head`, then `entry` once per row with `last` as the last row's final
+    text: its texts as they are, each other item a column of one text per
+    row.  Structured files come out byte for byte as json.dumps(indent=2)
+    writes them: no field, an int or a string of a/b/i letters, needs
+    escaping."""
+    rows = len(next(slot for slot in entry if not isinstance(slot, str)))
     # repeat the texts between the fields, then fill each field's slots from its column
-    out = [slot if isinstance(slot, str) else "" for slot in entry] * count
+    out = [slot if isinstance(slot, str) else "" for slot in entry] * rows
     for i, slot in enumerate(entry):
         if not isinstance(slot, str):
             out[i :: len(entry)] = slot
-    if fmt == STRUCTURED:
-        out[-1] = '"\n    }\n  ]\n}'  # no comma after the last entry
+    if out:
+        out[-1] = last
     out.insert(0, head)
     return "".join(out)

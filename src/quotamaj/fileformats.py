@@ -18,10 +18,9 @@ every check on the entries and builds either table kind.  A file in the
 canonical order, as the writers leave it, has the key columns of every
 profile for its n, so the builder compares those once and reads the
 outcome column in whole-table passes; any other file is checked entry by
-entry, which alone names a fault.  One writer writes both table kinds in
-both formats: it zips the same canonical key columns with the table's
-outcome letters.
-Family files have their own writer, `enumeration._write_family`.
+entry, which alone names a fault.  One writer, `enumeration._write_columns`,
+writes every file, table or family, in both formats; the table writers
+give it the same canonical key columns and the table's outcome letters.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .core import STRUCTURED, TEXT, Alternative, QuotaSeq, count_table_size
 
 
 _OUTCOMES = {"a": Alternative.A, "b": Alternative.B}
-_CELLS = bytes.maketrans(b"ab", b"10")
 
 
 def _parse_header(line: str) -> int:
@@ -47,26 +45,28 @@ def _parse_header(line: str) -> int:
         raise ValueError(f"bad society size in header {line!r}") from None
 
 
-def _format_table(n: int, fields: tuple[str, ...], keys: tuple[tuple, ...], letters: str, fmt: str) -> str:
-    """Either format from a table's key columns, named `fields`, and its
-    outcome letters, both in the canonical profile order: JSON objects for
-    structured output, text lines for any other."""
-    rows = zip(*keys, letters)
+def _format_table(n: int, fields: tuple[str, ...], keys: tuple[tuple, ...], letters: list, fmt: str) -> str:
+    """Either format from a table's key columns and its outcome letters, both
+    in the canonical profile order: JSON objects for structured output, with
+    `fields` the texts before each column in an entry, text lines for any
+    other."""
+    from .enumeration import _write_columns
     if fmt == STRUCTURED:
-        import json
-        names = (*fields, "out")
-        return json.dumps({"n": n, "entries": [dict(zip(names, row)) for row in rows]}, indent=2)
-    return "\n".join([f"n={n}", *map(" ".join, rows)]) + "\n"
+        entry = [*itertools.chain(*zip(fields, (*keys, letters))), '"\n    },\n']
+        return _write_columns(f'{{\n  "n": {n},\n  "entries": [\n', entry, '"\n    }\n  ]\n}')
+    entry = [*itertools.chain(*zip(keys, itertools.repeat(" "))), letters, "\n"]
+    return _write_columns(f"n={n}\n", entry, "\n")
 
 
 def format_count_table(table: CountTable, fmt: str = TEXT) -> str:
-    keys = _canonical_keys(table.n, int if fmt == STRUCTURED else str)
-    return _format_table(table.n, ("a", "b"), keys, table.outcome_string(), fmt)
+    fields = ('    {\n      "a": ', ',\n      "b": ', ',\n      "out": "')
+    return _format_table(table.n, fields, _canonical_keys(table.n, str), [*table.outcome_string()], fmt)
 
 
 def format_full_table(table: FullTable, fmt: str = TEXT) -> str:
-    letters = "".join([o.value for o in table.outcomes])
-    return _format_table(table.n, ("profile",), _canonical_keys(table.n, None), letters, fmt)
+    fields = ('    {\n      "profile": "', '",\n      "out": "')
+    letters = [o.value for o in table.outcomes]
+    return _format_table(table.n, fields, _canonical_keys(table.n, None), letters, fmt)
 
 
 def format_sequence(seq: QuotaSeq) -> str:
@@ -114,7 +114,7 @@ def _canonical_keys(n: int, form) -> tuple[tuple, ...]:
     return tuple(na), tuple(nb)
 
 
-def _whole_table(n: int, full: bool, size: int, form, columns):
+def _whole_table(n: int, size: int, form, columns):
     """The table from an iterator over a file's key columns, then its
     outcome column, when the keys are every profile once, in the canonical
     order, and every outcome is 'a' or 'b'; None otherwise, and then the
@@ -122,7 +122,7 @@ def _whole_table(n: int, full: bool, size: int, form, columns):
     from .tables import CountTable, FullTable, _place_rows
     if n < 1:
         return None
-    if full:
+    if form is None:
         fits = n < size.bit_length() and 3**n == size  # 3**n only for an n that size can match
     else:
         fits = count_table_size(n) == size
@@ -141,26 +141,26 @@ def _whole_table(n: int, full: bool, size: int, form, columns):
     outs = next(columns, None)
     if outs is None or outs.count("a") + outs.count("b") != size:
         return None
-    if full:
+    if form is None:
         return FullTable(n, tuple(map(_OUTCOMES.__getitem__, outs)))
-    return CountTable._from_mask(n, _place_rows(n, "".join(outs).encode().translate(_CELLS)))
+    return CountTable._from_mask(n, _place_rows(n, "".join(outs)))
 
 
-def _build_table(n: int, full: bool, size: int, entries, form, columns) -> CountTable | FullTable:
+def _build_table(n: int, size: int, entries, form, columns) -> CountTable | FullTable:
     """Check and build a table from its (profile, outcome token) entries.
 
     A count profile is a pair of ints; a full profile is a string, read as
     its position in the all_full_profiles order (base 3, a=0, b=1, i=2).
-    A file in the canonical order is built from its `columns` in
-    whole-table passes by `_whole_table`, which `form`, the type of a count
-    table's keys, tells how the file writes them; any other file goes
-    through the per-entry checks.
+    `form` is None for a full table, and for a count table the type of its
+    keys as the file writes them.  A file in the canonical order is built
+    from its `columns` in whole-table passes by `_whole_table`; any other
+    file goes through the per-entry checks.
     """
     from .tables import CountTable, FullTable, _BASE3, _check_full_size
-    table = _whole_table(n, full, size, form, columns)
+    table = _whole_table(n, size, form, columns)
     if table is not None:
         return table
-    if not full:
+    if form is not None:
         counts = {}
         for key, token in entries:
             if key in counts:
@@ -186,8 +186,8 @@ def _build_table(n: int, full: bool, size: int, entries, form, columns) -> Count
 
 
 def _read_text(text: str):
-    """n, whether the table is full, its entry count, its entries, the form
-    of its count keys and its columns."""
+    """n, the table's entry count, its entries, the form of its count keys
+    (None for a full table) and its columns."""
     lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise ValueError("empty table file")
@@ -205,8 +205,8 @@ def _read_text(text: str):
     columns = (tuple(tokens[k::width]) for k in range(width))  # tuples, as _canonical_keys
     entries = zip(*[iter(tokens)] * width)
     if full:
-        return n, True, len(lines) - 1, entries, None, columns
-    return n, False, len(lines) - 1, map(_text_count_entry, entries), str, columns
+        return n, len(lines) - 1, entries, None, columns
+    return n, len(lines) - 1, map(_text_count_entry, entries), str, columns
 
 
 def _text_count_entry(parts: tuple[str, str, str]):
@@ -228,8 +228,8 @@ def _json_columns(entries: list, *fields: str):
 
 
 def _read_structured(text: str):
-    """n, whether the table is full, its entry count, its entries, the form
-    of its count keys and its columns."""
+    """n, the table's entry count, its entries, the form of its count keys
+    (None for a full table) and its columns."""
     import json
     try:
         data = json.loads(text)
@@ -249,8 +249,8 @@ def _read_structured(text: str):
     columns = _json_columns(entries, "profile")
     profiles = next(columns, None)
     if profiles is not None:
-        return n, True, len(entries), map(_json_full_entry, entries), None, itertools.chain([profiles], columns)
-    return n, False, len(entries), map(_json_count_entry, entries), int, _json_columns(entries, "a", "b")
+        return n, len(entries), map(_json_full_entry, entries), None, itertools.chain([profiles], columns)
+    return n, len(entries), map(_json_count_entry, entries), int, _json_columns(entries, "a", "b")
 
 
 def _json_full_entry(e: dict):

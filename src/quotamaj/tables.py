@@ -77,13 +77,8 @@ def _row_digits(n: int) -> tuple[str, ...]:
 
 def _prefix_rows(n: int, lengths: list[int]) -> int:
     """Grid mask whose row na holds the profiles nb < lengths[na]."""
-    # most significant row first; about twice as fast as filling _blank_digits
+    # most significant row first
     return int("".join(map(_row_digits(n).__getitem__, reversed(lengths))), 2)
-
-
-def _blank_digits(n: int) -> bytearray:
-    """All-'0' digits of the padded grid; character na*(n+2) + nb is profile (na, nb)."""
-    return bytearray(b"0" * ((n + 1) * (n + 2)))
 
 
 @lru_cache(maxsize=16)
@@ -92,22 +87,16 @@ def _rows(n: int) -> tuple[slice, ...]:
     return tuple(slice(na * (n + 2), na * (n + 2) + n + 1 - na) for na in range(n + 1))
 
 
-def _parse_digits(digits: bytearray) -> int:
-    # character i is bit i, so the least significant digit comes first
-    return int(digits[::-1], 2)
-
-
-def _place_rows(n: int, cells: bytes) -> int:
-    """Grid mask from one b'1' (a wins) or b'0' per profile, in the
+def _place_rows(n: int, letters: str) -> int:
+    """Grid mask from one outcome letter, 'a' or 'b', per profile in the
     all_count_profiles order."""
-    width = n + 2
-    digits = _blank_digits(n)
-    start = 0
+    digits = letters.translate(_DIGITS)
+    rows, start = [], 0
     for na in range(n + 1):
-        stop = start + n + 1 - na
-        digits[na * width : na * width + stop - start] = cells[start:stop]
-        start = stop
-    return _parse_digits(digits)
+        rows.append(digits[start : start + n + 1 - na].ljust(n + 2, "0"))
+        start += n + 1 - na
+    # character i is bit i, so the least significant digit comes first
+    return int("".join(rows)[::-1], 2)
 
 
 @lru_cache(maxsize=16)
@@ -120,9 +109,9 @@ def _grid(n: int) -> tuple[int, int]:
     return n + 2, _prefix_rows(n, [n + 1 - na for na in range(n + 1)])
 
 
-_DIGIT = {Alternative.A: b"1", Alternative.B: b"0"}
 _OUTCOME = {"1": Alternative.A, "0": Alternative.B}
 _LETTERS = str.maketrans("10", "ab")
+_DIGITS = str.maketrans("ab", "10")
 
 
 def _check_outcomes(outcomes: tuple[Alternative, ...]) -> None:
@@ -152,7 +141,7 @@ class CountTable(_Value):
                 f"expected {count_table_size(n)} outcomes for n={n}, got {len(outcomes)}"
             )
         _check_outcomes(outcomes)
-        super().__init__(n, _place_rows(n, b"".join([_DIGIT[o] for o in outcomes])))
+        super().__init__(n, _place_rows(n, "".join([o.value for o in outcomes])))
 
     @classmethod
     def _from_mask(cls, n: int, mask: int) -> "CountTable":
@@ -179,18 +168,18 @@ class CountTable(_Value):
                 f"table for n={n} needs {count_table_size(n)} entries, got {len(outcomes)}"
             )
         # as many distinct keys as profiles, each a profile, is every profile once
-        width = n + 2
-        digits = _blank_digits(n)
+        letters = ["b"] * count_table_size(n)
         for (na, nb), outcome in outcomes.items():
             if na < 0 or nb < 0 or na + nb > n:
                 raise ValueError(f"table entry ({na}, {nb}) is not a count profile for n={n}")
             if outcome is Alternative.A:
-                digits[na * width + nb] = ord("1")
+                # row na follows the n+1, n, ..., n+2-na profiles of the rows above it
+                letters[na * (2 * n + 3 - na) // 2 + nb] = "a"
             elif outcome is not Alternative.B:
                 raise ValueError(f"outcome must be an Alternative, got {outcome!r}")
-        return cls._from_mask(n, _parse_digits(digits))
+        return cls._from_mask(n, _place_rows(n, "".join(letters)))
 
-    def bit_string(self) -> str:
+    def _bit_string(self) -> str:
         """The mask as '0'/'1' characters; character na*(n+2) + nb is profile (na, nb)."""
         n = self.n
         return format(self.mask, f"0{(n + 1) * (n + 2)}b")[::-1]
@@ -199,7 +188,7 @@ class CountTable(_Value):
         """Row lengths c_0..c_n, a winning (na, nb) exactly when nb < c_na, or
         None when a row is no prefix; `_prefix_rows` is the inverse."""
         width = self.n + 2
-        bits = self.bit_string()
+        bits = self._bit_string()
         lengths = []
         for start in range(0, len(bits), width):
             # the spare column is '0', so every row has a first '0'
@@ -211,7 +200,7 @@ class CountTable(_Value):
 
     def _cells(self) -> str:
         # one '0'/'1' per profile, in the all_count_profiles order
-        return "".join(map(self.bit_string().__getitem__, _rows(self.n)))
+        return "".join(map(self._bit_string().__getitem__, _rows(self.n)))
 
     @property
     def outcomes(self) -> tuple[Alternative, ...]:

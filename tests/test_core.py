@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -16,7 +17,9 @@ from quotamaj import (
     all_full_profiles,
     count_of,
     count_table_size,
+    enumerate_all,
 )
+from quotamaj.tables import _grid, _place_rows
 
 A, B, I = Preference.A, Preference.B, Preference.INDIFFERENT
 
@@ -193,3 +196,18 @@ def test_tables_refuse_a_wrong_outcome_count_or_a_key_that_is_no_profile():
 def test_quota_seq_checks_like_per_entry_reference_on_random_input(n, data):
     quotas = data.draw(st.lists(st.integers(-2, n + 3), max_size=6))
     assert_quota_seq_checks_like_reference(n, quotas)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_placing_a_tables_outcome_letters_gives_its_mask(n):
+    rng = random.Random(n)
+    _, valid = _grid(n)
+    for _ in range(10):
+        table = CountTable._from_mask(n, rng.getrandbits(valid.bit_length()) & valid)
+        assert _place_rows(n, table.outcome_string()) == table.mask
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_placing_the_outcome_letters_of_every_rule_gives_its_mask(n):
+    for _, table in enumerate_all(n):
+        assert _place_rows(n, table.outcome_string()) == table.mask

@@ -318,6 +318,12 @@ def test_full_table_writer_writes_the_reference_bytes(n, fmt):
         assert format_full_table(table, fmt) == reference_format_full_table(table, fmt)
 
 
+@pytest.mark.slow
+def test_count_table_writer_writes_the_reference_json_at_n1000():
+    table = random_table("count", 1000, 1000)
+    assert format_count_table(table, STRUCTURED) == reference_format_count_table(table, STRUCTURED)
+
+
 def test_the_count_table_writer_builds_no_count_profiles():
     from quotamaj import core
 

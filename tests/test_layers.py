@@ -87,6 +87,7 @@ def test_layers_times_the_table_writers():
         "format_count_table.n30.text",
         "format_count_table.n30.structured",
         "format_full_table.n8.text",
+        "format_full_table.n8.structured",
     ]
     count = to_table(QuotaSeq(30, (15, 21, 9, 31)))
     assert [parse_table(write()) for _, write in cases[:2]] == [count, count]

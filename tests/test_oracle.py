@@ -181,6 +181,17 @@ def test_exhaustive_family_matches_enumeration():
         assert found == sorted(t.mask for _, t in enumerate_all(n))
 
 
+@pytest.mark.slow
+def test_exhaustive_family_matches_enumeration_at_n16(monkeypatch):
+    from quotamaj import enumeration, oracle
+
+    # n=16 has 2**17 rules, twice the budget, which each module reads as its own name
+    monkeypatch.setattr(oracle, "MAX_RULES", 2**17)
+    monkeypatch.setattr(enumeration, "MAX_RULES", 2**17)
+    found = [t.mask for t in exhaustive_sp_family(16)]
+    assert found == sorted(t.mask for _, t in enumerate_all(16))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exhaustive_family_is_every_closed_row_prefix_table(n):
     # closure under "b loses a supporter" alone makes each row na a prefix

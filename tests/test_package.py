@@ -199,6 +199,23 @@ def test_verify_on_a_text_table_loads_no_extraction_lp_or_json(tmp_path):
     assert not modules & (LIBRARY_ONLY - {"quotamaj.oracle"})
 
 
+def test_writing_tables_in_either_format_loads_no_json(tmp_path):
+    script = (
+        "import sys\n"
+        "from quotamaj import QuotaSeq, to_table\n"
+        "from quotamaj.fileformats import STRUCTURED, TEXT, format_count_table, format_full_table\n"
+        "from quotamaj.oracle import expand_to_full\n"
+        "table = to_table(QuotaSeq(4, (2, 3, 1, 5)))\n"
+        "for fmt in (TEXT, STRUCTURED):\n"
+        "    format_count_table(table, fmt)\n"
+        "    format_full_table(expand_to_full(table), fmt)\n"
+        "with open(sys.argv[1], 'w', encoding='utf-8') as out:\n"
+        "    out.write('\\n'.join(sorted(sys.modules)))\n"
+    )
+    modules, _ = loaded_by(tmp_path, script)
+    assert "quotamaj.fileformats" in modules and "json" not in modules
+
+
 def test_the_import_profiler_reports_the_modules_a_command_loads(tmp_path):
     # the package loads each module through the import statement's hook,
     # which `-X importtime` times, so the lazily loaded ones are listed too

@@ -17,7 +17,8 @@ JSON, files in the canonical order that are read in whole-table passes,
 the count table at n=140 with its entries shuffled, which is read entry
 by entry, and a text count table at n=1000 in both orders; the
 `format_count_table.*` timings write that table at n=1000 as text and as
-JSON, `format_full_table.n8.text` the full table at n=8 as text, and the
+JSON, the `format_full_table.*` timings the full table at n=8 as text and
+as JSON, and the
 `format_family.*` timings write the family at n=12 as text and as JSON.
 The `enum.*` timings run what the `enum` command runs at n=10, 11, 12
 and 14 in both formats, with the output dropped instead of written.
@@ -200,15 +201,16 @@ def large_parse_cases(n: int = 1000) -> list[tuple[str, object]]:
 
 
 def writer_cases(n: int = 1000) -> list[tuple[str, object]]:
-    """format_count_table on the count table of large_parse_cases in both
-    formats, and format_full_table on the full table at n=8 of parse_cases
-    as text."""
+    """format_count_table on the count table of large_parse_cases and
+    format_full_table on the full table at n=8 of parse_cases, each in both
+    formats."""
     count = to_table(QuotaSeq(n, (n // 2, 7 * n // 10, 3 * n // 10, n + 1)))
     full = expand_to_full(to_table(QuotaSeq(8, (4, 6, 2, 9))))
     return [
         *((f"format_count_table.n{n}.{fmt_name}", partial(format_count_table, count, fmt))
           for fmt_name, fmt in (("text", TEXT), ("structured", STRUCTURED))),
-        ("format_full_table.n8.text", partial(format_full_table, full)),
+        *((f"format_full_table.n8.{fmt_name}", partial(format_full_table, full, fmt))
+          for fmt_name, fmt in (("text", TEXT), ("structured", STRUCTURED))),
     ]
 
 
