@@ -65,7 +65,8 @@ def format_count_table(table: CountTable, fmt: str = TEXT) -> str:
 
 def format_full_table(table: FullTable, fmt: str = TEXT) -> str:
     fields = ('    {\n      "profile": "', '",\n      "out": "')
-    letters = [o.value for o in table.outcomes]
+    A = Alternative.A
+    letters = ["a" if o is A else "b" for o in table.outcomes]
     return _format_table(table.n, fields, _canonical_keys(table.n, None), letters, fmt)
 
 
@@ -120,13 +121,9 @@ def _whole_table(n: int, size: int, form, columns):
     order, and every outcome is 'a' or 'b'; None otherwise, and then the
     per-entry checks name the fault."""
     from .tables import CountTable, FullTable, _place_rows
-    if n < 1:
-        return None
-    if form is None:
-        fits = n < size.bit_length() and 3**n == size  # 3**n only for an n that size can match
-    else:
-        fits = count_table_size(n) == size
-    if not fits:
+    # a full table's size is checked before this pass; a count file reports
+    # entry faults before its size, and _from_mask trusts n
+    if form is not None and (n < 1 or count_table_size(n) != size):
         return None
     keys = []
     for canonical in _canonical_keys(n, form):
@@ -157,6 +154,8 @@ def _build_table(n: int, size: int, entries, form, columns) -> CountTable | Full
     file goes through the per-entry checks.
     """
     from .tables import CountTable, FullTable, _BASE3, _check_full_size
+    if form is None:
+        _check_full_size(n, size)  # before any profile of an untrusted length is read
     table = _whole_table(n, size, form, columns)
     if table is not None:
         return table
@@ -167,7 +166,6 @@ def _build_table(n: int, size: int, entries, form, columns) -> CountTable | Full
                 raise ValueError(f"duplicate entry for profile {key}")
             counts[key] = _parse_outcome(token)
         return CountTable.from_mapping(n, counts)
-    _check_full_size(n, size)  # before any profile of an untrusted length is read
     outcomes = [None] * size
     for profile, token in entries:
         if len(profile) != n:

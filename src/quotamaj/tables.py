@@ -55,14 +55,6 @@ _LETTER = {p: p.value for p in PREFERENCES}
 _BASE3 = str.maketrans("abi", "012")
 
 
-def _full_index(profile: FullProfile) -> int:
-    try:
-        letters = "".join([_LETTER[p] for p in profile])
-    except KeyError as bad:
-        raise ValueError(f"profile item must be a Preference, got {bad.args[0]!r}") from None
-    return int(letters.translate(_BASE3), 3)
-
-
 # A mask is built as a string of '0'/'1' digits and parsed once: summing
 # n shifted rows would cost n times the size of the mask.
 
@@ -141,7 +133,8 @@ class CountTable(_Value):
                 f"expected {count_table_size(n)} outcomes for n={n}, got {len(outcomes)}"
             )
         _check_outcomes(outcomes)
-        super().__init__(n, _place_rows(n, "".join([o.value for o in outcomes])))
+        A = Alternative.A  # letters by identity: the Enum's .value is a descriptor call
+        super().__init__(n, _place_rows(n, "".join(["a" if o is A else "b" for o in outcomes])))
 
     @classmethod
     def _from_mask(cls, n: int, mask: int) -> "CountTable":
@@ -256,7 +249,11 @@ class FullTable(_Value):
     def outcome(self, profile: FullProfile) -> Alternative:
         if len(profile) != self.n:
             raise ValueError(f"profile length {len(profile)} does not match n={self.n}")
-        return self.outcomes[_full_index(profile)]
+        try:
+            letters = "".join([_LETTER[p] for p in profile])
+        except KeyError as bad:
+            raise ValueError(f"profile item must be a Preference, got {bad.args[0]!r}") from None
+        return self.outcomes[int(letters.translate(_BASE3), 3)]
 
     def items(self) -> Iterator[tuple[FullProfile, Alternative]]:
         return zip(all_full_profiles(self.n), self.outcomes)

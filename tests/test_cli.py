@@ -803,6 +803,25 @@ def test_verify_and_represent_print_what_they_printed_before(tmp_path, monkeypat
     assert run(capsys, command, "--table", recorded_file(case, fmt)) == RECORDED[key]
 
 
+# Count tables in the canonical order for fewer than one voter: the
+# whole-table pass must leave them to the per-entry checks, which refuse
+# the size, and not build a table for zero voters or fail on its grid.
+@pytest.mark.parametrize("command", ["verify", "represent"])
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        pytest.param("n=0\n0 0 a\n", 0, id="text-n0"),
+        pytest.param('{"n": 0, "entries": [{"a": 0, "b": 0, "out": "a"}]}', 0, id="structured-n0"),
+        pytest.param("n=-1\n", -1, id="text-n-1"),
+    ],
+)
+def test_count_tables_for_fewer_than_one_voter_are_refused(tmp_path, capsys, command, text, n):
+    path = tmp_path / "table"
+    path.write_text(text, encoding="utf-8")
+    expected = (INVALID_INPUT, "", f"error: society size must be at least 1, got {n}\n")
+    assert run(capsys, command, "--table", str(path)) == expected
+
+
 def test_represent_refuses_exactly_the_full_tables_verify_finds_not_anonymous(tmp_path, capsys):
     refused = []
     for seed in range(60):

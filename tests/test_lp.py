@@ -5,6 +5,7 @@ import pytest
 from quotamaj import (
     Alternative,
     CountProfile,
+    CountTable,
     LPRule,
     QuotaSeq,
     all_rules,
@@ -174,6 +175,22 @@ def test_rules_matching_table_round_trip_small():
                 continue
             matches = rules_matching_table(table)
             assert matches == [proper_to_lp(seq)]
+            assert all(lp_to_table(rule) == table for rule in matches)
+
+
+def test_rules_matching_table_finds_no_rule_for_other_tables():
+    # random tables, most with a row that is no prefix, and random prefix
+    # rows, most of them manipulable: a match exactly for a strategy-proof onto table
+    rng = random.Random(25)
+    for n in (2, 3, 4, 5):
+        tables = [CountTable(n, tuple(rng.choice((A, B)) for _ in range((n + 1) * (n + 2) // 2)))
+                  for _ in range(40)]
+        for _ in range(40):
+            lengths = [rng.randint(0, n + 1 - na) for na in range(n + 1)]
+            tables.append(CountTable.from_function(n, lambda p: A if p.nb < lengths[p.na] else B))
+        for table in tables:
+            matches = rules_matching_table(table)
+            assert len(matches) == (check_strategy_proof(table) and is_onto(table))
             assert all(lp_to_table(rule) == table for rule in matches)
 
 
