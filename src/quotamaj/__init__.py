@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "canonical": ("canonicalize", "delete_dominated", "is_minimal", "truncate"),
+    "canonical": ("canonicalize", "delete_dominated", "truncate"),
     "core": (
         "Alternative", "CountProfile", "QuotaSeq", "SearchBudgetExceeded", "all_count_profiles",
         "count_table_size",
@@ -28,15 +28,11 @@ _EXPORTS = {
         "LKSequence", "NotStrategyProof", "covered_a", "covered_b", "extract", "interleave",
         "psi_eval", "represent",
     ),
-    "lp": (
-        "LPRule", "all_rules", "lp_eval", "lp_to_proper", "lp_to_table", "proper_to_lp",
-        "rules_matching_table",
-    ),
+    "lp": ("LPRule", "all_rules", "lp_eval", "lp_to_proper", "lp_to_table", "proper_to_lp"),
     "oracle": (
-        "CountManipulation", "FullManipulation", "check_anonymous", "check_strategy_proof",
-        "check_strategy_proof_full", "exhaustive_sp_family", "expand_to_full",
-        "find_manipulation", "find_manipulation_full", "is_onto", "reduce_to_counts",
-        "tables_equal",
+        "CountManipulation", "FullManipulation", "check_anonymous", "exhaustive_sp_family",
+        "expand_to_full", "find_manipulation", "find_manipulation_full", "is_onto",
+        "reduce_to_counts",
     ),
     "tables": ("CountTable", "FullProfile", "FullTable", "Preference", "all_full_profiles", "count_of"),
 }

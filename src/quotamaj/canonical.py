@@ -22,11 +22,10 @@ over the sequence, so canonicalizing takes O(length) steps whatever n is.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 
-from .core import QuotaSeq, SearchBudgetExceeded
-from .engine import _escape_sides, _staircase, is_valid_r_tuple, length
+from .core import QuotaSeq
+from .engine import _escape_sides, length
 
 
 def truncate(raw: Sequence[int], n: int) -> QuotaSeq:
@@ -66,46 +65,3 @@ def canonicalize(raw: Sequence[int], n: int) -> QuotaSeq:
     sides = _escape_sides(q) + [0]
     kept = [v for v, side, after in zip(q[1:], sides, sides[1:]) if side != after]
     return QuotaSeq._trusted(n, (q[0], *kept))
-
-
-#: The most shorter sequences `is_minimal` may generate.
-MAX_CANDIDATES = 200_000
-
-
-def _shorter_candidates(n: int, max_length: int):
-    interior = range(1, n + 1)
-    for ell in range(max_length):
-        for body in itertools.permutations(interior, ell):
-            yield QuotaSeq(n, body + (n + 1,))
-            yield QuotaSeq(n, body + (0,))
-
-
-def _candidate_count(n: int, max_length: int) -> int:
-    total = 0
-    perms = 1
-    for ell in range(max_length):
-        total += 2 * perms
-        perms *= n - ell
-    return total
-
-
-def is_minimal(seq: QuotaSeq) -> bool:
-    """Whether no strictly shorter sequence of distinct quotas defines the same rule.
-
-    Checked by exhaustive generation of every shorter candidate, so it is an
-    independent certificate that properness really is minimality.  Raises
-    SearchBudgetExceeded rather than guessing when the candidate space is
-    larger than MAX_CANDIDATES.
-    """
-    if not is_valid_r_tuple(seq):
-        raise ValueError(f"({seq}) is not a sequence of distinct quotas ending at 0 or n+1")
-    target_length = length(seq)
-    count = _candidate_count(seq.n, target_length)
-    if count > MAX_CANDIDATES:
-        raise SearchBudgetExceeded(
-            f"minimality search needs {count} candidates, budget is {MAX_CANDIDATES}"
-        )
-    target = _staircase(seq)
-    return not any(
-        _staircase(cand) == target for cand in _shorter_candidates(seq.n, target_length)
-    )

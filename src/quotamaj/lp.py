@@ -25,7 +25,8 @@ canonicalizes the interleaved levels.
 The threshold vector read off a table is the only valid one: each level
 row of an onto table holds both outcomes, so its least winning support is
 forced, and the 2^(n+1) - 2 valid rules give pairwise-distinct tables,
-one per onto rule.
+one per onto rule.  The certificate of that uniqueness is acceptance
+criterion 8's walk over every valid rule, in the tests.
 """
 
 from __future__ import annotations
@@ -131,27 +132,11 @@ def lp_to_proper(rule: LPRule) -> QuotaSeq:
 
 
 def all_rules(n: int, default: Alternative) -> Iterator[LPRule]:
-    """Every valid indifference-quota rule for one default, in (r, vector) order."""
+    """Every valid indifference-quota rule for one default, in (r, vector) order:
+    acceptance criterion 8's walk over them is the uniqueness certificate."""
     for r in range(1, n + 1):
         base = 1 if default is Alternative.A else n - r + 1
         # each threshold repeats the one before it or exceeds it by one
         for steps in itertools.product((0, 1), repeat=r - 1):
             vector = tuple(itertools.accumulate(steps, initial=base))
             yield LPRule(n=n, default=default, r=r, thresholds=vector)
-
-
-def rules_matching_table(table: CountTable) -> list[LPRule]:
-    """Every valid indifference-quota rule whose table equals the given one.
-
-    Exhaustive over both defaults; the certificate behind the uniqueness of
-    this parametrization.  It returns at most one rule for any table: exactly
-    one for a strategy-proof onto table, none for any other.  A staircase
-    fixes its table, and a table with a row that is no prefix has none.
-    """
-    lengths = table._staircase()
-    return [
-        rule
-        for default in (Alternative.B, Alternative.A)
-        for rule in all_rules(table.n, default)
-        if _staircase(_sequence(rule)) == lengths
-    ]

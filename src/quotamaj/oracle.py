@@ -154,10 +154,6 @@ def find_manipulation(table: CountTable) -> CountManipulation | None:
     )
 
 
-def check_strategy_proof(table: CountTable) -> bool:
-    return find_manipulation(table) is None
-
-
 #: The full scan visits 3**n profiles; larger tables are refused.
 MAX_FULL_SCAN_N = 10
 
@@ -184,20 +180,9 @@ def find_manipulation_full(table: FullTable) -> FullManipulation | None:
     return None
 
 
-def check_strategy_proof_full(table: FullTable) -> bool:
-    return find_manipulation_full(table) is None
-
-
 def is_onto(table: CountTable) -> bool:
     """Whether both alternatives appear among the outcomes."""
     return table.mask not in (0, _grid(table.n)[1])
-
-
-def tables_equal(first: CountTable, second: CountTable) -> bool:
-    """Pointwise equality over all count profiles."""
-    if first.n != second.n:
-        raise ValueError(f"society size mismatch: {first.n} vs {second.n}")
-    return first.mask == second.mask
 
 
 def exhaustive_sp_family(n: int) -> list[CountTable]:

@@ -17,8 +17,6 @@ from quotamaj import (
     all_count_profiles,
     all_rules,
     canonicalize,
-    check_strategy_proof,
-    check_strategy_proof_full,
     count_table_size,
     dual,
     enumerate_all,
@@ -27,18 +25,20 @@ from quotamaj import (
     exhaustive_sp_family,
     expand_to_full,
     extract,
+    find_manipulation,
+    find_manipulation_full,
     interleave,
-    is_minimal,
     is_proper,
     length,
     lp_to_table,
     proper_to_lp,
     proper_to_subset,
     psi_eval,
-    rules_matching_table,
     subset_to_proper,
     to_table,
 )
+
+from certificates import is_minimal, rules_matching_table
 
 A, B = Alternative.A, Alternative.B
 
@@ -221,8 +221,8 @@ def test_criterion_9_property_suites():
             table = CountTable(
                 n, tuple(A if mask >> i & 1 else B for i in range(size))
             )
-            if check_strategy_proof(table) != check_strategy_proof_full(
-                expand_to_full(table)
+            if (find_manipulation(table) is None) != (
+                find_manipulation_full(expand_to_full(table)) is None
             ):
                 ok = False
 

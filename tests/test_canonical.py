@@ -11,7 +11,6 @@ from quotamaj import (
     SearchBudgetExceeded,
     canonicalize,
     delete_dominated,
-    is_minimal,
     is_proper,
     length,
     subset_to_proper,
@@ -19,6 +18,8 @@ from quotamaj import (
     truncate,
 )
 from quotamaj.engine import _staircase
+
+from certificates import is_minimal
 
 
 def seq(n, *quotas):

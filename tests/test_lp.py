@@ -9,18 +9,19 @@ from quotamaj import (
     LPRule,
     QuotaSeq,
     all_rules,
-    check_strategy_proof,
     enumerate_all,
+    find_manipulation,
     is_onto,
     lp_eval,
     lp_to_proper,
     lp_to_table,
     proper_to_lp,
     represent,
-    rules_matching_table,
     subset_to_proper,
     to_table,
 )
+
+from certificates import rules_matching_table
 
 A, B = Alternative.A, Alternative.B
 
@@ -147,7 +148,7 @@ def test_all_rules_are_strategy_proof_and_onto():
         for default in (B, A):
             for rule in all_rules(n, default):
                 table = lp_to_table(rule)
-                assert check_strategy_proof(table)
+                assert find_manipulation(table) is None
                 assert is_onto(table)
 
 
@@ -190,7 +191,7 @@ def test_rules_matching_table_finds_no_rule_for_other_tables():
             tables.append(CountTable.from_function(n, lambda p: A if p.nb < lengths[p.na] else B))
         for table in tables:
             matches = rules_matching_table(table)
-            assert len(matches) == (check_strategy_proof(table) and is_onto(table))
+            assert len(matches) == (find_manipulation(table) is None and is_onto(table))
             assert all(lp_to_table(rule) == table for rule in matches)
 
 

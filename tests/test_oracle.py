@@ -14,8 +14,6 @@ from quotamaj import (
     all_count_profiles,
     all_full_profiles,
     check_anonymous,
-    check_strategy_proof,
-    check_strategy_proof_full,
     count_of,
     count_table_size,
     enumerate_all,
@@ -28,7 +26,6 @@ from quotamaj import (
     reduce_to_counts,
     represent,
     subset_to_proper,
-    tables_equal,
     to_table,
 )
 from quotamaj.enumeration import _family_staircases
@@ -99,12 +96,11 @@ def test_expand_reduce_round_trip():
 
 
 def test_strategy_proof_majority():
-    assert check_strategy_proof(majority3())
     assert find_manipulation(majority3()) is None
 
 
 def test_strategy_proof_worked_rule():
-    assert check_strategy_proof(to_table(QuotaSeq(11, (5, 2, 12))))
+    assert find_manipulation(to_table(QuotaSeq(11, (5, 2, 12)))) is None
 
 
 def test_strategy_proof_finds_constructed_violation():
@@ -130,8 +126,8 @@ def test_count_counterexample_replays():
 
 
 def test_strategy_proof_full():
-    assert check_strategy_proof_full(expand_to_full(majority3()))
-    assert check_strategy_proof_full(dictatorship2())
+    assert find_manipulation_full(expand_to_full(majority3())) is None
+    assert find_manipulation_full(dictatorship2()) is None
     witness = find_manipulation_full(expand_to_full(broken_majority3()))
     assert witness is not None
     replayed = expand_to_full(broken_majority3()).outcome(witness.misreported_profile)
@@ -153,12 +149,11 @@ def test_is_onto():
 
 def test_tables_equal():
     worked = to_table(QuotaSeq(11, (5, 2, 12)))
-    assert tables_equal(to_table(QuotaSeq(11, (5, 2, 7, 12))), worked)
-    assert tables_equal(to_table(QuotaSeq(11, (5, 2, 9, 12))), worked)
-    assert not tables_equal(to_table(QuotaSeq(11, (7, 10, 0))), worked)
-    assert tables_equal(worked, worked)
-    with pytest.raises(ValueError):
-        tables_equal(majority3(), worked)
+    assert to_table(QuotaSeq(11, (5, 2, 7, 12))) == worked
+    assert to_table(QuotaSeq(11, (5, 2, 9, 12))) == worked
+    assert to_table(QuotaSeq(11, (7, 10, 0))) != worked
+    assert worked == worked
+    assert majority3() != worked
 
 
 def test_exhaustive_family_sizes():
@@ -209,29 +204,29 @@ def test_exhaustive_family_is_every_closed_row_prefix_table(n):
 def test_exhaustive_family_members_pass_checker():
     for n in (1, 2, 3):
         for table in exhaustive_sp_family(n):
-            assert check_strategy_proof(table)
+            assert find_manipulation(table) is None
 
 
 def test_enumerated_family_strategy_proof():
     for n in (1, 2, 3, 4, 5):
         for _, table in enumerate_all(n):
-            assert check_strategy_proof(table)
+            assert find_manipulation(table) is None
 
 
 def test_soundness_link_small():
     # count-level and full-profile checkers agree on every anonymous table
     for n in (1, 2, 3):
         for table in all_count_tables(n):
-            assert check_strategy_proof(table) == check_strategy_proof_full(
-                expand_to_full(table)
+            assert (find_manipulation(table) is None) == (
+                find_manipulation_full(expand_to_full(table)) is None
             )
 
 
 @pytest.mark.slow
 def test_soundness_link_n4():
     for table in all_count_tables(4):
-        assert check_strategy_proof(table) == check_strategy_proof_full(
-            expand_to_full(table)
+        assert (find_manipulation(table) is None) == (
+            find_manipulation_full(expand_to_full(table)) is None
         )
 
 
@@ -434,7 +429,7 @@ SLOW_FAMILY_SIZES = [pytest.param(n, marks=pytest.mark.slow) for n in (7, 8)]
 def test_family_passes_the_full_level_checks(n):
     for _, table in enumerate_all(n):
         full = expand_to_full(table)
-        assert check_strategy_proof_full(full)
+        assert find_manipulation_full(full) is None
         assert reduce_to_counts(full) == table
 
 
@@ -443,8 +438,8 @@ def test_count_and_full_verdicts_agree_on_every_one_cell_flip_n5():
     for _, table in enumerate_all(5):
         for cell in range(count_table_size(5)):
             flipped = CountTable(5, flip(table.outcomes, [cell]))
-            verdict = check_strategy_proof(flipped)
-            assert check_strategy_proof_full(expand_to_full(flipped)) == verdict
+            verdict = find_manipulation(flipped) is None
+            assert (find_manipulation_full(expand_to_full(flipped)) is None) == verdict
             verdicts.add(verdict)
     assert verdicts == {False, True}
 
@@ -455,7 +450,7 @@ def test_count_and_full_verdicts_agree_on_seeded_one_cell_flips(n):
     for _, table in enumerate_all(n):
         for cell in rng.sample(range(count_table_size(n)), 3):
             flipped = CountTable(n, flip(table.outcomes, [cell]))
-            assert check_strategy_proof_full(expand_to_full(flipped)) == check_strategy_proof(flipped)
+            assert (find_manipulation_full(expand_to_full(flipped)) is None) == (find_manipulation(flipped) is None)
 
 
 # The strategy-proof tables are the staircases c_0..c_n, a winning (na, nb)

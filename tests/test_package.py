@@ -4,6 +4,7 @@ The import checks run in child interpreters started with `python -S`, so
 that no site `.pth` file can preload a module and hide a real import.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,10 +18,11 @@ from quotamaj import Alternative, CountTable, QuotaSeq, to_table
 from quotamaj.cli import PROPERTY_VIOLATED, main
 from quotamaj.fileformats import format_count_table
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 PUBLIC = {
-    "canonical": ("canonicalize", "delete_dominated", "is_minimal", "truncate"),
+    "canonical": ("canonicalize", "delete_dominated", "truncate"),
     "core": (
         "Alternative", "CountProfile", "QuotaSeq", "SearchBudgetExceeded", "all_count_profiles",
         "count_table_size",
@@ -34,15 +36,11 @@ PUBLIC = {
         "LKSequence", "NotStrategyProof", "covered_a", "covered_b", "extract", "interleave",
         "psi_eval", "represent",
     ),
-    "lp": (
-        "LPRule", "all_rules", "lp_eval", "lp_to_proper", "lp_to_table", "proper_to_lp",
-        "rules_matching_table",
-    ),
+    "lp": ("LPRule", "all_rules", "lp_eval", "lp_to_proper", "lp_to_table", "proper_to_lp"),
     "oracle": (
-        "CountManipulation", "FullManipulation", "check_anonymous", "check_strategy_proof",
-        "check_strategy_proof_full", "exhaustive_sp_family", "expand_to_full",
-        "find_manipulation", "find_manipulation_full", "is_onto", "reduce_to_counts",
-        "tables_equal",
+        "CountManipulation", "FullManipulation", "check_anonymous", "exhaustive_sp_family",
+        "expand_to_full", "find_manipulation", "find_manipulation_full", "is_onto",
+        "reduce_to_counts",
     ),
     "tables": ("CountTable", "FullProfile", "FullTable", "Preference", "all_full_profiles", "count_of"),
 }
@@ -52,7 +50,7 @@ A, B = Alternative.A, Alternative.B
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == len(set(NAMES)) == 54
+    assert len(NAMES) == len(set(NAMES)) == 49
     assert quotamaj.__all__ == NAMES
 
 
@@ -79,6 +77,34 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         quotamaj.no_such_name
     assert not hasattr(quotamaj, "_exports_of_nothing")
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # the traced replay wraps each (module, name) of `replay.LAYERS`, and the
+    # benchmark tests import from `quotamaj` and `quotamaj.core`: a name that
+    # leaves the package breaks `run.py --trace` or `pytest benchmarks`
+    bench = ROOT / "benchmarks"
+    tree = ast.parse((bench / "replay.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
+    )
+    missing = [
+        f"{module}.{name}"
+        for module, names in layers.items()
+        for name in names
+        if not hasattr(import_module(f"quotamaj.{module}"), name)
+    ]
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse((bench / "test_benchmarks.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module in ("quotamaj", "quotamaj.core")
+        for alias in node.names
+    ]
+    missing += [f"{module}.{name}" for module, name in imported if not hasattr(import_module(module), name)]
+    assert layers and imported
+    assert missing == []
 
 
 def test_represent_on_a_manipulable_table_exits_3_with_the_counterexample(tmp_path, capsys):

@@ -157,3 +157,25 @@ def test_each_name_is_imported_from_the_module_that_defines_it():
         if name.startswith("_") and name not in defined[module]
     ]
     assert wrong == []
+
+
+def test_the_readme_budget_table_names_every_budget_constant():
+    # the budgets are the module-level MAX_* constants of the package, and
+    # the README lists each once, by module, in its budget table
+    constants = sorted(
+        f"{path.stem}.{target.id}"
+        for path in SOURCE.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    )
+    readme = (ROOT / "README.md").read_text().splitlines()
+    start = readme.index("| budget | value | refuses |")
+    rows = []
+    for line in readme[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip().strip("`"))
+    assert constants == ["core.MAX_RULES", "core.MAX_TABLE_PROFILES", "oracle.MAX_FULL_SCAN_N"]
+    assert sorted(rows) == constants
