@@ -30,9 +30,8 @@ _EXPORTS = {
     ),
     "lp": ("LPRule", "all_rules", "lp_eval", "lp_to_proper", "lp_to_table", "proper_to_lp"),
     "oracle": (
-        "CountManipulation", "FullManipulation", "check_anonymous", "exhaustive_sp_family",
-        "expand_to_full", "find_manipulation", "find_manipulation_full", "is_onto",
-        "reduce_to_counts",
+        "CountManipulation", "FullManipulation", "check_anonymous", "expand_to_full",
+        "find_manipulation", "find_manipulation_full", "is_onto", "reduce_to_counts",
     ),
     "tables": ("CountTable", "FullProfile", "FullTable", "Preference", "all_full_profiles", "count_of"),
 }

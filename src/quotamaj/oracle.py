@@ -10,9 +10,7 @@ On anonymous tables the check is one closure property.  Only a supporter
 of the losing alternative has a motive, and each misreport moves the
 counts one step, so a table is strategy-proof exactly when the profiles a
 wins stay closed under three moves: a gains a supporter, b loses one, and
-a b-supporter switches to a.  Each move is one shift of a bitmask.  The
-search for every such table builds the a-regions that the moves allow
-row by row, not all 2**((n+1)(n+2)/2) tables.
+a b-supporter switches to a.  Each move is one shift of a bitmask.
 
 On full tables a profile is its position p in all_full_profiles: voter v,
 of place w = 3**(n-1-v), declares the digit t = p // w % 3 (a=0, b=1,
@@ -23,8 +21,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import MAX_RULES, Alternative, CountProfile, SearchBudgetExceeded, _Value, _check_society
-from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid, _prefix_rows
+from .core import Alternative, CountProfile, SearchBudgetExceeded, _Value
+from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid
 
 
 class CountManipulation(_Value):
@@ -183,28 +181,3 @@ def find_manipulation_full(table: FullTable) -> FullManipulation | None:
 def is_onto(table: CountTable) -> bool:
     """Whether both alternatives appear among the outcomes."""
     return table.mask not in (0, _grid(table.n)[1])
-
-
-def exhaustive_sp_family(n: int) -> list[CountTable]:
-    """Every strategy-proof count table, in ascending order of its mask.
-
-    Closure under "b loses a supporter" makes each row na of the a-region a
-    prefix nb < c_na, 0 <= c_na <= n+1-na; closure under "a gains one" then
-    forces c_na >= min(c_{na-1}, n+1-na), and the switch, a loss and then a
-    gain, adds nothing.  Each such staircase is still kept only if
-    `_escapes` finds no escape.  There are 2**(n+1), the paper's count, so
-    n is refused before any is built when that exceeds MAX_RULES, as
-    `enumerate_all` refuses it.
-    """
-    _check_society(n)
-    budget = MAX_RULES.bit_length() - 1  # 2**budget is the largest power of two within it
-    if n + 1 > budget:
-        raise SearchBudgetExceeded(
-            f"exhaustive table search for n={n} would build 2**{n + 1} staircases, budget is 2**{budget}"
-        )
-    stairs = [[c] for c in range(n + 2)]
-    for top in range(n, 0, -1):  # top = n+1-na for the rows na = 1..n
-        stairs = [s + [c] for s in stairs for c in range(min(s[-1], top), top + 1)]
-    width, valid = _grid(n)
-    masks = sorted(_prefix_rows(n, s) for s in stairs)
-    return [CountTable._from_mask(n, m) for m in masks if not any(_escapes(m, width, valid))]

@@ -22,7 +22,6 @@ from quotamaj import (
     enumerate_all,
     evaluate,
     evaluate_strict_quota,
-    exhaustive_sp_family,
     expand_to_full,
     extract,
     find_manipulation,
@@ -38,7 +37,7 @@ from quotamaj import (
     to_table,
 )
 
-from certificates import is_minimal, rules_matching_table
+from certificates import exhaustive_sp_family, is_minimal, rules_matching_table
 
 A, B = Alternative.A, Alternative.B
 

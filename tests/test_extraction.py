@@ -10,7 +10,6 @@ from quotamaj import (
     covered_a,
     covered_b,
     enumerate_all,
-    exhaustive_sp_family,
     extract,
     interleave,
     is_proper,
@@ -18,6 +17,8 @@ from quotamaj import (
     represent,
     to_table,
 )
+
+from certificates import exhaustive_sp_family
 
 A, B = Alternative.A, Alternative.B
 

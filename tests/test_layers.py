@@ -222,6 +222,23 @@ def test_layers_records_the_modules_each_startup_command_loads(tmp_path):
     json.dumps(loads)
 
 
+def test_layers_records_the_ast_nodes_each_startup_command_compiles(tmp_path):
+    layers = load_tool()
+    (tmp_path / "bare.py").write_text("x = 1\n")
+    (tmp_path / "documented.py").write_text('"""One.\n\nTwo.\n"""\n# three\nx = 1  # four\n')
+    # Module, Assign, Name, Store, Constant; the docstring adds one Expr and one Constant
+    assert layers.ast_nodes(tmp_path / "bare.py") == 5
+    assert layers.ast_nodes(tmp_path / "documented.py") == 7
+    loads = layers.startup_loads(tmp_path)
+    source = layers.SRC / "quotamaj"
+    for load in loads.values():
+        files = [source / f"{m.partition('.')[2] or '__init__'}.py" for m in load["modules"]]
+        assert load["ast_nodes"] == sum(map(layers.ast_nodes, files))
+    assert 0 < loads["startup.import"]["ast_nodes"] < loads["startup.count"]["ast_nodes"]
+    assert loads["startup.count"]["ast_nodes"] < loads["startup.verify"]["ast_nodes"]
+    assert loads["startup.verify"]["ast_nodes"] < loads["startup.represent"]["ast_nodes"]
+
+
 def test_layers_reads_the_tier1_counts():
     layers = load_tool()
     assert layers.tier1_summary("221 passed, 2 skipped in 16.02s") == {

@@ -17,7 +17,6 @@ from quotamaj import (
     count_of,
     count_table_size,
     enumerate_all,
-    exhaustive_sp_family,
     expand_to_full,
     find_manipulation,
     find_manipulation_full,
@@ -31,6 +30,9 @@ from quotamaj import (
 from quotamaj.enumeration import _family_staircases
 from quotamaj.oracle import _count_positions, _escapes
 from quotamaj.tables import _grid, _prefix_rows
+
+import certificates
+from certificates import exhaustive_sp_family
 
 A, B = Alternative.A, Alternative.B
 
@@ -178,10 +180,10 @@ def test_exhaustive_family_matches_enumeration():
 
 @pytest.mark.slow
 def test_exhaustive_family_matches_enumeration_at_n16(monkeypatch):
-    from quotamaj import enumeration, oracle
+    from quotamaj import enumeration
 
     # n=16 has 2**17 rules, twice the budget, which each module reads as its own name
-    monkeypatch.setattr(oracle, "MAX_RULES", 2**17)
+    monkeypatch.setattr(certificates, "MAX_RULES", 2**17)
     monkeypatch.setattr(enumeration, "MAX_RULES", 2**17)
     found = [t.mask for t in exhaustive_sp_family(16)]
     assert found == sorted(t.mask for _, t in enumerate_all(16))

@@ -38,9 +38,8 @@ PUBLIC = {
     ),
     "lp": ("LPRule", "all_rules", "lp_eval", "lp_to_proper", "lp_to_table", "proper_to_lp"),
     "oracle": (
-        "CountManipulation", "FullManipulation", "check_anonymous", "exhaustive_sp_family",
-        "expand_to_full", "find_manipulation", "find_manipulation_full", "is_onto",
-        "reduce_to_counts",
+        "CountManipulation", "FullManipulation", "check_anonymous", "expand_to_full",
+        "find_manipulation", "find_manipulation_full", "is_onto", "reduce_to_counts",
     ),
     "tables": ("CountTable", "FullProfile", "FullTable", "Preference", "all_full_profiles", "count_of"),
 }
@@ -50,7 +49,7 @@ A, B = Alternative.A, Alternative.B
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == len(set(NAMES)) == 49
+    assert len(NAMES) == len(set(NAMES)) == 48
     assert quotamaj.__all__ == NAMES
 
 

@@ -19,7 +19,6 @@ from quotamaj import (
     all_rules,
     count_table_size,
     enumerate_all,
-    exhaustive_sp_family,
     lp_eval,
     lp_to_table,
     proper_to_subset,
@@ -30,6 +29,8 @@ from quotamaj.cli import main
 from quotamaj.engine import _row_thresholds, _staircase
 from quotamaj.fileformats import STRUCTURED, TEXT, format_family
 from quotamaj.tables import _prefix_rows
+
+from certificates import exhaustive_sp_family
 
 A, B = Alternative.A, Alternative.B
 

@@ -11,11 +11,11 @@ repeats.  The library calls are tabulation, the strategy-proofness check,
 extraction and representation of two tables (n=200 and n=500),
 canonicalization of a seeded 300-entry sequence at n=500 and of the
 constant rule at n=3000, enumeration at n=10, 12 and 14, and the
-exhaustive strategy-proof search at n=5.  The `parse_table.*` timings
-read a count table at n=140 and a full table at n=8 from text and from
-JSON, files in the canonical order that are read in whole-table passes,
-the count table at n=140 with its entries shuffled, which is read entry
-by entry, and a text count table at n=1000 in both orders; the
+tests' exhaustive strategy-proof search (tests/certificates.py) at n=5.
+The `parse_table.*` timings read a count table at n=140 and a full table
+at n=8 from text and from JSON, files in the canonical order that are
+read in whole-table passes, the count table at n=140 with its entries
+shuffled, which is read entry by entry, and a text count table at n=1000 in both orders; the
 `format_count_table.*` timings write that table at n=1000 as text and as
 JSON, the `format_full_table.*` timings the full table at n=8 as text and
 as JSON, and the
@@ -35,9 +35,10 @@ With `--against <rev>`, the script also exports the tree of git
 revision <rev> into a temporary directory and times every case on both
 trees, one run at a time, alternating which tree runs first.  Each tree
 runs in its own worker process, started on this script with that tree's
-sources first on the path, so <rev> needs the library names this script
-uses.  The file then records both minima, the speed-up (the parent's
-minimum over this tree's) and `wins` (how many of the REPEATS pairs of
+sources first on the path, so <rev> needs the library names that this
+script and this tree's tests/certificates.py use, which both trees run.
+The file then records both minima, the speed-up (the parent's minimum
+over this tree's) and `wins` (how many of the REPEATS pairs of
 runs this tree ran faster) under `against`.  Minima alone cannot tell a
 change of a few percent from noise, so read a speed-up as resolved only
 at REPEATS wins out of REPEATS, and a slowdown only at none.  Two runs
@@ -48,8 +49,9 @@ file also records the Python version, whether assertions were on,
 whether bytecode is written (`sys.dont_write_bytecode`: without cached
 bytecode every start-up command compiles the modules it imports), the
 wall time and counts of one run of the tier-1 suite, `startup_loads`:
-the package modules that each `startup.*` command loads and their total
-source lines, which is what it compiles without cached bytecode, and
+the package modules that each `startup.*` command loads, their total
+source lines and AST nodes, which is what it compiles without cached
+bytecode (docstrings and comments add lines but next to no nodes), and
 `source_lines`: the line counts of the package modules (in total and per
 module) and of the test files.  Timings depend on the machine; compare
 files written on the same one.  This script is not part of the test
@@ -59,6 +61,7 @@ suite, so timing noise can never fail it.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import platform
@@ -78,7 +81,6 @@ from quotamaj import (
     QuotaSeq,
     canonicalize,
     enumerate_all,
-    exhaustive_sp_family,
     extract,
     find_manipulation,
     represent,
@@ -95,6 +97,8 @@ from quotamaj.fileformats import (
 from quotamaj.oracle import expand_to_full
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "tests"))
+from certificates import exhaustive_sp_family  # noqa: E402  the tests' search, on the imported quotamaj
 # the sources of the imported quotamaj, which the start-up subprocesses run
 SRC = Path(quotamaj.__file__).resolve().parents[1]
 
@@ -318,9 +322,15 @@ def fallback_cases(work: Path) -> list[tuple[str, object]]:
     ]
 
 
+def ast_nodes(path: Path) -> int:
+    """The nodes of the module's syntax tree: how much there is to compile."""
+    return sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
+
+
 def startup_loads(work: Path) -> dict[str, dict]:
     """The package modules each start-up command loads, from one run, and
-    their source lines: what the command compiles when no bytecode is cached."""
+    their source lines and AST nodes: what the command compiles when no
+    bytecode is cached."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     loads = {}
     for name, (flag, code, *argv) in startup_commands(worked_table(work)).items():
@@ -331,6 +341,7 @@ def startup_loads(work: Path) -> dict[str, dict]:
         loads[name] = {
             "modules": modules,
             "source_lines": sum(path.read_bytes().count(b"\n") for path in files),
+            "ast_nodes": sum(map(ast_nodes, files)),
         }
     return loads
 
