@@ -157,6 +157,14 @@ def all_count_profiles(n: int) -> tuple[CountProfile, ...]:
     )
 
 
+def _trusted(cls, n: int, value):
+    """The one builder past __init__: a `cls` of the fields (n, value) that its caller checked."""
+    built = object.__new__(cls)
+    object.__setattr__(built, "n", n)
+    object.__setattr__(built, cls.__slots__[1], value)
+    return built
+
+
 class QuotaSeq(_Value):
     """A defining sequence of quotas (k_0, ..., k_r) over {0, ..., n+1}.
 
@@ -183,13 +191,8 @@ class QuotaSeq(_Value):
                 "otherwise some profiles are never decided"
             )
 
-    @classmethod
-    def _trusted(cls, n: int, quotas: tuple[int, ...]) -> "QuotaSeq":
-        # trusted: n >= 1 and the caller built quotas, a tuple over [0, n+1] with a terminal
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "n", n)
-        object.__setattr__(seq, "quotas", quotas)
-        return seq
+    # trusted: n >= 1 and the caller built quotas, a tuple over [0, n+1] with a terminal
+    _trusted = classmethod(_trusted)
 
     def __str__(self) -> str:
         return ",".join(map(str, self.quotas))

@@ -14,7 +14,8 @@ Parsers accept entries in any order but demand exactly one entry per
 profile.  Each format has one reader, which only splits its file into the
 society size n, the table kind, a sequence of (profile, outcome token)
 entries and the same entries as key and outcome columns; one builder does
-every check on the entries and builds either table kind.  A file in the
+every check on the entries, once, and builds either table kind through the
+table classes' trusted builder, which checks nothing again.  A file in the
 canonical order, as the writers leave it, has the key columns of every
 profile for its n, so the builder compares those once and reads the
 outcome column in whole-table passes; any other file is checked entry by
@@ -122,7 +123,7 @@ def _whole_table(n: int, size: int, form, columns):
     per-entry checks name the fault."""
     from .tables import CountTable, FullTable, _place_rows
     # a full table's size is checked before this pass; a count file reports
-    # entry faults before its size, and _from_mask trusts n
+    # entry faults before its size, and both builders trust their fields
     if form is not None and (n < 1 or count_table_size(n) != size):
         return None
     keys = []
@@ -139,7 +140,7 @@ def _whole_table(n: int, size: int, form, columns):
     if outs is None or outs.count("a") + outs.count("b") != size:
         return None
     if form is None:
-        return FullTable(n, tuple(map(_OUTCOMES.__getitem__, outs)))
+        return FullTable._from_outcomes(n, tuple(map(_OUTCOMES.__getitem__, outs)))
     return CountTable._from_mask(n, _place_rows(n, "".join(outs)))
 
 
@@ -179,8 +180,8 @@ def _build_table(n: int, size: int, entries, form, columns) -> CountTable | Full
         if outcomes[index] is not None:
             raise ValueError(f"duplicate entry for profile {profile!r}")
         outcomes[index] = _parse_outcome(token)
-    # 3**n distinct positions below 3**n fill every slot
-    return FullTable(n, tuple(outcomes))
+    # 3**n distinct positions below 3**n fill every slot, each with an Alternative
+    return FullTable._from_outcomes(n, tuple(outcomes))
 
 
 def _read_text(text: str):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import Alternative, CountProfile, SearchBudgetExceeded, _Value
-from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid
+from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid, _place_rows
 
 
 class CountManipulation(_Value):
@@ -84,14 +84,14 @@ def _count_positions(n: int) -> tuple[int, ...]:
     return tuple(map(index.__getitem__, codes))
 
 
-def _class_outcomes(table: FullTable) -> tuple[Alternative, ...] | None:
-    """Each count class's outcome in the all_count_profiles order, or None
-    when some profile's outcome differs from the one its class keeps."""
+def _class_outcomes(table: FullTable) -> str | None:
+    """Each count class's outcome letter in the all_count_profiles order, or
+    None when some profile's outcome differs from the one its class keeps."""
     positions = _count_positions(table.n)
     kept = dict(zip(positions, table.outcomes))  # each class keeps its last profile's
     if list(map(kept.__getitem__, positions)) != list(table.outcomes):
         return None
-    return tuple([kept[c] for c in range(len(kept))])
+    return "".join(["a" if kept[c] is Alternative.A else "b" for c in range(len(kept))])
 
 
 def check_anonymous(table: FullTable) -> bool:
@@ -102,18 +102,15 @@ def check_anonymous(table: FullTable) -> bool:
 def reduce_to_counts(table: FullTable) -> CountTable:
     """Collapse an anonymous full table to its count table; a table that is
     not anonymous raises ValueError."""
-    outcomes = _class_outcomes(table)
-    if outcomes is None:
+    letters = _class_outcomes(table)
+    if letters is None:
         raise ValueError("table is not anonymous; it has no count form")
-    return CountTable(table.n, outcomes)
+    return CountTable._from_mask(table.n, _place_rows(table.n, letters))  # a checked table's letters
 
 
 def expand_to_full(table: CountTable) -> FullTable:
-    """The (anonymous) full table induced by a count table."""
-    outcomes = table.outcomes
-    return FullTable(
-        table.n, tuple(outcomes[i] for i in _count_positions(table.n))
-    )
+    """The (anonymous) full table induced by a count table, whose outcomes need no check."""
+    return FullTable._from_outcomes(table.n, tuple(map(table.outcomes.__getitem__, _count_positions(table.n))))
 
 
 def _escapes(region: int, width: int, valid: int) -> tuple[int, int, int]:

@@ -16,9 +16,8 @@ from collections.abc import Callable, Iterator, Mapping
 from enum import Enum
 from functools import lru_cache
 
-from .core import (
-    Alternative, CountProfile, _Value, _check_society, all_count_profiles, check_table_size, count_table_size,
-)
+from .core import (Alternative, CountProfile, _Value, _check_society, _trusted, all_count_profiles,
+                   check_table_size, count_table_size)
 
 
 class Preference(Enum):
@@ -55,28 +54,15 @@ _LETTER = {p: p.value for p in PREFERENCES}
 _BASE3 = str.maketrans("abi", "012")
 
 
-# A mask is built as a string of '0'/'1' digits and parsed once: summing
-# n shifted rows would cost n times the size of the mask.
-
-
-@lru_cache(maxsize=4)  # an entry holds (n+2)**2 characters
-def _row_digits(n: int) -> tuple[str, ...]:
-    """For c = 0..n+1, the digits of a grid row that holds the profiles nb < c,
-    most significant digit first."""
-    width = n + 2
-    return tuple(["0" * (width - c) + "1" * c for c in range(n + 2)])
+# A mask of many rows is built as a string of '0'/'1' digits and parsed
+# once: summing n shifted rows would cost n times the size of the mask.
+# A mask of one row is ((1 << c) - 1) << na*(n+2), its profiles nb < c.
 
 
 def _prefix_rows(n: int, lengths: list[int]) -> int:
     """Grid mask whose row na holds the profiles nb < lengths[na]."""
     # most significant row first
-    return int("".join(map(_row_digits(n).__getitem__, reversed(lengths))), 2)
-
-
-@lru_cache(maxsize=16)
-def _rows(n: int) -> tuple[slice, ...]:
-    """For each na, the slice of the digits holding the profiles (na, nb), nb = 0..n-na."""
-    return tuple(slice(na * (n + 2), na * (n + 2) + n + 1 - na) for na in range(n + 1))
+    return int("".join(["0" * (n + 2 - c) + "1" * c for c in reversed(lengths)]), 2)
 
 
 def _place_rows(n: int, letters: str) -> int:
@@ -136,16 +122,12 @@ class CountTable(_Value):
         A = Alternative.A  # letters by identity: the Enum's .value is a descriptor call
         super().__init__(n, _place_rows(n, "".join(["a" if o is A else "b" for o in outcomes])))
 
-    @classmethod
-    def _from_mask(cls, n: int, mask: int) -> "CountTable":
-        # trusted: the caller built mask inside the valid profiles of _grid(n)
-        table = object.__new__(cls)
-        object.__setattr__(table, "n", n)
-        object.__setattr__(table, "mask", mask)
-        return table
+    # trusted: the caller built mask inside the valid profiles of _grid(n)
+    _from_mask = classmethod(_trusted)
 
     def __reduce__(self):
-        return CountTable._from_mask, (self.n, self.mask)
+        # the function itself: a classmethod over it would pickle under its name, `_trusted`
+        return _trusted, (CountTable, self.n, self.mask)
 
     @classmethod
     def from_function(cls, n: int, rule: Callable[[CountProfile], Alternative]) -> "CountTable":
@@ -192,8 +174,9 @@ class CountTable(_Value):
         return lengths
 
     def _cells(self) -> str:
-        # one '0'/'1' per profile, in the all_count_profiles order
-        return "".join(map(self._bit_string().__getitem__, _rows(self.n)))
+        # one '0'/'1' per profile, in the all_count_profiles order: nb = 0..n-na of each row na
+        n, bits = self.n, self._bit_string()
+        return "".join([bits[na * (n + 2) : na * (n + 2) + n + 1 - na] for na in range(n + 1)])
 
     @property
     def outcomes(self) -> tuple[Alternative, ...]:
@@ -233,6 +216,9 @@ class FullTable(_Value):
         super().__init__(n, outcomes if isinstance(outcomes, tuple) else tuple(outcomes))
         _check_full_size(self.n, len(self.outcomes))
         _check_outcomes(self.outcomes)
+
+    # trusted: the caller checked the 3**n size and built a tuple of Alternatives
+    _from_outcomes = classmethod(_trusted)
 
     @classmethod
     def from_function(cls, n: int, rule: Callable[[FullProfile], Alternative]) -> "FullTable":

@@ -5,7 +5,7 @@ import random
 import pytest
 from test_fileformats_reference import plain, reference_parse_table, verdict
 
-from quotamaj import Alternative, CountTable, FullTable, Preference, QuotaSeq, cli, fileformats, to_table
+from quotamaj import Alternative, CountTable, FullTable, Preference, QuotaSeq, cli, fileformats, tables, to_table
 from quotamaj.cli import INVALID_INPUT
 from quotamaj.fileformats import (
     STRUCTURED,
@@ -18,7 +18,7 @@ from quotamaj.fileformats import (
     parse_table,
 )
 from quotamaj.enumeration import enumerate_all, proper_to_subset, subset_to_proper
-from quotamaj.oracle import expand_to_full, find_manipulation, find_manipulation_full
+from quotamaj.oracle import expand_to_full, find_manipulation, find_manipulation_full, reduce_to_counts
 
 A, B = Alternative.A, Alternative.B
 
@@ -193,6 +193,44 @@ def test_canonical_and_shuffled_files_give_the_same_table(monkeypatch, kind, n, 
     results = recording_whole_table(monkeypatch)
     assert parse_table(text) == parse_table(write(entries)) == random_table(kind, n, 0)
     assert results[0] == random_table(kind, n, 0) and results[1] is None
+
+
+def counting_table_checks(monkeypatch):
+    """How often the full-table size check and the outcome check run from
+    now on; `_build_table` imports them when it is called, so it runs these."""
+    counts = dict.fromkeys(("_check_full_size", "_check_outcomes"), 0)
+    for name in counts:
+        def counting(*args, name=name, check=getattr(tables, name)):
+            counts[name] += 1
+            return check(*args)
+
+        monkeypatch.setattr(tables, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("fmt", [TEXT, STRUCTURED])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_a_full_table_read_checks_its_size_once_and_no_outcome_again(monkeypatch, fmt, shuffle):
+    # both reader paths check every outcome token, and the size before either
+    # path, so the table is built past FullTable's own checks
+    expected = random_table("full", 3, 0)
+    entries, write = split_file(table_file("full", 3, fmt))
+    if shuffle:
+        random.Random(3).shuffle(entries)
+    results = recording_whole_table(monkeypatch)
+    counts = counting_table_checks(monkeypatch)
+    table = parse_table(write(entries))
+    assert counts == {"_check_full_size": 1, "_check_outcomes": 0}
+    assert (results[0] is None) is shuffle
+    assert table == expected and all(o is A or o is B for o in table.outcomes)
+
+
+def test_reduce_to_counts_checks_no_outcome_again(monkeypatch):
+    count = random_table("count", 5, 0)
+    full = expand_to_full(count)
+    counts = counting_table_checks(monkeypatch)
+    assert reduce_to_counts(full) == count
+    assert counts["_check_outcomes"] == 0
 
 
 @pytest.mark.parametrize("value, field, at", [(True, "b", 1), (False, "a", 0), (1.0, "b", 1)])

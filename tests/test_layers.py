@@ -35,6 +35,22 @@ def test_layers_records_every_case_with_its_settings(tmp_path):
     json.dumps(record)
 
 
+def test_layers_times_each_run_on_a_cold_library():
+    # every command starts with empty caches, so no timed run may read one
+    # that setup or an earlier run filled
+    from quotamaj import tables
+    from quotamaj.oracle import _count_positions, expand_to_full
+
+    layers = load_tool()
+    table = to_table(QuotaSeq(8, (4, 6, 2, 9)))
+    cases = dict(layers.table_cases(8, (4, 6, 2, 9)))
+    expand_to_full(table)
+    layers.measure([("find_manipulation.n8", cases["find_manipulation.n8"])], repeats=3)
+    assert tables._grid.cache_info().hits == 0 and tables._grid.cache_info().currsize == 1
+    assert _count_positions.cache_info().currsize == 0
+    assert layers.bench_record("cold", 1, {})["caches"] == "every quotamaj lru_cache cleared before each run"
+
+
 def test_layers_baseline_inputs_are_fixed():
     layers = load_tool()
     names = [name for name, _ in layers.baseline_cases()]

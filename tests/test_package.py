@@ -106,6 +106,43 @@ def test_every_name_the_benchmark_reads_resolves():
     assert missing == []
 
 
+def replay_layers():
+    """`benchmarks/replay.py`'s LAYERS, read without running the module."""
+    tree = ast.parse((ROOT / "benchmarks" / "replay.py").read_text())
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
+    )
+
+
+def is_lru_cache(decorator):
+    call = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(call, "id", getattr(call, "attr", None)) == "lru_cache"
+
+
+def test_the_traced_replay_can_clear_every_library_cache():
+    # `replay.clear_caches` empties the lru_caches in vars() of the modules
+    # that `replay.load_library` loads: the package, each module of LAYERS
+    # and `core`; a cache anywhere else would stay warm from one replayed
+    # command to the next, where every real command starts cold
+    modules = [quotamaj, *(import_module(f"quotamaj.{name}") for name in [*replay_layers(), "core"])]
+    clearable = [value for module in modules for value in vars(module).values() if hasattr(value, "cache_clear")]
+    defined = [
+        (path.stem, node.name)
+        for path in sorted((SRC / "quotamaj").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and any(map(is_lru_cache, node.decorator_list))
+    ]
+    assert ("core", "all_count_profiles") in defined and ("tables", "_grid") in defined
+    unreachable = [
+        f"{module}.{name}"
+        for module, name in defined
+        if not any(getattr(import_module(f"quotamaj.{module}"), name, None) is value for value in clearable)
+    ]
+    assert unreachable == []
+
+
 def test_represent_on_a_manipulable_table_exits_3_with_the_counterexample(tmp_path, capsys):
     def rule(p):
         if (p.na, p.nb) == (1, 1):

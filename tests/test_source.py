@@ -80,6 +80,21 @@ def test_each_module_imports_only_its_layers_at_top_level():
     assert found == TOP_LEVEL_IMPORTS
 
 
+def test_one_builder_skips_init_for_every_n_value_type():
+    # `object.__new__` builds a value without its class's checks, so it
+    # appears once, in `core._trusted`, which the three types share
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__" and getattr(node.value, "id", None) == "object"
+    ]
+    assert len(calls) == 1, calls
+    from quotamaj import CountTable, FullTable, QuotaSeq, core
+    builders = (QuotaSeq._trusted, CountTable._from_mask, FullTable._from_outcomes)
+    assert all(builder.__func__ is core._trusted for builder in builders)
+
+
 def test_the_duality_map_is_one_function():
     from quotamaj import core, engine
     assert engine._mirror is core._mirror

@@ -7,7 +7,9 @@
 Each timing is the minimum of REPEATS perf_counter runs of one call on
 a fixed input; noise on a shared machine only adds time, so the best run
 is the steadiest figure, and the file records the statistic and the
-repeats.  The library calls are tabulation, the strategy-proofness check,
+repeats.  Every command starts with empty caches, so before each run every
+`lru_cache` of the loaded quotamaj modules is cleared, outside the timing,
+and the file says so under `caches`.  The library calls are tabulation, the strategy-proofness check,
 extraction and representation of two tables (n=200 and n=500),
 canonicalization of a seeded 300-entry sequence at n=500 and of the
 constant rule at n=3000, enumeration at n=10, 12 and 14, and the
@@ -393,7 +395,18 @@ def source_lines(root: Path = ROOT) -> dict:
     }
 
 
+def clear_caches() -> None:
+    """Empty every lru_cache of the loaded quotamaj modules, as a fresh command has them."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quotamaj":
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 def run_once(thunk) -> float:
+    """Seconds of one call of `thunk` on a cold library."""
+    clear_caches()
     start = time.perf_counter()
     thunk()
     return time.perf_counter() - start
@@ -487,6 +500,7 @@ def bench_record(label: str, repeats: int, timings: dict[str, float]) -> dict:
         "dont_write_bytecode": sys.dont_write_bytecode,
         "statistic": "min",
         "repeats": repeats,
+        "caches": "every quotamaj lru_cache cleared before each run",
         "timings_s": {name: round(seconds, 6) for name, seconds in timings.items()},
     }
 
