@@ -55,7 +55,7 @@ def evaluate_strict_quota(quota: int, profile: CountProfile) -> Alternative:
     """Single-quota rule on a strict profile: a iff at least `quota` support a."""
     if not 0 <= quota <= profile.n + 1:
         raise ValueError(f"quota {quota} outside [0, {profile.n + 1}]")
-    if not profile.is_strict:
+    if profile.indifferent:
         raise ValueError(
             f"profile ({profile.na}, {profile.nb}) has indifferent voters; "
             "the single-quota rule is defined on strict profiles only"

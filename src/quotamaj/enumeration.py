@@ -133,9 +133,9 @@ def enumerate_all(n: int) -> list[tuple[QuotaSeq, CountTable]]:
     exactly 2**(n+1) pairs.  The tables are built row by row from the
     subsets (see _family_staircases), not by tabulating each sequence.
     """
-    from .tables import CountTable  # `enum` writes letters and loads no table
+    from .tables import CountTable, _prefix_rows  # `enum` writes letters and loads no table
     # the mask whose row na alone holds the profiles nb < c
-    row_masks = ([((1 << c) - 1) << na * (n + 2) for c in range(n + 2 - na)] for na in range(n + 1))
+    row_masks = ([_prefix_rows(n, [0] * na + [c]) for c in range(n + 2 - na)] for na in range(n + 1))
     masks = map(sum, zip(*_family_staircases(n, row_masks)))
     _, sequences = _subset_texts(n, ((), (), (), ()), [(k,) for k in range(n + 2)])
     return [(QuotaSeq._trusted(n, q), CountTable._from_mask(n, mask)) for q, mask in zip(sequences, masks)]

@@ -30,10 +30,6 @@ class CountManipulation(_Value):
 
     __slots__ = ("profile", "truthful", "misreport", "honest_outcome", "manipulated_outcome")
 
-    def __init__(self, profile: CountProfile, truthful: Preference, misreport: Preference,
-                 honest_outcome: Alternative, manipulated_outcome: Alternative) -> None:
-        super().__init__(profile, truthful, misreport, honest_outcome, manipulated_outcome)
-
     @property
     def misreported_profile(self) -> CountProfile:
         counts = dict(zip(Preference, (self.profile.na, self.profile.nb, 0)))
@@ -53,10 +49,6 @@ class FullManipulation(_Value):
     """A profitable misreport by one named voter on a full table."""
 
     __slots__ = ("profile", "voter", "misreport", "honest_outcome", "manipulated_outcome")
-
-    def __init__(self, profile: FullProfile, voter: int, misreport: Preference,
-                 honest_outcome: Alternative, manipulated_outcome: Alternative) -> None:
-        super().__init__(profile, voter, misreport, honest_outcome, manipulated_outcome)
 
     @property
     def misreported_profile(self) -> FullProfile:

@@ -56,7 +56,7 @@ _BASE3 = str.maketrans("abi", "012")
 
 # A mask of many rows is built as a string of '0'/'1' digits and parsed
 # once: summing n shifted rows would cost n times the size of the mask.
-# A mask of one row is ((1 << c) - 1) << na*(n+2), its profiles nb < c.
+# A mask of one row na is _prefix_rows(n, [0] * na + [c]), its profiles nb < c.
 
 
 def _prefix_rows(n: int, lengths: list[int]) -> int:

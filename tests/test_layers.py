@@ -62,7 +62,7 @@ def test_layers_baseline_inputs_are_fixed():
 
 def test_layers_times_parse_table_on_both_kinds_and_formats():
     layers = load_tool()
-    timings = layers.parse_timings(repeats=1)
+    timings = layers.measure(layers.parse_cases(), repeats=1)
     assert list(timings) == [
         "parse_table.count.n140.text",
         "parse_table.count.n140.json",
@@ -112,7 +112,7 @@ def test_layers_times_the_table_writers():
 
 def test_layers_times_format_family_in_both_formats():
     layers = load_tool()
-    timings = layers.family_timings(repeats=1)
+    timings = layers.measure(layers.family_cases(), repeats=1)
     assert list(timings) == ["format_family.n12.text", "format_family.n12.structured"]
     assert all(seconds > 0 for seconds in timings.values())
 
@@ -199,14 +199,14 @@ def test_layers_exports_a_revision(tmp_path):
     assert (src / "quotamaj" / "cli.py").is_file() and (tmp_path / "tools" / "layers.py").is_file()
 
 
-def test_layers_startup_runs_one_command_per_cli_verb():
+def test_layers_startup_runs_one_command_per_cli_verb(tmp_path):
     layers = load_tool()
     commands = layers.startup_commands("worked.tbl")
     verbs = ["eval", "canon", "enum", "count", "verify", "represent", "convert"]
     shapes = ["canon.subset", "canon.seq_file", "verify.json", "enum.structured", "convert.rule"]
     assert sorted(commands) == sorted(["startup.import", *(f"startup.{name}" for name in verbs + shapes)])
     assert all(commands[f"startup.{name}"][2] == name.partition(".")[0] for name in verbs + shapes)
-    timings = layers.startup_timings(repeats=1)
+    timings = layers.measure(layers.startup_cases(tmp_path), repeats=1)
     assert list(timings) == list(commands) and all(seconds > 0 for seconds in timings.values())
 
 

@@ -127,6 +127,18 @@ def test_count_counterexample_replays():
     assert manipulated is wanted and honest is not wanted
 
 
+def test_a_witness_is_built_from_all_five_fields_or_refused():
+    # the witnesses declare their fields in __slots__ alone: a missing field
+    # is not left unset, nor an extra one dropped
+    table = broken_majority3()
+    for witness in (find_manipulation(table), find_manipulation_full(expand_to_full(table))):
+        fields = witness._field_values(witness)
+        assert type(witness)(*fields) == witness
+        for wrong in (fields[:-1], (*fields, A)):
+            with pytest.raises(ValueError):
+                type(witness)(*wrong)
+
+
 def test_strategy_proof_full():
     assert find_manipulation_full(expand_to_full(majority3())) is None
     assert find_manipulation_full(dictatorship2()) is None

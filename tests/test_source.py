@@ -1,7 +1,10 @@
 import ast
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -194,3 +197,64 @@ def test_the_readme_budget_table_names_every_budget_constant():
         rows.append(line.split("|")[1].strip().strip("`"))
     assert constants == ["core.MAX_RULES", "core.MAX_TABLE_PROFILES", "oracle.MAX_FULL_SCAN_N"]
     assert sorted(rows) == constants
+
+
+def test_no_class_declares_an_init_that_only_forwards_its_parameters():
+    # `_Value.__init__` stores the fields in __slots__ order, so an __init__
+    # that passes its own parameters to it unchanged is a second declaration
+    def forwards_only(init):
+        body = [stmt for stmt in init.body if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))]
+        params = ", ".join(arg.arg for arg in [*init.args.posonlyargs, *init.args.args][1:])
+        forward = ast.parse(f"super().__init__({params})").body[0]
+        return len(body) == 1 and ast.dump(body[0]) == ast.dump(forward)
+
+    found = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__" and forwards_only(item)
+    ]
+    assert found == []
+
+
+def test_only_tables_and_oracle_shift_a_mask():
+    # a grid position is computed by `tables` and `oracle` alone; comments
+    # and strings are not operators
+    shifts = {
+        path.name
+        for path in SOURCE.glob("*.py")
+        for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if token.type == tokenize.OP and token.string in ("<<", ">>", "<<=", ">>=")
+    }
+    assert shifts and shifts <= {"tables.py", "oracle.py"}, shifts
+
+
+def test_every_public_method_of_an_exported_class_has_a_reader():
+    # a method or property that no test, the CLI, the README, the benchmark
+    # or the tools reads as `.name` is not part of what the package offers
+    import quotamaj
+
+    members = set()
+    for module, names in quotamaj._EXPORTS.items():
+        for node in ast.parse((SOURCE / f"{module}.py").read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                members |= {
+                    (node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                }
+    assert members
+    readers = [
+        *(path for path in (ROOT / "tests").glob("*.py") if path.name != "test_source.py"),
+        SOURCE / "cli.py", *(ROOT / "benchmarks").glob("*.py"), *(ROOT / "tools").glob("*.py"),
+    ]
+    read = {
+        node.attr
+        for path in readers
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    read |= set(re.findall(r"\.(\w+)", (ROOT / "README.md").read_text()))
+    assert sorted(f"{cls}.{name}" for cls, name in members if name not in read) == []

@@ -167,10 +167,6 @@ def parse_cases() -> list[tuple[str, object]]:
     return [(name, partial(parse_table, text)) for name, text in files.items()]
 
 
-def parse_timings(repeats: int) -> dict[str, float]:
-    return measure(parse_cases(), repeats)
-
-
 def shuffled(text: str, seed: int) -> str:
     """A table file with its entries in a seeded random order."""
     rng = random.Random(seed)
@@ -227,10 +223,6 @@ def family_cases() -> list[tuple[str, object]]:
         (f"format_family.n12.{fmt_name}", partial(format_family, family, 12, fmt))
         for fmt_name, fmt in (("text", TEXT), ("structured", STRUCTURED))
     ]
-
-
-def family_timings(repeats: int) -> dict[str, float]:
-    return measure(family_cases(), repeats)
 
 
 def enum_render(n: int, fmt: str) -> None:
@@ -346,12 +338,6 @@ def startup_loads(work: Path) -> dict[str, dict]:
             "ast_nodes": sum(map(ast_nodes, files)),
         }
     return loads
-
-
-def startup_timings(repeats: int) -> dict[str, float]:
-    """Wall seconds of each start-up command, run as a subprocess."""
-    with tempfile.TemporaryDirectory() as work:
-        return measure(startup_cases(Path(work)), repeats)
 
 
 def all_cases(work: Path) -> list[tuple[str, object]]:
