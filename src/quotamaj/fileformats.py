@@ -27,7 +27,6 @@ give it the same canonical key columns and the table's outcome letters.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from operator import itemgetter
 
 # the table layer is loaded by the table readers alone, so reading a sequence file does not load it
@@ -102,7 +101,6 @@ def _parse_outcome(token: str) -> Alternative:
     return outcome
 
 
-@lru_cache(maxsize=4)
 def _canonical_keys(n: int, form) -> tuple[tuple, ...]:
     """The key columns of a table for n in the canonical profile order: the
     profile strings of a full table when form is None, else the na and nb

@@ -19,8 +19,6 @@ i=2), and misreporting m moves the profile to p + (m - t) * w.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .core import Alternative, CountProfile, SearchBudgetExceeded, _Value
 from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid, _place_rows
 
@@ -65,7 +63,6 @@ class FullManipulation(_Value):
         )
 
 
-@lru_cache(maxsize=16)
 def _count_positions(n: int) -> tuple[int, ...]:
     # for each full profile in canonical order, the index na*(2n+3-na)/2 + nb of its
     # count profile, via na*(n+1) + nb: each voter's a, b or i adds one to na, nb or neither

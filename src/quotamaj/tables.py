@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator, Mapping
 from enum import Enum
-from functools import lru_cache
 
 from .core import (Alternative, CountProfile, _Value, _check_society, _trusted, all_count_profiles,
                    check_table_size, count_table_size)
@@ -77,7 +76,6 @@ def _place_rows(n: int, letters: str) -> int:
     return int("".join(rows)[::-1], 2)
 
 
-@lru_cache(maxsize=16)
 def _grid(n: int) -> tuple[int, int]:
     """Width n+2 of the padded grid of profiles and the mask of its valid bits.
 

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,16 +41,14 @@ def test_layers_records_every_case_with_its_settings(tmp_path):
 def test_layers_times_each_run_on_a_cold_library():
     # every command starts with empty caches, so no timed run may read one
     # that setup or an earlier run filled
-    from quotamaj import tables
-    from quotamaj.oracle import _count_positions, expand_to_full
+    from quotamaj.core import all_count_profiles
 
     layers = load_tool()
     table = to_table(QuotaSeq(8, (4, 6, 2, 9)))
-    cases = dict(layers.table_cases(8, (4, 6, 2, 9)))
-    expand_to_full(table)
-    layers.measure([("find_manipulation.n8", cases["find_manipulation.n8"])], repeats=3)
-    assert tables._grid.cache_info().hits == 0 and tables._grid.cache_info().currsize == 1
-    assert _count_positions.cache_info().currsize == 0
+    all_count_profiles(9)
+    layers.measure([("items.n8", lambda: list(table.items()))], repeats=3)
+    info = all_count_profiles.cache_info()
+    assert info.hits == 0 and info.currsize == 1
     assert layers.bench_record("cold", 1, {})["caches"] == "every quotamaj lru_cache cleared before each run"
 
 
@@ -152,6 +153,19 @@ def test_layers_worker_runs_named_cases_on_its_sources(tmp_path):
     finally:
         worker.close()
     assert worker.proc.returncode == 0
+
+
+def test_layers_imports_this_checkout_unless_pythonpath_names_another(tmp_path):
+    # run from the root with no PYTHONPATH, the tool finds its own src/; a
+    # PYTHONPATH still comes first, as each worker of --against needs
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    code = "import sys; sys.path.insert(0, 'tools'); import layers; print(layers.SRC)"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    for extra, src in (({}, ROOT / "src"), ({"PYTHONPATH": str(copy)}, copy)):
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env={**env, **extra},
+                              capture_output=True, text=True, check=True)
+        assert Path(proc.stdout.strip()) == src.resolve()
 
 
 def test_layers_against_counts_the_pairs_each_tree_wins(tmp_path, monkeypatch):

@@ -1,8 +1,8 @@
 """Per-layer in-process timings at fixed sizes, written to BENCH_<label>.json.
 
-    PYTHONPATH=src python3 tools/layers.py --label pr6
-    PYTHONPATH=src python3 -O tools/layers.py --label pr6-noassert
-    PYTHONPATH=src python3 tools/layers.py --label pr6 --against HEAD~1
+    python3 tools/layers.py --label pr6
+    python3 -O tools/layers.py --label pr6-noassert
+    python3 tools/layers.py --label pr6 --against HEAD~1
 
 Each timing is the minimum of REPEATS perf_counter runs of one call on
 a fixed input; noise on a shared machine only adds time, so the best run
@@ -78,6 +78,8 @@ import time
 from functools import partial
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, so a worker of --against imports its own tree
 import quotamaj
 from quotamaj import (
     QuotaSeq,
@@ -98,7 +100,6 @@ from quotamaj.fileformats import (
 )
 from quotamaj.oracle import expand_to_full
 
-ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "tests"))
 from certificates import exhaustive_sp_family  # noqa: E402  the tests' search, on the imported quotamaj
 # the sources of the imported quotamaj, which the start-up subprocesses run
@@ -359,10 +360,8 @@ def tier1_summary(last_line: str) -> dict[str, int]:
 
 def tier1_run() -> dict:
     """Wall time and outcome counts of one run of the tier-1 suite."""
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     start = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = subprocess.run(TIER1, cwd=ROOT, capture_output=True, text=True)
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": round(wall, 2), **tier1_summary(lines[-1] if lines else "")}
