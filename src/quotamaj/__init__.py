@@ -6,8 +6,8 @@ from a raw truth table, convert to and from indifference-quota rules, and
 verify every claim with brute-force oracles.
 
 Importing the package loads none of its modules: each public name is
-imported from its module on first use, so a command pays only for the
-code it runs.
+imported from its module on first use, so a command loads only the
+modules it runs.
 """
 
 __version__ = "0.1.0"

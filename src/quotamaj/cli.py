@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Each command imports the library modules it runs only when it runs, so
-start-up loads no code that the command does not execute.  Each command's
+start-up loads no module that the command does not run.  Each command's
 options are declared once, in `_COMMANDS`.  A command line that is just
 the command and its full flags, each with a well-formed value, is read
 straight from that table; every other line, help and usage errors among

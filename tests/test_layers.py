@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -138,26 +139,62 @@ def test_layers_times_the_enum_render_in_both_formats():
     assert cli._emit is emit
 
 
-def test_layers_worker_runs_named_cases_on_its_sources(tmp_path):
+def test_layers_loads_the_parent_tree_beside_this_one(tmp_path, monkeypatch):
+    import certificates
+
+    def own_modules():
+        return {name: module for name, module in sys.modules.items()
+                if name == "certificates" or name.split(".")[0] == "quotamaj"}
+
     layers = load_tool()
-    names = [name for name, _ in layers.all_cases(tmp_path)]
-    assert len(names) == len(set(names))
-    assert {"enumerate_all.n14", "enum.n14.text", "format_family.n12.text", "startup.enum"} <= set(names)
-    assert {name for name, _ in layers.shuffled_cases()} <= set(names)
-    assert {"parse_table.count.n1000.text", "parse_table.count.n1000.shuffled.text"} <= set(names)
-    assert {"format_count_table.n1000.text", "format_full_table.n8.text"} <= set(names)
-    worker = layers.Worker(layers.ROOT / "src", tmp_path)
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    before = own_modules()
+    copy = layers.load_parent(src)
+    parent = {name: module for name, module in sys.modules.items() if name.split(".")[0] == layers.PARENT}
     try:
-        assert worker.cases == names
-        assert worker.run("to_table.n200") > 0 and worker.run("startup.import") > 0
+        # sys.modules names this checkout's modules again, and only those
+        assert own_modules() == before
+        assert Path(sys.modules["quotamaj"].__file__).resolve() == layers.SRC / "quotamaj" / "__init__.py"
+        assert sys.modules["certificates"] is certificates
+        assert Path(certificates.__file__).resolve() == ROOT / "tests" / "certificates.py"
+        # the copy runs the copied files, and no module object is shared
+        assert copy.SRC == src.resolve()
+        assert all(Path(module.__file__).resolve().is_relative_to(src.resolve()) for module in parent.values())
+        assert not {id(module) for module in parent.values()} & {id(module) for module in before.values()}
+        assert Path(copy.to_table.__code__.co_filename).resolve() == src.resolve() / "quotamaj" / "engine.py"
+        for name in ("QuotaSeq", "canonicalize", "enumerate_all", "find_manipulation", "parse_table", "to_table"):
+            assert getattr(copy, name).__module__.split(".")[0] == layers.PARENT
+        # its exhaustive search is this checkout's file on the copy's tables
+        assert copy.exhaustive_sp_family.__globals__ is not certificates.__dict__
+        assert type(copy.exhaustive_sp_family(2)[0]) is parent[f"{layers.PARENT}.tables"].CountTable
+        # its enum render runs the copy's cli
+        assert copy.cli is parent[f"{layers.PARENT}.cli"]
+        rendered = []
+        monkeypatch.setattr(copy.cli, "cmd_enum", lambda args: rendered.append(args.n))
+        copy.enum_render(3, "text")
+        assert rendered == [3]
+        # the same cases, which run on the copy
+        names = [name for name, _ in layers.all_cases(tmp_path)]
+        assert len(names) == len(set(names))
+        assert {"enumerate_all.n14", "enum.n14.text", "format_family.n12.text", "startup.enum"} <= set(names)
+        assert {name for name, _ in layers.shuffled_cases()} <= set(names)
+        assert {"parse_table.count.n1000.text", "parse_table.count.n1000.shuffled.text"} <= set(names)
+        assert {"format_count_table.n1000.text", "format_full_table.n8.text"} <= set(names)
+        (tmp_path / "parent").mkdir()
+        cases = copy.all_cases(tmp_path / "parent")
+        assert [name for name, _ in cases] == names
+        cases = dict(cases)
+        assert cases["startup.import"].keywords["env"]["PYTHONPATH"] == str(src.resolve())
+        assert layers.run_once(cases["to_table.n200"]) > 0 and layers.run_once(cases["startup.import"]) > 0
     finally:
-        worker.close()
-    assert worker.proc.returncode == 0
+        for name in parent:
+            del sys.modules[name]
 
 
 def test_layers_imports_this_checkout_unless_pythonpath_names_another(tmp_path):
     # run from the root with no PYTHONPATH, the tool finds its own src/; a
-    # PYTHONPATH still comes first, as each worker of --against needs
+    # PYTHONPATH still comes first, so it can name another tree to time
     copy = tmp_path / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
     code = "import sys; sys.path.insert(0, 'tools'); import layers; print(layers.SRC)"
@@ -177,20 +214,13 @@ def test_layers_against_counts_the_pairs_each_tree_wins(tmp_path, monkeypatch):
         "mixed": ([1.0, 3.0, 1.0, 3.0, 1.0], [2.0] * 5),
     }
 
-    class StubWorker:
-        def __init__(self, src, cwd):
-            self.side = 0 if src == layers.ROOT / "src" else 1
-            self.cases = list(script)
-            self.done = dict.fromkeys(script, 0)
+    # each case's thunk yields the seconds of its runs on its tree, 0 for this one and 1 for the parent
+    def cases(side):
+        return lambda work: [(name, iter(seconds[side])) for name, seconds in script.items()]
 
-        def run(self, name):
-            self.done[name] += 1
-            return script[name][self.side][self.done[name] - 1]
-
-        def close(self):
-            pass
-
-    monkeypatch.setattr(layers, "Worker", StubWorker)
+    monkeypatch.setattr(layers, "all_cases", cases(0))
+    monkeypatch.setattr(layers, "load_parent", lambda src: SimpleNamespace(all_cases=cases(1)))
+    monkeypatch.setattr(layers, "run_once", next)
     monkeypatch.setattr(layers, "export_tree", lambda rev, dest: dest / "src")
     change, parent, wins = layers.against("REV", layers.REPEATS)
     assert change == {"faster": 1.0, "slower": 2.0, "mixed": 1.0}

@@ -127,6 +127,28 @@ def test_count_counterexample_replays():
     assert manipulated is wanted and honest is not wanted
 
 
+@pytest.mark.parametrize(
+    "outcomes, profile, truthful, misreport, misreported",
+    [
+        ("aaaaab", (1, 1), Preference.B, Preference.A, (2, 0)),
+        ("aababa", (1, 1), Preference.A, Preference.INDIFFERENT, (0, 1)),
+        ("abaaaa", (0, 2), Preference.B, Preference.INDIFFERENT, (0, 1)),
+    ],
+)
+def test_the_witness_of_each_move_replays(outcomes, profile, truthful, misreport, misreported):
+    # one n=2 table per move of the oracle, its outcomes in
+    # all_count_profiles order; the first witness replays to the profile
+    # where the table gives the manipulated outcome
+    table = CountTable(2, tuple(map(Alternative, outcomes)))
+    witness = find_manipulation(table)
+    assert ((witness.profile.na, witness.profile.nb), witness.truthful, witness.misreport) == (
+        profile, truthful, misreport,
+    )
+    replayed = witness.misreported_profile
+    assert (replayed.na, replayed.nb) == misreported
+    assert table.outcome(*misreported) is witness.manipulated_outcome
+
+
 def test_a_witness_is_built_from_all_five_fields_or_refused():
     # the witnesses declare their fields in __slots__ alone: a missing field
     # is not left unset, nor an extra one dropped

@@ -35,18 +35,21 @@ without its required `--table`.
 
 With `--against <rev>`, the script also exports the tree of git
 revision <rev> into a temporary directory and times every case on both
-trees, one run at a time, alternating which tree runs first.  Each tree
-runs in its own worker process, started on this script with that tree's
-sources first on the path, so <rev> needs the library names that this
-script and this tree's tests/certificates.py use, which both trees run.
-The file then records both minima, the speed-up (the parent's minimum
-over this tree's) and `wins` (how many of the REPEATS pairs of
-runs this tree ran faster) under `against`.  Minima alone cannot tell a
-change of a few percent from noise, so read a speed-up as resolved only
-at REPEATS wins out of REPEATS, and a slowdown only at none.  Two runs
-of this script minutes apart read unchanged code 30-100% apart on a
-shared machine; the interleaved runs of one invocation see the same
-load on both trees.  The
+trees in this one process, one run at a time, alternating which tree
+runs first.  That tree's package loads as `quotamaj_parent`, and this
+script loads again while `quotamaj` names it, so the copy's cases, the
+tests/certificates.py it imports and its `startup.*` subprocesses run
+<rev>'s library, which needs the names that this script and that file
+use; under `python -O` neither tree runs assertions.  The file then
+records both minima, the speed-up (the parent's minimum over this
+tree's) and `wins` (how many of the REPEATS pairs of runs this tree ran
+faster) under `against`.  Minima alone cannot tell a change of a few
+percent from noise, so read a speed-up as resolved only at REPEATS wins
+out of REPEATS, and a slowdown only at none.  Six A/A runs, against a
+tree with the same library (one is `BENCH_pr31.json`), read each
+in-process case between x0.92 and x1.16, and 0-4 of 51 cases at none or
+all wins, where chance gives about 3; runs minutes apart differ far
+more, so compare trees only within one invocation.  The
 file also records the Python version, whether assertions were on,
 whether bytecode is written (`sys.dont_write_bytecode`: without cached
 bytecode every start-up command compiles the modules it imports), the
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import io
 import json
 import platform
@@ -79,11 +83,12 @@ from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, so a worker of --against imports its own tree
+sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which may name another tree to time
 import quotamaj
 from quotamaj import (
     QuotaSeq,
     canonicalize,
+    cli,
     enumerate_all,
     extract,
     find_manipulation,
@@ -117,8 +122,9 @@ LISTER = (
     "finally:\n"
     "    print(*sorted(m for m in sys.modules if m.split('.')[0] == 'quotamaj'), file=sys.stderr)\n"
 )
-SERVER = "import sys; sys.path.insert(0, sys.argv[1]); import layers; sys.exit(layers.serve_cases())"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+#: the top-level name under which --against loads the tree of <rev>
+PARENT = "quotamaj_parent"
 
 
 def table_cases(n: int, quotas: tuple[int, ...]) -> list[tuple[str, object]]:
@@ -229,7 +235,6 @@ def family_cases() -> list[tuple[str, object]]:
 def enum_render(n: int, fmt: str) -> None:
     """Run what `enum --n <n> --format <fmt>` runs, dropping the output
     where the command would write it."""
-    from quotamaj import cli
     emit, cli._emit = cli._emit, lambda text, out: None
     try:
         cli.cmd_enum(argparse.Namespace(n=n, format=fmt, out=None))
@@ -380,13 +385,17 @@ def source_lines(root: Path = ROOT) -> dict:
     }
 
 
+def loaded(*tops: str) -> list[str]:
+    """The names in sys.modules whose top-level name is one of `tops`."""
+    return [name for name in sys.modules if name.split(".")[0] in tops]
+
+
 def clear_caches() -> None:
-    """Empty every lru_cache of the loaded quotamaj modules, as a fresh command has them."""
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "quotamaj":
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
+    """Empty every lru_cache of the loaded trees, as a fresh command has them."""
+    for name in loaded("quotamaj", PARENT):
+        for value in vars(sys.modules[name]).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def run_once(thunk) -> float:
@@ -402,42 +411,36 @@ def measure(cases, repeats: int) -> dict[str, float]:
     return {name: min(run_once(thunk) for _ in range(repeats)) for name, thunk in cases}
 
 
-def serve_cases() -> int:
-    """The worker of --against: print where quotamaj comes from and the
-    case names as one JSON line, then run each case named on stdin once and
-    print its seconds."""
-    with tempfile.TemporaryDirectory() as work:
-        cases = dict(all_cases(Path(work)))
-        print(json.dumps({"src": str(SRC), "cases": list(cases)}), flush=True)
-        for line in sys.stdin:
-            print(run_once(cases[line.strip()]), flush=True)
-    return 0
-
-
-class Worker:
-    """A process that runs this script's cases on the sources in `src`."""
-
-    def __init__(self, src: Path, cwd: Path) -> None:
-        flags = ["-O"] if sys.flags.optimize else []
-        self.proc = subprocess.Popen(
-            [sys.executable, *flags, "-c", SERVER, str(Path(__file__).resolve().parent)],
-            cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)),
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-        )
-        hello = json.loads(self.proc.stdout.readline())
-        if Path(hello["src"]) != src.resolve():
-            self.close()
-            raise RuntimeError(f"worker imported quotamaj from {hello['src']}, not {src}")
-        self.cases = hello["cases"]
-
-    def run(self, name: str) -> float:
-        self.proc.stdin.write(name + "\n")
-        self.proc.stdin.flush()
-        return float(self.proc.stdout.readline())
-
-    def close(self) -> None:
-        self.proc.stdin.close()
-        self.proc.wait()
+def load_parent(src: Path):
+    """This script loaded a second time, on the package in `src`, which
+    loads as the top-level package PARENT.  While the copy loads,
+    `quotamaj` and each of its submodules name PARENT's modules and no
+    `certificates` is loaded, so every import of the copy, and of the
+    tests/certificates.py it loads, binds to PARENT; afterwards those
+    entries of sys.modules and sys.path are as they were."""
+    package_dir = src / "quotamaj"
+    spec = importlib.util.spec_from_file_location(
+        PARENT, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)]
+    )
+    package = sys.modules[PARENT] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    aliases = {"quotamaj": package}
+    for path in sorted(package_dir.glob("*.py")):
+        if not path.stem.startswith("__"):
+            aliases[f"quotamaj.{path.stem}"] = importlib.import_module(f"{PARENT}.{path.stem}")
+    own = {name: sys.modules.pop(name) for name in loaded("quotamaj", "certificates")}
+    path = sys.path[:]
+    sys.modules.update(aliases)
+    try:
+        spec = importlib.util.spec_from_file_location("layers_parent", __file__)
+        copy = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(copy)
+    finally:
+        for name in loaded("quotamaj", "certificates"):
+            del sys.modules[name]
+        sys.modules.update(own)
+        sys.path[:] = path
+    return copy
 
 
 def git(*args: str) -> bytes:
@@ -453,24 +456,19 @@ def export_tree(rev: str, dest: Path) -> Path:
 
 def against(rev: str, repeats: int) -> tuple[dict[str, float], dict[str, float], dict[str, int]]:
     """Least seconds of every case on this tree and on the tree of `rev`,
-    from interleaved runs that alternate which tree runs first, and for each
-    case the number of those pairs of runs that this tree won."""
+    from interleaved runs in this process that alternate which tree runs
+    first, and for each case the number of those pairs of runs that this
+    tree won."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         parent_src = export_tree(rev, tmp / "parent")
-        workers = []
-        try:
-            workers += [Worker(ROOT / "src", tmp), Worker(parent_src, tmp)]
-            change, parent = workers
-            runs = {name: ([], []) for name in change.cases}
-            for i, name in enumerate(change.cases):
-                for r in range(repeats):
-                    sides = [(change, runs[name][0]), (parent, runs[name][1])]
-                    for worker, seconds in sides[:: 1 if (i + r) % 2 else -1]:
-                        seconds.append(worker.run(name))
-        finally:
-            for worker in workers:
-                worker.close()
+        # each tree writes the files of its cases into its own directory
+        sides = (dict(all_cases(tmp)), dict(load_parent(parent_src).all_cases(tmp / "parent")))
+        runs = {name: ([], []) for name in sides[0]}
+        for i, name in enumerate(runs):
+            for r in range(repeats):
+                for side in (0, 1) if (i + r) % 2 else (1, 0):
+                    runs[name][side].append(run_once(sides[side][name]))
     change_s, parent_s = ({name: min(pair[side]) for name, pair in runs.items()} for side in (0, 1))
     wins = {name: sum(c < p for c, p in zip(*pair)) for name, pair in runs.items()}
     return change_s, parent_s, wins
