@@ -29,8 +29,7 @@ class _Value:
 
     Equal fields make equal, equally hashed values of one class; assignment and deletion raise
     AttributeError; the repr is `Name(field=value, ...)`.  A subclass that checks nothing
-    declares no __init__.  CountProfile and QuotaSeq, built in hot loops, store theirs by hand:
-    0.68 and 0.73 µs a build, 1.14 and 1.18 through this __init__ (timeit, Python 3.11.7).
+    declares no __init__; one that checks its fields stores them through this one.
     """
 
     __slots__ = ()
@@ -104,9 +103,7 @@ class CountProfile(_Value):
     __slots__ = ("na", "nb", "n")
 
     def __init__(self, na: int, nb: int, n: int) -> None:
-        object.__setattr__(self, "na", na)
-        object.__setattr__(self, "nb", nb)
-        object.__setattr__(self, "n", n)
+        super().__init__(na, nb, n)
         _check_society(self.n)
         if self.na < 0 or self.nb < 0:
             raise ValueError(f"negative support count in ({self.na}, {self.nb})")
@@ -174,8 +171,7 @@ class QuotaSeq(_Value):
 
     def __init__(self, n: int, quotas: tuple[int, ...]) -> None:
         _check_society(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "quotas", quotas if isinstance(quotas, tuple) else tuple(quotas))
+        super().__init__(n, quotas if isinstance(quotas, tuple) else tuple(quotas))
         if not self.quotas:
             raise ValueError("quota sequence must be nonempty")
         for q in self.quotas:

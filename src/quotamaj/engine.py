@@ -32,22 +32,20 @@ def _decide(quotas: tuple[int, ...], n: int, na: int, nb: int) -> tuple[int, Alt
     raise AssertionError("unreachable: sequence contains an element of {0, n+1}")
 
 
-def _require_same_n(seq: QuotaSeq, profile: CountProfile) -> None:
-    if seq.n != profile.n:
-        raise ValueError(
-            f"society size mismatch: sequence has n={seq.n}, profile has n={profile.n}"
-        )
+def _require_same_n(holder: str, n: int, profile: CountProfile) -> None:
+    if n != profile.n:
+        raise ValueError(f"society size mismatch: {holder} n={n}, profile has n={profile.n}")
 
 
 def profile_index(seq: QuotaSeq, profile: CountProfile) -> int:
     """Index of the first quota that decides the profile."""
-    _require_same_n(seq, profile)
+    _require_same_n("sequence has", seq.n, profile)
     return _decide(seq.quotas, seq.n, profile.na, profile.nb)[0]
 
 
 def evaluate(seq: QuotaSeq, profile: CountProfile) -> Alternative:
     """Outcome of the quota-sequence rule on the given profile."""
-    _require_same_n(seq, profile)
+    _require_same_n("sequence has", seq.n, profile)
     return _decide(seq.quotas, seq.n, profile.na, profile.nb)[1]
 
 

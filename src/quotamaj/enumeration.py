@@ -37,7 +37,8 @@ from collections.abc import Iterable
 from itertools import repeat
 from operator import add, itemgetter
 
-from .core import MAX_RULES, STRUCTURED, TEXT, Alternative, QuotaSeq, SearchBudgetExceeded, _check_society, _mirror
+from .core import (FORMATS, MAX_RULES, STRUCTURED, TEXT, Alternative, QuotaSeq, SearchBudgetExceeded, _check_society,
+                   _mirror)
 
 
 def subset_to_proper(subset: Iterable[int], default: Alternative, n: int) -> QuotaSeq:
@@ -146,6 +147,11 @@ def enumerate_all(n: int) -> list[tuple[QuotaSeq, CountTable]]:
 _LISTS = {TEXT: ("", ",", "", "-"), STRUCTURED: ("[\n        ", ",\n        ", "\n      ]", "[]")}
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+
+
 def _subset_texts(n: int, layout, names) -> tuple[list, list]:
     """The members of the subsets of {1, ..., n} in binary-counter order and
     their sequences for default b then a, written with names[k] for k and a
@@ -173,6 +179,7 @@ def _subset_texts(n: int, layout, names) -> tuple[list, list]:
 
 def _family_file(n: int, fmt: str) -> str:
     """The family file of `enumerate_all(n)`: row na of a table is c a's, then b's up to n+1-na."""
+    _check_format(fmt)
     letters = (["a" * c + "b" * (n + 1 - na - c) for c in range(n + 2 - na)] for na in range(n + 1))
     tables = _family_staircases(n, letters)
     members, quotas = _subset_texts(n, _LISTS[fmt], [str(k) for k in range(n + 2)])

@@ -32,7 +32,7 @@ from . import oracle
 from .canonical import canonicalize
 # `CountTable` in annotations is `tables.CountTable`, which a caller loads to build one
 from .core import Alternative, CountProfile, QuotaSeq, _Value, _mirror
-from .engine import _interleave, _mirror_pairs, _row_thresholds
+from .engine import _interleave, _mirror_pairs, _require_same_n, _row_thresholds
 
 
 class NotStrategyProof(ValueError):
@@ -108,10 +108,7 @@ def covered_b(pair: tuple[int, int], profile: CountProfile) -> bool:
 
 def psi_eval(seq: LKSequence, profile: CountProfile) -> Alternative:
     """First-match evaluation of the level pairs, default when uncovered."""
-    if seq.n != profile.n:
-        raise ValueError(
-            f"society size mismatch: levels have n={seq.n}, profile has n={profile.n}"
-        )
+    _require_same_n("levels have", seq.n, profile)
     for pair in seq.pairs:
         if covered_a(pair, profile):
             return Alternative.A

@@ -48,9 +48,9 @@ def _parse_header(line: str) -> int:
 def _format_table(n: int, fields: tuple[str, ...], keys: tuple[tuple, ...], letters: list, fmt: str) -> str:
     """Either format from a table's key columns and its outcome letters, both
     in the canonical profile order: JSON objects for structured output, with
-    `fields` the texts before each column in an entry, text lines for any
-    other."""
-    from .enumeration import _write_columns
+    `fields` the texts before each column in an entry, text lines for text."""
+    from .enumeration import _check_format, _write_columns
+    _check_format(fmt)
     if fmt == STRUCTURED:
         entry = [*itertools.chain(*zip(fields, (*keys, letters))), '"\n    },\n']
         return _write_columns(f'{{\n  "n": {n},\n  "entries": [\n', entry, '"\n    }\n  ]\n}')
@@ -269,8 +269,9 @@ def _json_count_entry(e):
 
 def format_family(family, n: int, fmt: str = TEXT) -> str:
     """Render an enumerated family of (sequence, table) pairs."""
-    from .enumeration import _LISTS, _subset_of, _write_family
-    opener, sep, closer, empty = _LISTS.get(fmt, _LISTS[TEXT])  # any other format writes text
+    from .enumeration import _LISTS, _check_format, _subset_of, _write_family
+    _check_format(fmt)
+    opener, sep, closer, empty = _LISTS[fmt]
     family = list(family)
     pairs = [_subset_of(seq) for seq, _ in family]  # proper by construction, so not checked again
     members, quotas = (

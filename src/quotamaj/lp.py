@@ -36,7 +36,7 @@ from collections.abc import Iterator
 
 # `CountTable` in annotations is `tables.CountTable`, which `to_table` loads
 from .core import Alternative, CountProfile, QuotaSeq, _Value, _check_society, _mirror
-from .engine import _interleave, _row_thresholds, _staircase, is_proper, to_table
+from .engine import _interleave, _require_same_n, _row_thresholds, _staircase, is_proper, to_table
 
 
 class LPRule(_Value):
@@ -80,10 +80,7 @@ class LPRule(_Value):
 
 def lp_eval(rule: LPRule, profile: CountProfile) -> Alternative:
     """Outcome of an indifference-quota rule on a count profile."""
-    if rule.n != profile.n:
-        raise ValueError(
-            f"society size mismatch: rule has n={rule.n}, profile has n={profile.n}"
-        )
+    _require_same_n("rule has", rule.n, profile)
     idle = profile.indifferent
     if idle >= rule.r:
         return rule.default

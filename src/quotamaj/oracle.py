@@ -20,7 +20,7 @@ i=2), and misreporting m moves the profile to p + (m - t) * w.
 from __future__ import annotations
 
 from .core import Alternative, CountProfile, SearchBudgetExceeded, _Value
-from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid, _place_rows
+from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid
 
 
 class CountManipulation(_Value):
@@ -63,43 +63,44 @@ class FullManipulation(_Value):
         )
 
 
-def _count_positions(n: int) -> tuple[int, ...]:
-    # for each full profile in canonical order, the index na*(2n+3-na)/2 + nb of its
-    # count profile, via na*(n+1) + nb: each voter's a, b or i adds one to na, nb or neither
-    codes = [0]
+def _count_positions(n: int) -> list[int]:
+    # for each full profile in canonical order, the grid bit na*(n+2) + nb of
+    # its count profile: each voter's a, b or i adds one to na, nb or neither
+    bits = [0]
     for _ in range(n):
-        codes = [c + d for c in codes for d in (n + 1, 1, 0)]
-    index = [na * (2 * n + 3 - na) // 2 + nb for na in range(n + 1) for nb in range(n + 1)]
-    return tuple(map(index.__getitem__, codes))
+        bits = [c + d for c in bits for d in (n + 2, 1, 0)]
+    return bits
 
 
-def _class_outcomes(table: FullTable) -> str | None:
-    """Each count class's outcome letter in the all_count_profiles order, or
-    None when some profile's outcome differs from the one its class keeps."""
+def _class_mask(table: FullTable) -> int | None:
+    """The grid mask of the count classes that a wins, or None when some
+    profile's outcome differs from the one its class keeps."""
     positions = _count_positions(table.n)
     kept = dict(zip(positions, table.outcomes))  # each class keeps its last profile's
     if list(map(kept.__getitem__, positions)) != list(table.outcomes):
         return None
-    return "".join(["a" if kept[c] is Alternative.A else "b" for c in range(len(kept))])
+    return sum([1 << bit for bit, outcome in kept.items() if outcome is Alternative.A])
 
 
 def check_anonymous(table: FullTable) -> bool:
     """Whether the table is constant on every class of equal-count profiles."""
-    return _class_outcomes(table) is not None
+    return _class_mask(table) is not None
 
 
 def reduce_to_counts(table: FullTable) -> CountTable:
     """Collapse an anonymous full table to its count table; a table that is
     not anonymous raises ValueError."""
-    letters = _class_outcomes(table)
-    if letters is None:
+    mask = _class_mask(table)
+    if mask is None:
         raise ValueError("table is not anonymous; it has no count form")
-    return CountTable._from_mask(table.n, _place_rows(table.n, letters))  # a checked table's letters
+    return CountTable._from_mask(table.n, mask)  # each bit is a count profile's
 
 
 def expand_to_full(table: CountTable) -> FullTable:
     """The (anonymous) full table induced by a count table, whose outcomes need no check."""
-    return FullTable._from_outcomes(table.n, tuple(map(table.outcomes.__getitem__, _count_positions(table.n))))
+    outcome, mask = (Alternative.B, Alternative.A), table.mask
+    outcomes = tuple([outcome[mask >> bit & 1] for bit in _count_positions(table.n)])
+    return FullTable._from_outcomes(table.n, outcomes)
 
 
 def _escapes(region: int, width: int, valid: int) -> tuple[int, int, int]:

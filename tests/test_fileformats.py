@@ -143,6 +143,23 @@ def test_format_family_on_any_family(fmt):
         assert format_family(iter(rules), 4, fmt) == reference_family_file(rules, 4, fmt)
 
 
+@pytest.mark.parametrize("fmt", ["xml", "josn", "", "TEXT"])
+def test_every_writer_refuses_an_unknown_format(fmt):
+    # no writer falls back to text; the command line offers only core.FORMATS
+    from quotamaj.enumeration import _family_file
+
+    count = majority3()
+    writers = (
+        lambda: format_count_table(count, fmt),
+        lambda: format_full_table(expand_to_full(count), fmt),
+        lambda: format_family(enumerate_all(2), 2, fmt),
+        lambda: _family_file(2, fmt),
+    )
+    for write in writers:
+        with pytest.raises(ValueError, match=f"^unknown format {fmt!r}$"):
+            write()
+
+
 # Files in the canonical profile order are built from whole columns, and
 # every other goes through the per-entry checks; the tests below reach
 # sizes that the reference agreement tests, which stop at n <= 3, never do.

@@ -219,10 +219,11 @@ def test_layers_against_counts_the_pairs_each_tree_wins(tmp_path, monkeypatch):
         return lambda work: [(name, iter(seconds[side])) for name, seconds in script.items()]
 
     monkeypatch.setattr(layers, "all_cases", cases(0))
-    monkeypatch.setattr(layers, "load_parent", lambda src: SimpleNamespace(all_cases=cases(1)))
+    copy = SimpleNamespace(all_cases=cases(1), startup_loads=lambda work: {})
+    monkeypatch.setattr(layers, "load_parent", lambda src: copy)
     monkeypatch.setattr(layers, "run_once", next)
     monkeypatch.setattr(layers, "export_tree", lambda rev, dest: dest / "src")
-    change, parent, wins = layers.against("REV", layers.REPEATS)
+    change, parent, wins, _ = layers.against("REV", layers.REPEATS)
     assert change == {"faster": 1.0, "slower": 2.0, "mixed": 1.0}
     assert parent == {"faster": 2.0, "slower": 1.0, "mixed": 2.0}
     assert wins == {"faster": 5, "slower": 0, "mixed": 3}
@@ -234,6 +235,50 @@ def test_layers_against_counts_the_pairs_each_tree_wins(tmp_path, monkeypatch):
     record = json.loads((tmp_path / "BENCH_stub.json").read_text())
     assert record["against"]["wins"] == wins and record["against"]["commit"] == "0123abc"
     assert record["against"]["speedup"] == {"faster": 2.0, "slower": 0.5, "mixed": 2.0}
+
+
+def test_layers_against_records_the_parent_tree_startup_loads(tmp_path, monkeypatch):
+    layers = load_tool()
+    works = []
+
+    # the copy of this script that load_parent returns lists what the parent tree loads
+    def parent_loads(work):
+        works.append(work)
+        return {"startup.count": {"modules": ["quotamaj_parent"], "source_lines": 7, "ast_nodes": 70}}
+
+    copy = SimpleNamespace(all_cases=lambda work: [("case", None)], startup_loads=parent_loads)
+    monkeypatch.setattr(layers, "all_cases", lambda work: [("case", None)])
+    monkeypatch.setattr(layers, "load_parent", lambda src: copy)
+    monkeypatch.setattr(layers, "run_once", lambda thunk: 1.0)
+    monkeypatch.setattr(layers, "export_tree", lambda rev, dest: dest / "src")
+    monkeypatch.setattr(layers, "git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(layers, "startup_loads", lambda work: {"startup.count": {"ast_nodes": 60}})
+    monkeypatch.setattr(layers, "tier1_run", lambda: {})
+    assert layers.main(["--label", "stub", "--out", str(tmp_path), "--against", "REV"]) == 0
+    record = json.loads((tmp_path / "BENCH_stub.json").read_text())
+    assert record["against"]["startup_loads"] == parent_loads(None)
+    assert record["startup_loads"] == {"startup.count": {"ast_nodes": 60}}
+    # in the parent tree's own directory, which this tree's cases do not share
+    assert works[0].name == "parent"
+
+
+def test_layers_records_each_minimum_to_four_significant_digits(tmp_path, monkeypatch):
+    # a fixed number of decimals would leave a microsecond case one digit
+    layers = load_tool()
+    timings = {"micro": 3.01234e-06, "milli": 0.0123456, "whole": 12.345678}
+    rounded = {"micro": 3.012e-06, "milli": 0.01235, "whole": 12.35}
+    assert layers.bench_record("digits", 1, timings)["timings_s"] == rounded
+    parent = {name: seconds * 2 for name, seconds in timings.items()}
+    monkeypatch.setattr(layers, "against", lambda rev, repeats: (timings, parent, dict.fromkeys(timings, 5), {}))
+    monkeypatch.setattr(layers, "git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(layers, "startup_loads", lambda work: {})
+    monkeypatch.setattr(layers, "tier1_run", lambda: {})
+    assert layers.main(["--label", "digits", "--out", str(tmp_path), "--against", "REV"]) == 0
+    record = json.loads((tmp_path / "BENCH_digits.json").read_text())
+    assert record["timings_s"] == rounded
+    assert record["against"]["parent_s"] == {"micro": 6.025e-06, "milli": 0.02469, "whole": 24.69}
+    # speed-ups come from the unrounded minima
+    assert record["against"]["speedup"] == dict.fromkeys(timings, 2.0)
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")

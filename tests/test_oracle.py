@@ -87,9 +87,10 @@ def test_reduce_to_counts():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_count_positions_match_a_count_of_walk(n):
-    # the digit-count map against a walk over the profile objects
-    index = {p: i for i, p in enumerate(all_count_profiles(n))}
-    assert _count_positions(n) == tuple(index[count_of(p)] for p in all_full_profiles(n))
+    # the digit-count map against a walk over the profile objects; profile
+    # (na, nb) is grid bit na*(n+2) + nb
+    counts = map(count_of, all_full_profiles(n))
+    assert _count_positions(n) == [c.na * (n + 2) + c.nb for c in counts]
 
 
 def test_expand_reduce_round_trip():

@@ -258,3 +258,40 @@ def test_every_public_method_of_an_exported_class_has_a_reader():
     }
     read |= set(re.findall(r"\.(\w+)", (ROOT / "README.md").read_text()))
     assert sorted(f"{cls}.{name}" for cls, name in members if name not in read) == []
+
+
+def test_fields_are_stored_by_one_init_and_one_builder():
+    # `_Value.__init__` stores the fields of every checked build and
+    # `core._trusted` those of every trusted one; no class stores its own
+    def stores(node, where):
+        """The qualified names of the functions under `node` that call object.__setattr__."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                yield from stores(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "__setattr__":
+                if getattr(child.value, "id", None) == "object":
+                    yield where
+            yield from stores(child, where)
+
+    found = {
+        where
+        for path in sorted(SOURCE.glob("*.py"))
+        for where in stores(ast.parse(path.read_text()), path.stem)
+    }
+    assert found == {"core._Value.__init__", "core._trusted"}
+
+
+def test_one_check_refuses_a_profile_of_another_society_size():
+    # `engine._require_same_n` words the mismatch for every rule that reads a profile
+    found = sorted(path.name for path in SOURCE.glob("*.py") if "society size mismatch" in path.read_text())
+    assert found == ["engine.py"]
+
+
+def test_only_tables_computes_a_count_profile_index():
+    # row na of the all_count_profiles order starts at na*(2n+3-na)/2; the
+    # oracle works on grid bits and never round-trips letters through rows
+    found = sorted(path.name for path in SOURCE.glob("*.py") if "2 * n + 3" in path.read_text())
+    assert found == ["tables.py"]
+    oracle = [name for _, module, name in imports_from_the_package(SOURCE / "oracle.py") if module == "tables"]
+    assert oracle and "_place_rows" not in oracle

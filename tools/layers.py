@@ -6,10 +6,11 @@
 
 Each timing is the minimum of REPEATS perf_counter runs of one call on
 a fixed input; noise on a shared machine only adds time, so the best run
-is the steadiest figure, and the file records the statistic and the
-repeats.  Every command starts with empty caches, so before each run every
-`lru_cache` of the loaded quotamaj modules is cleared, outside the timing,
-and the file says so under `caches`.  The library calls are tabulation, the strategy-proofness check,
+is the steadiest figure, and the file records it to 4 significant
+digits, with the statistic and the repeats.  Every command starts with
+empty caches, so before each run every `lru_cache` of the loaded
+quotamaj modules is cleared, outside the timing, and the file says so
+under `caches`.  The library calls are tabulation, the strategy-proofness check,
 extraction and representation of two tables (n=200 and n=500),
 canonicalization of a seeded 300-entry sequence at n=500 and of the
 constant rule at n=3000, enumeration at n=10, 12 and 14, and the
@@ -42,10 +43,11 @@ tests/certificates.py it imports and its `startup.*` subprocesses run
 <rev>'s library, which needs the names that this script and that file
 use; under `python -O` neither tree runs assertions.  The file then
 records both minima, the speed-up (the parent's minimum over this
-tree's) and `wins` (how many of the REPEATS pairs of runs this tree ran
-faster) under `against`.  Minima alone cannot tell a change of a few
-percent from noise, so read a speed-up as resolved only at REPEATS wins
-out of REPEATS, and a slowdown only at none.  Six A/A runs, against a
+tree's), `wins` (how many of the REPEATS pairs of runs this tree ran
+faster) and the parent tree's `startup_loads` under `against`.  Minima
+alone cannot tell a change of a few percent from noise, so read a
+speed-up as resolved only at REPEATS wins out of REPEATS, and a slowdown
+only at none.  Six A/A runs, against a
 tree with the same library (one is `BENCH_pr31.json`), read each
 in-process case between x0.92 and x1.16, and 0-4 of 51 cases at none or
 all wins, where chance gives about 3; runs minutes apart differ far
@@ -454,24 +456,32 @@ def export_tree(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def against(rev: str, repeats: int) -> tuple[dict[str, float], dict[str, float], dict[str, int]]:
+def against(rev: str, repeats: int) -> tuple[dict[str, float], dict[str, float], dict[str, int], dict[str, dict]]:
     """Least seconds of every case on this tree and on the tree of `rev`,
     from interleaved runs in this process that alternate which tree runs
-    first, and for each case the number of those pairs of runs that this
-    tree won."""
+    first, for each case the number of those pairs of runs that this tree
+    won, and the `startup_loads` of the tree of `rev`."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         parent_src = export_tree(rev, tmp / "parent")
         # each tree writes the files of its cases into its own directory
-        sides = (dict(all_cases(tmp)), dict(load_parent(parent_src).all_cases(tmp / "parent")))
+        parent = load_parent(parent_src)
+        sides = (dict(all_cases(tmp)), dict(parent.all_cases(tmp / "parent")))
         runs = {name: ([], []) for name in sides[0]}
         for i, name in enumerate(runs):
             for r in range(repeats):
                 for side in (0, 1) if (i + r) % 2 else (1, 0):
                     runs[name][side].append(run_once(sides[side][name]))
+        parent_loads = parent.startup_loads(tmp / "parent")
     change_s, parent_s = ({name: min(pair[side]) for name, pair in runs.items()} for side in (0, 1))
     wins = {name: sum(c < p for c, p in zip(*pair)) for name, pair in runs.items()}
-    return change_s, parent_s, wins
+    return change_s, parent_s, wins, parent_loads
+
+
+def significant(seconds: float) -> float:
+    """Seconds to 4 significant digits: a fixed number of decimals would
+    leave a microsecond case one digit."""
+    return float(f"{seconds:.4g}")
 
 
 def bench_record(label: str, repeats: int, timings: dict[str, float]) -> dict:
@@ -484,7 +494,7 @@ def bench_record(label: str, repeats: int, timings: dict[str, float]) -> dict:
         "statistic": "min",
         "repeats": repeats,
         "caches": "every quotamaj lru_cache cleared before each run",
-        "timings_s": {name: round(seconds, 6) for name, seconds in timings.items()},
+        "timings_s": {name: significant(seconds) for name, seconds in timings.items()},
     }
 
 
@@ -498,15 +508,16 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as work:
             timings = measure(all_cases(Path(work)), REPEATS)
     else:
-        timings, parent, wins = against(args.against, REPEATS)
+        timings, parent, wins, parent_loads = against(args.against, REPEATS)
     record = bench_record(args.label, REPEATS, timings)
     if args.against is not None:
         record["against"] = {
             "rev": args.against,
             "commit": git("rev-parse", args.against).decode().strip(),
-            "parent_s": {name: round(seconds, 6) for name, seconds in parent.items()},
+            "parent_s": {name: significant(seconds) for name, seconds in parent.items()},
             "speedup": {name: round(parent[name] / timings[name], 3) for name in timings},
             "wins": wins,
+            "startup_loads": parent_loads,
         }
     with tempfile.TemporaryDirectory() as work:
         record["startup_loads"] = startup_loads(Path(work))
