@@ -20,8 +20,6 @@ proper sequence as rewriting to a fixed point.  Each pass is one walk
 over the sequence, so canonicalizing takes O(length) steps whatever n is.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 from .core import QuotaSeq

@@ -12,8 +12,6 @@ Exit codes: 0 success, 1 the reader closed the output, 2 invalid input,
 3 a checked property is violated, 4 an exhaustive search exceeded its budget.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace
@@ -69,7 +67,7 @@ def _load_sequence(args) -> QuotaSeq:
     return QuotaSeq(args.n, _parse_ints(args.quotas, "--quotas"))
 
 
-def _load_counts(path: str) -> tuple[CountTable | FullTable, CountTable | None]:
+def _load_counts(path: str) -> "tuple[CountTable | FullTable, CountTable | None]":
     """The table in the file at `path` and its count table: the table
     itself, the reduction of an anonymous full table, or None."""
     from . import fileformats, oracle
@@ -245,7 +243,7 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> "argparse.ArgumentParser":
     """The parser of every command, for the lines `_read_command_line` leaves to it."""
     import argparse
     parser = argparse.ArgumentParser(

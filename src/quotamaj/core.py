@@ -13,8 +13,6 @@ this module loads when one of their public names is first read here:
 only the commands that build or read a table load it.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
@@ -29,7 +27,8 @@ class _Value:
 
     Equal fields make equal, equally hashed values of one class; assignment and deletion raise
     AttributeError; the repr is `Name(field=value, ...)`.  A subclass that checks nothing
-    declares no __init__; one that checks its fields stores them through this one.
+    declares no __init__; one that checks its fields stores them through this one.  The slot
+    setters that store the fields are bound once per class, in `_stores`.
     """
 
     __slots__ = ()
@@ -37,10 +36,12 @@ class _Value:
     def __init_subclass__(cls) -> None:
         # the tuple of field values in one C call: tables are compared in hot loops
         cls._field_values = attrgetter(*cls.__slots__)
+        # the slot setters, which pass by the __setattr__ that refuses assignment
+        cls._stores = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._stores, values, strict=True):
+            store(self, value)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -153,8 +154,9 @@ def all_count_profiles(n: int) -> tuple[CountProfile, ...]:
 def _trusted(cls, n: int, value):
     """The one builder past __init__: a `cls` of the fields (n, value) that its caller checked."""
     built = object.__new__(cls)
-    object.__setattr__(built, "n", n)
-    object.__setattr__(built, cls.__slots__[1], value)
+    store_n, store_value = cls._stores
+    store_n(built, n)
+    store_value(built, value)
     return built
 
 

@@ -18,8 +18,6 @@ each indifference row's least winning a-support off the staircase, and
 `_interleave` turns (ell, k) levels back into a sequence.
 """
 
-from __future__ import annotations
-
 from .core import Alternative, CountProfile, QuotaSeq, _mirror, check_table_size
 
 
@@ -189,7 +187,7 @@ def _row_thresholds(n: int, lengths: list[int]) -> tuple[int, ...]:
     return tuple(reversed(thresholds))
 
 
-def to_table(seq: QuotaSeq) -> CountTable:
+def to_table(seq: QuotaSeq) -> "CountTable":
     """Tabulate the rule over every count profile: the mask of its staircase."""
     from .tables import CountTable, _prefix_rows  # the one function here that makes a table
     return CountTable._from_mask(seq.n, _prefix_rows(seq.n, _staircase(seq)))

@@ -31,8 +31,6 @@ every file, tables too.  It writes them, or the columns that
   ...}` entry per rule, laid out as `json.dumps(indent=2)` lays it out.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 from itertools import repeat
 from operator import add, itemgetter
@@ -126,7 +124,7 @@ def _family_staircases(n: int, pieces) -> list[list]:
     return rows
 
 
-def enumerate_all(n: int) -> list[tuple[QuotaSeq, CountTable]]:
+def enumerate_all(n: int) -> "list[tuple[QuotaSeq, CountTable]]":
     """Every anonymous strategy-proof rule for society size n, with its table.
 
     Order: default b then default a; within a default, subsets in

@@ -26,8 +26,6 @@ are validated and interleaved as the mirrored default-b levels, and the
 results are mirrored back.
 """
 
-from __future__ import annotations
-
 from . import oracle
 from .canonical import canonicalize
 # `CountTable` in annotations is `tables.CountTable`, which a caller loads to build one
@@ -122,7 +120,7 @@ def interleave(seq: LKSequence) -> QuotaSeq:
     return _interleave(seq.n, seq.default, seq.pairs)
 
 
-def extract(table: CountTable) -> LKSequence:
+def extract(table: "CountTable") -> LKSequence:
     """Recover the level pairs of a strategy-proof table.
 
     With default b, row ell opens the level (ell, t) when its threshold t
@@ -154,6 +152,6 @@ def _proper_form(levels: LKSequence) -> QuotaSeq:
     return canonicalize(interleave(levels).quotas, levels.n)
 
 
-def represent(table: CountTable) -> QuotaSeq:
+def represent(table: "CountTable") -> QuotaSeq:
     """The unique proper quota sequence whose table equals the input."""
     return _proper_form(extract(table))

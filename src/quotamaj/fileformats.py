@@ -24,8 +24,6 @@ writes every file, table or family, in both formats; the table writers
 give it the same canonical key columns and the table's outcome letters.
 """
 
-from __future__ import annotations
-
 import itertools
 from operator import itemgetter
 
@@ -58,12 +56,12 @@ def _format_table(n: int, fields: tuple[str, ...], keys: tuple[tuple, ...], lett
     return _write_columns(f"n={n}\n", entry, "\n")
 
 
-def format_count_table(table: CountTable, fmt: str = TEXT) -> str:
+def format_count_table(table: "CountTable", fmt: str = TEXT) -> str:
     fields = ('    {\n      "a": ', ',\n      "b": ', ',\n      "out": "')
     return _format_table(table.n, fields, _canonical_keys(table.n, str), [*table.outcome_string()], fmt)
 
 
-def format_full_table(table: FullTable, fmt: str = TEXT) -> str:
+def format_full_table(table: "FullTable", fmt: str = TEXT) -> str:
     fields = ('    {\n      "profile": "', '",\n      "out": "')
     A = Alternative.A
     letters = ["a" if o is A else "b" for o in table.outcomes]
@@ -86,7 +84,7 @@ def parse_sequence(text: str) -> QuotaSeq:
     return QuotaSeq(n, quotas)
 
 
-def parse_table(text: str) -> CountTable | FullTable:
+def parse_table(text: str) -> "CountTable | FullTable":
     """Parse either table kind from either format, detecting both."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -142,7 +140,7 @@ def _whole_table(n: int, size: int, form, columns):
     return CountTable._from_mask(n, _place_rows(n, "".join(outs)))
 
 
-def _build_table(n: int, size: int, entries, form, columns) -> CountTable | FullTable:
+def _build_table(n: int, size: int, entries, form, columns) -> "CountTable | FullTable":
     """Check and build a table from its (profile, outcome token) entries.
 
     A count profile is a pair of ints; a full profile is a string, read as

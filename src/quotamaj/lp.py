@@ -29,8 +29,6 @@ one per onto rule.  The certificate of that uniqueness is acceptance
 criterion 8's walk over every valid rule, in the tests.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections.abc import Iterator
 
@@ -96,7 +94,7 @@ def _sequence(rule: LPRule) -> QuotaSeq:
     return _interleave(rule.n, rule.default, pairs)
 
 
-def lp_to_table(rule: LPRule) -> CountTable:
+def lp_to_table(rule: LPRule) -> "CountTable":
     """Tabulate an indifference-quota rule over every count profile."""
     return to_table(_sequence(rule))
 

@@ -17,8 +17,6 @@ of place w = 3**(n-1-v), declares the digit t = p // w % 3 (a=0, b=1,
 i=2), and misreporting m moves the profile to p + (m - t) * w.
 """
 
-from __future__ import annotations
-
 from .core import Alternative, CountProfile, SearchBudgetExceeded, _Value
 from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid
 

@@ -9,8 +9,6 @@ use, so the commands that build no table (`eval`, `canon`, `convert`,
 `enum`, `count`) do not compile it.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections.abc import Callable, Iterator, Mapping
 from enum import Enum

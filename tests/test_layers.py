@@ -177,7 +177,8 @@ def test_layers_loads_the_parent_tree_beside_this_one(tmp_path, monkeypatch):
         # the same cases, which run on the copy
         names = [name for name, _ in layers.all_cases(tmp_path)]
         assert len(names) == len(set(names))
-        assert {"enumerate_all.n14", "enum.n14.text", "format_family.n12.text", "startup.enum"} <= set(names)
+        assert {"enumerate_all.n14", "values.count_profiles.n300", "enum.n14.text", "format_family.n12.text",
+                "startup.enum"} <= set(names)
         assert {name for name, _ in layers.shuffled_cases()} <= set(names)
         assert {"parse_table.count.n1000.text", "parse_table.count.n1000.shuffled.text"} <= set(names)
         assert {"format_count_table.n1000.text", "format_full_table.n8.text"} <= set(names)
@@ -207,9 +208,10 @@ def test_layers_imports_this_checkout_unless_pythonpath_names_another(tmp_path):
 
 def test_layers_against_counts_the_pairs_each_tree_wins(tmp_path, monkeypatch):
     layers = load_tool()
-    # seconds of each run of each case, this tree's then the parent's
+    # seconds of each run of each case, this tree's then the parent's; the
+    # first case's first pair is the untimed warm-up, counted in no minimum or win
     script = {
-        "faster": ([1.0] * 5, [2.0] * 5),
+        "faster": ([0.5] + [1.0] * 5, [4.0] + [2.0] * 5),
         "slower": ([2.0] * 5, [1.0] * 5),
         "mixed": ([1.0, 3.0, 1.0, 3.0, 1.0], [2.0] * 5),
     }

@@ -170,7 +170,7 @@ CHILD = (
     "    out.write('\\n'.join(sorted(sys.modules)))\n"
     "sys.exit(code)\n"
 )
-HEAVY = {"dataclasses", "inspect", "typing"}
+HEAVY = {"__future__", "dataclasses", "inspect", "typing"}
 LIBRARY_ONLY = {"quotamaj.oracle", "quotamaj.extraction", "quotamaj.lp", "json"}
 
 

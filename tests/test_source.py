@@ -262,24 +262,41 @@ def test_every_public_method_of_an_exported_class_has_a_reader():
 
 def test_fields_are_stored_by_one_init_and_one_builder():
     # `_Value.__init__` stores the fields of every checked build and
-    # `core._trusted` those of every trusted one; no class stores its own
-    def stores(node, where):
-        """The qualified names of the functions under `node` that call object.__setattr__."""
+    # `core._trusted` those of every trusted one, both through the slot setters
+    # that `_Value.__init_subclass__` binds once per class; no class stores its own
+    def attributes(node, where):
+        """(qualified function name, node) of every attribute node under `node`."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                yield from stores(child, f"{where}.{child.name}")
+                yield from attributes(child, f"{where}.{child.name}")
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "__setattr__":
-                if getattr(child.value, "id", None) == "object":
-                    yield where
-            yield from stores(child, where)
+            if isinstance(child, ast.Attribute):
+                yield where, child
+            yield from attributes(child, where)
 
-    found = {
-        where
+    found = [
+        (where, node)
         for path in sorted(SOURCE.glob("*.py"))
-        for where in stores(ast.parse(path.read_text()), path.stem)
-    }
-    assert found == {"core._Value.__init__", "core._trusted"}
+        for where, node in attributes(ast.parse(path.read_text()), path.stem)
+    ]
+    setattr_calls = [
+        where for where, node in found if node.attr == "__setattr__" and getattr(node.value, "id", None) == "object"
+    ]
+    assert setattr_calls == []
+    stores = {where for where, node in found if node.attr == "_stores" and isinstance(node.ctx, ast.Load)}
+    assert stores == {"core._Value.__init__", "core._trusted"}
+
+
+def test_no_module_imports_from_future():
+    # annotations that name a lazily imported class are quoted instead, so
+    # that no command loads `__future__`
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+    )
+    assert found == []
 
 
 def test_one_check_refuses_a_profile_of_another_society_size():

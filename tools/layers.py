@@ -15,6 +15,8 @@ extraction and representation of two tables (n=200 and n=500),
 canonicalization of a seeded 300-entry sequence at n=500 and of the
 constant rule at n=3000, enumeration at n=10, 12 and 14, and the
 tests' exhaustive strategy-proof search (tests/certificates.py) at n=5.
+`values.count_profiles.n300` builds the 45,451 count profiles at n=300,
+each a checked build through `_Value.__init__`.
 The `parse_table.*` timings read a count table at n=140 and a full table
 at n=8 from text and from JSON, files in the canonical order that are
 read in whole-table passes, the count table at n=140 with its entries
@@ -37,8 +39,10 @@ without its required `--table`.
 With `--against <rev>`, the script also exports the tree of git
 revision <rev> into a temporary directory and times every case on both
 trees in this one process, one run at a time, alternating which tree
-runs first.  That tree's package loads as `quotamaj_parent`, and this
-script loads again while `quotamaj` names it, so the copy's cases, the
+runs first, after one untimed pair of runs of the first case, since the
+first runs in a process read slow on either tree.  That tree's package
+loads as `quotamaj_parent`, and this script loads again while
+`quotamaj` names it, so the copy's cases, the
 tests/certificates.py it imports and its `startup.*` subprocesses run
 <rev>'s library, which needs the names that this script and that file
 use; under `python -O` neither tree runs assertions.  The file then
@@ -50,8 +54,10 @@ speed-up as resolved only at REPEATS wins out of REPEATS, and a slowdown
 only at none.  Six A/A runs, against a
 tree with the same library (one is `BENCH_pr31.json`), read each
 in-process case between x0.92 and x1.16, and 0-4 of 51 cases at none or
-all wins, where chance gives about 3; runs minutes apart differ far
-more, so compare trees only within one invocation.  The
+all wins, where chance gives about 3; the extremes were the first two
+cases, which two A/A runs with the untimed pair read within x0.98-x1.00,
+and every in-process case within x0.94-x1.05.  Runs minutes apart
+differ far more, so compare trees only within one invocation.  The
 file also records the Python version, whether assertions were on,
 whether bytecode is written (`sys.dont_write_bytecode`: without cached
 bytecode every start-up command compiles the modules it imports), the
@@ -64,8 +70,6 @@ module) and of the test files.  Timings depend on the machine; compare
 files written on the same one.  This script is not part of the test
 suite, so timing noise can never fail it.
 """
-
-from __future__ import annotations
 
 import argparse
 import ast
@@ -89,6 +93,7 @@ sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which may name another t
 import quotamaj
 from quotamaj import (
     QuotaSeq,
+    all_count_profiles,
     canonicalize,
     cli,
     enumerate_all,
@@ -158,6 +163,12 @@ def baseline_cases() -> list[tuple[str, object]]:
     cases += [(f"enumerate_all.n{n}", partial(enumerate_all, n)) for n in (10, 12, 14)]
     cases.append(("exhaustive_sp_family.n5", partial(exhaustive_sp_family, 5)))
     return cases
+
+
+def value_cases() -> list[tuple[str, object]]:
+    """all_count_profiles at n=300, on an empty cache: 45,451 checked
+    CountProfile builds, each through `_Value.__init__`."""
+    return [("values.count_profiles.n300", partial(all_count_profiles, 300))]
 
 
 def parse_cases() -> list[tuple[str, object]]:
@@ -351,8 +362,8 @@ def startup_loads(work: Path) -> dict[str, dict]:
 def all_cases(work: Path) -> list[tuple[str, object]]:
     """Every case this script times, in the order of its output."""
     return [
-        *baseline_cases(), *parse_cases(), *shuffled_cases(), *large_parse_cases(), *writer_cases(),
-        *family_cases(), *enum_cases(),
+        *baseline_cases(), *value_cases(), *parse_cases(), *shuffled_cases(), *large_parse_cases(),
+        *writer_cases(), *family_cases(), *enum_cases(),
         *startup_cases(work), *fallback_cases(work),
     ]
 
@@ -468,6 +479,9 @@ def against(rev: str, repeats: int) -> tuple[dict[str, float], dict[str, float],
         parent = load_parent(parent_src)
         sides = (dict(all_cases(tmp)), dict(parent.all_cases(tmp / "parent")))
         runs = {name: ([], []) for name in sides[0]}
+        # one untimed pair: the first runs in a process read slow on either tree
+        for side in (1, 0):
+            run_once(sides[side][next(iter(runs))])
         for i, name in enumerate(runs):
             for r in range(repeats):
                 for side in (0, 1) if (i + r) % 2 else (1, 0):
