@@ -11,8 +11,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from quotamaj import QuotaSeq, to_table
+from quotamaj import QuotaSeq, canonicalize, check_anonymous, to_table
 from quotamaj.fileformats import parse_table
+from quotamaj.lp import lp_to_proper, proper_to_lp
+from quotamaj.oracle import find_manipulation_full, reduce_to_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "layers.py"
@@ -25,10 +27,33 @@ def load_tool():
     return module
 
 
+def minima(runs):
+    """The least seconds of each case on the first tree of measure's runs."""
+    return {name: min(trees[0]) for name, trees in runs.items()}
+
+
+@pytest.fixture(scope="module")
+def files():
+    """file_cases with its large count table at n=30, built once for the tests that read it."""
+    return load_tool().file_cases(30)
+
+
+@pytest.fixture(scope="module")
+def cases(tmp_path_factory):
+    """Every case of all_cases, built once for the tests that read them."""
+    return load_tool().all_cases(tmp_path_factory.mktemp("cases"))
+
+
+@pytest.fixture(scope="module")
+def loads(tmp_path_factory):
+    """One run of startup_loads."""
+    return load_tool().startup_loads(tmp_path_factory.mktemp("loads"))
+
+
 def test_layers_records_every_case_with_its_settings(tmp_path):
     layers = load_tool()
     cases = layers.table_cases(8, (4, 6, 2, 9))
-    timings = layers.measure(cases, repeats=1)
+    timings = minima(layers.measure([cases], repeats=1))
     assert list(timings) == ["to_table.n8", "find_manipulation.n8", "extract.n8", "represent.n8"]
     assert all(seconds >= 0 for seconds in timings.values())
     record = layers.bench_record("smoke", 1, timings)
@@ -47,7 +72,7 @@ def test_layers_times_each_run_on_a_cold_library():
     layers = load_tool()
     table = to_table(QuotaSeq(8, (4, 6, 2, 9)))
     all_count_profiles(9)
-    layers.measure([("items.n8", lambda: list(table.items()))], repeats=3)
+    layers.measure([[("items.n8", lambda: list(table.items()))]], repeats=3)
     info = all_count_profiles.cache_info()
     assert info.hits == 0 and info.currsize == 1
     assert layers.bench_record("cold", 1, {})["caches"] == "every quotamaj lru_cache cleared before each run"
@@ -62,9 +87,9 @@ def test_layers_baseline_inputs_are_fixed():
     assert sequence == layers.random_sequence(500, 300, layers.RANDOM_SEED)
 
 
-def test_layers_times_parse_table_on_both_kinds_and_formats():
+def test_layers_times_parse_table_on_both_kinds_and_formats(files):
     layers = load_tool()
-    timings = layers.measure(layers.parse_cases(), repeats=1)
+    timings = minima(layers.measure([files[:4]], repeats=1))
     assert list(timings) == [
         "parse_table.count.n140.text",
         "parse_table.count.n140.json",
@@ -74,33 +99,31 @@ def test_layers_times_parse_table_on_both_kinds_and_formats():
     assert all(seconds > 0 for seconds in timings.values())
 
 
-def test_layers_times_parse_table_on_shuffled_count_tables():
+def test_layers_times_parse_table_on_shuffled_count_tables(files):
     layers = load_tool()
-    cases = layers.shuffled_cases()
-    timings = layers.measure(cases, repeats=1)
+    cases = files[4:6]
+    timings = minima(layers.measure([cases], repeats=1))
     assert list(timings) == [
         "parse_table.count.n140.shuffled.text",
         "parse_table.count.n140.shuffled.json",
     ]
     assert all(seconds > 0 for seconds in timings.values())
     # the same tables as the canonical-order files, whose entries are not in that order
-    canonical = dict(layers.parse_cases())
+    canonical = dict(files)
     for fmt_name, (_, parse) in zip(("text", "json"), cases):
         assert parse() == canonical[f"parse_table.count.n140.{fmt_name}"]()
         assert parse.args[0] != canonical[f"parse_table.count.n140.{fmt_name}"].args[0]
 
 
-def test_layers_times_parse_table_on_a_large_count_table_in_both_orders():
-    layers = load_tool()
-    (name, canonical), (shuffled_name, shuffled) = layers.large_parse_cases(30)
+def test_layers_times_parse_table_on_a_large_count_table_in_both_orders(files):
+    (name, canonical), (shuffled_name, shuffled) = files[6:8]
     assert (name, shuffled_name) == ("parse_table.count.n30.text", "parse_table.count.n30.shuffled.text")
     assert canonical.args[0] != shuffled.args[0]
     assert canonical() == shuffled() == to_table(QuotaSeq(30, (15, 21, 9, 31)))
 
 
-def test_layers_times_the_table_writers():
-    layers = load_tool()
-    cases = layers.writer_cases(30)
+def test_layers_times_the_table_writers(files):
+    cases = files[8:]
     assert [name for name, _ in cases] == [
         "format_count_table.n30.text",
         "format_count_table.n30.structured",
@@ -109,14 +132,7 @@ def test_layers_times_the_table_writers():
     ]
     count = to_table(QuotaSeq(30, (15, 21, 9, 31)))
     assert [parse_table(write()) for _, write in cases[:2]] == [count, count]
-    assert parse_table(cases[2][1]()) == dict(layers.parse_cases())["parse_table.full.n8.text"]()
-
-
-def test_layers_times_format_family_in_both_formats():
-    layers = load_tool()
-    timings = layers.measure(layers.family_cases(), repeats=1)
-    assert list(timings) == ["format_family.n12.text", "format_family.n12.structured"]
-    assert all(seconds > 0 for seconds in timings.values())
+    assert parse_table(cases[2][1]()) == dict(files)["parse_table.full.n8.text"]()
 
 
 def test_layers_times_the_enum_render_in_both_formats():
@@ -124,7 +140,7 @@ def test_layers_times_the_enum_render_in_both_formats():
     from quotamaj import cli
 
     emit = cli._emit
-    timings = layers.measure(layers.enum_cases(), repeats=1)
+    timings = minima(layers.measure([layers.enum_cases()], repeats=1))
     assert list(timings) == [
         "enum.n10.text",
         "enum.n10.structured",
@@ -139,7 +155,7 @@ def test_layers_times_the_enum_render_in_both_formats():
     assert cli._emit is emit
 
 
-def test_layers_loads_the_parent_tree_beside_this_one(tmp_path, monkeypatch):
+def test_layers_loads_the_parent_tree_beside_this_one(tmp_path, monkeypatch, cases):
     import certificates
 
     def own_modules():
@@ -175,19 +191,20 @@ def test_layers_loads_the_parent_tree_beside_this_one(tmp_path, monkeypatch):
         copy.enum_render(3, "text")
         assert rendered == [3]
         # the same cases, which run on the copy
-        names = [name for name, _ in layers.all_cases(tmp_path)]
+        names = [name for name, _ in cases]
         assert len(names) == len(set(names))
-        assert {"enumerate_all.n14", "values.count_profiles.n300", "enum.n14.text", "format_family.n12.text",
-                "startup.enum"} <= set(names)
-        assert {name for name, _ in layers.shuffled_cases()} <= set(names)
+        assert {"enumerate_all.n14", "values.count_profiles.n300", "enum.n14.text"} <= set(names)
+        assert {"startup.enum", "startup.usage_error", "find_manipulation_full.n7"} <= set(names)
+        assert {"parse_table.count.n140.shuffled.text", "parse_table.count.n140.shuffled.json"} <= set(names)
         assert {"parse_table.count.n1000.text", "parse_table.count.n1000.shuffled.text"} <= set(names)
         assert {"format_count_table.n1000.text", "format_full_table.n8.text"} <= set(names)
         (tmp_path / "parent").mkdir()
-        cases = copy.all_cases(tmp_path / "parent")
-        assert [name for name, _ in cases] == names
-        cases = dict(cases)
-        assert cases["startup.import"].keywords["env"]["PYTHONPATH"] == str(src.resolve())
-        assert layers.run_once(cases["to_table.n200"]) > 0 and layers.run_once(cases["startup.import"]) > 0
+        parent_cases = copy.all_cases(tmp_path / "parent")
+        assert [name for name, _ in parent_cases] == names
+        parent_cases = dict(parent_cases)
+        assert parent_cases["startup.import"].keywords["env"]["PYTHONPATH"] == str(src.resolve())
+        assert layers.run_once(parent_cases["to_table.n200"]) > 0
+        assert layers.run_once(parent_cases["startup.import"]) > 0
     finally:
         for name in parent:
             del sys.modules[name]
@@ -206,37 +223,43 @@ def test_layers_imports_this_checkout_unless_pythonpath_names_another(tmp_path):
         assert Path(proc.stdout.strip()) == src.resolve()
 
 
-def test_layers_against_counts_the_pairs_each_tree_wins(tmp_path, monkeypatch):
-    layers = load_tool()
-    # seconds of each run of each case, this tree's then the parent's; the
-    # first case's first pair is the untimed warm-up, counted in no minimum or win
-    script = {
-        "faster": ([0.5] + [1.0] * 5, [4.0] + [2.0] * 5),
-        "slower": ([2.0] * 5, [1.0] * 5),
-        "mixed": ([1.0, 3.0, 1.0, 3.0, 1.0], [2.0] * 5),
-    }
+def stub_trees(monkeypatch, layers, script):
+    """Make main time `script`, which maps each case to the seconds of its
+    runs on this tree and on the parent's, with no subprocess or git call."""
 
     # each case's thunk yields the seconds of its runs on its tree, 0 for this one and 1 for the parent
     def cases(side):
         return lambda work: [(name, iter(seconds[side])) for name, seconds in script.items()]
 
-    monkeypatch.setattr(layers, "all_cases", cases(0))
     copy = SimpleNamespace(all_cases=cases(1), startup_loads=lambda work: {})
+    monkeypatch.setattr(layers, "all_cases", cases(0))
     monkeypatch.setattr(layers, "load_parent", lambda src: copy)
     monkeypatch.setattr(layers, "run_once", next)
     monkeypatch.setattr(layers, "export_tree", lambda rev, dest: dest / "src")
-    change, parent, wins, _ = layers.against("REV", layers.REPEATS)
-    assert change == {"faster": 1.0, "slower": 2.0, "mixed": 1.0}
-    assert parent == {"faster": 2.0, "slower": 1.0, "mixed": 2.0}
-    assert wins == {"faster": 5, "slower": 0, "mixed": 3}
-    # the wins go under `against` in the BENCH file
     monkeypatch.setattr(layers, "git", lambda *args: b"0123abc\n")
     monkeypatch.setattr(layers, "startup_loads", lambda work: {})
     monkeypatch.setattr(layers, "tier1_run", lambda: {})
+
+
+def test_layers_against_counts_the_pairs_each_tree_wins(tmp_path, monkeypatch):
+    layers = load_tool()
+    stub_trees(monkeypatch, layers, {
+        "faster": ([1.0] * 5, [2.0] * 5),
+        "slower": ([2.0] * 5, [1.0] * 5),
+        "mixed": ([1.0, 3.0, 1.0, 3.0, 1.0], [2.0] * 5),
+    })
     assert layers.main(["--label", "stub", "--out", str(tmp_path), "--against", "REV"]) == 0
     record = json.loads((tmp_path / "BENCH_stub.json").read_text())
-    assert record["against"]["wins"] == wins and record["against"]["commit"] == "0123abc"
+    assert record["timings_s"] == {"faster": 1.0, "slower": 2.0, "mixed": 1.0}
+    assert record["against"]["parent_s"] == {"faster": 2.0, "slower": 1.0, "mixed": 2.0}
+    # the wins go under `against` in the BENCH file
+    assert record["against"]["wins"] == {"faster": 5, "slower": 0, "mixed": 3}
+    assert record["against"]["commit"] == "0123abc"
     assert record["against"]["speedup"] == {"faster": 2.0, "slower": 0.5, "mixed": 2.0}
+    # without --against the same loop times this tree alone
+    assert layers.main(["--label", "plain", "--out", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "BENCH_plain.json").read_text())
+    assert record["timings_s"] == {"faster": 1.0, "slower": 2.0, "mixed": 1.0} and "against" not in record
 
 
 def test_layers_against_records_the_parent_tree_startup_loads(tmp_path, monkeypatch):
@@ -270,11 +293,7 @@ def test_layers_records_each_minimum_to_four_significant_digits(tmp_path, monkey
     timings = {"micro": 3.01234e-06, "milli": 0.0123456, "whole": 12.345678}
     rounded = {"micro": 3.012e-06, "milli": 0.01235, "whole": 12.35}
     assert layers.bench_record("digits", 1, timings)["timings_s"] == rounded
-    parent = {name: seconds * 2 for name, seconds in timings.items()}
-    monkeypatch.setattr(layers, "against", lambda rev, repeats: (timings, parent, dict.fromkeys(timings, 5), {}))
-    monkeypatch.setattr(layers, "git", lambda *args: b"0123abc\n")
-    monkeypatch.setattr(layers, "startup_loads", lambda work: {})
-    monkeypatch.setattr(layers, "tier1_run", lambda: {})
+    stub_trees(monkeypatch, layers, {name: ([s] * 5, [s * 2] * 5) for name, s in timings.items()})
     assert layers.main(["--label", "digits", "--out", str(tmp_path), "--against", "REV"]) == 0
     record = json.loads((tmp_path / "BENCH_digits.json").read_text())
     assert record["timings_s"] == rounded
@@ -290,32 +309,68 @@ def test_layers_exports_a_revision(tmp_path):
     assert (src / "quotamaj" / "cli.py").is_file() and (tmp_path / "tools" / "layers.py").is_file()
 
 
-def test_layers_startup_runs_one_command_per_cli_verb(tmp_path):
+def test_layers_startup_runs_one_command_per_cli_verb(cases):
     layers = load_tool()
     commands = layers.startup_commands("worked.tbl")
     verbs = ["eval", "canon", "enum", "count", "verify", "represent", "convert"]
     shapes = ["canon.subset", "canon.seq_file", "verify.json", "enum.structured", "convert.rule"]
-    assert sorted(commands) == sorted(["startup.import", *(f"startup.{name}" for name in verbs + shapes)])
-    assert all(commands[f"startup.{name}"][2] == name.partition(".")[0] for name in verbs + shapes)
-    timings = layers.measure(layers.startup_cases(tmp_path), repeats=1)
+    argparse_lines = ["help", "usage_error"]
+    assert sorted(commands) == sorted(
+        ["startup.import", *(f"startup.{name}" for name in verbs + shapes + argparse_lines)]
+    )
+    assert all(commands[f"startup.{name}"][0][2] == name.partition(".")[0] for name in verbs + shapes)
+    # each start-up case runs once here, and checks its exit status
+    startup = [(name, thunk) for name, thunk in cases if name.startswith("startup.")]
+    timings = minima(layers.measure([startup], repeats=1))
     assert list(timings) == list(commands) and all(seconds > 0 for seconds in timings.values())
 
 
-def test_layers_times_the_command_lines_argparse_reads(tmp_path):
+def test_layers_times_the_command_lines_argparse_reads(cases):
     layers = load_tool()
-    cases = layers.fallback_cases(tmp_path)
-    assert [name for name, _ in cases] == ["startup.help", "startup.usage_error"]
-    assert not {name for name, _ in cases} & set(layers.startup_commands("worked.tbl"))
-    assert {name for name, _ in cases} <= {name for name, _ in layers.all_cases(tmp_path)}
-    timings = layers.measure(cases, repeats=1)
-    assert all(seconds > 0 for seconds in timings.values())
+    commands = layers.startup_commands("worked.tbl")
+    assert commands["startup.help"] == (["-c", layers.RUNNER, "-h"], 0)
+    assert commands["startup.usage_error"] == (["-c", layers.RUNNER, "verify"], 2)
+    assert all(status == 0 for name, (_, status) in commands.items() if name != "startup.usage_error")
+    assert {"startup.help", "startup.usage_error"} <= {name for name, _ in cases}
     with pytest.raises(RuntimeError, match="exited with 0, not 2"):
-        layers.run_expecting(2, [sys.executable, "-c", "pass"])
+        layers.run_expecting(2, ["-c", "pass"])
+    # a command that fails shows the end of its stderr
+    with pytest.raises(RuntimeError, match="exited with 1, not 0:\nboom"):
+        layers.run_expecting(0, ["-c", "raise SystemExit('boom')"])
 
 
-def test_layers_records_the_modules_each_startup_command_loads(tmp_path):
+def test_layers_times_the_conversions_and_the_full_table_oracle(tmp_path):
     layers = load_tool()
-    loads = layers.startup_loads(tmp_path)
+    cases = layers.search_cases(tmp_path)
+    assert [name for name, _ in cases] == [
+        "proper_to_lp.n200",
+        "lp_to_proper.n80",
+        "reduce_to_counts.n8",
+        "load_counts.full.n7.json",
+        "find_manipulation_full.n7",
+    ]
+    assert not {name for name, _ in cases} & {name for name, _ in layers.baseline_cases()}
+    cases = dict(cases)
+    # each case returns what the library call returns, on inputs of the
+    # workloads' shapes: a proper sequence with 24 quotas at n=200 and a rule at n=80
+    seq = cases["proper_to_lp.n200"].args[0]
+    assert canonicalize(seq.quotas, 200) == seq and len(seq.quotas) == 25
+    assert cases["proper_to_lp.n200"]() == proper_to_lp(seq)
+    rule = cases["lp_to_proper.n80"].args[0]
+    assert rule.n == 80 and cases["lp_to_proper.n80"]() == lp_to_proper(rule)
+    # the anonymous full table at n=8 reduces to its count table
+    assert cases["reduce_to_counts.n8"]() == reduce_to_counts(layers.FULL) == to_table(QuotaSeq(8, (4, 6, 2, 9)))
+    # a full table at n=7 that is not anonymous, so `verify` reads it to no
+    # count table and runs the full scan; its flip leaves it strategy-proof,
+    # so the scan finds no witness and reads the whole table
+    full = cases["find_manipulation_full.n7"].args[0]
+    assert full.n == 7 and not check_anonymous(full)
+    assert cases["load_counts.full.n7.json"]() == (full, None)
+    assert cases["find_manipulation_full.n7"]() is find_manipulation_full(full) is None
+
+
+def test_layers_records_the_modules_each_startup_command_loads(loads):
+    layers = load_tool()
     assert list(loads) == list(layers.startup_commands("worked.tbl"))
     assert loads["startup.import"]["modules"] == ["quotamaj"]
     assert loads["startup.count"]["modules"] == ["quotamaj", "quotamaj.cli", "quotamaj.core"]
@@ -329,14 +384,13 @@ def test_layers_records_the_modules_each_startup_command_loads(tmp_path):
     json.dumps(loads)
 
 
-def test_layers_records_the_ast_nodes_each_startup_command_compiles(tmp_path):
+def test_layers_records_the_ast_nodes_each_startup_command_compiles(tmp_path, loads):
     layers = load_tool()
     (tmp_path / "bare.py").write_text("x = 1\n")
     (tmp_path / "documented.py").write_text('"""One.\n\nTwo.\n"""\n# three\nx = 1  # four\n')
     # Module, Assign, Name, Store, Constant; the docstring adds one Expr and one Constant
     assert layers.ast_nodes(tmp_path / "bare.py") == 5
     assert layers.ast_nodes(tmp_path / "documented.py") == 7
-    loads = layers.startup_loads(tmp_path)
     source = layers.SRC / "quotamaj"
     for load in loads.values():
         files = [source / f"{m.partition('.')[2] or '__init__'}.py" for m in load["modules"]]

@@ -239,9 +239,22 @@ COMMANDS = {
 }
 
 
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """The modules each command of COMMANDS loads and its output, from one run of each."""
+    runs = {}
+    for command in COMMANDS:
+        # a directory each, as each test had: ext4 flushes a file that is
+        # truncated and written again, as the listing would be, when it is
+        # closed, which made these runs three times slower
+        work = tmp_path_factory.mktemp(command)
+        runs[command] = loaded_by(work, CHILD, *command_line(work, command))
+    return runs
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_no_command_loads_dataclasses_inspect_or_typing(tmp_path, command):
-    modules, out = loaded_by(tmp_path, CHILD, *command_line(tmp_path, command))
+def test_no_command_loads_dataclasses_inspect_or_typing(runs, command):
+    modules, out = runs[command]
     assert not modules & HEAVY
     expected = COMMANDS[command][1]
     if expected is not None:
@@ -249,13 +262,13 @@ def test_no_command_loads_dataclasses_inspect_or_typing(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["eval", "count", "canon"])
-def test_sequence_commands_load_no_oracle_extraction_lp_or_json(tmp_path, command):
-    modules, _ = loaded_by(tmp_path, CHILD, *COMMANDS[command][0])
+def test_sequence_commands_load_no_oracle_extraction_lp_or_json(runs, command):
+    modules, _ = runs[command]
     assert not modules & LIBRARY_ONLY
 
 
-def test_verify_on_a_text_table_loads_no_extraction_lp_or_json(tmp_path):
-    modules, out = loaded_by(tmp_path, CHILD, "verify", "--table", write_table(tmp_path))
+def test_verify_on_a_text_table_loads_no_extraction_lp_or_json(runs):
+    modules, out = runs["verify"]
     assert out == "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n"
     assert "quotamaj.oracle" in modules
     assert not modules & (LIBRARY_ONLY - {"quotamaj.oracle"})
@@ -315,17 +328,17 @@ LOADS = {
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_each_command_loads_exactly_the_modules_it_runs(tmp_path, command):
-    modules, _ = loaded_by(tmp_path, CHILD, *command_line(tmp_path, command))
+def test_each_command_loads_exactly_the_modules_it_runs(runs, command):
+    modules, _ = runs[command]
     package = {m for m in modules if m.split(".")[0] == "quotamaj"}
     assert package == {"quotamaj", "quotamaj.cli", "quotamaj.core", *(f"quotamaj.{m}" for m in LOADS[command])}
     assert "json" not in modules  # the tables here are text, and the family writer lays out its own JSON
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_no_command_loads_argparse_gettext_or_locale(tmp_path, command):
+def test_no_command_loads_argparse_gettext_or_locale(runs, command):
     # each of these lines is read from the option table, not by argparse
-    modules, _ = loaded_by(tmp_path, CHILD, *command_line(tmp_path, command))
+    modules, _ = runs[command]
     assert not modules & {"argparse", "gettext", "locale"}
 
 

@@ -5,70 +5,22 @@
     python3 tools/layers.py --label pr6 --against HEAD~1
 
 Each timing is the minimum of REPEATS perf_counter runs of one call on
-a fixed input; noise on a shared machine only adds time, so the best run
-is the steadiest figure, and the file records it to 4 significant
-digits, with the statistic and the repeats.  Every command starts with
-empty caches, so before each run every `lru_cache` of the loaded
-quotamaj modules is cleared, outside the timing, and the file says so
-under `caches`.  The library calls are tabulation, the strategy-proofness check,
-extraction and representation of two tables (n=200 and n=500),
-canonicalization of a seeded 300-entry sequence at n=500 and of the
-constant rule at n=3000, enumeration at n=10, 12 and 14, and the
-tests' exhaustive strategy-proof search (tests/certificates.py) at n=5.
-`values.count_profiles.n300` builds the 45,451 count profiles at n=300,
-each a checked build through `_Value.__init__`.
-The `parse_table.*` timings read a count table at n=140 and a full table
-at n=8 from text and from JSON, files in the canonical order that are
-read in whole-table passes, the count table at n=140 with its entries
-shuffled, which is read entry by entry, and a text count table at n=1000 in both orders; the
-`format_count_table.*` timings write that table at n=1000 as text and as
-JSON, the `format_full_table.*` timings the full table at n=8 as text and
-as JSON, and the
-`format_family.*` timings write the family at n=12 as text and as JSON.
-The `enum.*` timings run what the `enum` command runs at n=10, 11, 12
-and 14 in both formats, with the output dropped instead of written.
-The `startup.*` timings are the wall times of a fresh interpreter that
-imports quotamaj, of one small command per CLI verb, and of the other
-command shapes the CLI benchmark sends (`canon --subset`, `canon
---seq-file`, `verify` on a JSON table, `enum --format structured` and
-`convert` from a rule), each run as a subprocess on the sources of the
-imported quotamaj.  `startup.help` and `startup.usage_error` time the
-same way the two command lines that argparse reads, `-h` and `verify`
-without its required `--table`.
+a fixed input, each run on a cold library: every `lru_cache` of the
+loaded quotamaj modules is cleared before it, outside the timing, as a
+fresh command has them.  Noise on a shared machine only adds time, so
+the best run is the steadiest figure; the file records it to 4
+significant digits.  The functions named `*_cases` list what is timed.
 
-With `--against <rev>`, the script also exports the tree of git
-revision <rev> into a temporary directory and times every case on both
-trees in this one process, one run at a time, alternating which tree
-runs first, after one untimed pair of runs of the first case, since the
-first runs in a process read slow on either tree.  That tree's package
-loads as `quotamaj_parent`, and this script loads again while
-`quotamaj` names it, so the copy's cases, the
-tests/certificates.py it imports and its `startup.*` subprocesses run
-<rev>'s library, which needs the names that this script and that file
-use; under `python -O` neither tree runs assertions.  The file then
-records both minima, the speed-up (the parent's minimum over this
-tree's), `wins` (how many of the REPEATS pairs of runs this tree ran
-faster) and the parent tree's `startup_loads` under `against`.  Minima
-alone cannot tell a change of a few percent from noise, so read a
-speed-up as resolved only at REPEATS wins out of REPEATS, and a slowdown
-only at none.  Six A/A runs, against a
-tree with the same library (one is `BENCH_pr31.json`), read each
-in-process case between x0.92 and x1.16, and 0-4 of 51 cases at none or
-all wins, where chance gives about 3; the extremes were the first two
-cases, which two A/A runs with the untimed pair read within x0.98-x1.00,
-and every in-process case within x0.94-x1.05.  Runs minutes apart
-differ far more, so compare trees only within one invocation.  The
-file also records the Python version, whether assertions were on,
-whether bytecode is written (`sys.dont_write_bytecode`: without cached
-bytecode every start-up command compiles the modules it imports), the
-wall time and counts of one run of the tier-1 suite, `startup_loads`:
-the package modules that each `startup.*` command loads, their total
-source lines and AST nodes, which is what it compiles without cached
-bytecode (docstrings and comments add lines but next to no nodes), and
-`source_lines`: the line counts of the package modules (in total and per
-module) and of the test files.  Timings depend on the machine; compare
-files written on the same one.  This script is not part of the test
-suite, so timing noise can never fail it.
+With `--against <rev>`, the tree of git revision <rev> is exported to a
+temporary directory, its package loads as `quotamaj_parent` and this
+script loads again on it, and every case runs on both trees in this one
+process, one run at a time, alternating which tree runs first.  The file
+then records the parent's minima, the speed-up (the parent's minimum
+over this tree's) and `wins`, how many of the REPEATS pairs of runs this
+tree ran faster.  Read a speed-up as resolved only at REPEATS wins of
+REPEATS, and a slowdown only at none; README.md, "Layer timings", gives
+the A/A figures that set this rule.  Compare trees only within one
+invocation, and files only when written on the same machine.
 """
 
 import argparse
@@ -92,6 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which may name another tree to time
 import quotamaj
 from quotamaj import (
+    Alternative,
     QuotaSeq,
     all_count_profiles,
     canonicalize,
@@ -102,20 +55,16 @@ from quotamaj import (
     represent,
     to_table,
 )
-from quotamaj.fileformats import (
-    STRUCTURED,
-    TEXT,
-    format_count_table,
-    format_family,
-    format_full_table,
-    parse_table,
-)
-from quotamaj.oracle import expand_to_full
+from quotamaj.fileformats import STRUCTURED, TEXT, format_count_table, format_full_table, parse_table
+from quotamaj.lp import LPRule, lp_to_proper, proper_to_lp
+from quotamaj.oracle import expand_to_full, find_manipulation_full, reduce_to_counts
 
-sys.path.append(str(ROOT / "tests"))
+sys.path += [str(ROOT / "tests"), str(ROOT / "benchmarks")]
+import workloads  # noqa: E402  the shapes of the CLI benchmark's inputs; it does not import quotamaj
 from certificates import exhaustive_sp_family  # noqa: E402  the tests' search, on the imported quotamaj
 # the sources of the imported quotamaj, which the start-up subprocesses run
 SRC = Path(quotamaj.__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 TABLE_RULES = ((200, (100, 140, 60, 180, 20, 201)), (500, (250, 350, 150, 450, 50, 501)))
 RANDOM_SEED = 2020
@@ -132,6 +81,8 @@ LISTER = (
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 #: the top-level name under which --against loads the tree of <rev>
 PARENT = "quotamaj_parent"
+#: the full table at n=8, which is anonymous, that the reader, the writer and reduce_to_counts read
+FULL = expand_to_full(to_table(QuotaSeq(8, (4, 6, 2, 9))))
 
 
 def table_cases(n: int, quotas: tuple[int, ...]) -> list[tuple[str, object]]:
@@ -153,6 +104,10 @@ def random_sequence(n: int, entries: int, seed: int) -> tuple[int, ...]:
 
 
 def baseline_cases() -> list[tuple[str, object]]:
+    """The table layers at n=200 and 500, canonicalization of a seeded
+    300-entry sequence at n=500 and of the constant rule at n=3000,
+    enumeration at n=10, 12 and 14, and the tests' exhaustive
+    strategy-proof search (tests/certificates.py) at n=5."""
     cases = []
     for n, quotas in TABLE_RULES:
         cases += table_cases(n, quotas)
@@ -163,28 +118,6 @@ def baseline_cases() -> list[tuple[str, object]]:
     cases += [(f"enumerate_all.n{n}", partial(enumerate_all, n)) for n in (10, 12, 14)]
     cases.append(("exhaustive_sp_family.n5", partial(exhaustive_sp_family, 5)))
     return cases
-
-
-def value_cases() -> list[tuple[str, object]]:
-    """all_count_profiles at n=300, on an empty cache: 45,451 checked
-    CountProfile builds, each through `_Value.__init__`."""
-    return [("values.count_profiles.n300", partial(all_count_profiles, 300))]
-
-
-def parse_cases() -> list[tuple[str, object]]:
-    """parse_table on a count table at n=140 and a full table at n=8, each
-    in both formats."""
-    count = to_table(QuotaSeq(140, (70, 100, 40, 141)))
-    full = expand_to_full(to_table(QuotaSeq(8, (4, 6, 2, 9))))
-    files = {
-        f"parse_table.{kind}.{fmt_name}": write(table, fmt)
-        for kind, table, write in (
-            ("count.n140", count, format_count_table),
-            ("full.n8", full, format_full_table),
-        )
-        for fmt_name, fmt in (("text", TEXT), ("json", STRUCTURED))
-    }
-    return [(name, partial(parse_table, text)) for name, text in files.items()]
 
 
 def shuffled(text: str, seed: int) -> str:
@@ -199,49 +132,34 @@ def shuffled(text: str, seed: int) -> str:
     return "\n".join([header, *body]) + "\n"
 
 
-def shuffled_cases() -> list[tuple[str, object]]:
-    """parse_table on the count table at n=140 of parse_cases with its
-    entries shuffled, in both formats: a file out of the canonical order
-    is read entry by entry."""
+def file_cases(n: int = 1000) -> list[tuple[str, object]]:
+    """The table reader and writers on three tables: a count table at
+    n=140, a full table at n=8 and a count table at `n`.
+
+    parse_table reads the first two in both formats from files in the
+    canonical order, which it reads in whole-table passes, then the first
+    in both formats with its entries shuffled, which it reads entry by
+    entry, then the third as text in both orders; at n=1000 it has
+    501,501 entries, where the reader's per-entry objects dominate.
+    format_count_table writes the third and format_full_table the second,
+    each in both formats."""
     count = to_table(QuotaSeq(140, (70, 100, 40, 141)))
+    large = to_table(QuotaSeq(n, (n // 2, 7 * n // 10, 3 * n // 10, n + 1)))
+    large_text = format_count_table(large)
+    small = (("count.n140", count, format_count_table), ("full.n8", FULL, format_full_table))
+    formats = (("text", TEXT), ("json", STRUCTURED))
     return [
-        (f"parse_table.count.n140.shuffled.{fmt_name}",
-         partial(parse_table, shuffled(format_count_table(count, fmt), RANDOM_SEED)))
-        for fmt_name, fmt in (("text", TEXT), ("json", STRUCTURED))
-    ]
-
-
-def large_parse_cases(n: int = 1000) -> list[tuple[str, object]]:
-    """parse_table on a text count table, in the canonical order and with
-    its entries shuffled; at n=1000 it has 501,501 entries, where the
-    reader's per-entry objects dominate."""
-    text = format_count_table(to_table(QuotaSeq(n, (n // 2, 7 * n // 10, 3 * n // 10, n + 1))))
-    return [
-        (f"parse_table.count.n{n}.text", partial(parse_table, text)),
-        (f"parse_table.count.n{n}.shuffled.text", partial(parse_table, shuffled(text, RANDOM_SEED))),
-    ]
-
-
-def writer_cases(n: int = 1000) -> list[tuple[str, object]]:
-    """format_count_table on the count table of large_parse_cases and
-    format_full_table on the full table at n=8 of parse_cases, each in both
-    formats."""
-    count = to_table(QuotaSeq(n, (n // 2, 7 * n // 10, 3 * n // 10, n + 1)))
-    full = expand_to_full(to_table(QuotaSeq(8, (4, 6, 2, 9))))
-    return [
-        *((f"format_count_table.n{n}.{fmt_name}", partial(format_count_table, count, fmt))
+        *((f"parse_table.{kind}.{fmt_name}", partial(parse_table, write(table, fmt)))
+          for kind, table, write in small for fmt_name, fmt in formats),
+        *((f"parse_table.count.n140.shuffled.{fmt_name}",
+           partial(parse_table, shuffled(format_count_table(count, fmt), RANDOM_SEED)))
+          for fmt_name, fmt in formats),
+        (f"parse_table.count.n{n}.text", partial(parse_table, large_text)),
+        (f"parse_table.count.n{n}.shuffled.text", partial(parse_table, shuffled(large_text, RANDOM_SEED))),
+        *((f"format_{kind}_table.{size}.{fmt_name}", partial(write, table, fmt))
+          for kind, size, table, write in (("count", f"n{n}", large, format_count_table),
+                                           ("full", "n8", FULL, format_full_table))
           for fmt_name, fmt in (("text", TEXT), ("structured", STRUCTURED))),
-        *((f"format_full_table.n8.{fmt_name}", partial(format_full_table, full, fmt))
-          for fmt_name, fmt in (("text", TEXT), ("structured", STRUCTURED))),
-    ]
-
-
-def family_cases() -> list[tuple[str, object]]:
-    """format_family on the family at n=12, in both formats."""
-    family = enumerate_all(12)
-    return [
-        (f"format_family.n12.{fmt_name}", partial(format_family, family, 12, fmt))
-        for fmt_name, fmt in (("text", TEXT), ("structured", STRUCTURED))
     ]
 
 
@@ -265,11 +183,38 @@ def enum_cases() -> list[tuple[str, object]]:
     ]
 
 
-def startup_commands(table: str) -> dict[str, list[str]]:
-    """Interpreter arguments of the bare import, of one small command per
-    CLI verb, and of the other command shapes that the CLI benchmark sends;
-    `table` names a text count-table file, which `worked_table` writes next
-    to its JSON form and to a sequence file."""
+def search_cases(work: Path) -> list[tuple[str, object]]:
+    """What `convert` and `verify` run on the largest input of each kind
+    that benchmarks/workloads.py builds, built its way from RANDOM_SEED:
+    proper_to_lp on a proper sequence at n=200 with 24 quotas
+    (`sequences`), lp_to_proper on a rule at n=80 (`tables`), and for the
+    full tables of `tables`, reduce_to_counts on FULL, which is anonymous,
+    then on a JSON file of a table at n=7 with one profile flipped,
+    `verify`'s first step, cli._load_counts, whose reduction fails, and
+    the find_manipulation_full that `verify` then runs on that table,
+    which finds no witness there and so reads all of it."""
+    rng = random.Random(RANDOM_SEED)
+    proper = workloads.ref.subset_to_proper(workloads._stratified_subset(rng, 200, 24), "b", 200)
+    r, thresholds = workloads.random_lp_rule(rng, 80, "a")
+    full = workloads.unanonymize(rng, 7, workloads.ref.expand_to_full(workloads.sp_table(rng, 7, "a", 3), 7))
+    path = work / "full.json"
+    workloads._write_full_table(path, 7, full, "json")
+    return [
+        ("proper_to_lp.n200", partial(proper_to_lp, QuotaSeq(200, proper))),
+        ("lp_to_proper.n80", partial(lp_to_proper, LPRule(80, Alternative.A, r, tuple(thresholds)))),
+        ("reduce_to_counts.n8", partial(reduce_to_counts, FULL)),
+        ("load_counts.full.n7.json", partial(cli._load_counts, str(path))),
+        ("find_manipulation_full.n7", partial(find_manipulation_full, parse_table(path.read_text()))),
+    ]
+
+
+def startup_commands(table: str) -> dict[str, tuple[list[str], int]]:
+    """Interpreter arguments and exit status of the bare import, of one
+    small command per CLI verb, of the other command shapes that the CLI
+    benchmark sends, and of the two command lines that argparse reads, `-h`
+    and `verify` without its required `--table`; `table` names a text
+    count-table file, which `worked_table` writes next to its JSON form and
+    to a sequence file."""
     worked = ["--n", "11", "--quotas", "5,2,12"]
     verbs = {
         "eval": ["eval", *worked, "--na", "3", "--nb", "6"],
@@ -284,10 +229,12 @@ def startup_commands(table: str) -> dict[str, list[str]]:
         "verify.json": ["verify", "--table", str(Path(table).with_suffix(".json"))],
         "enum.structured": ["enum", "--n", "10", "--format", "structured"],
         "convert.rule": ["convert", "--n", "11", "--default", "a", "--r", "3", "--thresholds", "1,2,2"],
+        "help": ["-h"],
     }
     return {
-        "startup.import": ["-c", "import quotamaj"],
-        **{f"startup.{verb}": ["-c", RUNNER, *argv] for verb, argv in verbs.items()},
+        "startup.import": (["-c", "import quotamaj"], 0),
+        **{f"startup.{verb}": (["-c", RUNNER, *argv], 0) for verb, argv in verbs.items()},
+        "startup.usage_error": (["-c", RUNNER, "verify"], 2),
     }
 
 
@@ -303,36 +250,16 @@ def worked_table(work: Path) -> str:
     return str(path)
 
 
-def startup_cases(work: Path) -> list[tuple[str, object]]:
-    """Each start-up command run as a subprocess in `work`, where its table is written."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return [
-        (name, partial(subprocess.run, [sys.executable, *args], cwd=work, env=env,
-                       stdout=subprocess.DEVNULL, check=True))
-        for name, args in startup_commands(worked_table(work)).items()
-    ]
-
-
-#: Command lines that argparse reads, with their exit statuses
-FALLBACK = {"startup.help": (["-h"], 0), "startup.usage_error": (["verify"], 2)}
-
-
-def run_expecting(status: int, argv: list[str], **kwargs) -> None:
-    """Run `argv` as subprocess.run(argv, **kwargs) does; raise RuntimeError
-    unless it exits with `status`."""
-    returncode = subprocess.run(argv, **kwargs).returncode
-    if returncode != status:
-        raise RuntimeError(f"{argv} exited with {returncode}, not {status}")
-
-
-def fallback_cases(work: Path) -> list[tuple[str, object]]:
-    """Each command line of FALLBACK run as a subprocess in `work`."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return [
-        (name, partial(run_expecting, status, [sys.executable, "-c", RUNNER, *argv], cwd=work, env=env,
-                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
-        for name, (argv, status) in FALLBACK.items()
-    ]
+def run_expecting(status: int, args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter with `args` as subprocess.run(..., **kwargs)
+    does, with its output dropped and its stderr kept as text; raise
+    RuntimeError, with the end of that stderr, unless it exits with
+    `status`."""
+    proc = subprocess.run([sys.executable, *args], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, **kwargs)
+    if proc.returncode != status:
+        raise RuntimeError(f"{args} exited with {proc.returncode}, not {status}:\n{proc.stderr[-2000:]}")
+    return proc
 
 
 def ast_nodes(path: Path) -> int:
@@ -344,11 +271,9 @@ def startup_loads(work: Path) -> dict[str, dict]:
     """The package modules each start-up command loads, from one run, and
     their source lines and AST nodes: what the command compiles when no
     bytecode is cached."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     loads = {}
-    for name, (flag, code, *argv) in startup_commands(worked_table(work)).items():
-        proc = subprocess.run([sys.executable, flag, LISTER, code, *argv], cwd=work, env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True)
+    for name, ((flag, code, *argv), status) in startup_commands(worked_table(work)).items():
+        proc = run_expecting(status, [flag, LISTER, code, *argv], cwd=work, env=ENV)
         modules = proc.stderr.splitlines()[-1].split()
         files = [SRC / "quotamaj" / f"{m.partition('.')[2] or '__init__'}.py" for m in modules]
         loads[name] = {
@@ -360,11 +285,18 @@ def startup_loads(work: Path) -> dict[str, dict]:
 
 
 def all_cases(work: Path) -> list[tuple[str, object]]:
-    """Every case this script times, in the order of its output."""
+    """Every case this script times, in the order of its output; each
+    start-up command runs as a subprocess in `work`, where its files are
+    written, on the sources of the imported quotamaj.  all_count_profiles
+    at n=300, on an empty cache, makes 45,451 checked CountProfile builds,
+    each through `_Value.__init__`."""
+    commands = startup_commands(worked_table(work))
     return [
-        *baseline_cases(), *value_cases(), *parse_cases(), *shuffled_cases(), *large_parse_cases(),
-        *writer_cases(), *family_cases(), *enum_cases(),
-        *startup_cases(work), *fallback_cases(work),
+        *baseline_cases(), ("values.count_profiles.n300", partial(all_count_profiles, 300)),
+        *file_cases(), *enum_cases(),
+        *((name, partial(run_expecting, status, args, cwd=work, env=ENV))
+          for name, (args, status) in commands.items()),
+        *search_cases(work),
     ]
 
 
@@ -419,9 +351,19 @@ def run_once(thunk) -> float:
     return time.perf_counter() - start
 
 
-def measure(cases, repeats: int) -> dict[str, float]:
-    """Least seconds of each case over `repeats` runs."""
-    return {name: min(run_once(thunk) for _ in range(repeats)) for name, thunk in cases}
+def measure(trees: list[list[tuple[str, object]]], repeats: int) -> dict[str, list[list[float]]]:
+    """Seconds of `repeats` runs of each case on each tree, by case and
+    then tree.  `trees` holds one case list per tree, all with the names of
+    the first; each case runs on every tree in turn, and which tree runs
+    first alternates from run to run and from case to case."""
+    sides = [dict(cases) for cases in trees]
+    runs = {name: [[] for _ in sides] for name in sides[0]}
+    for i, name in enumerate(runs):
+        for r in range(repeats):
+            order = range(len(sides))
+            for side in order if (i + r) % 2 else reversed(order):
+                runs[name][side].append(run_once(sides[side][name]))
+    return runs
 
 
 def load_parent(src: Path):
@@ -467,31 +409,6 @@ def export_tree(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def against(rev: str, repeats: int) -> tuple[dict[str, float], dict[str, float], dict[str, int], dict[str, dict]]:
-    """Least seconds of every case on this tree and on the tree of `rev`,
-    from interleaved runs in this process that alternate which tree runs
-    first, for each case the number of those pairs of runs that this tree
-    won, and the `startup_loads` of the tree of `rev`."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        parent_src = export_tree(rev, tmp / "parent")
-        # each tree writes the files of its cases into its own directory
-        parent = load_parent(parent_src)
-        sides = (dict(all_cases(tmp)), dict(parent.all_cases(tmp / "parent")))
-        runs = {name: ([], []) for name in sides[0]}
-        # one untimed pair: the first runs in a process read slow on either tree
-        for side in (1, 0):
-            run_once(sides[side][next(iter(runs))])
-        for i, name in enumerate(runs):
-            for r in range(repeats):
-                for side in (0, 1) if (i + r) % 2 else (1, 0):
-                    runs[name][side].append(run_once(sides[side][name]))
-        parent_loads = parent.startup_loads(tmp / "parent")
-    change_s, parent_s = ({name: min(pair[side]) for name, pair in runs.items()} for side in (0, 1))
-    wins = {name: sum(c < p for c, p in zip(*pair)) for name, pair in runs.items()}
-    return change_s, parent_s, wins, parent_loads
-
-
 def significant(seconds: float) -> float:
     """Seconds to 4 significant digits: a fixed number of decimals would
     leave a microsecond case one digit."""
@@ -518,23 +435,27 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--against", metavar="REV", help="also time every case on git revision REV")
     args = parser.parse_args(argv)
-    if args.against is None:
-        with tempfile.TemporaryDirectory() as work:
-            timings = measure(all_cases(Path(work)), REPEATS)
-    else:
-        timings, parent, wins, parent_loads = against(args.against, REPEATS)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        trees = {work: (all_cases, startup_loads)}
+        if args.against is not None:
+            # the parent tree writes the files of its cases into its own directory
+            parent = load_parent(export_tree(args.against, work / "parent"))
+            trees[work / "parent"] = (parent.all_cases, parent.startup_loads)
+        runs = measure([cases(path) for path, (cases, _) in trees.items()], REPEATS)
+        loads = [load(path) for path, (_, load) in trees.items()]
+    timings, *parent = ({name: min(pair[side]) for name, pair in runs.items()} for side in range(len(trees)))
     record = bench_record(args.label, REPEATS, timings)
-    if args.against is not None:
+    if parent:
         record["against"] = {
             "rev": args.against,
             "commit": git("rev-parse", args.against).decode().strip(),
-            "parent_s": {name: significant(seconds) for name, seconds in parent.items()},
-            "speedup": {name: round(parent[name] / timings[name], 3) for name in timings},
-            "wins": wins,
-            "startup_loads": parent_loads,
+            "parent_s": {name: significant(seconds) for name, seconds in parent[0].items()},
+            "speedup": {name: round(parent[0][name] / timings[name], 3) for name in timings},
+            "wins": {name: sum(c < p for c, p in zip(*pair)) for name, pair in runs.items()},
+            "startup_loads": loads[1],
         }
-    with tempfile.TemporaryDirectory() as work:
-        record["startup_loads"] = startup_loads(Path(work))
+    record["startup_loads"] = loads[0]
     record["tier1"] = tier1_run()
     record["source_lines"] = source_lines()
     path = args.out / f"BENCH_{args.label}.json"
