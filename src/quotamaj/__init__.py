@@ -7,7 +7,9 @@ verify every claim with brute-force oracles.
 
 Importing the package loads none of its modules: each public name is
 imported from its module on first use, so a command loads only the
-modules it runs.
+modules it runs.  That holds module by module: a module loads, and is
+compiled, whole, so most of what a command compiles is code that it
+does not run.
 """
 
 __version__ = "0.1.0"

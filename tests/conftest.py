@@ -1,4 +1,9 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "layers.py"
 
 
 def pytest_addoption(parser):
@@ -17,3 +22,20 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(scope="session")
+def layers():
+    """tools/layers.py, loaded once: its table of command lines, its module
+    lister and `run_expecting`, the one runner of `python` on src/."""
+    spec = importlib.util.spec_from_file_location("layers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def listings(layers, tmp_path_factory):
+    """The stdout and every loaded module of each line of the tool's
+    startup_commands, from one run of each."""
+    return layers.startup_listings(tmp_path_factory.mktemp("listings"))

@@ -4,7 +4,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines; `--runslow` adds the long-running exhaustive search for n=13..15.
 """
 
-import itertools
 import time
 
 import pytest
@@ -38,6 +37,7 @@ from quotamaj import (
 )
 
 from certificates import exhaustive_sp_family, is_minimal, rules_matching_table
+from helpers import all_valid_r_tuples, worked_table
 
 A, B = Alternative.A, Alternative.B
 
@@ -48,19 +48,6 @@ def report(criterion, ok, detail=""):
         line += f" [{detail}]"
     print(line)
     assert ok, line
-
-
-def worked_table():
-    return CountTable.from_function(
-        11, lambda p: A if (p.na >= 5 or (2 <= p.na < 5 and p.nb < 7)) else B
-    )
-
-
-def all_valid_r_tuples(n):
-    for size in range(n + 1):
-        for interior in itertools.permutations(range(1, n + 1), size):
-            yield QuotaSeq(n, interior + (n + 1,))
-            yield QuotaSeq(n, interior + (0,))
 
 
 def test_criterion_1_counting():

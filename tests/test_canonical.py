@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -20,10 +19,7 @@ from quotamaj import (
 from quotamaj.engine import _staircase
 
 from certificates import is_minimal
-
-
-def seq(n, *quotas):
-    return QuotaSeq(n, quotas)
+from helpers import all_valid_r_tuples, seq
 
 
 @st.composite
@@ -32,13 +28,6 @@ def raw_sequences(draw, max_n=6):
     body = draw(st.lists(st.integers(0, n + 1), max_size=7))
     terminal = draw(st.sampled_from([0, n + 1]))
     return tuple(body) + (terminal,), n
-
-
-def all_valid_r_tuples(n):
-    for size in range(n + 1):
-        for interior in itertools.permutations(range(1, n + 1), size):
-            yield QuotaSeq(n, interior + (n + 1,))
-            yield QuotaSeq(n, interior + (0,))
 
 
 def test_truncate_examples():

@@ -16,28 +16,9 @@ from quotamaj.cli import BUDGET_EXCEEDED, INVALID_INPUT, OK, OUTPUT_CLOSED, PROP
 from quotamaj.fileformats import format_count_table, format_full_table
 from quotamaj.oracle import expand_to_full
 
+from helpers import majority3, manipulable3, run
+
 A, B = Alternative.A, Alternative.B
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def majority3():
-    return CountTable.from_function(3, lambda p: A if p.na > p.nb else B)
-
-
-def manipulable3():
-    def rule(p):
-        if (p.na, p.nb) == (1, 1):
-            return A
-        if (p.na, p.nb) == (2, 1):
-            return B
-        return A if p.na > p.nb else B
-
-    return CountTable.from_function(3, rule)
 
 
 def test_eval_worked_rule(capsys):
@@ -205,10 +186,8 @@ def test_represent(tmp_path, capsys):
     assert out == "2,3,1,4\nx=b; (l,k)=(0,2),(2,1)\n"
 
 
-def test_represent_worked_rule(tmp_path, capsys):
-    path = tmp_path / "worked.tbl"
-    path.write_text(format_count_table(to_table(QuotaSeq(11, (5, 2, 12)))))
-    code, out, _ = run(capsys, "represent", "--table", str(path))
+def test_represent_worked_rule(layers, tmp_path, capsys):
+    code, out, _ = run(capsys, "represent", "--table", layers.worked_table(tmp_path))
     assert code == OK
     assert out.splitlines()[0] == "5,2,12"
     assert out.splitlines()[1] == "x=b; (l,k)=(0,5),(1,4),(2,3),(3,2)"
@@ -217,8 +196,9 @@ def test_represent_worked_rule(tmp_path, capsys):
 def test_represent_manipulable_is_property_violation(tmp_path, capsys):
     path = tmp_path / "broken.tbl"
     path.write_text(format_count_table(manipulable3()))
-    code, _, err = run(capsys, "represent", "--table", str(path))
-    assert code == PROPERTY_VIOLATED and "manipulable" in err
+    code, out, err = run(capsys, "represent", "--table", str(path))
+    assert code == PROPERTY_VIOLATED and out == ""
+    assert err == "error: table is manipulable: at na=2 nb=1, a-voter misreporting as i turns b into a\n"
 
 
 def test_convert_both_directions(capsys):
@@ -298,7 +278,7 @@ def test_missing_n_is_invalid_input(capsys):
     assert code == INVALID_INPUT and "society size" in err
 
 
-def test_represent_runs_the_oracle_once(tmp_path, capsys, monkeypatch):
+def test_represent_runs_the_oracle_once(layers, tmp_path, capsys, monkeypatch):
     calls = []
     find = oracle.find_manipulation
 
@@ -307,9 +287,7 @@ def test_represent_runs_the_oracle_once(tmp_path, capsys, monkeypatch):
         return find(table)
 
     monkeypatch.setattr(oracle, "find_manipulation", counting)
-    path = tmp_path / "worked.tbl"
-    path.write_text(format_count_table(to_table(QuotaSeq(11, (5, 2, 12)))))
-    code, out, _ = run(capsys, "represent", "--table", str(path))
+    code, out, _ = run(capsys, "represent", "--table", layers.worked_table(tmp_path))
     assert code == OK and out.splitlines()[0] == "5,2,12"
     assert len(calls) == 1
 
@@ -427,34 +405,19 @@ def test_one_command_parser_reads_like_the_full_one(capsys, monkeypatch, name):
     assert parsed(capsys, lambda: main(argv)) == tuple(recorded)
 
 
-def test_module_entry_point():
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "quotamaj", "count", "--n", "3"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == OK and proc.stdout == "16\n"
+def test_module_entry_point(layers):
+    proc = layers.run_expecting(OK, ["-m", "quotamaj", "count", "--n", "3"], stdout=subprocess.PIPE)
+    assert proc.stdout == "16\n"
 
 
-def test_closed_output_exits_1_without_a_traceback():
-    src = Path(__file__).resolve().parents[1] / "src"
+def test_closed_output_exits_1_without_a_traceback(layers):
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "quotamaj", "enum", "--n", "3"],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            timeout=60,
-        )
+        proc = layers.run_expecting(OUTPUT_CLOSED, ["-m", "quotamaj", "enum", "--n", "3"], stdout=write_end)
     finally:
         os.close(write_end)
-    assert proc.returncode == OUTPUT_CLOSED == 1
+    assert OUTPUT_CLOSED == 1
     assert "Traceback" not in proc.stderr
 
 
@@ -592,12 +555,13 @@ def command_lines_written_in(path):
     return lines
 
 
-def test_the_table_reader_reads_every_written_command_line_as_argparse_does():
+def test_the_table_reader_reads_every_written_command_line_as_argparse_does(layers):
     from quotamaj import cli
 
-    tests = Path(__file__).resolve().parent
+    # the lines this file writes out, and the layer harness's, which tests/test_package.py runs
+    tool = [args[2:] for args, _ in layers.startup_commands("worked.tbl").values() if args[1] == layers.RUNNER]
     accepted = 0
-    for argv in command_lines_written_in(tests / "test_cli.py") + command_lines_written_in(tests / "test_package.py"):
+    for argv in command_lines_written_in(Path(__file__)) + tool:
         args = cli._read_command_line(argv)
         if args is not None:
             accepted += 1

@@ -17,11 +17,9 @@ from quotamaj import (
     to_table,
 )
 
+from helpers import seq
+
 A, B = Alternative.A, Alternative.B
-
-
-def seq(n, *quotas):
-    return QuotaSeq(n, quotas)
 
 
 @st.composite

@@ -19,19 +19,9 @@ from quotamaj import (
 )
 
 from certificates import exhaustive_sp_family
+from helpers import majority3, manipulable3, worked_table
 
 A, B = Alternative.A, Alternative.B
-
-
-def worked_table():
-    # the status-quo rule stated verbally, independent of any sequence
-    return CountTable.from_function(
-        11, lambda p: A if (p.na >= 5 or (2 <= p.na < 5 and p.nb < 7)) else B
-    )
-
-
-def majority3():
-    return CountTable.from_function(3, lambda p: A if p.na > p.nb else B)
 
 
 def test_covered_examples():
@@ -134,15 +124,8 @@ def test_extract_constants():
 
 
 def test_extract_rejects_manipulable_table():
-    def rule(p):
-        if (p.na, p.nb) == (1, 1):
-            return A
-        if (p.na, p.nb) == (2, 1):
-            return B
-        return A if p.na > p.nb else B
-
     with pytest.raises(NotStrategyProof) as err:
-        extract(CountTable.from_function(3, rule))
+        extract(manipulable3())
     assert err.value.counterexample is not None
 
 

@@ -20,11 +20,9 @@ from quotamaj.fileformats import (
 from quotamaj.enumeration import enumerate_all, proper_to_subset, subset_to_proper
 from quotamaj.oracle import expand_to_full, find_manipulation, find_manipulation_full, reduce_to_counts
 
+from helpers import majority3
+
 A, B = Alternative.A, Alternative.B
-
-
-def majority3():
-    return CountTable.from_function(3, lambda p: A if p.na > p.nb else B)
 
 
 def test_count_table_text_round_trip():

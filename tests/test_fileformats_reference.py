@@ -19,8 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quotamaj import Alternative, CountTable, FullTable
-from quotamaj.cli import INVALID_INPUT, main
+from quotamaj.cli import INVALID_INPUT
 from quotamaj.fileformats import STRUCTURED, TEXT, format_count_table, format_full_table, parse_table
+
+from helpers import run
 
 LETTER = {"a": Alternative.A, "b": Alternative.B}
 
@@ -324,12 +326,6 @@ def full_n1_json(first):
 def test_mangled_tables_agree_with_the_reference(text):
     ours = verdict(lambda t: plain(parse_table(t)), text)
     assert same_verdict(ours, verdict(reference_parse_table, text))
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def full_majority3(fmt):

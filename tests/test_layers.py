@@ -1,6 +1,5 @@
 """Smoke test of tools/layers.py on tiny inputs; it never compares timings."""
 
-import importlib.util
 import json
 import os
 import shutil
@@ -17,14 +16,6 @@ from quotamaj.lp import lp_to_proper, proper_to_lp
 from quotamaj.oracle import find_manipulation_full, reduce_to_counts
 
 ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "layers.py"
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("layers", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def minima(runs):
@@ -33,25 +24,24 @@ def minima(runs):
 
 
 @pytest.fixture(scope="module")
-def files():
+def files(layers):
     """file_cases with its large count table at n=30, built once for the tests that read it."""
-    return load_tool().file_cases(30)
+    return layers.file_cases(30)
 
 
 @pytest.fixture(scope="module")
-def cases(tmp_path_factory):
+def cases(layers, tmp_path_factory):
     """Every case of all_cases, built once for the tests that read them."""
-    return load_tool().all_cases(tmp_path_factory.mktemp("cases"))
+    return layers.all_cases(tmp_path_factory.mktemp("cases"))
 
 
 @pytest.fixture(scope="module")
-def loads(tmp_path_factory):
-    """One run of startup_loads."""
-    return load_tool().startup_loads(tmp_path_factory.mktemp("loads"))
+def loads(layers, listings):
+    """startup_loads of the one run of each start-up line."""
+    return layers.startup_loads(listings)
 
 
-def test_layers_records_every_case_with_its_settings(tmp_path):
-    layers = load_tool()
+def test_layers_records_every_case_with_its_settings(layers, tmp_path):
     cases = layers.table_cases(8, (4, 6, 2, 9))
     timings = minima(layers.measure([cases], repeats=1))
     assert list(timings) == ["to_table.n8", "find_manipulation.n8", "extract.n8", "represent.n8"]
@@ -64,12 +54,11 @@ def test_layers_records_every_case_with_its_settings(tmp_path):
     json.dumps(record)
 
 
-def test_layers_times_each_run_on_a_cold_library():
+def test_layers_times_each_run_on_a_cold_library(layers):
     # every command starts with empty caches, so no timed run may read one
     # that setup or an earlier run filled
     from quotamaj.core import all_count_profiles
 
-    layers = load_tool()
     table = to_table(QuotaSeq(8, (4, 6, 2, 9)))
     all_count_profiles(9)
     layers.measure([[("items.n8", lambda: list(table.items()))]], repeats=3)
@@ -78,8 +67,7 @@ def test_layers_times_each_run_on_a_cold_library():
     assert layers.bench_record("cold", 1, {})["caches"] == "every quotamaj lru_cache cleared before each run"
 
 
-def test_layers_baseline_inputs_are_fixed():
-    layers = load_tool()
+def test_layers_baseline_inputs_are_fixed(layers):
     names = [name for name, _ in layers.baseline_cases()]
     assert len(names) == len(set(names)) == 14
     sequence = layers.random_sequence(500, 300, layers.RANDOM_SEED)
@@ -87,8 +75,7 @@ def test_layers_baseline_inputs_are_fixed():
     assert sequence == layers.random_sequence(500, 300, layers.RANDOM_SEED)
 
 
-def test_layers_times_parse_table_on_both_kinds_and_formats(files):
-    layers = load_tool()
+def test_layers_times_parse_table_on_both_kinds_and_formats(layers, files):
     timings = minima(layers.measure([files[:4]], repeats=1))
     assert list(timings) == [
         "parse_table.count.n140.text",
@@ -99,8 +86,7 @@ def test_layers_times_parse_table_on_both_kinds_and_formats(files):
     assert all(seconds > 0 for seconds in timings.values())
 
 
-def test_layers_times_parse_table_on_shuffled_count_tables(files):
-    layers = load_tool()
+def test_layers_times_parse_table_on_shuffled_count_tables(layers, files):
     cases = files[4:6]
     timings = minima(layers.measure([cases], repeats=1))
     assert list(timings) == [
@@ -135,8 +121,7 @@ def test_layers_times_the_table_writers(files):
     assert parse_table(cases[2][1]()) == dict(files)["parse_table.full.n8.text"]()
 
 
-def test_layers_times_the_enum_render_in_both_formats():
-    layers = load_tool()
+def test_layers_times_the_enum_render_in_both_formats(layers):
     from quotamaj import cli
 
     emit = cli._emit
@@ -155,14 +140,13 @@ def test_layers_times_the_enum_render_in_both_formats():
     assert cli._emit is emit
 
 
-def test_layers_loads_the_parent_tree_beside_this_one(tmp_path, monkeypatch, cases):
+def test_layers_loads_the_parent_tree_beside_this_one(layers, tmp_path, monkeypatch, cases):
     import certificates
 
     def own_modules():
         return {name: module for name, module in sys.modules.items()
                 if name == "certificates" or name.split(".")[0] == "quotamaj"}
 
-    layers = load_tool()
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     before = own_modules()
@@ -202,7 +186,8 @@ def test_layers_loads_the_parent_tree_beside_this_one(tmp_path, monkeypatch, cas
         parent_cases = copy.all_cases(tmp_path / "parent")
         assert [name for name, _ in parent_cases] == names
         parent_cases = dict(parent_cases)
-        assert parent_cases["startup.import"].keywords["env"]["PYTHONPATH"] == str(src.resolve())
+        assert parent_cases["startup.import"].func is copy.run_expecting
+        assert copy.ENV["PYTHONPATH"] == str(src.resolve())
         assert layers.run_once(parent_cases["to_table.n200"]) > 0
         assert layers.run_once(parent_cases["startup.import"]) > 0
     finally:
@@ -210,7 +195,7 @@ def test_layers_loads_the_parent_tree_beside_this_one(tmp_path, monkeypatch, cas
             del sys.modules[name]
 
 
-def test_layers_imports_this_checkout_unless_pythonpath_names_another(tmp_path):
+def test_layers_imports_this_checkout_unless_pythonpath_names_another(layers, tmp_path):
     # run from the root with no PYTHONPATH, the tool finds its own src/; a
     # PYTHONPATH still comes first, so it can name another tree to time
     copy = tmp_path / "src"
@@ -218,8 +203,7 @@ def test_layers_imports_this_checkout_unless_pythonpath_names_another(tmp_path):
     code = "import sys; sys.path.insert(0, 'tools'); import layers; print(layers.SRC)"
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     for extra, src in (({}, ROOT / "src"), ({"PYTHONPATH": str(copy)}, copy)):
-        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env={**env, **extra},
-                              capture_output=True, text=True, check=True)
+        proc = layers.run_expecting(0, ["-c", code], stdout=subprocess.PIPE, cwd=ROOT, env={**env, **extra})
         assert Path(proc.stdout.strip()) == src.resolve()
 
 
@@ -231,18 +215,18 @@ def stub_trees(monkeypatch, layers, script):
     def cases(side):
         return lambda work: [(name, iter(seconds[side])) for name, seconds in script.items()]
 
-    copy = SimpleNamespace(all_cases=cases(1), startup_loads=lambda work: {})
+    copy = SimpleNamespace(all_cases=cases(1), startup_listings=lambda work: {}, startup_loads=lambda listings: {})
     monkeypatch.setattr(layers, "all_cases", cases(0))
     monkeypatch.setattr(layers, "load_parent", lambda src: copy)
     monkeypatch.setattr(layers, "run_once", next)
     monkeypatch.setattr(layers, "export_tree", lambda rev, dest: dest / "src")
     monkeypatch.setattr(layers, "git", lambda *args: b"0123abc\n")
-    monkeypatch.setattr(layers, "startup_loads", lambda work: {})
+    monkeypatch.setattr(layers, "startup_listings", lambda work: {})
+    monkeypatch.setattr(layers, "startup_loads", lambda listings: {})
     monkeypatch.setattr(layers, "tier1_run", lambda: {})
 
 
-def test_layers_against_counts_the_pairs_each_tree_wins(tmp_path, monkeypatch):
-    layers = load_tool()
+def test_layers_against_counts_the_pairs_each_tree_wins(layers, tmp_path, monkeypatch):
     stub_trees(monkeypatch, layers, {
         "faster": ([1.0] * 5, [2.0] * 5),
         "slower": ([2.0] * 5, [1.0] * 5),
@@ -262,34 +246,37 @@ def test_layers_against_counts_the_pairs_each_tree_wins(tmp_path, monkeypatch):
     assert record["timings_s"] == {"faster": 1.0, "slower": 2.0, "mixed": 1.0} and "against" not in record
 
 
-def test_layers_against_records_the_parent_tree_startup_loads(tmp_path, monkeypatch):
-    layers = load_tool()
+def test_layers_against_records_the_parent_tree_startup_loads(layers, tmp_path, monkeypatch):
     works = []
 
     # the copy of this script that load_parent returns lists what the parent tree loads
-    def parent_loads(work):
+    def parent_listings(work):
         works.append(work)
-        return {"startup.count": {"modules": ["quotamaj_parent"], "source_lines": 7, "ast_nodes": 70}}
+        return {"startup.count": ("4096\n", ["quotamaj_parent"])}
 
-    copy = SimpleNamespace(all_cases=lambda work: [("case", None)], startup_loads=parent_loads)
+    def parent_loads(listings):
+        return {name: {"modules": modules, "ast_nodes": 70} for name, (_, modules) in listings.items()}
+
+    copy = SimpleNamespace(all_cases=lambda work: [("case", None)], startup_listings=parent_listings,
+                           startup_loads=parent_loads)
     monkeypatch.setattr(layers, "all_cases", lambda work: [("case", None)])
     monkeypatch.setattr(layers, "load_parent", lambda src: copy)
     monkeypatch.setattr(layers, "run_once", lambda thunk: 1.0)
     monkeypatch.setattr(layers, "export_tree", lambda rev, dest: dest / "src")
     monkeypatch.setattr(layers, "git", lambda *args: b"0123abc\n")
-    monkeypatch.setattr(layers, "startup_loads", lambda work: {"startup.count": {"ast_nodes": 60}})
+    monkeypatch.setattr(layers, "startup_listings", lambda work: {})
+    monkeypatch.setattr(layers, "startup_loads", lambda listings: {"startup.count": {"ast_nodes": 60}})
     monkeypatch.setattr(layers, "tier1_run", lambda: {})
     assert layers.main(["--label", "stub", "--out", str(tmp_path), "--against", "REV"]) == 0
     record = json.loads((tmp_path / "BENCH_stub.json").read_text())
-    assert record["against"]["startup_loads"] == parent_loads(None)
+    assert record["against"]["startup_loads"] == {"startup.count": {"modules": ["quotamaj_parent"], "ast_nodes": 70}}
     assert record["startup_loads"] == {"startup.count": {"ast_nodes": 60}}
     # in the parent tree's own directory, which this tree's cases do not share
     assert works[0].name == "parent"
 
 
-def test_layers_records_each_minimum_to_four_significant_digits(tmp_path, monkeypatch):
+def test_layers_records_each_minimum_to_four_significant_digits(layers, tmp_path, monkeypatch):
     # a fixed number of decimals would leave a microsecond case one digit
-    layers = load_tool()
     timings = {"micro": 3.01234e-06, "milli": 0.0123456, "whole": 12.345678}
     rounded = {"micro": 3.012e-06, "milli": 0.01235, "whole": 12.35}
     assert layers.bench_record("digits", 1, timings)["timings_s"] == rounded
@@ -303,14 +290,12 @@ def test_layers_records_each_minimum_to_four_significant_digits(tmp_path, monkey
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
-def test_layers_exports_a_revision(tmp_path):
-    layers = load_tool()
+def test_layers_exports_a_revision(layers, tmp_path):
     src = layers.export_tree("HEAD", tmp_path)
     assert (src / "quotamaj" / "cli.py").is_file() and (tmp_path / "tools" / "layers.py").is_file()
 
 
-def test_layers_startup_runs_one_command_per_cli_verb(cases):
-    layers = load_tool()
+def test_layers_startup_runs_one_command_per_cli_verb(layers, cases):
     commands = layers.startup_commands("worked.tbl")
     verbs = ["eval", "canon", "enum", "count", "verify", "represent", "convert"]
     shapes = ["canon.subset", "canon.seq_file", "verify.json", "enum.structured", "convert.rule"]
@@ -325,8 +310,7 @@ def test_layers_startup_runs_one_command_per_cli_verb(cases):
     assert list(timings) == list(commands) and all(seconds > 0 for seconds in timings.values())
 
 
-def test_layers_times_the_command_lines_argparse_reads(cases):
-    layers = load_tool()
+def test_layers_times_the_command_lines_argparse_reads(layers, cases):
     commands = layers.startup_commands("worked.tbl")
     assert commands["startup.help"] == (["-c", layers.RUNNER, "-h"], 0)
     assert commands["startup.usage_error"] == (["-c", layers.RUNNER, "verify"], 2)
@@ -339,8 +323,7 @@ def test_layers_times_the_command_lines_argparse_reads(cases):
         layers.run_expecting(0, ["-c", "raise SystemExit('boom')"])
 
 
-def test_layers_times_the_conversions_and_the_full_table_oracle(tmp_path):
-    layers = load_tool()
+def test_layers_times_the_conversions_and_the_full_table_oracle(layers, tmp_path):
     cases = layers.search_cases(tmp_path)
     assert [name for name, _ in cases] == [
         "proper_to_lp.n200",
@@ -369,8 +352,7 @@ def test_layers_times_the_conversions_and_the_full_table_oracle(tmp_path):
     assert cases["find_manipulation_full.n7"]() is find_manipulation_full(full) is None
 
 
-def test_layers_records_the_modules_each_startup_command_loads(loads):
-    layers = load_tool()
+def test_layers_records_the_modules_each_startup_command_loads(layers, loads):
     assert list(loads) == list(layers.startup_commands("worked.tbl"))
     assert loads["startup.import"]["modules"] == ["quotamaj"]
     assert loads["startup.count"]["modules"] == ["quotamaj", "quotamaj.cli", "quotamaj.core"]
@@ -384,8 +366,7 @@ def test_layers_records_the_modules_each_startup_command_loads(loads):
     json.dumps(loads)
 
 
-def test_layers_records_the_ast_nodes_each_startup_command_compiles(tmp_path, loads):
-    layers = load_tool()
+def test_layers_records_the_ast_nodes_each_startup_command_compiles(layers, tmp_path, loads):
     (tmp_path / "bare.py").write_text("x = 1\n")
     (tmp_path / "documented.py").write_text('"""One.\n\nTwo.\n"""\n# three\nx = 1  # four\n')
     # Module, Assign, Name, Store, Constant; the docstring adds one Expr and one Constant
@@ -400,8 +381,7 @@ def test_layers_records_the_ast_nodes_each_startup_command_compiles(tmp_path, lo
     assert loads["startup.verify"]["ast_nodes"] < loads["startup.represent"]["ast_nodes"]
 
 
-def test_layers_reads_the_tier1_counts():
-    layers = load_tool()
+def test_layers_reads_the_tier1_counts(layers):
     assert layers.tier1_summary("221 passed, 2 skipped in 16.02s") == {
         "passed": 221, "skipped": 2, "failed": 0, "error": 0,
     }
@@ -410,8 +390,7 @@ def test_layers_reads_the_tier1_counts():
     }
 
 
-def test_layers_counts_source_lines(tmp_path):
-    layers = load_tool()
+def test_layers_counts_source_lines(layers, tmp_path):
     (tmp_path / "src" / "quotamaj").mkdir(parents=True)
     (tmp_path / "tests").mkdir()
     (tmp_path / "src" / "quotamaj" / "engine.py").write_text("a = 1\nb = 2\n")

@@ -33,24 +33,9 @@ from quotamaj.tables import _grid, _prefix_rows
 
 import certificates
 from certificates import exhaustive_sp_family
+from helpers import majority3, manipulable3
 
 A, B = Alternative.A, Alternative.B
-
-
-def majority3():
-    return CountTable.from_function(3, lambda p: A if p.na > p.nb else B)
-
-
-def broken_majority3():
-    # majority with two outcomes flipped: (1,1) wins for a, (2,1) for b
-    def rule(p):
-        if (p.na, p.nb) == (1, 1):
-            return A
-        if (p.na, p.nb) == (2, 1):
-            return B
-        return A if p.na > p.nb else B
-
-    return CountTable.from_function(3, rule)
 
 
 def dictatorship2():
@@ -107,7 +92,7 @@ def test_strategy_proof_worked_rule():
 
 
 def test_strategy_proof_finds_constructed_violation():
-    witness = find_manipulation(broken_majority3())
+    witness = find_manipulation(manipulable3())
     assert witness is not None
     assert (witness.profile.na, witness.profile.nb) == (2, 1)
     assert witness.truthful is Preference.A
@@ -116,7 +101,7 @@ def test_strategy_proof_finds_constructed_violation():
 
 
 def test_count_counterexample_replays():
-    table = broken_majority3()
+    table = manipulable3()
     witness = find_manipulation(table)
     honest = table.outcome(witness.profile.na, witness.profile.nb)
     misreported = witness.misreported_profile
@@ -153,7 +138,7 @@ def test_the_witness_of_each_move_replays(outcomes, profile, truthful, misreport
 def test_a_witness_is_built_from_all_five_fields_or_refused():
     # the witnesses declare their fields in __slots__ alone: a missing field
     # is not left unset, nor an extra one dropped
-    table = broken_majority3()
+    table = manipulable3()
     for witness in (find_manipulation(table), find_manipulation_full(expand_to_full(table))):
         fields = witness._field_values(witness)
         assert type(witness)(*fields) == witness
@@ -165,9 +150,9 @@ def test_a_witness_is_built_from_all_five_fields_or_refused():
 def test_strategy_proof_full():
     assert find_manipulation_full(expand_to_full(majority3())) is None
     assert find_manipulation_full(dictatorship2()) is None
-    witness = find_manipulation_full(expand_to_full(broken_majority3()))
+    witness = find_manipulation_full(expand_to_full(manipulable3()))
     assert witness is not None
-    replayed = expand_to_full(broken_majority3()).outcome(witness.misreported_profile)
+    replayed = expand_to_full(manipulable3()).outcome(witness.misreported_profile)
     assert replayed is witness.manipulated_outcome
 
 

@@ -1,21 +1,22 @@
 """The package's public names and what importing it, or running a command, loads.
 
 The import checks run in child interpreters started with `python -S`, so
-that no site `.pth` file can preload a module and hide a real import.
+that no site `.pth` file can preload a module and hide a real import.  The
+command lines are those of `startup_commands` in tools/layers.py, each run
+once by the `listings` fixture through the tool's module lister.
 """
 
 import ast
-import os
+import re
 import subprocess
-import sys
 from importlib import import_module
 from pathlib import Path
 
 import pytest
+from helpers import manipulable3, run
 
 import quotamaj
-from quotamaj import Alternative, CountTable, QuotaSeq, to_table
-from quotamaj.cli import PROPERTY_VIOLATED, main
+from quotamaj.cli import PROPERTY_VIOLATED
 from quotamaj.fileformats import format_count_table
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,8 +45,6 @@ PUBLIC = {
     "tables": ("CountTable", "FullProfile", "FullTable", "Preference", "all_full_profiles", "count_of"),
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
-
-A, B = Alternative.A, Alternative.B
 
 
 def test_all_lists_the_public_names():
@@ -82,13 +81,7 @@ def test_every_name_the_benchmark_reads_resolves():
     # the traced replay wraps each (module, name) of `replay.LAYERS`, and the
     # benchmark tests import from `quotamaj` and `quotamaj.core`: a name that
     # leaves the package breaks `run.py --trace` or `pytest benchmarks`
-    bench = ROOT / "benchmarks"
-    tree = ast.parse((bench / "replay.py").read_text())
-    layers = next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
-    )
+    layers = replay_layers()
     missing = [
         f"{module}.{name}"
         for module, names in layers.items()
@@ -97,7 +90,7 @@ def test_every_name_the_benchmark_reads_resolves():
     ]
     imported = [
         (node.module, alias.name)
-        for node in ast.walk(ast.parse((bench / "test_benchmarks.py").read_text()))
+        for node in ast.walk(ast.parse((ROOT / "benchmarks" / "test_benchmarks.py").read_text()))
         if isinstance(node, ast.ImportFrom) and node.module in ("quotamaj", "quotamaj.core")
         for alias in node.names
     ]
@@ -144,139 +137,106 @@ def test_the_traced_replay_can_clear_every_library_cache():
 
 
 def test_represent_on_a_manipulable_table_exits_3_with_the_counterexample(tmp_path, capsys):
-    def rule(p):
-        if (p.na, p.nb) == (1, 1):
-            return A
-        if (p.na, p.nb) == (2, 1):
-            return B
-        return A if p.na > p.nb else B
-
+    # exit status 3 is the package's documented answer to a property the
+    # table lacks; PROPERTY_VIOLATED must keep that number
     path = tmp_path / "broken.tbl"
-    path.write_text(format_count_table(CountTable.from_function(3, rule)))
-    assert main(["represent", "--table", str(path)]) == PROPERTY_VIOLATED
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: table is manipulable: at na=2 nb=1, a-voter misreporting as i turns b into a\n"
-    )
+    path.write_text(format_count_table(manipulable3()))
+    code, out, err = run(capsys, "represent", "--table", str(path))
+    assert code == PROPERTY_VIOLATED == 3 and out == ""
+    assert err == "error: table is manipulable: at na=2 nb=1, a-voter misreporting as i turns b into a\n"
 
 
-# runs one command, then writes the names of the loaded modules to the file argv[1]
-CHILD = (
-    "import sys\n"
-    "from quotamaj.cli import main\n"
-    "code = main(sys.argv[2:])\n"
-    "with open(sys.argv[1], 'w', encoding='utf-8') as out:\n"
-    "    out.write('\\n'.join(sorted(sys.modules)))\n"
-    "sys.exit(code)\n"
-)
 HEAVY = {"__future__", "dataclasses", "inspect", "typing"}
 LIBRARY_ONLY = {"quotamaj.oracle", "quotamaj.extraction", "quotamaj.lp", "json"}
-
-
-def loaded_by(tmp_path, script, *argv):
-    listing = tmp_path / "modules.txt"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script, str(listing), *argv],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return set(listing.read_text(encoding="utf-8").split("\n")), proc.stdout
-
-
-def test_importing_the_package_loads_no_submodule(tmp_path):
-    script = (
-        "import sys, quotamaj\n"
-        "with open(sys.argv[1], 'w', encoding='utf-8') as out:\n"
-        "    out.write('\\n'.join(sorted(sys.modules)))\n"
-    )
-    modules, _ = loaded_by(tmp_path, script)
-    assert "quotamaj" in modules
-    assert sorted(m for m in modules if m.startswith("quotamaj.")) == []
-    assert not modules & HEAVY
-
-
-def test_the_modules_that_defined_the_names_are_attributes_on_first_use(tmp_path):
-    script = (
-        "import sys, quotamaj\n"
-        f"loaded = [getattr(quotamaj, m) is sys.modules['quotamaj.' + m] for m in {sorted(PUBLIC)!r}]\n"
-        "with open(sys.argv[1], 'w', encoding='utf-8') as out:\n"
-        "    out.write(str(all(loaded)))\n"
-    )
-    assert loaded_by(tmp_path, script)[0] == {"True"}
-
-
-def write_table(tmp_path):
-    path = tmp_path / "worked.tbl"
-    path.write_text(format_count_table(to_table(QuotaSeq(11, (5, 2, 12)))))
-    return str(path)
-
-
-def command_line(tmp_path, command):
-    """The command's argv, with TABLE and SEQ naming files written into tmp_path."""
-    seq = tmp_path / "worked.seq"
-    seq.write_text("n=11\n5,2,7,12\n")
-    files = {"TABLE": write_table(tmp_path), "SEQ": str(seq)}
-    return [files.get(a, a) for a in COMMANDS[command][0]]
-
-
-COMMANDS = {
-    "eval": (["eval", "--n", "11", "--quotas", "5,2,12", "--na", "3", "--nb", "6"], "a (lambda=1)\n"),
-    "count": (["count", "--n", "3"], "16\n"),
-    "canon": (["canon", "--n", "11", "--quotas", "5,2,7,12"], "5,2,12\n"),
-    "canon-subset": (["canon", "--n", "11", "--subset", "2,5"], "5,2,12\n"),
-    "canon-seq-file": (["canon", "--seq-file", "SEQ"], "5,2,12\n"),
-    "enum": (["enum", "--n", "2"], None),
-    "enum-structured": (["enum", "--n", "2", "--format", "structured"], None),
-    "verify": (["verify", "--table", "TABLE"], None),
-    "represent": (["represent", "--table", "TABLE"], None),
-    "convert": (["convert", "--n", "11", "--quotas", "5,2,12"], None),
-    "convert-rule": (["convert", "--n", "3", "--default", "a", "--r", "3", "--thresholds", "1,1,2"], None),
+ARGPARSE = {"argparse", "gettext", "locale"}
+PARSED = ["startup.help", "startup.usage_error"]
+VERIFIED = "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n"
+OUTPUTS = {
+    "startup.import": "",
+    "startup.eval": "a (lambda=1)\n",
+    "startup.canon": "5,2,12\n",
+    "startup.count": "4096\n",
+    "startup.verify": VERIFIED,
+    "startup.canon.subset": "5,2,12\n",
+    "startup.canon.seq_file": "5,2,12\n",
+    "startup.verify.json": VERIFIED,
+    "startup.usage_error": "",
 }
+# the package modules beyond quotamaj, cli and core that each command line
+# loads: the ones it runs and no others
+LOADS = {
+    "startup.eval": {"engine"},
+    "startup.canon": {"canonical", "engine"},
+    "startup.count": set(),
+    "startup.verify": {"fileformats", "oracle", "tables"},
+    "startup.represent": {"canonical", "engine", "extraction", "fileformats", "oracle", "tables"},
+    # `convert --quotas` runs no canonicalization, so only the other
+    # direction loads `canonical`
+    "startup.convert": {"engine", "lp"},
+    "startup.enum": {"enumeration"},
+    "startup.canon.subset": {"enumeration"},
+    # the sequence reader, which loads no table layer
+    "startup.canon.seq_file": {"canonical", "engine", "fileformats"},
+    "startup.verify.json": {"fileformats", "oracle", "tables"},
+    "startup.enum.structured": {"enumeration"},
+    "startup.convert.rule": {"canonical", "engine", "lp"},
+    # argparse is built from cli's option table alone
+    "startup.help": set(),
+    "startup.usage_error": set(),
+}
+LINES = ["startup.import", *LOADS]
 
 
-@pytest.fixture(scope="module")
-def runs(tmp_path_factory):
-    """The modules each command of COMMANDS loads and its output, from one run of each."""
-    runs = {}
-    for command in COMMANDS:
-        # a directory each, as each test had: ext4 flushes a file that is
-        # truncated and written again, as the listing would be, when it is
-        # closed, which made these runs three times slower
-        work = tmp_path_factory.mktemp(command)
-        runs[command] = loaded_by(work, CHILD, *command_line(work, command))
-    return runs
+def line_id(line):
+    """`startup.canon.seq_file` -> `canon-seq-file`, the line's name in these tests' ids."""
+    return line.removeprefix("startup.").replace(".", "-").replace("_", "-")
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_no_command_loads_dataclasses_inspect_or_typing(runs, command):
-    modules, out = runs[command]
-    assert not modules & HEAVY
-    expected = COMMANDS[command][1]
-    if expected is not None:
-        assert out == expected
+def test_the_start_up_checks_cover_every_line_of_the_tool(layers, listings):
+    assert LINES == list(layers.startup_commands("worked.tbl")) == list(listings)
 
 
-@pytest.mark.parametrize("command", ["eval", "count", "canon"])
-def test_sequence_commands_load_no_oracle_extraction_lp_or_json(runs, command):
-    modules, _ = runs[command]
-    assert not modules & LIBRARY_ONLY
+def test_importing_the_package_loads_no_submodule(listings):
+    _, modules = listings["startup.import"]
+    assert [m for m in modules if m.split(".")[0] == "quotamaj"] == ["quotamaj"]
 
 
-def test_verify_on_a_text_table_loads_no_extraction_lp_or_json(runs):
-    modules, out = runs["verify"]
-    assert out == "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n"
+def test_the_modules_that_defined_the_names_are_attributes_on_first_use(layers):
+    code = (
+        "import sys, quotamaj\n"
+        f"print(all(getattr(quotamaj, m) is sys.modules['quotamaj.' + m] for m in {sorted(PUBLIC)!r}))\n"
+    )
+    assert layers.list_modules(0, code)[0] == "True\n"
+
+
+@pytest.mark.parametrize("line", LINES, ids=line_id)
+def test_no_command_loads_dataclasses_inspect_or_typing(listings, line):
+    out, modules = listings[line]
+    assert not set(modules) & HEAVY
+    if line in OUTPUTS:
+        assert out == OUTPUTS[line]
+
+
+@pytest.mark.parametrize("line", ["startup.eval", "startup.count", "startup.canon"], ids=line_id)
+def test_sequence_commands_load_no_oracle_extraction_lp_or_json(listings, line):
+    assert not set(listings[line][1]) & LIBRARY_ONLY
+
+
+def test_verify_on_a_text_table_loads_no_extraction_lp_or_json(listings):
+    modules = set(listings["startup.verify"][1])
     assert "quotamaj.oracle" in modules
     assert not modules & (LIBRARY_ONLY - {"quotamaj.oracle"})
 
 
-def test_writing_tables_in_either_format_loads_no_json(tmp_path):
+def test_verify_on_a_json_table_loads_what_verify_does_and_json(layers, listings):
+    # exactly: what `import json` loads in a bare interpreter, and no other module
+    _, json_alone = layers.list_modules(0, "import json")
+    assert "json" in json_alone
+    assert set(listings["startup.verify.json"][1]) == set(listings["startup.verify"][1]) | set(json_alone)
+
+
+def test_writing_tables_in_either_format_loads_no_json(layers):
     script = (
-        "import sys\n"
         "from quotamaj import QuotaSeq, to_table\n"
         "from quotamaj.fileformats import STRUCTURED, TEXT, format_count_table, format_full_table\n"
         "from quotamaj.oracle import expand_to_full\n"
@@ -284,75 +244,58 @@ def test_writing_tables_in_either_format_loads_no_json(tmp_path):
         "for fmt in (TEXT, STRUCTURED):\n"
         "    format_count_table(table, fmt)\n"
         "    format_full_table(expand_to_full(table), fmt)\n"
-        "with open(sys.argv[1], 'w', encoding='utf-8') as out:\n"
-        "    out.write('\\n'.join(sorted(sys.modules)))\n"
     )
-    modules, _ = loaded_by(tmp_path, script)
+    _, modules = layers.list_modules(0, script)
     assert "quotamaj.fileformats" in modules and "json" not in modules
 
 
-def test_the_import_profiler_reports_the_modules_a_command_loads(tmp_path):
+def test_the_import_profiler_reports_the_modules_a_command_loads(layers, tmp_path):
     # the package loads each module through the import statement's hook,
     # which `-X importtime` times, so the lazily loaded ones are listed too
-    proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "quotamaj", "verify", "--table", write_table(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
+    table = layers.worked_table(tmp_path)
+    proc = layers.run_expecting(0, ["-S", "-X", "importtime", "-m", "quotamaj", "verify", "--table", table])
     reported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
     assert {"quotamaj.fileformats", "quotamaj.oracle"} <= reported
 
 
-# the package modules beyond quotamaj, cli and core that each command loads:
-# the ones it runs and no others
-LOADS = {
-    "eval": {"engine"},
-    "count": set(),
-    "canon": {"canonical", "engine"},
-    "canon-subset": {"enumeration"},
-    # the sequence reader, which loads no table layer
-    "canon-seq-file": {"canonical", "engine", "fileformats"},
-    "enum": {"enumeration"},
-    "enum-structured": {"enumeration"},
-    "verify": {"fileformats", "oracle", "tables"},
-    "represent": {"canonical", "engine", "extraction", "fileformats", "oracle", "tables"},
-    # `convert --quotas` runs no canonicalization, so only the other
-    # direction loads `canonical`
-    "convert": {"engine", "lp"},
-    "convert-rule": {"canonical", "engine", "lp"},
-}
-
-
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_each_command_loads_exactly_the_modules_it_runs(runs, command):
-    modules, _ = runs[command]
+@pytest.mark.parametrize("line", LOADS, ids=line_id)
+def test_each_command_loads_exactly_the_modules_it_runs(listings, line):
+    _, modules = listings[line]
     package = {m for m in modules if m.split(".")[0] == "quotamaj"}
-    assert package == {"quotamaj", "quotamaj.cli", "quotamaj.core", *(f"quotamaj.{m}" for m in LOADS[command])}
-    assert "json" not in modules  # the tables here are text, and the family writer lays out its own JSON
+    assert package == {"quotamaj", "quotamaj.cli", "quotamaj.core", *(f"quotamaj.{m}" for m in LOADS[line])}
+    # the family writer lays out its own JSON, so only a JSON table loads json
+    assert ("json" in modules) == (line == "startup.verify.json")
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_no_command_loads_argparse_gettext_or_locale(runs, command):
+def test_the_readme_start_up_table_matches_loads():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = readme.index("| line | command | loads |")
+    rows = {}
+    for row in readme[start + 2:]:
+        if not row.startswith("|"):
+            break
+        names, _, loads = row.split("|")[1:4]
+        rows |= {f"startup.{name}": set(re.findall(r"`(\w+)`", loads)) for name in re.findall(r"`([\w.]+)`", names)}
+    assert rows == LOADS
+
+
+@pytest.mark.parametrize("line", [line for line in LINES if line not in PARSED], ids=line_id)
+def test_no_command_loads_argparse_gettext_or_locale(listings, line):
     # each of these lines is read from the option table, not by argparse
-    modules, _ = runs[command]
-    assert not modules & {"argparse", "gettext", "locale"}
+    assert not set(listings[line][1]) & ARGPARSE
 
 
-def test_help_still_comes_from_argparse(tmp_path, monkeypatch):
+@pytest.mark.parametrize("line", PARSED, ids=line_id)
+def test_help_and_usage_errors_load_argparse_gettext_and_locale(listings, line):
+    assert ARGPARSE <= set(listings[line][1])
+
+
+def test_help_still_comes_from_argparse(layers, monkeypatch):
     from quotamaj.cli import _build_parser
 
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal's width
-    proc = subprocess.run(
-        [sys.executable, "-S", "-m", "quotamaj", "-h"],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0 and proc.stderr == ""
+    # argparse wraps its help to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = layers.run_expecting(0, ["-S", "-m", "quotamaj", "-h"], stdout=subprocess.PIPE,
+                                env={**layers.ENV, "COLUMNS": "80"})
+    assert proc.stderr == ""
     assert proc.stdout == _build_parser().format_help()

@@ -6,9 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quotamaj import QuotaSeq, to_table
 from quotamaj.cli import OK, main
-from quotamaj.fileformats import format_count_table
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -36,10 +34,10 @@ def test_each_readme_cli_line_prints_its_stated_output(capsys, command, expected
     assert (captured.out, captured.err) == (expected + "\n", "")
 
 
-def test_every_readme_cli_line_succeeds_on_the_worked_rule(capsys, tmp_path, monkeypatch):
+def test_every_readme_cli_line_succeeds_on_the_worked_rule(layers, capsys, tmp_path, monkeypatch):
     # `rule.tbl` is the table of the worked rule, (5,2,12) at n=11
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "rule.tbl").write_text(format_count_table(to_table(QuotaSeq(11, (5, 2, 12)))))
+    Path(layers.worked_table(tmp_path)).rename("rule.tbl")
     for line in CLI_LINES:
         assert main(shlex.split(line, comments=True)[1:]) == OK, line
         assert capsys.readouterr().err == "", line

@@ -70,13 +70,13 @@ TABLE_RULES = ((200, (100, 140, 60, 180, 20, 201)), (500, (250, 350, 150, 450, 5
 RANDOM_SEED = 2020
 REPEATS = 5
 RUNNER = "import sys; from quotamaj.cli import main; sys.exit(main(sys.argv[1:]))"
-# runs the code of a start-up command, then prints the package modules it loaded to stderr
+# runs the code in argv[1] on the arguments after it, then prints every module it loaded to stderr
 LISTER = (
     "import sys\n"
     "try:\n"
     "    exec(sys.argv.pop(1))\n"
     "finally:\n"
-    "    print(*sorted(m for m in sys.modules if m.split('.')[0] == 'quotamaj'), file=sys.stderr)\n"
+    "    print(*sorted(sys.modules), file=sys.stderr)\n"
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 #: the top-level name under which --against loads the tree of <rev>
@@ -214,7 +214,8 @@ def startup_commands(table: str) -> dict[str, tuple[list[str], int]]:
     benchmark sends, and of the two command lines that argparse reads, `-h`
     and `verify` without its required `--table`; `table` names a text
     count-table file, which `worked_table` writes next to its JSON form and
-    to a sequence file."""
+    to a sequence file.  tests/test_package.py pins what each line loads
+    and prints."""
     worked = ["--n", "11", "--quotas", "5,2,12"]
     verbs = {
         "eval": ["eval", *worked, "--na", "3", "--nb", "6"],
@@ -250,16 +251,34 @@ def worked_table(work: Path) -> str:
     return str(path)
 
 
-def run_expecting(status: int, args: list[str], **kwargs) -> subprocess.CompletedProcess:
-    """Run the interpreter with `args` as subprocess.run(..., **kwargs)
-    does, with its output dropped and its stderr kept as text; raise
-    RuntimeError, with the end of that stderr, unless it exits with
+def run_expecting(status: int, args: list[str], stdout=subprocess.DEVNULL, env=ENV,
+                  **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter with `args`, by default on the sources of the
+    imported quotamaj, as subprocess.run(..., **kwargs) does, with its
+    output sent to `stdout` and its stderr kept as text, for at most 60 s;
+    raise RuntimeError, with the end of that stderr, unless it exits with
     `status`."""
-    proc = subprocess.run([sys.executable, *args], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          text=True, **kwargs)
+    proc = subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=60, **kwargs)
     if proc.returncode != status:
         raise RuntimeError(f"{args} exited with {proc.returncode}, not {status}:\n{proc.stderr[-2000:]}")
     return proc
+
+
+def list_modules(status: int, code: str, *argv: str, **kwargs) -> tuple[str, list[str]]:
+    """Run `code` on `argv` under `python -S` through LISTER, as
+    run_expecting does with `kwargs`; return its stdout and every module it
+    loaded, sorted.  Without `site`, no `.pth` file of the machine's
+    site-packages loads a module before the code runs and hides its import."""
+    proc = run_expecting(status, ["-S", "-c", LISTER, code, *argv], stdout=subprocess.PIPE, **kwargs)
+    return proc.stdout, proc.stderr.splitlines()[-1].split()
+
+
+def startup_listings(work: Path) -> dict[str, tuple[str, list[str]]]:
+    """list_modules of each line of startup_commands, from one run of each
+    in `work`, where worked_table writes the files the lines read."""
+    return {name: list_modules(status, code, *argv, cwd=work)
+            for name, ((_, code, *argv), status) in startup_commands(worked_table(work)).items()}
 
 
 def ast_nodes(path: Path) -> int:
@@ -267,14 +286,13 @@ def ast_nodes(path: Path) -> int:
     return sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
 
 
-def startup_loads(work: Path) -> dict[str, dict]:
-    """The package modules each start-up command loads, from one run, and
-    their source lines and AST nodes: what the command compiles when no
-    bytecode is cached."""
+def startup_loads(listings: dict[str, tuple[str, list[str]]]) -> dict[str, dict]:
+    """The package modules each start-up line loads, by its entry of
+    startup_listings, and their source lines and AST nodes: what the line
+    compiles when no bytecode is cached."""
     loads = {}
-    for name, ((flag, code, *argv), status) in startup_commands(worked_table(work)).items():
-        proc = run_expecting(status, [flag, LISTER, code, *argv], cwd=work, env=ENV)
-        modules = proc.stderr.splitlines()[-1].split()
+    for name, (_, loaded) in listings.items():
+        modules = [m for m in loaded if m.split(".")[0] == "quotamaj"]
         files = [SRC / "quotamaj" / f"{m.partition('.')[2] or '__init__'}.py" for m in modules]
         loads[name] = {
             "modules": modules,
@@ -294,8 +312,7 @@ def all_cases(work: Path) -> list[tuple[str, object]]:
     return [
         *baseline_cases(), ("values.count_profiles.n300", partial(all_count_profiles, 300)),
         *file_cases(), *enum_cases(),
-        *((name, partial(run_expecting, status, args, cwd=work, env=ENV))
-          for name, (args, status) in commands.items()),
+        *((name, partial(run_expecting, status, args, cwd=work)) for name, (args, status) in commands.items()),
         *search_cases(work),
     ]
 
@@ -437,13 +454,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        trees = {work: (all_cases, startup_loads)}
+        trees = {work: (all_cases, startup_listings, startup_loads)}
         if args.against is not None:
             # the parent tree writes the files of its cases into its own directory
             parent = load_parent(export_tree(args.against, work / "parent"))
-            trees[work / "parent"] = (parent.all_cases, parent.startup_loads)
-        runs = measure([cases(path) for path, (cases, _) in trees.items()], REPEATS)
-        loads = [load(path) for path, (_, load) in trees.items()]
+            trees[work / "parent"] = (parent.all_cases, parent.startup_listings, parent.startup_loads)
+        runs = measure([cases(path) for path, (cases, *_) in trees.items()], REPEATS)
+        loads = [load(listings(path)) for path, (_, listings, load) in trees.items()]
     timings, *parent = ({name: min(pair[side]) for name, pair in runs.items()} for side in range(len(trees)))
     record = bench_record(args.label, REPEATS, timings)
     if parent:
