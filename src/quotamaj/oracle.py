@@ -17,7 +17,7 @@ of place w = 3**(n-1-v), declares the digit t = p // w % 3 (a=0, b=1,
 i=2), and misreporting m moves the profile to p + (m - t) * w.
 """
 
-from .core import Alternative, CountProfile, SearchBudgetExceeded, _Value
+from .core import Alternative, CountProfile, SearchBudgetExceeded, _Value, count_table_size
 from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid
 
 
@@ -164,5 +164,10 @@ def find_manipulation_full(table: FullTable) -> FullManipulation | None:
 
 
 def is_onto(table: CountTable) -> bool:
-    """Whether both alternatives appear among the outcomes."""
-    return table.mask not in (0, _grid(table.n)[1])
+    """Whether both alternatives appear among the outcomes.
+
+    Every builder keeps the mask inside the valid profiles, so its set
+    bits are the profiles a wins: a wins somewhere when one bit is set, and
+    b when fewer than all count_table_size(n) are.
+    """
+    return 0 < table.mask.bit_count() < count_table_size(table.n)

@@ -21,62 +21,166 @@ from helpers import majority3, manipulable3, run
 A, B = Alternative.A, Alternative.B
 
 
-def test_eval_worked_rule(capsys):
-    code, out, _ = run(capsys, "eval", "--n", "11", "--quotas", "5,2,12", "--na", "3", "--nb", "6")
-    assert code == OK and out == "a (lambda=1)\n"
-    code, out, _ = run(capsys, "eval", "--n", "11", "--quotas", "12", "--na", "0", "--nb", "0")
-    assert code == OK and out == "b (lambda=0)\n"
-    code, out, _ = run(capsys, "eval", "--n", "11", "--quotas", "5,2,12", "--na", "3", "--nb", "7")
-    assert code == OK and out == "b (lambda=0)\n"
+def parsed(capsys, call):
+    """Exit code, stdout and stderr of a call that argparse may end."""
+    try:
+        code = call()
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
-def test_eval_rejects_bad_input(capsys):
-    code, _, err = run(capsys, "eval", "--n", "11", "--quotas", "5,2", "--na", "0", "--nb", "0")
-    assert code == INVALID_INPUT and "error:" in err
-    code, _, err = run(capsys, "eval", "--n", "3", "--quotas", "2,4", "--na", "2", "--nb", "2")
-    assert code == INVALID_INPUT and "error:" in err
-
-
-def test_canon(capsys):
-    code, out, _ = run(capsys, "canon", "--n", "11", "--quotas", "5,2,7,12")
-    assert code == OK and out == "5,2,12\n"
-    code, out, _ = run(capsys, "canon", "--n", "11", "--subset", "2,5")
-    assert code == OK and out == "5,2,12\n"
-    code, out, _ = run(capsys, "canon", "--n", "11", "--subset", "-", "--default", "a")
-    assert code == OK and out == "0\n"
-    code, _, err = run(capsys, "canon", "--n", "11")
-    assert code == INVALID_INPUT and "error:" in err
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["eval", "--n", "5", "--quotas", "3,x", "--na", "0", "--nb", "0"],
-         "--quotas must be a comma-separated list of integers, got '3,x'"),
-        (["canon", "--n", "5", "--subset", "1,,2"],
-         "--subset must be a comma-separated list of integers, got '1,,2'"),
-        (["convert", "--n", "5", "--default", "a", "--r", "2", "--thresholds", "1;2"],
-         "--thresholds must be a comma-separated list of integers, got '1;2'"),
-        (["canon", "--n", "5", "--subset", "1", "--default", "c"], "default must be 'a' or 'b', got 'c'"),
-        (["canon", "--subset", "1"], "society size is required (--n)"),
-        (["convert", "--n", "5", "--default", "a", "--r", "1"],
-         "converting a rule needs --default, --r and --thresholds"),
-        (["convert", "--default", "a", "--r", "1", "--thresholds", "1"], "society size is required (--n)"),
-        (["convert"], "convert needs a sequence (to a rule) or --r/--thresholds (to a sequence)"),
-    ],
-    ids=["quotas", "subset", "thresholds", "default-c", "subset-without-n", "r-without-thresholds",
-         "rule-without-n", "bare-convert"],
+# The command lines that read no file, each with the exit code, stdout and
+# stderr it printed when it was recorded, byte for byte.  The help and usage
+# errors were recorded when a line naming a command built the parser of that
+# command alone and any other line the parser of all seven; the one parser
+# of all seven must give the same bytes for both.  argparse wraps help to
+# the terminal's width, which the test fixes at 80 columns.
+USAGE = "usage: quotamaj [-h] {eval,canon,enum,count,verify,represent,convert} ...\n"
+HELP = (
+    USAGE + "\n"
+    "Quota-sequence voting rules: evaluate, canonicalize, enumerate, verify,\n"
+    "represent, and convert.\n"
+    "\n"
+    "positional arguments:\n"
+    "  {eval,canon,enum,count,verify,represent,convert}\n"
+    "    eval                evaluate a sequence on one count profile\n"
+    "    canon               reduce a sequence to proper form, or build one from a\n"
+    "                        subset\n"
+    "    enum                enumerate the full rule family\n"
+    "    count               print the number of rules, 2^(n+1)\n"
+    "    verify              check anonymity, strategy-proofness, and ontoness of a\n"
+    "                        table\n"
+    "    represent           extract the proper sequence from a table\n"
+    "    convert             convert between a proper sequence and an indifference-\n"
+    "                        quota rule\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
 )
-def test_flag_errors_exit_2_with_their_own_message(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
-    assert code == INVALID_INPUT and out == "" and err == f"error: {message}\n"
+VERIFY_USAGE = "usage: quotamaj verify [-h] --table TABLE\n"
+CONVERT_NOT_BOTH = "error: give either a sequence or --default/--r/--thresholds, not both\n"
+CANON_NOT_BOTH = "error: give either --subset with --default or a quota sequence, not both\n"
+RECORDED_LINES = {
+    "eval-worked": (["eval", "--n", "11", "--quotas", "5,2,12", "--na", "3", "--nb", "6"], 0, "a (lambda=1)\n", ""),
+    "eval-worked-b": (["eval", "--n", "11", "--quotas", "5,2,12", "--na", "3", "--nb", "7"], 0, "b (lambda=0)\n", ""),
+    "eval-constant": (["eval", "--n", "11", "--quotas", "12", "--na", "0", "--nb", "0"], 0, "b (lambda=0)\n", ""),
+    # eval never tabulates, so it takes any n
+    "eval-huge-n": (
+        ["eval", "--n", "1000000000", "--quotas", "5,2,1000000001", "--na", "3", "--nb", "6"], 0, "a (lambda=1)\n", "",
+    ),
+    "eval-no-terminal": (["eval", "--n", "11", "--quotas", "5,2", "--na", "0", "--nb", "0"], 2, "", (
+        "error: quota sequence needs an element in {0, n+1}; otherwise some profiles are never decided\n"
+    )),
+    "eval-counts-over-n": (["eval", "--n", "3", "--quotas", "2,4", "--na", "2", "--nb", "2"], 2, "", (
+        "error: support counts (2, 2) exceed society size 3\n"
+    )),
+    "eval-without-n": (["eval", "--quotas", "5,2,12", "--na", "3", "--nb", "6"], 2, "", (
+        "error: society size is required (--n)\n"
+    )),
+    "eval-bad-quotas": (["eval", "--n", "5", "--quotas", "3,x", "--na", "0", "--nb", "0"], 2, "", (
+        "error: --quotas must be a comma-separated list of integers, got '3,x'\n"
+    )),
+    "canon-quotas": (["canon", "--n", "11", "--quotas", "5,2,7,12"], 0, "5,2,12\n", ""),
+    "canon-subset": (["canon", "--n", "11", "--subset", "2,5"], 0, "5,2,12\n", ""),
+    "canon-subset-default-b": (["canon", "--n", "11", "--subset", "2,5", "--default", "b"], 0, "5,2,12\n", ""),
+    "canon-empty-subset": (["canon", "--n", "11", "--subset", "-", "--default", "a"], 0, "0\n", ""),
+    # canonicalizing a sequence never builds anything sized by n, so it takes any n
+    "canon-huge-n": (["canon", "--n", "1000000000", "--quotas", "0"], 0, "0\n", ""),
+    "canon-no-rule": (["canon", "--n", "11"], 2, "", "error: a quota sequence is required (--quotas or --seq-file)\n"),
+    "canon-quotas-default-a": (["canon", "--n", "11", "--quotas", "5,2,12", "--default", "a"], 2, "", CANON_NOT_BOTH),
+    "canon-quotas-default-b": (["canon", "--n", "11", "--quotas", "5,2,12", "--default", "b"], 2, "", CANON_NOT_BOTH),
+    "canon-bad-subset": (["canon", "--n", "5", "--subset", "1,,2"], 2, "", (
+        "error: --subset must be a comma-separated list of integers, got '1,,2'\n"
+    )),
+    "canon-default-c": (["canon", "--n", "5", "--subset", "1", "--default", "c"], 2, "", (
+        "error: default must be 'a' or 'b', got 'c'\n"
+    )),
+    "canon-subset-without-n": (["canon", "--subset", "1"], 2, "", "error: society size is required (--n)\n"),
+    "count-3": (["count", "--n", "3"], 0, "16\n", ""),
+    "count-11": (["count", "--n", "11"], 0, "4096\n", ""),
+    "count-negative": (["count", "--n", "-5"], 2, "", "error: society size must be at least 1, got -5\n"),
+    "count-0": (["count", "--n", "0"], 2, "", "error: society size must be at least 1, got 0\n"),
+    "convert-to-rule": (["convert", "--n", "11", "--quotas", "5,2,12"], 0, "default=b r=10 y=2,2,2,2,2,2,2,3,4,5\n", ""),
+    "convert-to-sequence": (
+        ["convert", "--n", "11", "--default", "b", "--r", "10", "--thresholds", "2,2,2,2,2,2,2,3,4,5"], 0, "5,2,12\n", "",
+    ),
+    # only convert --quotas reads the rule's table, so only it refuses a huge n
+    "convert-huge-n-to-rule": (["convert", "--n", "1000000000", "--quotas", "1,1000000001"], 4, "", (
+        "error: a table for n=1000000000 has 500000001500000001 profiles, budget is 16777216\n"
+    )),
+    "convert-huge-n-to-sequence": (
+        ["convert", "--n", "1000000000", "--default", "a", "--r", "1", "--thresholds", "1"], 0, "1,0\n", "",
+    ),
+    "convert-constant": (["convert", "--n", "11", "--quotas", "12"], 2, "", (
+        "error: constant rules have no indifference-quota form\n"
+    )),
+    "convert-quotas-and-rule": (
+        ["convert", "--n", "11", "--quotas", "5,2,12", "--default", "a", "--r", "3", "--thresholds", "1,2,3"],
+        2, "", CONVERT_NOT_BOTH,
+    ),
+    "convert-quotas-and-r": (["convert", "--n", "11", "--quotas", "5,2,12", "--r", "3"], 2, "", CONVERT_NOT_BOTH),
+    "convert-quotas-and-default": (
+        ["convert", "--n", "11", "--quotas", "5,2,12", "--default", "b"], 2, "", CONVERT_NOT_BOTH,
+    ),
+    "convert-bad-thresholds": (["convert", "--n", "5", "--default", "a", "--r", "2", "--thresholds", "1;2"], 2, "", (
+        "error: --thresholds must be a comma-separated list of integers, got '1;2'\n"
+    )),
+    "convert-r-without-thresholds": (["convert", "--n", "5", "--default", "a", "--r", "1"], 2, "", (
+        "error: converting a rule needs --default, --r and --thresholds\n"
+    )),
+    "convert-rule-without-n": (["convert", "--default", "a", "--r", "1", "--thresholds", "1"], 2, "", (
+        "error: society size is required (--n)\n"
+    )),
+    "convert-bare": (["convert"], 2, "", (
+        "error: convert needs a sequence (to a rule) or --r/--thresholds (to a sequence)\n"
+    )),
+    # the budget is decided from n alone, without forming 2**(n+1)
+    "enum-30": (["enum", "--n", "30"], 4, "", "error: enumerating n=30 yields 2**31 rules, budget is 65536\n"),
+    "enum-20000": (["enum", "--n", "20000"], 4, "", (
+        "error: enumerating n=20000 yields 2**20001 rules, budget is 65536\n"
+    )),
+    "enum-1000000000": (["enum", "--n", "1000000000"], 4, "", (
+        "error: enumerating n=1000000000 yields 2**1000000001 rules, budget is 65536\n"
+    )),
+    "empty": ([], 2, "", USAGE + "quotamaj: error: the following arguments are required: command\n"),
+    "h": (["-h"], 0, HELP, ""),
+    "help": (["--help"], 0, HELP, ""),
+    "verify-help": (["verify", "-h"], 0, (
+        VERIFY_USAGE + "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --table TABLE  table file (count or full, text or JSON)\n"
+    ), ""),
+    "verify-no-table": (["verify"], 2, "", (
+        VERIFY_USAGE + "quotamaj verify: error: the following arguments are required: --table\n"
+    )),
+    "enum-bad-format": (["enum", "--n", "3", "--format", "xml"], 2, "", (
+        "usage: quotamaj enum [-h] --n N [--out OUT] [--format {text,structured}]\n"
+        "quotamaj enum: error: argument --format: invalid choice: 'xml' (choose from 'text', 'structured')\n"
+    )),
+    "extra-argument": (["count", "--n", "3", "extra"], 2, "", (
+        USAGE + "quotamaj: error: unrecognized arguments: extra\n"
+    )),
+    "unknown": (["frobnicate"], 2, "", (
+        USAGE + "quotamaj: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'eval', 'canon', 'enum', 'count', 'verify', 'represent', 'convert')\n"
+    )),
+    "equals": (["count", "--n=5"], 0, "64\n", ""),
+    "repeated": (["count", "--n", "3", "--n", "4"], 0, "32\n", ""),
+}
 
 
-def test_count(capsys):
-    code, out, _ = run(capsys, "count", "--n", "3")
-    assert code == OK and out == "16\n"
-    code, out, _ = run(capsys, "count", "--n", "11")
-    assert code == OK and out == "4096\n"
+@pytest.mark.parametrize("name", list(RECORDED_LINES))
+def test_each_command_line_prints_what_it_printed_before(capsys, monkeypatch, name):
+    argv, *recorded = RECORDED_LINES[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parsed(capsys, lambda: main(argv)) == tuple(recorded)
+
+
+def test_exit_codes_keep_their_documented_numbers():
+    assert (OK, OUTPUT_CLOSED, INVALID_INPUT, PROPERTY_VIOLATED, BUDGET_EXCEEDED) == (0, 1, 2, 3, 4)
 
 
 def test_enum_to_file(tmp_path, capsys):
@@ -100,14 +204,6 @@ def test_enum_structured(tmp_path, capsys):
     assert data["family"][0]["table"] == "bbb"
 
 
-def test_verify_good_table(tmp_path, capsys):
-    path = tmp_path / "majority.tbl"
-    path.write_text(format_count_table(majority3()))
-    code, out, _ = run(capsys, "verify", "--table", str(path))
-    assert code == OK
-    assert out == "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n"
-
-
 def test_verify_manipulable_table(tmp_path, capsys):
     path = tmp_path / "broken.tbl"
     path.write_text(format_count_table(manipulable3()))
@@ -117,13 +213,8 @@ def test_verify_manipulable_table(tmp_path, capsys):
 
 
 def test_verify_non_anonymous_table(tmp_path, capsys):
-    from quotamaj import FullTable, Preference
-
-    dictator = FullTable.from_function(
-        2, lambda prof: A if prof[0] is Preference.A else B
-    )
     path = tmp_path / "dictator.tbl"
-    path.write_text(format_full_table(dictator))
+    path.write_text(format_full_table(FullTable.from_function(2, dictator)))
     code, out, _ = run(capsys, "verify", "--table", str(path))
     assert code == PROPERTY_VIOLATED
     assert "anonymous: no" in out
@@ -135,6 +226,26 @@ def test_verify_full_anonymous_table(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--table", str(path))
     assert code == OK
     assert "anonymous: yes" in out and "strategy-proof: yes" in out
+
+
+def test_represent_worked_rule(layers, tmp_path, capsys):
+    code, out, _ = run(capsys, "represent", "--table", layers.worked_table(tmp_path))
+    assert code == OK
+    assert out.splitlines()[0] == "5,2,12"
+    assert out.splitlines()[1] == "x=b; (l,k)=(0,5),(1,4),(2,3),(3,2)"
+
+
+def test_represent_manipulable_is_property_violation(tmp_path, capsys):
+    path = tmp_path / "broken.tbl"
+    path.write_text(format_count_table(manipulable3()))
+    code, out, err = run(capsys, "represent", "--table", str(path))
+    assert code == PROPERTY_VIOLATED and out == ""
+    assert err == "error: table is manipulable: at na=2 nb=1, a-voter misreporting as i turns b into a\n"
+
+
+def test_missing_table_file(capsys):
+    code, _, err = run(capsys, "verify", "--table", "/nonexistent/nowhere.tbl")
+    assert code == INVALID_INPUT and "cannot read" in err
 
 
 def dictator(p):
@@ -178,68 +289,6 @@ def test_verify_and_represent_non_anonymous_full_tables(tmp_path, capsys, rule):
     assert err == "error: table is not anonymous: two profiles with equal counts disagree\n"
 
 
-def test_represent(tmp_path, capsys):
-    path = tmp_path / "majority.tbl"
-    path.write_text(format_count_table(majority3()))
-    code, out, _ = run(capsys, "represent", "--table", str(path))
-    assert code == OK
-    assert out == "2,3,1,4\nx=b; (l,k)=(0,2),(2,1)\n"
-
-
-def test_represent_worked_rule(layers, tmp_path, capsys):
-    code, out, _ = run(capsys, "represent", "--table", layers.worked_table(tmp_path))
-    assert code == OK
-    assert out.splitlines()[0] == "5,2,12"
-    assert out.splitlines()[1] == "x=b; (l,k)=(0,5),(1,4),(2,3),(3,2)"
-
-
-def test_represent_manipulable_is_property_violation(tmp_path, capsys):
-    path = tmp_path / "broken.tbl"
-    path.write_text(format_count_table(manipulable3()))
-    code, out, err = run(capsys, "represent", "--table", str(path))
-    assert code == PROPERTY_VIOLATED and out == ""
-    assert err == "error: table is manipulable: at na=2 nb=1, a-voter misreporting as i turns b into a\n"
-
-
-def test_convert_both_directions(capsys):
-    code, out, _ = run(capsys, "convert", "--n", "11", "--quotas", "5,2,12")
-    assert code == OK
-    assert out == "default=b r=10 y=2,2,2,2,2,2,2,3,4,5\n"
-    code, out, _ = run(
-        capsys,
-        "convert",
-        "--n", "11",
-        "--default", "b",
-        "--r", "10",
-        "--thresholds", "2,2,2,2,2,2,2,3,4,5",
-    )
-    assert code == OK and out == "5,2,12\n"
-
-
-def test_convert_refuses_a_sequence_with_rule_flags(capsys):
-    for flags in (["--default", "a", "--r", "3", "--thresholds", "1,2,3"], ["--r", "3"], ["--default", "b"]):
-        code, out, err = run(capsys, "convert", "--n", "11", "--quotas", "5,2,12", *flags)
-        assert code == INVALID_INPUT and out == "" and "not both" in err
-
-
-def test_canon_refuses_default_with_a_sequence(capsys):
-    for default in ("a", "b"):
-        code, out, err = run(capsys, "canon", "--n", "11", "--quotas", "5,2,12", "--default", default)
-        assert code == INVALID_INPUT and out == "" and "not both" in err
-    code, out, _ = run(capsys, "canon", "--n", "11", "--subset", "2,5", "--default", "b")
-    assert code == OK and out == "5,2,12\n"
-
-
-def test_convert_rejects_constant(capsys):
-    code, _, err = run(capsys, "convert", "--n", "11", "--quotas", "12")
-    assert code == INVALID_INPUT and "error:" in err
-
-
-def test_missing_table_file(capsys):
-    code, _, err = run(capsys, "verify", "--table", "/nonexistent/nowhere.tbl")
-    assert code == INVALID_INPUT and "cannot read" in err
-
-
 def test_undecodable_file_is_named(tmp_path, capsys):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"n=1\n0 0 \xff\n")
@@ -249,11 +298,6 @@ def test_undecodable_file_is_named(tmp_path, capsys):
     code, out, err = run(capsys, "canon", "--seq-file", str(path))
     assert code == INVALID_INPUT and out == ""
     assert f"cannot read sequence file {path}: 'utf-8' codec" in err
-
-
-def test_enum_budget_exit_code(capsys):
-    code, _, err = run(capsys, "enum", "--n", "30")
-    assert code == BUDGET_EXCEEDED and "budget" in err
 
 
 def test_sequence_file_input(tmp_path, capsys):
@@ -271,11 +315,6 @@ def test_sequence_file_input(tmp_path, capsys):
         capsys, "canon", "--seq-file", str(path), "--quotas", "5,2,12"
     )
     assert code == INVALID_INPUT and "not both" in err
-
-
-def test_missing_n_is_invalid_input(capsys):
-    code, _, err = run(capsys, "eval", "--quotas", "5,2,12", "--na", "3", "--nb", "6")
-    assert code == INVALID_INPUT and "society size" in err
 
 
 def test_represent_runs_the_oracle_once(layers, tmp_path, capsys, monkeypatch):
@@ -308,12 +347,6 @@ def test_header_size_is_checked_before_profiles_are_built(tmp_path, capsys, monk
     assert 1500 not in built
 
 
-@pytest.mark.parametrize("n", ["-5", "0"])
-def test_count_rejects_empty_societies(capsys, n):
-    code, out, err = run(capsys, "count", "--n", n)
-    assert code == INVALID_INPUT and out == "" and "society size" in err
-
-
 @pytest.mark.parametrize(
     "body",
     [
@@ -331,80 +364,6 @@ def test_json_table_rejects_non_integer_sizes_and_counts(tmp_path, capsys, body)
     assert code == INVALID_INPUT and out == "" and "integer" in err
 
 
-def parsed(capsys, call):
-    """Exit code, stdout and stderr of a call that argparse may end."""
-    try:
-        code = call()
-    except SystemExit as stop:
-        code = stop.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-# Help and usage errors, recorded byte for byte (exit code, stdout, stderr)
-# when a line naming a command built the parser of that command alone and
-# any other line the parser of all seven; the one parser of all seven must
-# give the same bytes for both.  argparse wraps help to the terminal's width,
-# which the test fixes at 80 columns.
-USAGE = "usage: quotamaj [-h] {eval,canon,enum,count,verify,represent,convert} ...\n"
-HELP = (
-    USAGE + "\n"
-    "Quota-sequence voting rules: evaluate, canonicalize, enumerate, verify,\n"
-    "represent, and convert.\n"
-    "\n"
-    "positional arguments:\n"
-    "  {eval,canon,enum,count,verify,represent,convert}\n"
-    "    eval                evaluate a sequence on one count profile\n"
-    "    canon               reduce a sequence to proper form, or build one from a\n"
-    "                        subset\n"
-    "    enum                enumerate the full rule family\n"
-    "    count               print the number of rules, 2^(n+1)\n"
-    "    verify              check anonymity, strategy-proofness, and ontoness of a\n"
-    "                        table\n"
-    "    represent           extract the proper sequence from a table\n"
-    "    convert             convert between a proper sequence and an indifference-\n"
-    "                        quota rule\n"
-    "\n"
-    "options:\n"
-    "  -h, --help            show this help message and exit\n"
-)
-VERIFY_USAGE = "usage: quotamaj verify [-h] --table TABLE\n"
-RECORDED_USAGE = {
-    "empty": ([], 2, "", USAGE + "quotamaj: error: the following arguments are required: command\n"),
-    "h": (["-h"], 0, HELP, ""),
-    "help": (["--help"], 0, HELP, ""),
-    "verify-help": (["verify", "-h"], 0, (
-        VERIFY_USAGE + "\n"
-        "options:\n"
-        "  -h, --help     show this help message and exit\n"
-        "  --table TABLE  table file (count or full, text or JSON)\n"
-    ), ""),
-    "verify-no-table": (["verify"], 2, "", (
-        VERIFY_USAGE + "quotamaj verify: error: the following arguments are required: --table\n"
-    )),
-    "enum-bad-format": (["enum", "--n", "3", "--format", "xml"], 2, "", (
-        "usage: quotamaj enum [-h] --n N [--out OUT] [--format {text,structured}]\n"
-        "quotamaj enum: error: argument --format: invalid choice: 'xml' (choose from 'text', 'structured')\n"
-    )),
-    "extra-argument": (["count", "--n", "3", "extra"], 2, "", (
-        USAGE + "quotamaj: error: unrecognized arguments: extra\n"
-    )),
-    "unknown": (["frobnicate"], 2, "", (
-        USAGE + "quotamaj: error: argument command: invalid choice: 'frobnicate' "
-        "(choose from 'eval', 'canon', 'enum', 'count', 'verify', 'represent', 'convert')\n"
-    )),
-    "equals": (["count", "--n=5"], 0, "64\n", ""),
-    "repeated": (["count", "--n", "3", "--n", "4"], 0, "32\n", ""),
-}
-
-
-@pytest.mark.parametrize("name", list(RECORDED_USAGE))
-def test_one_command_parser_reads_like_the_full_one(capsys, monkeypatch, name):
-    argv, *recorded = RECORDED_USAGE[name]
-    monkeypatch.setenv("COLUMNS", "80")
-    assert parsed(capsys, lambda: main(argv)) == tuple(recorded)
-
-
 def test_module_entry_point(layers):
     proc = layers.run_expecting(OK, ["-m", "quotamaj", "count", "--n", "3"], stdout=subprocess.PIPE)
     assert proc.stdout == "16\n"
@@ -417,7 +376,6 @@ def test_closed_output_exits_1_without_a_traceback(layers):
         proc = layers.run_expecting(OUTPUT_CLOSED, ["-m", "quotamaj", "enum", "--n", "3"], stdout=write_end)
     finally:
         os.close(write_end)
-    assert OUTPUT_CLOSED == 1
     assert "Traceback" not in proc.stderr
 
 
@@ -443,13 +401,6 @@ def test_count_digit_limit_boundary(capsys, monkeypatch):
     assert code == INVALID_INPUT and out == "" and "largest n that prints is 32" in err
 
 
-@pytest.mark.parametrize("n", ["20000", "1000000000"])
-def test_enum_budget_is_decided_from_n_alone(capsys, n):
-    code, out, err = run(capsys, "enum", "--n", n)
-    assert code == BUDGET_EXCEEDED and out == "" and "budget" in err
-    assert "set_int_max_str_digits" not in err and f"2**{int(n) + 1}" in err
-
-
 def test_enum_guard_edge(capsys):
     code, out, err = run(capsys, "enum", "--n", "16")
     assert code == BUDGET_EXCEEDED and out == "" and "2**17" in err and "budget is 65536" in err
@@ -469,32 +420,6 @@ def test_deeply_nested_json_table_is_invalid_input(tmp_path, capsys):
 def test_enum_to_unwritable_path_is_invalid_input(tmp_path, capsys):
     code, out, err = run(capsys, "enum", "--n", "2", "--out", str(tmp_path / "missing" / "family.txt"))
     assert code == INVALID_INPUT and out == "" and "cannot write" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["canon", "--n", "1000000000", "--quotas", "0"],
-        ["convert", "--n", "1000000000", "--quotas", "1,1000000001"],
-        ["convert", "--n", "1000000000", "--default", "a", "--r", "1", "--thresholds", "1"],
-    ],
-)
-def test_tabulating_commands_refuse_huge_n_before_allocating(capsys, argv):
-    # only convert --quotas reads the rule's table; canonicalizing a
-    # sequence never builds anything sized by n, so it takes any n
-    code, out, err = run(capsys, *argv)
-    if argv[0] == "convert" and "--quotas" in argv:
-        assert code == BUDGET_EXCEEDED and out == ""
-        assert f"budget is {core.MAX_TABLE_PROFILES}" in err
-    else:
-        assert code == OK and out == {"canon": "0\n", "convert": "1,0\n"}[argv[0]]
-
-
-def test_eval_never_tabulates_so_huge_n_succeeds(capsys):
-    code, out, _ = run(
-        capsys, "eval", "--n", "1000000000", "--quotas", "5,2,1000000001", "--na", "3", "--nb", "6"
-    )
-    assert code == OK and out == "a (lambda=1)\n"
 
 
 def test_table_size_limit_boundary(capsys, monkeypatch):
@@ -525,7 +450,6 @@ def test_full_table_header_size_is_checked_without_forming_3_to_the_n(tmp_path, 
 
 
 def test_full_table_size_check_keeps_small_tables_exact(tmp_path, capsys):
-    from quotamaj import FullTable
     with pytest.raises(ValueError, match=r"needs 3\*\*2 entries, got 8"):
         FullTable(2, (A,) * 8)
     with pytest.raises(ValueError, match=r"needs 3\*\*1 entries, got 4"):
@@ -614,11 +538,13 @@ def test_the_table_reader_reads_every_benchmark_command_line(tmp_path, monkeypat
 # malformed files and on a full table too large to scan: the outputs and
 # exit codes below were recorded from both commands when each read its
 # table by a path of its own, and one loader must keep them byte for byte.
+# The count-majority rows were recorded later, from the one loader.
 
 
 RECORDED_TABLES = {
     "count-sp": lambda: to_table(QuotaSeq(11, (5, 2, 12))),
     "count-manipulable": manipulable3,
+    "count-majority": majority3,
     "full-sp": lambda: expand_to_full(majority3()),
     "full-manipulable": lambda: expand_to_full(manipulable3()),
     "full-dictator": lambda: FullTable.from_function(2, dictator),
@@ -657,6 +583,8 @@ def recorded_file(case, fmt):
 RECORDED = {
     "verify count-sp text": (0, "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n", ""),
     "verify count-sp structured": (0, "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n", ""),
+    "verify count-majority text": (0, "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n", ""),
+    "verify count-majority structured": (0, "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n", ""),
     "verify count-manipulable text": (
         3, "anonymous: yes (count table)\nstrategy-proof: no (at na=2 nb=1, a-voter misreporting as i turns b into a)\nonto: yes\n",
         "error: verification found a counterexample\n",
@@ -708,6 +636,8 @@ RECORDED = {
     ),
     "represent count-sp text": (0, "5,2,12\nx=b; (l,k)=(0,5),(1,4),(2,3),(3,2)\n", ""),
     "represent count-sp structured": (0, "5,2,12\nx=b; (l,k)=(0,5),(1,4),(2,3),(3,2)\n", ""),
+    "represent count-majority text": (0, "2,3,1,4\nx=b; (l,k)=(0,2),(2,1)\n", ""),
+    "represent count-majority structured": (0, "2,3,1,4\nx=b; (l,k)=(0,2),(2,1)\n", ""),
     "represent count-manipulable text": (
         3, "",
         "error: table is manipulable: at na=2 nb=1, a-voter misreporting as i turns b into a\n",

@@ -17,7 +17,7 @@ from quotamaj import (
     to_table,
 )
 
-from helpers import seq
+from helpers import first_deciding_index, seq
 
 A, B = Alternative.A, Alternative.B
 
@@ -39,20 +39,13 @@ def valid_r_tuples(draw, max_n=8):
     return QuotaSeq(n, tuple(interior) + (terminal,))
 
 
-def brute_index(quotas, n, na, nb):
-    # independent scan straight from the definition
-    return min(
-        i for i, k in enumerate(quotas) if na >= k or nb >= n + 1 - k
-    )
-
-
 def test_profile_index_examples():
     s = seq(11, 5, 2, 12)
     assert profile_index(s, CountProfile(3, 7, 11)) == 0
     assert profile_index(s, CountProfile(3, 6, 11)) == 1
     assert profile_index(s, CountProfile(0, 0, 11)) == 2
     for p in all_count_profiles(11):
-        assert profile_index(s, p) == brute_index(s.quotas, 11, p.na, p.nb)
+        assert profile_index(s, p) == first_deciding_index(s.quotas, 11, p.na, p.nb)
 
 
 def test_profile_index_rejects_mismatched_n():

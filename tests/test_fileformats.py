@@ -1,9 +1,15 @@
-import itertools
 import json
 import random
 
 import pytest
-from test_fileformats_reference import plain, reference_parse_table, verdict
+from test_fileformats_reference import (
+    full_profiles,
+    plain,
+    reference_format_count_table,
+    reference_format_full_table,
+    reference_parse_table,
+    verdict,
+)
 
 from quotamaj import Alternative, CountTable, FullTable, Preference, QuotaSeq, cli, fileformats, tables, to_table
 from quotamaj.cli import INVALID_INPUT
@@ -20,7 +26,7 @@ from quotamaj.fileformats import (
 from quotamaj.enumeration import enumerate_all, proper_to_subset, subset_to_proper
 from quotamaj.oracle import expand_to_full, find_manipulation, find_manipulation_full, reduce_to_counts
 
-from helpers import majority3
+from helpers import count_profiles, majority3, reference_family_file
 
 A, B = Alternative.A, Alternative.B
 
@@ -102,28 +108,9 @@ def test_family_format_golden_n1():
     )
 
 
-def reference_family_file(rules, n, fmt):
-    # one entry per rule, as json.dumps or an f-string lays it out
-    entries = [
-        (default.value, sorted(subset), seq, table.outcome_string())
-        for seq, table in rules
-        for subset, default in [proper_to_subset(seq)]
-    ]
-    if fmt == STRUCTURED:
-        family = [
-            {"default": default, "subset": members, "quotas": list(seq.quotas), "table": cells}
-            for default, members, seq, cells in entries
-        ]
-        return json.dumps({"n": n, "count": len(entries), "family": family}, indent=2)
-    lines = [
-        f"{default} {','.join(map(str, members)) or '-'} {seq} {cells}\n" for default, members, seq, cells in entries
-    ]
-    return f"n={n}\ncount={len(entries)}\n" + "".join(lines)
-
-
 def test_structured_family_is_what_json_writes():
     for family, n in ((enumerate_all(2), 2), ([], 3)):
-        assert format_family(family, n, STRUCTURED) == reference_family_file(family, n, STRUCTURED)
+        assert format_family(family, n, STRUCTURED) == reference_family_file([seq for seq, _ in family], n, STRUCTURED)
     assert format_family([], 3) == "n=3\ncount=0\n"
 
 
@@ -138,7 +125,7 @@ def test_format_family_on_any_family(fmt):
     defaults = [proper_to_subset(seq)[1] for seq, _ in part]
     assert sum(x is not y for x, y in zip(defaults, defaults[1:])) > 1
     for rules in (part, []):
-        assert format_family(iter(rules), 4, fmt) == reference_family_file(rules, 4, fmt)
+        assert format_family(iter(rules), 4, fmt) == reference_family_file([seq for seq, _ in rules], 4, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["xml", "josn", "", "TEXT"])
@@ -323,24 +310,16 @@ def test_formatting_tables_for_many_sizes_keeps_a_few_profile_lists():
     assert info.maxsize <= 4 and info.currsize <= info.maxsize
 
 
-# The table writers as they were when each built one entry per profile, the
-# count writer from `table.items()`; the writers that zip the canonical key
-# columns with the outcome letters must write the same bytes.
+# The writers that zip the canonical key columns with the outcome letters
+# must write the bytes of the reference writers, which build one entry per
+# profile from their own profile lists.
 
 
-def reference_format_count_table(table, fmt=TEXT):
-    if fmt == STRUCTURED:
-        entries = [{"a": p.na, "b": p.nb, "out": o.value} for p, o in table.items()]
-        return json.dumps({"n": table.n, "entries": entries}, indent=2)
-    return "\n".join([f"n={table.n}", *(f"{p.na} {p.nb} {o.value}" for p, o in table.items())]) + "\n"
-
-
-def reference_format_full_table(table, fmt=TEXT):
-    profiles = map("".join, itertools.product("abi", repeat=table.n))
-    if fmt == STRUCTURED:
-        entries = [{"profile": p, "out": o.value} for p, o in zip(profiles, table.outcomes)]
-        return json.dumps({"n": table.n, "entries": entries}, indent=2)
-    return "\n".join([f"n={table.n}", *(f"{p} {o.value}" for p, o in zip(profiles, table.outcomes))]) + "\n"
+def reference_file(table, fmt):
+    letters = [o.value for o in table.outcomes]
+    if isinstance(table, CountTable):
+        return reference_format_count_table(table.n, zip(count_profiles(table.n), letters), fmt)
+    return reference_format_full_table(table.n, zip(full_profiles(table.n), letters), fmt)
 
 
 def writer_tables(n, seed):
@@ -360,7 +339,7 @@ def writer_tables(n, seed):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_count_table_writer_writes_the_reference_bytes(n, fmt):
     for table in writer_tables(n, seed=n):
-        assert format_count_table(table, fmt) == reference_format_count_table(table, fmt)
+        assert format_count_table(table, fmt) == reference_file(table, fmt)
 
 
 @pytest.mark.parametrize("fmt", [TEXT, STRUCTURED])
@@ -370,13 +349,13 @@ def test_full_table_writer_writes_the_reference_bytes(n, fmt):
     manipulable = random_table("full", n, n)
     assert find_manipulation_full(proper) is None and find_manipulation_full(manipulable) is not None
     for table in (constant, proper, manipulable):
-        assert format_full_table(table, fmt) == reference_format_full_table(table, fmt)
+        assert format_full_table(table, fmt) == reference_file(table, fmt)
 
 
 @pytest.mark.slow
 def test_count_table_writer_writes_the_reference_json_at_n1000():
     table = random_table("count", 1000, 1000)
-    assert format_count_table(table, STRUCTURED) == reference_format_count_table(table, STRUCTURED)
+    assert format_count_table(table, STRUCTURED) == reference_file(table, STRUCTURED)
 
 
 def test_the_count_table_writer_builds_no_count_profiles():

@@ -22,7 +22,7 @@ from quotamaj import Alternative, CountTable, FullTable
 from quotamaj.cli import INVALID_INPUT
 from quotamaj.fileformats import STRUCTURED, TEXT, format_count_table, format_full_table, parse_table
 
-from helpers import run
+from helpers import count_profiles, run
 
 LETTER = {"a": Alternative.A, "b": Alternative.B}
 
@@ -173,10 +173,6 @@ def reference_format_full_table(n, rows, fmt=TEXT):
     lines = [f"n={n}"]
     lines += [f"{p} {o}" for p, o in rows]
     return "\n".join(lines) + "\n"
-
-
-def count_profiles(n):
-    return [(na, nb) for na in range(n + 1) for nb in range(n + 1 - na)]
 
 
 def full_profiles(n):

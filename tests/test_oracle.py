@@ -167,6 +167,10 @@ def test_is_onto():
     assert not is_onto(CountTable.from_function(3, lambda p: B))
     assert is_onto(majority3())
     assert is_onto(to_table(QuotaSeq(11, (5, 2, 12))))
+    # every count table for n <= 4, 33,864 of them, against a scan of its outcomes
+    for n in range(1, 5):
+        for outcomes in itertools.product((A, B), repeat=count_table_size(n)):
+            assert is_onto(CountTable(n, outcomes)) == (A in outcomes and B in outcomes)
 
 
 def test_tables_equal():

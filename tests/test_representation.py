@@ -1,11 +1,11 @@
 """The stored a-region mask of CountTable against the per-cell code it replaced.
 
-Each `reference_*` function is the earlier cell-by-cell implementation,
-kept here as the definition the mask-based code must reproduce exactly.
+Each `reference_*` function, here or in tests/helpers.py, is the earlier
+cell-by-cell implementation, kept as the definition the mask-based code
+must reproduce exactly.
 """
 
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,6 @@ from quotamaj import (
     enumerate_all,
     lp_eval,
     lp_to_table,
-    proper_to_subset,
     subset_to_proper,
     to_table,
 )
@@ -31,24 +30,9 @@ from quotamaj.fileformats import STRUCTURED, TEXT, format_family
 from quotamaj.tables import _prefix_rows
 
 from certificates import exhaustive_sp_family
+from helpers import reference_family_file, reference_to_table
 
 A, B = Alternative.A, Alternative.B
-
-
-def reference_to_table(seq):
-    # outcomes in the all_count_profiles order, each decided by the first
-    # quota that one side's support meets
-    n = seq.n
-
-    def decide(na, nb):
-        for k in seq.quotas:
-            if na >= k:
-                return A
-            if nb >= n + 1 - k:
-                return B
-        raise AssertionError("unreachable: sequence contains an element of {0, n+1}")
-
-    return tuple(decide(p.na, p.nb) for p in all_count_profiles(n))
 
 
 def reference_row_thresholds(table):
@@ -64,35 +48,6 @@ def reference_row_thresholds(table):
             )
         thresholds.append(t)
     return tuple(thresholds)
-
-
-def reference_format_family(n, fmt):
-    family = []
-    for seq, _ in enumerate_all(n):
-        subset, default = proper_to_subset(seq)
-        family.append((seq, subset, default, "".join(o.value for o in reference_to_table(seq))))
-    if fmt == STRUCTURED:
-        return json.dumps(
-            {
-                "n": n,
-                "count": len(family),
-                "family": [
-                    {
-                        "default": default.value,
-                        "subset": sorted(subset),
-                        "quotas": list(seq.quotas),
-                        "table": cells,
-                    }
-                    for seq, subset, default, cells in family
-                ],
-            },
-            indent=2,
-        )
-    lines = [f"n={n}", f"count={len(family)}"]
-    for seq, subset, default, cells in family:
-        subset_txt = ",".join(str(v) for v in sorted(subset)) or "-"
-        lines.append(f"{default.value} {subset_txt} {seq} {cells}")
-    return "\n".join(lines) + "\n"
 
 
 def reference_lp_to_table(rule):
@@ -220,7 +175,8 @@ def test_count_table_rejects_outcomes_that_are_not_alternatives():
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("fmt", [TEXT, STRUCTURED])
 def test_format_family_is_byte_identical_to_reference(n, fmt):
-    assert format_family(enumerate_all(n), n, fmt) == reference_format_family(n, fmt)
+    family = enumerate_all(n)
+    assert format_family(family, n, fmt) == reference_family_file([seq for seq, _ in family], n, fmt)
 
 
 @pytest.mark.parametrize(
@@ -231,7 +187,7 @@ def test_enum_writes_the_reference_family(tmp_path, n, fmt):
     # `enum` writes its rules from the staircases, not through format_family
     out = tmp_path / "family"
     assert main(["enum", "--n", str(n), "--out", str(out), "--format", fmt]) == 0
-    assert out.read_bytes() == reference_format_family(n, fmt).encode()
+    assert out.read_bytes() == reference_family_file([seq for seq, _ in enumerate_all(n)], n, fmt).encode()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
