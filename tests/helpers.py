@@ -8,7 +8,7 @@ command lines.
 import itertools
 import json
 
-from quotamaj import Alternative, CountTable, QuotaSeq, proper_to_subset
+from quotamaj import Alternative, CountTable, QuotaSeq, count_table_size, proper_to_subset
 from quotamaj.cli import main
 from quotamaj.fileformats import STRUCTURED
 
@@ -25,6 +25,13 @@ def all_valid_r_tuples(n):
         for interior in itertools.permutations(range(1, n + 1), size):
             yield QuotaSeq(n, interior + (n + 1,))
             yield QuotaSeq(n, interior + (0,))
+
+
+def every_count_table(n):
+    """Every count table for n, 2**count_table_size(n) of them, each with
+    the outcomes it was built from."""
+    for outcomes in itertools.product((A, B), repeat=count_table_size(n)):
+        yield outcomes, CountTable(n, outcomes)
 
 
 def majority3():

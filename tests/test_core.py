@@ -36,11 +36,6 @@ def test_all_count_profiles_small():
     assert len(all_count_profiles(11)) == 78
 
 
-def test_all_count_profiles_rejects_empty_society():
-    with pytest.raises(ValueError):
-        all_count_profiles(0)
-
-
 def test_all_count_profiles_distinct_and_valid():
     for n in range(1, 9):
         profiles = all_count_profiles(n)
@@ -58,28 +53,6 @@ def test_count_of_permutation_invariant(voters, rng):
     assert count_of(tuple(shuffled)) == count_of(tuple(voters))
 
 
-def test_count_profile_validation():
-    with pytest.raises(ValueError):
-        CountProfile(2, 2, 3)
-    with pytest.raises(ValueError):
-        CountProfile(-1, 0, 3)
-    with pytest.raises(ValueError):
-        CountProfile(0, 0, 0)
-
-
-def test_quota_seq_validation():
-    QuotaSeq(11, (5, 2, 12))
-    QuotaSeq(11, (0,))
-    with pytest.raises(ValueError):
-        QuotaSeq(11, (5, 2))  # no terminal element, evaluation could loop forever
-    with pytest.raises(ValueError):
-        QuotaSeq(11, (13,))
-    with pytest.raises(ValueError):
-        QuotaSeq(11, ())
-    with pytest.raises(ValueError):
-        QuotaSeq(0, (1,))
-
-
 def test_count_table_structure():
     table = CountTable.from_function(
         3, lambda p: Alternative.A if p.na > p.nb else Alternative.B
@@ -87,17 +60,10 @@ def test_count_table_structure():
     assert len(table.outcomes) == 10
     assert table.outcome(2, 1) is Alternative.A
     assert table.outcome(1, 1) is Alternative.B
-    with pytest.raises(ValueError):
-        table.outcome(3, 1)
     rebuilt = CountTable.from_mapping(
         3, {(p.na, p.nb): o for p, o in table.items()}
     )
     assert rebuilt == table
-
-
-def test_count_table_rejects_partial_mapping():
-    with pytest.raises(ValueError):
-        CountTable.from_mapping(2, {(0, 0): Alternative.A})
 
 
 def test_full_table_structure():
@@ -107,8 +73,6 @@ def test_full_table_structure():
     assert len(table.outcomes) == 9
     assert table.outcome((A, I)) is Alternative.A
     assert table.outcome((B, A)) is Alternative.B
-    with pytest.raises(ValueError):
-        table.outcome((A,))
     assert list(all_full_profiles(2)) == list(itertools.product((A, B, I), repeat=2))
 
 
@@ -134,9 +98,10 @@ def test_full_table_stores_its_outcomes_as_a_tuple():
 @pytest.mark.parametrize("bad", ["zzz", "a", Alternative.A, 0, None])
 def test_full_table_outcome_refuses_profile_items_that_are_not_preferences(bad):
     table = FullTable(2, (Alternative.A,) * 9)
-    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+    message = f"profile item must be a Preference, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         table.outcome((A, bad))
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match="^profile length 3 does not match n=2$"):
         table.outcome((A, I, bad))
 
 
@@ -181,15 +146,6 @@ def test_quota_seq_refuses_nan_wherever_it_stands(quotas):
     with pytest.raises(ValueError, match=r"^quota nan outside \[0, 4\] for society size 3$"):
         QuotaSeq(3, quotas)
     assert_quota_seq_checks_like_reference(3, quotas)
-
-
-def test_tables_refuse_a_wrong_outcome_count_or_a_key_that_is_no_profile():
-    with pytest.raises(ValueError, match="^expected 6 outcomes for n=2, got 1$"):
-        CountTable(2, (Alternative.A,))
-    # three keys for n=1, so only the missing profile is wrong
-    keys = [(A,), (B,), ("i",)]
-    with pytest.raises(ValueError, match="^table is missing profile"):
-        FullTable.from_mapping(1, dict.fromkeys(keys, Alternative.A))
 
 
 @given(st.integers(1, 6), st.data())

