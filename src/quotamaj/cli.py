@@ -53,6 +53,12 @@ def _read_file(path: str, what: str) -> str:
         raise ValueError(f"cannot read {what} file {path}: {err}") from None
 
 
+def _require_n(args) -> int:
+    if args.n is None:
+        raise ValueError("society size is required (--n)")
+    return args.n
+
+
 def _load_sequence(args) -> QuotaSeq:
     if args.seq_file is not None:
         if args.quotas is not None:
@@ -62,11 +68,10 @@ def _load_sequence(args) -> QuotaSeq:
         if args.n is not None and args.n != seq.n:
             raise ValueError(f"--n {args.n} contradicts the file's n={seq.n}")
         return seq
-    if args.n is None:
-        raise ValueError("society size is required (--n)")
+    n = _require_n(args)
     if args.quotas is None:
         raise ValueError("a quota sequence is required (--quotas or --seq-file)")
-    return QuotaSeq(args.n, _parse_ints(args.quotas, "--quotas"))
+    return QuotaSeq(n, _parse_ints(args.quotas, "--quotas"))
 
 
 def _load_counts(path: str) -> "tuple[CountTable | FullTable, CountTable | None]":
@@ -110,12 +115,11 @@ def cmd_canon(args) -> int:
     if args.subset is not None:
         if args.quotas is not None or args.seq_file is not None:
             raise ValueError("give either --subset or a quota sequence, not both")
-        if args.n is None:
-            raise ValueError("society size is required (--n)")
+        n = _require_n(args)
         subset = set(_parse_ints(args.subset, "--subset")) if args.subset != "-" else set()
         default = _parse_alternative("b" if args.default is None else args.default)
         from . import enumeration
-        seq = enumeration.subset_to_proper(subset, default, args.n)
+        seq = enumeration.subset_to_proper(subset, default, n)
     else:
         if args.default is not None:
             raise ValueError("give either --subset with --default or a quota sequence, not both")
@@ -193,10 +197,8 @@ def cmd_convert(args) -> int:
     if args.r is not None or args.thresholds is not None:
         if args.r is None or args.thresholds is None or args.default is None:
             raise ValueError("converting a rule needs --default, --r and --thresholds")
-        if args.n is None:
-            raise ValueError("society size is required (--n)")
         rule = lp.LPRule(
-            n=args.n,
+            n=_require_n(args),  # checked before the other flags' values are read
             default=_parse_alternative(args.default),
             r=args.r,
             thresholds=_parse_ints(args.thresholds, "--thresholds"),

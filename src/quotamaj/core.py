@@ -90,6 +90,12 @@ def _check_society(n: int) -> None:
         raise ValueError(f"society size must be at least 1, got {n}")
 
 
+def _check_quotas(n: int, quotas) -> None:
+    for q in quotas:
+        if not 0 <= q <= n + 1:
+            raise ValueError(f"quota {q} outside [0, {n + 1}] for society size {n}")
+
+
 def _mirror(size: int, k: int) -> int:
     """Quota k with a and b swapped, among the `size` voters who are not indifferent.
 
@@ -109,9 +115,7 @@ class CountProfile(_Value):
         if self.na < 0 or self.nb < 0:
             raise ValueError(f"negative support count in ({self.na}, {self.nb})")
         if self.na + self.nb > self.n:
-            raise ValueError(
-                f"support counts ({self.na}, {self.nb}) exceed society size {self.n}"
-            )
+            raise ValueError(f"support counts ({self.na}, {self.nb}) exceed society size {self.n}")
 
     @property
     def indifferent(self) -> int:
@@ -176,9 +180,7 @@ class QuotaSeq(_Value):
         super().__init__(n, quotas if isinstance(quotas, tuple) else tuple(quotas))
         if not self.quotas:
             raise ValueError("quota sequence must be nonempty")
-        for q in self.quotas:
-            if not 0 <= q <= n + 1:
-                raise ValueError(f"quota {q} outside [0, {n + 1}] for society size {n}")
+        _check_quotas(n, self.quotas)
         if 0 not in self.quotas and n + 1 not in self.quotas:
             raise ValueError(
                 "quota sequence needs an element in {0, n+1}; "

@@ -18,7 +18,7 @@ each indifference row's least winning a-support off the staircase, and
 `_interleave` turns (ell, k) levels back into a sequence.
 """
 
-from .core import Alternative, CountProfile, QuotaSeq, _mirror, check_table_size
+from .core import Alternative, CountProfile, QuotaSeq, _check_quotas, _mirror, check_table_size
 
 
 def _decide(quotas: tuple[int, ...], n: int, na: int, nb: int) -> tuple[int, Alternative]:
@@ -49,8 +49,7 @@ def evaluate(seq: QuotaSeq, profile: CountProfile) -> Alternative:
 
 def evaluate_strict_quota(quota: int, profile: CountProfile) -> Alternative:
     """Single-quota rule on a strict profile: a iff at least `quota` support a."""
-    if not 0 <= quota <= profile.n + 1:
-        raise ValueError(f"quota {quota} outside [0, {profile.n + 1}]")
+    _check_quotas(profile.n, (quota,))
     if profile.indifferent:
         raise ValueError(
             f"profile ({profile.na}, {profile.nb}) has indifferent voters; "
@@ -102,6 +101,11 @@ def is_proper(seq: QuotaSeq) -> bool:
         return False
     sides = _escape_sides(seq.quotas)
     return 0 not in sides and all(a != b for a, b in zip(sides, sides[1:]))
+
+
+def _require_proper(seq: QuotaSeq) -> None:
+    if not is_proper(seq):
+        raise ValueError(f"({seq}) is not proper")
 
 
 def dual(seq: QuotaSeq) -> QuotaSeq:

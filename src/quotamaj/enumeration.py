@@ -61,9 +61,8 @@ def subset_to_proper(subset: Iterable[int], default: Alternative, n: int) -> Quo
 
 def proper_to_subset(seq: QuotaSeq) -> tuple[frozenset[int], Alternative]:
     """Inverse of subset_to_proper; rejects non-proper input."""
-    from .engine import is_proper
-    if not is_proper(seq):
-        raise ValueError(f"({seq}) is not proper")
+    from .engine import _require_proper
+    _require_proper(seq)
     return _subset_of(seq)
 
 

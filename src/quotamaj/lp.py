@@ -34,7 +34,7 @@ from collections.abc import Iterator
 
 # `CountTable` in annotations is `tables.CountTable`, which `to_table` loads
 from .core import Alternative, CountProfile, QuotaSeq, _Value, _check_society, _mirror
-from .engine import _interleave, _require_same_n, _row_thresholds, _staircase, is_proper, to_table
+from .engine import _interleave, _require_proper, _require_same_n, _row_thresholds, _staircase, to_table
 
 
 class LPRule(_Value):
@@ -61,9 +61,7 @@ class LPRule(_Value):
             raise ValueError(f"first threshold must be {base}, got {t[0]}")
         for i, v in enumerate(t, start=1):
             if not base <= v <= base + i - 1:
-                raise ValueError(
-                    f"threshold {v} at level {i} outside [{base}, {base + i - 1}]"
-                )
+                raise ValueError(f"threshold {v} at level {i} outside [{base}, {base + i - 1}]")
         if any(not cur <= nxt <= cur + 1 for cur, nxt in zip(t, t[1:])):
             raise ValueError("thresholds may grow by at most one per level")
 
@@ -107,8 +105,7 @@ def proper_to_lp(seq: QuotaSeq) -> LPRule:
     up to the strict one.  Constant rules are rejected: with no deviating
     profile there is no level to anchor r.
     """
-    if not is_proper(seq):
-        raise ValueError(f"({seq}) is not proper")
+    _require_proper(seq)
     n = seq.n
     if not 1 <= seq.quotas[0] <= n:
         raise ValueError("constant rules have no indifference-quota form")

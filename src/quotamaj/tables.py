@@ -88,13 +88,14 @@ _LETTERS = str.maketrans("10", "ab")
 _DIGITS = str.maketrans("ab", "10")
 
 
-def _check_outcomes(outcomes: tuple[Alternative, ...]) -> None:
-    """Raise ValueError naming the first outcome that is not an Alternative."""
-    outcomes = tuple(outcomes)  # any sequence; no copy of a tuple
+def _check_outcomes(outcomes) -> tuple[Alternative, ...]:
+    """The outcomes as a tuple; ValueError names the first that is not an Alternative."""
+    outcomes = tuple(outcomes)  # any iterable; no copy of a tuple
     # count compares by identity first, so no Enum is hashed
     if outcomes.count(Alternative.A) + outcomes.count(Alternative.B) != len(outcomes):
         bad = next(o for o in outcomes if o is not Alternative.A and o is not Alternative.B)
         raise ValueError(f"outcome must be an Alternative, got {bad!r}")
+    return outcomes
 
 
 class CountTable(_Value):
@@ -111,9 +112,7 @@ class CountTable(_Value):
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
         _check_society(n)
         if len(outcomes) != count_table_size(n):
-            raise ValueError(
-                f"expected {count_table_size(n)} outcomes for n={n}, got {len(outcomes)}"
-            )
+            raise ValueError(f"expected {count_table_size(n)} outcomes for n={n}, got {len(outcomes)}")
         _check_outcomes(outcomes)
         A = Alternative.A  # letters by identity: the Enum's .value is a descriptor call
         super().__init__(n, _place_rows(n, "".join(["a" if o is A else "b" for o in outcomes])))
@@ -135,9 +134,8 @@ class CountTable(_Value):
         # checked before anything is allocated: n may come from an untrusted header
         _check_society(n)
         if len(outcomes) != count_table_size(n):
-            raise ValueError(
-                f"table for n={n} needs {count_table_size(n)} entries, got {len(outcomes)}"
-            )
+            raise ValueError(f"table for n={n} needs {count_table_size(n)} entries, got {len(outcomes)}")
+        _check_outcomes(outcomes.values())
         # as many distinct keys as profiles, each a profile, is every profile once
         letters = ["b"] * count_table_size(n)
         for (na, nb), outcome in outcomes.items():
@@ -146,8 +144,6 @@ class CountTable(_Value):
             if outcome is Alternative.A:
                 # row na follows the n+1, n, ..., n+2-na profiles of the rows above it
                 letters[na * (2 * n + 3 - na) // 2 + nb] = "a"
-            elif outcome is not Alternative.B:
-                raise ValueError(f"outcome must be an Alternative, got {outcome!r}")
         return cls._from_mask(n, _place_rows(n, "".join(letters)))
 
     def _bit_string(self) -> str:
@@ -209,9 +205,8 @@ class FullTable(_Value):
     __slots__ = ("n", "outcomes")
 
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
-        super().__init__(n, outcomes if isinstance(outcomes, tuple) else tuple(outcomes))
-        _check_full_size(self.n, len(self.outcomes))
-        _check_outcomes(self.outcomes)
+        _check_full_size(n, len(outcomes))
+        super().__init__(n, _check_outcomes(outcomes))
 
     # trusted: the caller checked the 3**n size and built a tuple of Alternatives
     _from_outcomes = classmethod(_trusted)
@@ -224,7 +219,7 @@ class FullTable(_Value):
     def from_mapping(cls, n: int, outcomes: Mapping[FullProfile, Alternative]) -> "FullTable":
         _check_full_size(n, len(outcomes))
         try:
-            return cls(n, tuple(outcomes[p] for p in all_full_profiles(n)))
+            return cls._from_outcomes(n, _check_outcomes([outcomes[p] for p in all_full_profiles(n)]))
         except KeyError as missing:
             raise ValueError(f"table is missing profile {missing.args[0]}") from None
 

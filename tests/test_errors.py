@@ -92,7 +92,8 @@ RECORDED_ERRORS = {
         ValueError, "profile (4, 6) has indifferent voters; the single-quota rule is defined on strict profiles only",
     ),
     "evaluate-strict-quota-over-n": (
-        lambda: evaluate_strict_quota(13, CountProfile(5, 6, 11)), ValueError, "quota 13 outside [0, 12]",
+        lambda: evaluate_strict_quota(13, CountProfile(5, 6, 11)),
+        ValueError, "quota 13 outside [0, 12] for society size 11",
     ),
     "truncate-no-terminal": (
         lambda: truncate((5, 2, 7), 11),

@@ -146,7 +146,6 @@ def test_represent_on_a_manipulable_table_exits_3_with_the_counterexample(tmp_pa
 
 
 HEAVY = {"__future__", "dataclasses", "inspect", "typing"}
-LIBRARY_ONLY = {"quotamaj.oracle", "quotamaj.extraction", "quotamaj.lp", "json"}
 ARGPARSE = {"argparse", "gettext", "locale"}
 PARSED = ["startup.help", "startup.usage_error"]
 VERIFIED = "anonymous: yes (count table)\nstrategy-proof: yes\nonto: yes\n"
@@ -214,17 +213,6 @@ def test_no_command_loads_dataclasses_inspect_or_typing(listings, line):
     assert not set(modules) & HEAVY
     if line in OUTPUTS:
         assert out == OUTPUTS[line]
-
-
-@pytest.mark.parametrize("line", ["startup.eval", "startup.count", "startup.canon"], ids=line_id)
-def test_sequence_commands_load_no_oracle_extraction_lp_or_json(listings, line):
-    assert not set(listings[line][1]) & LIBRARY_ONLY
-
-
-def test_verify_on_a_text_table_loads_no_extraction_lp_or_json(listings):
-    modules = set(listings["startup.verify"][1])
-    assert "quotamaj.oracle" in modules
-    assert not modules & (LIBRARY_ONLY - {"quotamaj.oracle"})
 
 
 def test_verify_on_a_json_table_loads_what_verify_does_and_json(layers, listings):

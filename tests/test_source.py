@@ -307,3 +307,32 @@ def test_only_tables_computes_a_count_profile_index():
     assert found == ["tables.py"]
     oracle = [name for _, module, name in imports_from_the_package(SOURCE / "oracle.py") if module == "tables"]
     assert oracle and "_place_rows" not in oracle
+
+
+def value_error_templates(path):
+    """(template, line) of each `raise ValueError(...)` in `path` whose
+    message begins with literal text: that text, with `{}` and its
+    conversion, as in `{!r}`, for each field."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "ValueError" and call.args):
+            continue
+        parts = call.args[0].values if isinstance(call.args[0], ast.JoinedStr) else [call.args[0]]
+        if not (isinstance(parts[0], ast.Constant) and isinstance(parts[0].value, str)):
+            continue
+        yield "".join(
+            part.value if isinstance(part, ast.Constant)
+            else "{" + ("" if part.conversion < 0 else "!" + chr(part.conversion)) + "}"
+            for part in parts
+        ), node.lineno
+
+
+def test_each_refusal_is_raised_from_one_site():
+    # one check and one wording per input rule: a message raised from two
+    # sites is a rule checked twice, or worded twice if the texts drift apart
+    sites = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for template, line in value_error_templates(path):
+            sites.setdefault(template, []).append(f"{path.name}:{line}")
+    assert "quota {} outside [0, {}] for society size {}" in sites
+    assert {template: where for template, where in sites.items() if len(where) > 1} == {}
