@@ -105,8 +105,7 @@ def cmd_eval(args) -> int:
     from . import engine
     seq = _load_sequence(args)
     profile = CountProfile(args.na, args.nb, seq.n)
-    outcome = engine.evaluate(seq, profile)
-    lam = engine.profile_index(seq, profile)
+    lam, outcome = engine._decide(seq.quotas, seq.n, profile.na, profile.nb)
     print(f"{outcome} (lambda={lam})")
     return OK
 

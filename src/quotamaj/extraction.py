@@ -94,14 +94,10 @@ def covered_a(pair: tuple[int, int], profile: CountProfile) -> bool:
 
 
 def covered_b(pair: tuple[int, int], profile: CountProfile) -> bool:
-    """Whether the profile is decided for b by the (ell, k) level.
-
-    That is, whether the mirrored profile is decided for a by the mirrored level.
-    """
+    """Whether the profile is decided for b by the (ell, k) level."""
     ell, k = pair
     _check_pair(profile.n, ell, k)
-    (mirrored,) = _mirror_pairs(profile.n, [pair])
-    return covered_a(mirrored, CountProfile(profile.nb, profile.na, profile.n))
+    return profile.na < k and profile.nb >= _mirror(profile.n - ell, k)
 
 
 def psi_eval(seq: LKSequence, profile: CountProfile) -> Alternative:

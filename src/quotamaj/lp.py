@@ -59,9 +59,6 @@ class LPRule(_Value):
         base = 1 if self.default is Alternative.A else n - r + 1
         if t[0] != base:
             raise ValueError(f"first threshold must be {base}, got {t[0]}")
-        for i, v in enumerate(t, start=1):
-            if not base <= v <= base + i - 1:
-                raise ValueError(f"threshold {v} at level {i} outside [{base}, {base + i - 1}]")
         if any(not cur <= nxt <= cur + 1 for cur, nxt in zip(t, t[1:])):
             raise ValueError("thresholds may grow by at most one per level")
 

@@ -110,9 +110,7 @@ class CountTable(_Value):
     __slots__ = ("n", "mask")
 
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
-        _check_society(n)
-        if len(outcomes) != count_table_size(n):
-            raise ValueError(f"expected {count_table_size(n)} outcomes for n={n}, got {len(outcomes)}")
+        _check_count_size(n, len(outcomes))
         _check_outcomes(outcomes)
         A = Alternative.A  # letters by identity: the Enum's .value is a descriptor call
         super().__init__(n, _place_rows(n, "".join(["a" if o is A else "b" for o in outcomes])))
@@ -132,9 +130,7 @@ class CountTable(_Value):
     @classmethod
     def from_mapping(cls, n: int, outcomes: Mapping[tuple[int, int], Alternative]) -> "CountTable":
         # checked before anything is allocated: n may come from an untrusted header
-        _check_society(n)
-        if len(outcomes) != count_table_size(n):
-            raise ValueError(f"table for n={n} needs {count_table_size(n)} entries, got {len(outcomes)}")
+        _check_count_size(n, len(outcomes))
         _check_outcomes(outcomes.values())
         # as many distinct keys as profiles, each a profile, is every profile once
         letters = ["b"] * count_table_size(n)
@@ -186,6 +182,13 @@ class CountTable(_Value):
     def outcome_string(self) -> str:
         """Outcomes as a compact 'abba...' string in canonical profile order."""
         return self._cells().translate(_LETTERS)
+
+
+def _check_count_size(n: int, entries: int) -> None:
+    """Refuse a count table for n voters unless it has an entry per count profile."""
+    _check_society(n)
+    if entries != count_table_size(n):
+        raise ValueError(f"table for n={n} needs {count_table_size(n)} entries, got {entries}")
 
 
 def _check_full_size(n: int, entries: int) -> None:

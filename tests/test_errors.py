@@ -35,7 +35,7 @@ from quotamaj import (
     truncate,
 )
 from quotamaj.enumeration import _family_staircases
-from quotamaj.fileformats import parse_sequence
+from quotamaj.fileformats import parse_sequence, parse_table
 
 from certificates import exhaustive_sp_family, is_minimal
 from helpers import majority3
@@ -50,7 +50,7 @@ RECORDED_ERRORS = {
     "count-profile-n0": (lambda: CountProfile(0, 0, 0), ValueError, "society size must be at least 1, got 0"),
     "quota-seq-over-n": (lambda: QuotaSeq(11, (13,)), ValueError, "quota 13 outside [0, 12] for society size 11"),
     "quota-seq-empty": (lambda: QuotaSeq(11, ()), ValueError, "quota sequence must be nonempty"),
-    "count-table-short": (lambda: CountTable(2, (A,)), ValueError, "expected 6 outcomes for n=2, got 1"),
+    "count-table-short": (lambda: CountTable(2, (A,)), ValueError, "table for n=2 needs 6 entries, got 1"),
     "count-table-outcome-not-alternative": (lambda: CountTable(1, (A, "b", B)), ValueError, NOT_AN_ALTERNATIVE),
     "count-table-outcome-off-grid": (
         lambda: majority3().outcome(3, 1), ValueError, "(3, 1) is not a count profile for n=3",
@@ -158,7 +158,7 @@ RECORDED_ERRORS = {
     ),
     "lp-rule-threshold-over-level": (
         lambda: LPRule(n=3, default=A, r=3, thresholds=(1, 3, 3)),
-        ValueError, "threshold 3 at level 2 outside [1, 2]",
+        ValueError, "thresholds may grow by at most one per level",
     ),
     "lp-rule-b-thresholds-default-a": (
         lambda: LPRule(n=3, default=A, r=3, thresholds=(1, 1, 2)).b_thresholds,
@@ -205,3 +205,17 @@ def test_each_call_raises_what_it_raised_before(name):
     with pytest.raises(cls) as raised:
         call()
     assert (type(raised.value), str(raised.value)) == (cls, message)
+
+
+def test_every_count_table_builder_words_a_wrong_size_alike():
+    # the outcome tuple, the mapping and the file reader share `tables._check_count_size`
+    messages = set()
+    for call in (
+        lambda: CountTable(2, (A,)),
+        lambda: CountTable.from_mapping(2, {(0, 0): A}),
+        lambda: parse_table("n=2\n0 0 a\n"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            call()
+        messages.add(str(raised.value))
+    assert messages == {"table for n=2 needs 6 entries, got 1"}

@@ -1,5 +1,6 @@
 import pytest
 
+import quotamaj.extraction as extraction
 from quotamaj import (
     Alternative,
     CountProfile,
@@ -35,6 +36,19 @@ def test_covered_disjoint():
     for ell, k in ((0, 5), (1, 4), (2, 3), (3, 2), (0, 11), (10, 1)):
         for p in all_count_profiles(11):
             assert not (covered_a((ell, k), p) and covered_b((ell, k), p))
+
+
+def test_covered_b_checks_its_level_once(monkeypatch):
+    calls = []
+    check = extraction._check_pair
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(extraction, "_check_pair", counting)
+    assert covered_b((1, 4), CountProfile(3, 7, 11))
+    assert calls == [(11, 1, 4)]
 
 
 def test_psi_eval_worked_levels():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from quotamaj import (
@@ -32,6 +33,30 @@ def worked_rule():
 
 def test_b_side_thresholds():
     assert worked_rule().b_thresholds == (1, 2, 3, 4, 5, 6, 7, 7, 7, 7)
+
+
+def test_lp_rule_accepts_exactly_the_threshold_vectors_of_its_definition():
+    # a first threshold at the base and steps of 0 or +1 keep level i within
+    # [base, base + i - 1], so the range is no third check
+    def defined(base, thresholds):
+        return (
+            thresholds[0] == base
+            and all(base <= v <= base + i - 1 for i, v in enumerate(thresholds, start=1))
+            and all(nxt - cur in (0, 1) for cur, nxt in zip(thresholds, thresholds[1:]))
+        )
+
+    for n in range(1, 6):
+        for default in (A, B):
+            for r in range(1, n + 1):
+                base = 1 if default is A else n - r + 1
+                for thresholds in itertools.product(range(n + 2), repeat=r):
+                    try:
+                        LPRule(n, default, r, thresholds)
+                    except ValueError:
+                        accepted = False
+                    else:
+                        accepted = True
+                    assert accepted is defined(base, thresholds), (n, default, r, thresholds)
 
 
 def test_lp_eval_worked_rule():

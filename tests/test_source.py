@@ -309,13 +309,14 @@ def test_only_tables_computes_a_count_profile_index():
     assert oracle and "_place_rows" not in oracle
 
 
-def value_error_templates(path):
-    """(template, line) of each `raise ValueError(...)` in `path` whose
-    message begins with literal text: that text, with `{}` and its
-    conversion, as in `{!r}`, for each field."""
+def refusal_templates(path):
+    """(template, line) of each `raise ValueError(...)` or `raise
+    SearchBudgetExceeded(...)` in `path` whose message begins with literal
+    text: that text, with `{}` and its conversion, as in `{!r}`, for each field."""
     for node in ast.walk(ast.parse(path.read_text())):
         call = node.exc if isinstance(node, ast.Raise) else None
-        if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "ValueError" and call.args):
+        refusal = isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("ValueError", "SearchBudgetExceeded")
+        if not (refusal and call.args):
             continue
         parts = call.args[0].values if isinstance(call.args[0], ast.JoinedStr) else [call.args[0]]
         if not (isinstance(parts[0], ast.Constant) and isinstance(parts[0].value, str)):
@@ -332,7 +333,8 @@ def test_each_refusal_is_raised_from_one_site():
     # sites is a rule checked twice, or worded twice if the texts drift apart
     sites = {}
     for path in sorted(SOURCE.glob("*.py")):
-        for template, line in value_error_templates(path):
+        for template, line in refusal_templates(path):
             sites.setdefault(template, []).append(f"{path.name}:{line}")
     assert "quota {} outside [0, {}] for society size {}" in sites
+    assert "enumerating n={} yields 2**{} rules, budget is {}" in sites
     assert {template: where for template, where in sites.items() if len(where) > 1} == {}
