@@ -86,29 +86,29 @@ class LKSequence(_Value):
         return _mirror(self.n - ell, k)
 
 
+def _covered_side(profile: CountProfile, ell: int, k: int) -> Alternative | None:
+    """The side that the already checked level (ell, k) covers the profile for, or None."""
+    a, b = profile.na >= k, profile.nb >= _mirror(profile.n - ell, k)
+    return None if a == b else Alternative.A if a else Alternative.B
+
+
 def covered_a(pair: tuple[int, int], profile: CountProfile) -> bool:
     """Whether the profile is decided for a by the (ell, k) level."""
-    ell, k = pair
-    _check_pair(profile.n, ell, k)
-    return profile.na >= k and profile.nb < _mirror(profile.n - ell, k)
+    _check_pair(profile.n, *pair)
+    return _covered_side(profile, *pair) is Alternative.A
 
 
 def covered_b(pair: tuple[int, int], profile: CountProfile) -> bool:
     """Whether the profile is decided for b by the (ell, k) level."""
-    ell, k = pair
-    _check_pair(profile.n, ell, k)
-    return profile.na < k and profile.nb >= _mirror(profile.n - ell, k)
+    _check_pair(profile.n, *pair)
+    return _covered_side(profile, *pair) is Alternative.B
 
 
 def psi_eval(seq: LKSequence, profile: CountProfile) -> Alternative:
-    """First-match evaluation of the level pairs, default when uncovered."""
+    """First-match evaluation of the level pairs, default when uncovered;
+    `LKSequence` has checked each level."""
     _require_same_n("levels have", seq.n, profile)
-    for pair in seq.pairs:
-        if covered_a(pair, profile):
-            return Alternative.A
-        if covered_b(pair, profile):
-            return Alternative.B
-    return seq.default
+    return next(filter(None, (_covered_side(profile, *pair) for pair in seq.pairs)), seq.default)
 
 
 def interleave(seq: LKSequence) -> QuotaSeq:

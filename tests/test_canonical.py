@@ -1,11 +1,9 @@
 import random
 
 from hypothesis import given
-from hypothesis import strategies as st
 
 from quotamaj import (
     Alternative,
-    QuotaSeq,
     canonicalize,
     delete_dominated,
     is_proper,
@@ -16,15 +14,7 @@ from quotamaj import (
 from quotamaj.engine import _staircase
 
 from certificates import is_minimal
-from helpers import all_valid_r_tuples, seq
-
-
-@st.composite
-def raw_sequences(draw, max_n=6):
-    n = draw(st.integers(1, max_n))
-    body = draw(st.lists(st.integers(0, n + 1), max_size=7))
-    terminal = draw(st.sampled_from([0, n + 1]))
-    return tuple(body) + (terminal,), n
+from helpers import all_valid_r_tuples, padded_sequences, quota_seqs, reference_canonicalize, seq
 
 
 def test_truncate_examples():
@@ -67,9 +57,9 @@ def test_canonicalize_same_side_runs():
     assert canonicalize((5, 7, 2, 6, 1, 12), 11).quotas == (5, 7, 1, 12)
 
 
-@given(raw_sequences())
-def test_canonicalize_properties(raw_n):
-    raw, n = raw_n
+@given(quota_seqs())
+def test_canonicalize_properties(s):
+    raw, n = s.quotas, s.n
     proper = canonicalize(raw, n)
     assert is_proper(proper)
     assert to_table(proper) == to_table(truncate(raw, n))
@@ -125,71 +115,10 @@ def test_is_minimal_examples():
     assert is_minimal(seq(3, 4))
 
 
-def _delete_dominated_leftmost(s):
-    # leftmost-first removal, restarted after every deletion
-    q = list(s.quotas)
-    changed = True
-    while changed:
-        changed = False
-        lo = hi = q[0]
-        for g in range(1, len(q) - 1):
-            v = q[g]
-            if lo <= v <= hi:
-                del q[g]
-                changed = True
-                break
-            lo = min(lo, v)
-            hi = max(hi, v)
-    return QuotaSeq(s.n, tuple(q))
-
-
-def _drop_first_same_side(s):
-    # the earlier of the first two consecutive same-side escapes, removed
-    q = s.quotas
-    lo = hi = q[0]
-    prev_side = 0
-    for g in range(1, len(q)):
-        v = q[g]
-        if v > hi:
-            side, hi = 1, v
-        elif v < lo:
-            side, lo = -1, v
-        else:
-            raise AssertionError("entry inside earlier range survived dominated-entry removal")
-        if side == prev_side:
-            return QuotaSeq(s.n, q[: g - 1] + q[g:])
-        prev_side = side
-    return None
-
-
-def reference_canonicalize(raw, n):
-    """The rewrite-to-fixpoint algorithm: dominated-entry removal
-    alternated with same-side collapses until neither applies."""
-    s = truncate(raw, n)
-    if s.quotas[0] in (0, n + 1):
-        return QuotaSeq(n, (s.quotas[0],))
-    while True:
-        s = _delete_dominated_leftmost(s)
-        collapsed = _drop_first_same_side(s)
-        if collapsed is None:
-            return s
-        s = collapsed
-
-
 def test_canonicalize_matches_fixpoint_on_all_distinct_sequences():
     for n in range(1, 7):
         for s in all_valid_r_tuples(n):
             assert canonicalize(s.quotas, n) == reference_canonicalize(s.quotas, n)
-
-
-@st.composite
-def padded_sequences(draw, max_n=12):
-    # repeats in the body, anything after the terminal
-    n = draw(st.integers(1, max_n))
-    body = draw(st.lists(st.integers(1, n), max_size=12))
-    terminal = draw(st.sampled_from([0, n + 1]))
-    padding = draw(st.lists(st.integers(0, n + 1), max_size=4))
-    return tuple(body) + (terminal,) + tuple(padding), n
 
 
 @given(padded_sequences())

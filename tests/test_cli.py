@@ -2,7 +2,6 @@ import ast
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ from quotamaj.cli import BUDGET_EXCEEDED, INVALID_INPUT, OK, OUTPUT_CLOSED, PROP
 from quotamaj.fileformats import format_count_table, format_full_table
 from quotamaj.oracle import expand_to_full
 
-from helpers import majority3, manipulable3, run
+from helpers import dictator, majority3, manipulable3, run
 
 A, B = Alternative.A, Alternative.B
 
@@ -183,110 +182,11 @@ def test_exit_codes_keep_their_documented_numbers():
     assert (OK, OUTPUT_CLOSED, INVALID_INPUT, PROPERTY_VIOLATED, BUDGET_EXCEEDED) == (0, 1, 2, 3, 4)
 
 
-def test_enum_to_file(tmp_path, capsys):
-    out_file = tmp_path / "family.txt"
-    code, _, _ = run(capsys, "enum", "--n", "2", "--out", str(out_file))
-    assert code == OK
-    lines = out_file.read_text().splitlines()
-    assert lines[0] == "n=2" and lines[1] == "count=8"
-    assert len(lines) == 10
-    # stable bytes across runs
-    code, _, _ = run(capsys, "enum", "--n", "2", "--out", str(out_file))
-    assert out_file.read_text().splitlines() == lines
-
-
-def test_enum_structured(tmp_path, capsys):
-    out_file = tmp_path / "family.json"
-    code, _, _ = run(capsys, "enum", "--n", "1", "--out", str(out_file), "--format", "structured")
-    assert code == OK
-    data = json.loads(out_file.read_text())
-    assert data["count"] == 4
-    assert data["family"][0]["table"] == "bbb"
-
-
-def test_verify_manipulable_table(tmp_path, capsys):
-    path = tmp_path / "broken.tbl"
-    path.write_text(format_count_table(manipulable3()))
-    code, out, err = run(capsys, "verify", "--table", str(path))
-    assert code == PROPERTY_VIOLATED
-    assert "strategy-proof: no" in out and "error:" in err
-
-
-def test_verify_non_anonymous_table(tmp_path, capsys):
-    path = tmp_path / "dictator.tbl"
-    path.write_text(format_full_table(FullTable.from_function(2, dictator)))
-    code, out, _ = run(capsys, "verify", "--table", str(path))
-    assert code == PROPERTY_VIOLATED
-    assert "anonymous: no" in out
-
-
-def test_verify_full_anonymous_table(tmp_path, capsys):
-    path = tmp_path / "full.tbl"
-    path.write_text(format_full_table(expand_to_full(majority3())))
-    code, out, _ = run(capsys, "verify", "--table", str(path))
-    assert code == OK
-    assert "anonymous: yes" in out and "strategy-proof: yes" in out
-
-
-def test_represent_worked_rule(layers, tmp_path, capsys):
-    code, out, _ = run(capsys, "represent", "--table", layers.worked_table(tmp_path))
-    assert code == OK
-    assert out.splitlines()[0] == "5,2,12"
-    assert out.splitlines()[1] == "x=b; (l,k)=(0,5),(1,4),(2,3),(3,2)"
-
-
-def test_represent_manipulable_is_property_violation(tmp_path, capsys):
-    path = tmp_path / "broken.tbl"
-    path.write_text(format_count_table(manipulable3()))
-    code, out, err = run(capsys, "represent", "--table", str(path))
-    assert code == PROPERTY_VIOLATED and out == ""
-    assert err == "error: table is manipulable: at na=2 nb=1, a-voter misreporting as i turns b into a\n"
-
-
-def test_missing_table_file(capsys):
-    code, _, err = run(capsys, "verify", "--table", "/nonexistent/nowhere.tbl")
-    assert code == INVALID_INPUT and "cannot read" in err
-
-
-def dictator(p):
-    return A if p[0] is Preference.A else B
-
-
 def contrarian(p):
     # voter 0 decides unless indifferent; then voter 1's favourite loses
     if p[0] is not Preference.INDIFFERENT:
         return dictator(p)
     return B if p[1] is Preference.A else A
-
-
-WITNESS = re.compile(r"at profile (\w+), voter (\d+) \((\w)\) misreporting as (\w) turns (\w) into (\w)")
-
-
-@pytest.mark.parametrize("rule", [dictator, contrarian])
-def test_verify_and_represent_non_anonymous_full_tables(tmp_path, capsys, rule):
-    table = FullTable.from_function(2, rule)
-    path = tmp_path / "full.tbl"
-    path.write_text(format_full_table(table))
-    code, out, err = run(capsys, "verify", "--table", str(path))
-    assert code == PROPERTY_VIOLATED and err == "error: verification found a counterexample\n"
-    anonymous, strategy_proof = out.splitlines()  # no onto line without a count table
-    assert anonymous == "anonymous: no"
-    if rule is dictator:
-        assert strategy_proof == "strategy-proof: yes"
-    else:
-        assert strategy_proof == (
-            "strategy-proof: no (at profile ia, voter 1 (a) misreporting as b turns b into a)"
-        )
-        # replay the printed witness: the misreport wins the voter's favourite
-        profile, voter, truth, lie, honest, manipulated = WITNESS.search(strategy_proof).groups()
-        voter = int(voter)
-        assert profile[voter] == truth == manipulated != honest
-        misreported = profile[:voter] + lie + profile[voter + 1 :]
-        assert table.outcome(tuple(map(Preference, profile))).value == honest
-        assert table.outcome(tuple(map(Preference, misreported))).value == manipulated
-    code, out, err = run(capsys, "represent", "--table", str(path))
-    assert code == PROPERTY_VIOLATED and out == ""
-    assert err == "error: table is not anonymous: two profiles with equal counts disagree\n"
 
 
 def test_undecodable_file_is_named(tmp_path, capsys):

@@ -16,17 +16,9 @@ from quotamaj import (
     to_table,
 )
 
-from helpers import first_deciding_index, seq
+from helpers import first_deciding_index, quota_seqs, seq
 
 A, B = Alternative.A, Alternative.B
-
-
-@st.composite
-def quota_seqs(draw, max_n=8):
-    n = draw(st.integers(1, max_n))
-    body = draw(st.lists(st.integers(0, n + 1), max_size=6))
-    terminal = draw(st.sampled_from([0, n + 1]))
-    return QuotaSeq(n, tuple(body) + (terminal,))
 
 
 @st.composite

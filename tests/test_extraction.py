@@ -20,7 +20,7 @@ from quotamaj import (
 )
 
 from certificates import exhaustive_sp_family
-from helpers import majority3, manipulable3, worked_table
+from helpers import majority3, manipulable3, reference_row_thresholds, worked_table
 
 A, B = Alternative.A, Alternative.B
 
@@ -39,6 +39,7 @@ def test_covered_disjoint():
 
 
 def test_covered_b_checks_its_level_once(monkeypatch):
+    levels = LKSequence(11, B, ((0, 5), (1, 4), (2, 3), (3, 2)))
     calls = []
     check = extraction._check_pair
 
@@ -48,6 +49,9 @@ def test_covered_b_checks_its_level_once(monkeypatch):
 
     monkeypatch.setattr(extraction, "_check_pair", counting)
     assert covered_b((1, 4), CountProfile(3, 7, 11))
+    assert calls == [(11, 1, 4)]
+    # the levels were checked when they were built
+    assert psi_eval(levels, CountProfile(1, 1, 11)) is B
     assert calls == [(11, 1, 4)]
 
 
@@ -159,20 +163,12 @@ def test_extract_reproduces_table_via_psi():
                 assert psi_eval(levels, p) is table.outcome(p.na, p.nb)
 
 
-def _reference_row_quota(n, outcome, ell):
-    size = n - ell
-    row = [outcome(j, size - j) for j in range(size + 1)]
-    for j in range(size):
-        if row[j] is A and row[j + 1] is B:
-            raise AssertionError(f"row {ell} is not monotone at a-support {j}")
-    return next((j for j, o in enumerate(row) if o is A), size + 1)
-
-
 def _reference_pairs_default_b(n, outcome):
     profiles = sorted(
         ((na, nb) for na in range(n + 1) for nb in range(n + 1 - na)),
         key=lambda p: (n - p[0] - p[1], p[0], p[1]),
     )
+    thresholds = reference_row_thresholds(n, outcome)
     uncovered = set(profiles)
     pairs = []
     while True:
@@ -180,7 +176,7 @@ def _reference_pairs_default_b(n, outcome):
         if witness is None:
             return pairs
         ell = n - witness[0] - witness[1]
-        k = _reference_row_quota(n, outcome, ell)
+        k = thresholds[ell]
         assert 1 <= k <= n - ell
         m = n - ell - k + 1
         uncovered = {

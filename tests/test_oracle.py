@@ -31,24 +31,14 @@ from quotamaj.tables import _grid, _prefix_rows
 
 import certificates
 from certificates import exhaustive_sp_family
-from helpers import every_count_table, majority3, manipulable3
+from helpers import dictator, every_count_table, majority3, manipulable3
 
 A, B = Alternative.A, Alternative.B
 
 
-def dictatorship2():
-    # voter 0 decides; their indifference defaults to b
-    def rule(profile):
-        if profile[0] is Preference.A:
-            return A
-        return B
-
-    return FullTable.from_function(2, rule)
-
-
 def test_check_anonymous():
     assert check_anonymous(expand_to_full(majority3()))
-    assert not check_anonymous(dictatorship2())
+    assert not check_anonymous(FullTable.from_function(2, dictator))
     assert check_anonymous(FullTable.from_function(2, lambda prof: B))
 
 
@@ -137,7 +127,7 @@ def test_a_witness_is_built_from_all_five_fields_or_refused():
 
 def test_strategy_proof_full():
     assert find_manipulation_full(expand_to_full(majority3())) is None
-    assert find_manipulation_full(dictatorship2()) is None
+    assert find_manipulation_full(FullTable.from_function(2, dictator)) is None
     witness = find_manipulation_full(expand_to_full(manipulable3()))
     assert witness is not None
     replayed = expand_to_full(manipulable3()).outcome(witness.misreported_profile)

@@ -1,9 +1,11 @@
 """The one a/b mirror, the one terminal scan and the one escape-side walk
 against the code they replaced.
 
-Each `reference_*` function is an earlier implementation that wrote the
-mirror, the search for the first terminal or the running-range walk out
-by hand, kept here as the definition the shared helpers must reproduce.
+Each `reference_*` function, here or in tests/helpers.py, is an earlier
+implementation that wrote the mirror, the search for the first terminal
+or the running-range walk out by hand, kept as the definition the shared
+helpers must reproduce.  `check_sequence_walks` holds every walk over a
+sequence to its one reference.
 """
 
 import itertools
@@ -36,6 +38,14 @@ from quotamaj import (
 from quotamaj.core import _mirror
 from quotamaj.enumeration import _subset_of
 from quotamaj.extraction import _check_pair
+
+from helpers import (
+    delete_dominated_leftmost,
+    padded_sequences,
+    reference_canonicalize,
+    reference_truncate,
+    short_sequences,
+)
 
 A, B = Alternative.A, Alternative.B
 
@@ -240,21 +250,6 @@ def test_all_rules_matches_the_recursion(n):
 # --- where a sequence decides ----------------------------------------------
 
 
-def reference_truncate(raw, n):
-    if not raw:
-        raise ValueError("quota sequence must be nonempty")
-    for q in raw:
-        if not 0 <= q <= n + 1:
-            raise ValueError(f"quota {q} outside [0, {n + 1}] for society size {n}")
-    for i, q in enumerate(raw):
-        if q in (0, n + 1):
-            return QuotaSeq(n, tuple(raw[: i + 1]))
-    raise ValueError(
-        "quota sequence needs an element in {0, n+1}; "
-        "otherwise some profiles are never decided"
-    )
-
-
 def reference_is_valid_r_tuple(seq):
     q = seq.quotas
     if len(set(q)) != len(q):
@@ -283,38 +278,6 @@ def reference_is_proper(seq):
     return True
 
 
-def reference_delete_dominated(seq):
-    if any(q in (0, seq.n + 1) for q in seq.quotas[:-1]):
-        raise ValueError("sequence must be truncated at its first element of {0, n+1}")
-    q = seq.quotas
-    kept = [q[0]]
-    lo = hi = q[0]
-    for v in q[1:-1]:
-        if lo <= v <= hi:
-            continue
-        kept.append(v)
-        lo, hi = min(lo, v), max(hi, v)
-    if len(q) > 1:
-        kept.append(q[-1])
-    return QuotaSeq(seq.n, tuple(kept))
-
-
-def reference_collapse(q):
-    # the same-side collapse of canonicalize, on a sequence without dominated entries
-    kept = [q[0]]
-    lo = hi = q[0]
-    prev_side = 0
-    for v in q[1:]:
-        side = 1 if v > hi else -1
-        lo, hi = min(lo, v), max(hi, v)
-        if side == prev_side:
-            kept[-1] = v
-        else:
-            kept.append(v)
-        prev_side = side
-    return tuple(kept)
-
-
 def outcome_or_error(fn, *args):
     try:
         return fn(*args)
@@ -323,6 +286,7 @@ def outcome_or_error(fn, *args):
 
 
 def check_sequence_walks(raw, n):
+    """Each walk over a sequence against its one reference, refusals included."""
     assert outcome_or_error(truncate, raw, n) == outcome_or_error(reference_truncate, raw, n), raw
     try:
         seq = QuotaSeq(n, raw)
@@ -330,30 +294,16 @@ def check_sequence_walks(raw, n):
         return
     assert is_valid_r_tuple(seq) == reference_is_valid_r_tuple(seq), raw
     assert is_proper(seq) == reference_is_proper(seq), raw
-    assert outcome_or_error(delete_dominated, seq) == outcome_or_error(
-        reference_delete_dominated, seq
-    ), raw
-    cut = reference_truncate(raw, n)
-    dominated = delete_dominated(cut)
-    assert dominated == reference_delete_dominated(cut), raw
-    assert canonicalize(raw, n).quotas == reference_collapse(dominated.quotas), raw
+    for s in (seq, reference_truncate(raw, n)):
+        assert outcome_or_error(delete_dominated, s) == outcome_or_error(delete_dominated_leftmost, s), raw
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_walks_match_reference_on_every_short_sequence(n):
-    for size in range(5):
-        for raw in itertools.product(range(n + 2), repeat=size):
-            check_sequence_walks(raw, n)
-
-
-@st.composite
-def padded_sequences(draw, max_n=12):
-    # repeats in the body, anything after the terminal
-    n = draw(st.integers(1, max_n))
-    body = draw(st.lists(st.integers(1, n), max_size=12))
-    terminal = draw(st.sampled_from([0, n + 1]))
-    padding = draw(st.lists(st.integers(0, n + 1), min_size=1, max_size=6))
-    return tuple(body) + (terminal,) + tuple(padding), n
+    # canonicalize on the padded sequences: test_canonical
+    for raw in short_sequences(n):
+        check_sequence_walks(raw, n)
+        assert outcome_or_error(canonicalize, raw, n) == outcome_or_error(reference_canonicalize, raw, n), raw
 
 
 @given(padded_sequences())

@@ -338,3 +338,14 @@ def test_each_refusal_is_raised_from_one_site():
     assert "quota {} outside [0, {}] for society size {}" in sites
     assert "enumerating n={} yields 2**{} rules, budget is {}" in sites
     assert {template: where for template, where in sites.items() if len(where) > 1} == {}
+
+
+def test_no_test_helper_is_defined_twice():
+    # a reference or generator that two test modules define drifts apart;
+    # a shared one lives in tests/helpers.py
+    homes = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                homes.setdefault(node.name, []).append(path.name)
+    assert {name: where for name, where in homes.items() if len(where) > 1} == {}
