@@ -18,7 +18,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .core import FORMATS, Alternative, CountProfile, QuotaSeq, SearchBudgetExceeded, _check_society
+from .core import FORMATS, Alternative, CountProfile, QuotaSeq, SearchBudgetExceeded, _check_society, _parse_ints
 
 OK = 0
 OUTPUT_CLOSED = 1
@@ -29,13 +29,6 @@ BUDGET_EXCEEDED = 4
 
 class PropertyViolated(Exception):
     """A verification command found a counterexample."""
-
-
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"{what} must be a comma-separated list of integers, got {text!r}")
 
 
 def _parse_alternative(text: str) -> Alternative:

@@ -96,6 +96,13 @@ def _check_quotas(n: int, quotas) -> None:
             raise ValueError(f"quota {q} outside [0, {n + 1}] for society size {n}")
 
 
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"{what} must be a comma-separated list of integers, got {text!r}")
+
+
 def _mirror(size: int, k: int) -> int:
     """Quota k with a and b swapped, among the `size` voters who are not indifferent.
 

@@ -13,22 +13,24 @@ Two interchangeable formats:
 Parsers accept entries in any order but demand exactly one entry per
 profile.  Each format has one reader, which only splits its file into the
 society size n, the table kind, a sequence of (profile, outcome token)
-entries and the same entries as key and outcome columns; one builder does
-every check on the entries, once, and builds either table kind through the
-table classes' trusted builder, which checks nothing again.  A file in the
-canonical order, as the writers leave it, has the key columns of every
-profile for its n, so the builder compares those once and reads the
-outcome column in whole-table passes; any other file is checked entry by
-entry, which alone names a fault.  One writer, `enumeration._write_columns`,
-writes every file, table or family, in both formats; the table writers
-give it the same canonical key columns and the table's outcome letters.
+entries and the same entries as key and outcome columns; one builder checks
+the entries and builds the table through the table classes' trusted
+builder, which checks nothing again, except a count table in another order:
+that goes through `CountTable.from_mapping`, which checks the size and,
+again, the parsed outcomes.  A file in the canonical order, as the writers
+leave it, has the key columns of every profile for its n, so the builder
+compares those once and reads the outcome column in whole-table passes; any
+other file is checked entry by entry, which alone names a fault.  One
+writer, `enumeration._write_columns`, writes every file, table or family, in
+both formats; the table writers give it the same canonical key columns and
+the table's outcome letters.
 """
 
 import itertools
 from operator import itemgetter
 
 # the table layer is loaded by the table readers alone, so reading a sequence file does not load it
-from .core import STRUCTURED, TEXT, Alternative, QuotaSeq, count_table_size
+from .core import STRUCTURED, TEXT, Alternative, QuotaSeq, _parse_ints, count_table_size
 
 
 _OUTCOMES = {"a": Alternative.A, "b": Alternative.B}
@@ -76,12 +78,7 @@ def parse_sequence(text: str) -> QuotaSeq:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) != 2:
         raise ValueError("sequence file needs a header line and one quota line")
-    n = _parse_header(lines[0])
-    try:
-        quotas = tuple(int(tok) for tok in lines[1].split(","))
-    except ValueError:
-        raise ValueError(f"bad quota list {lines[1]!r}") from None
-    return QuotaSeq(n, quotas)
+    return QuotaSeq(_parse_header(lines[0]), _parse_ints(lines[1], "quota list"))
 
 
 def parse_table(text: str) -> "CountTable | FullTable":

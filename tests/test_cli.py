@@ -1,5 +1,4 @@
 import ast
-import json
 import os
 import random
 import subprocess
@@ -30,12 +29,14 @@ def parsed(capsys, call):
     return code, captured.out, captured.err
 
 
-# The command lines that read no file, each with the exit code, stdout and
-# stderr it printed when it was recorded, byte for byte.  The help and usage
-# errors were recorded when a line naming a command built the parser of that
-# command alone and any other line the parser of all seven; the one parser
-# of all seven must give the same bytes for both.  argparse wraps help to
-# the terminal's width, which the test fixes at 80 columns.
+# Command lines, each with the exit code, stdout and stderr it printed when
+# it was recorded, byte for byte, and, where it reads files, a mapping from
+# each file's name to its contents, which the test writes into the working
+# directory.  The help and usage errors were recorded when a line naming a
+# command built the parser of that command alone and any other line the
+# parser of all seven; the one parser of all seven must give the same bytes
+# for both.  argparse wraps help to the terminal's width, which the test
+# fixes at 80 columns.
 USAGE = "usage: quotamaj [-h] {eval,canon,enum,count,verify,represent,convert} ...\n"
 HELP = (
     USAGE + "\n"
@@ -61,6 +62,8 @@ HELP = (
 VERIFY_USAGE = "usage: quotamaj verify [-h] --table TABLE\n"
 CONVERT_NOT_BOTH = "error: give either a sequence or --default/--r/--thresholds, not both\n"
 CANON_NOT_BOTH = "error: give either --subset with --default or a quota sequence, not both\n"
+SEQ_FILE = "n=11\n5,2,7,12\n"
+UNDECODABLE = b"n=1\n0 0 \xff\n"
 RECORDED_LINES = {
     "eval-worked": (["eval", "--n", "11", "--quotas", "5,2,12", "--na", "3", "--nb", "6"], 0, "a (lambda=1)\n", ""),
     "eval-worked-b": (["eval", "--n", "11", "--quotas", "5,2,12", "--na", "3", "--nb", "7"], 0, "b (lambda=0)\n", ""),
@@ -97,6 +100,22 @@ RECORDED_LINES = {
         "error: default must be 'a' or 'b', got 'c'\n"
     )),
     "canon-subset-without-n": (["canon", "--subset", "1"], 2, "", "error: society size is required (--n)\n"),
+    "canon-seq-file": (["canon", "--seq-file", "rule.seq"], 0, "5,2,12\n", "", {"rule.seq": SEQ_FILE}),
+    "eval-seq-file": (
+        ["eval", "--seq-file", "rule.seq", "--na", "3", "--nb", "6"], 0, "a (lambda=1)\n", "", {"rule.seq": SEQ_FILE},
+    ),
+    "eval-seq-file-other-n": (
+        ["eval", "--n", "5", "--seq-file", "rule.seq", "--na", "0", "--nb", "0"], 2, "",
+        "error: --n 5 contradicts the file's n=11\n", {"rule.seq": SEQ_FILE},
+    ),
+    "canon-seq-file-and-quotas": (
+        ["canon", "--seq-file", "rule.seq", "--quotas", "5,2,12"], 2, "",
+        "error: give either --quotas or --seq-file, not both\n", {"rule.seq": SEQ_FILE},
+    ),
+    "canon-undecodable": (["canon", "--seq-file", "latin1.txt"], 2, "", (
+        "error: cannot read sequence file latin1.txt: 'utf-8' codec can't decode byte 0xff in position 8: "
+        "invalid start byte\n"
+    ), {"latin1.txt": UNDECODABLE}),
     "count-3": (["count", "--n", "3"], 0, "16\n", ""),
     "count-11": (["count", "--n", "11"], 0, "4096\n", ""),
     "count-negative": (["count", "--n", "-5"], 2, "", "error: society size must be at least 1, got -5\n"),
@@ -143,6 +162,12 @@ RECORDED_LINES = {
     "enum-1000000000": (["enum", "--n", "1000000000"], 4, "", (
         "error: enumerating n=1000000000 yields 2**1000000001 rules, budget is 65536\n"
     )),
+    "enum-16": (["enum", "--n", "16"], 4, "", "error: enumerating n=16 yields 2**17 rules, budget is 65536\n"),
+    "enum-0": (["enum", "--n", "0"], 2, "", "error: society size must be at least 1, got 0\n"),
+    "enum-unwritable-out": (["enum", "--n", "2", "--out", "missing/family.txt"], 2, "", (
+        "error: cannot write output file missing/family.txt: [Errno 2] No such file or directory: "
+        "'missing/family.txt'\n"
+    )),
     "empty": ([], 2, "", USAGE + "quotamaj: error: the following arguments are required: command\n"),
     "h": (["-h"], 0, HELP, ""),
     "help": (["--help"], 0, HELP, ""),
@@ -155,6 +180,52 @@ RECORDED_LINES = {
     "verify-no-table": (["verify"], 2, "", (
         VERIFY_USAGE + "quotamaj verify: error: the following arguments are required: --table\n"
     )),
+    "verify-undecodable": (["verify", "--table", "latin1.txt"], 2, "", (
+        "error: cannot read table file latin1.txt: 'utf-8' codec can't decode byte 0xff in position 8: "
+        "invalid start byte\n"
+    ), {"latin1.txt": UNDECODABLE}),
+    "verify-json-bool-n": (["verify", "--table", "table.json"], 2, "", (
+        "error: society size must be an integer, got True\n"
+    ), {"table.json": '{"n": true, "entries": [{"a": 0, "b": 0, "out": "b"}, {"a": 0, "b": 1, "out": "b"}, '
+                      '{"a": 1, "b": 0, "out": "a"}]}'}),
+    "verify-json-bool-counts": (["verify", "--table", "table.json"], 2, "", (
+        "error: support counts must be integers: {'a': False, 'b': 0, 'out': 'b'}\n"
+    ), {"table.json": '{"n": 1, "entries": [{"a": false, "b": 0, "out": "b"}, {"a": 0, "b": true, "out": "b"}, '
+                      '{"a": true, "b": 0, "out": "a"}]}'}),
+    "verify-json-float-counts": (["verify", "--table", "table.json"], 2, "", (
+        "error: support counts must be integers: {'a': 0.0, 'b': 0, 'out': 'b'}\n"
+    ), {"table.json": '{"n": 1, "entries": [{"a": 0.0, "b": 0, "out": "b"}, {"a": 0, "b": 1.0, "out": "b"}, '
+                      '{"a": 1.0, "b": 0, "out": "a"}]}'}),
+    "verify-json-list-count": (["verify", "--table", "table.json"], 2, "", (
+        "error: support counts must be integers: {'a': [0], 'b': 0, 'out': 'b'}\n"
+    ), {"table.json": '{"n": 1, "entries": [{"a": [0], "b": 0, "out": "b"}, {"a": 0, "b": 1, "out": "b"}, '
+                      '{"a": 1, "b": 0, "out": "a"}]}'}),
+    # one profile of the header's length: only the entry count is wrong, and
+    # the size is checked without forming 3**20000
+    "verify-full-n20000-text": (["verify", "--table", "huge.tbl"], 2, "", (
+        "error: table for n=20000 needs 3**20000 entries, got 1\n"
+    ), {"huge.tbl": "n=20000\n" + "a" * 20000 + " a\n"}),
+    "verify-full-n20000-structured": (["verify", "--table", "huge.tbl"], 2, "", (
+        "error: table for n=20000 needs 3**20000 entries, got 1\n"
+    ), {"huge.tbl": '{"n": 20000, "entries": [{"profile": "' + "a" * 20000 + '", "out": "a"}]}'}),
+    # tests/test_errors.py holds the refusals of 8, 4 and 9 outcomes
+    "verify-full-short": (["verify", "--table", "short.tbl"], 2, "", (
+        "error: table for n=2 needs 3**2 entries, got 6\n"
+    ), {"short.tbl": "n=2\n" + "".join(f"{p}{q} a\n" for p in "abi" for q in "ab")}),
+    # Count tables in the canonical order for fewer than one voter: the
+    # whole-table pass must leave them to the per-entry checks, which refuse
+    # the size, and not build a table for zero voters or fail on its grid.
+    **{
+        f"{command}-count-{case}": ([command, "--table", "table"], 2, "", (
+            f"error: society size must be at least 1, got {n}\n"
+        ), {"table": text})
+        for command in ("verify", "represent")
+        for case, text, n in (
+            ("n0-text", "n=0\n0 0 a\n", 0),
+            ("n0-structured", '{"n": 0, "entries": [{"a": 0, "b": 0, "out": "a"}]}', 0),
+            ("n-1-text", "n=-1\n", -1),
+        )
+    },
     "enum-bad-format": (["enum", "--n", "3", "--format", "xml"], 2, "", (
         "usage: quotamaj enum [-h] --n N [--out OUT] [--format {text,structured}]\n"
         "quotamaj enum: error: argument --format: invalid choice: 'xml' (choose from 'text', 'structured')\n"
@@ -172,10 +243,13 @@ RECORDED_LINES = {
 
 
 @pytest.mark.parametrize("name", list(RECORDED_LINES))
-def test_each_command_line_prints_what_it_printed_before(capsys, monkeypatch, name):
-    argv, *recorded = RECORDED_LINES[name]
+def test_each_command_line_prints_what_it_printed_before(capsys, monkeypatch, tmp_path, name):
+    argv, code, out, err, *files = RECORDED_LINES[name]
+    for file, contents in dict(*files).items():
+        (tmp_path / file).write_bytes(contents if isinstance(contents, bytes) else contents.encode())
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
-    assert parsed(capsys, lambda: main(argv)) == tuple(recorded)
+    assert parsed(capsys, lambda: main(argv)) == (code, out, err)
 
 
 def test_exit_codes_keep_their_documented_numbers():
@@ -187,34 +261,6 @@ def contrarian(p):
     if p[0] is not Preference.INDIFFERENT:
         return dictator(p)
     return B if p[1] is Preference.A else A
-
-
-def test_undecodable_file_is_named(tmp_path, capsys):
-    path = tmp_path / "latin1.txt"
-    path.write_bytes(b"n=1\n0 0 \xff\n")
-    code, out, err = run(capsys, "verify", "--table", str(path))
-    assert code == INVALID_INPUT and out == ""
-    assert f"cannot read table file {path}: 'utf-8' codec can't decode byte 0xff" in err
-    code, out, err = run(capsys, "canon", "--seq-file", str(path))
-    assert code == INVALID_INPUT and out == ""
-    assert f"cannot read sequence file {path}: 'utf-8' codec" in err
-
-
-def test_sequence_file_input(tmp_path, capsys):
-    from quotamaj.fileformats import format_sequence
-
-    path = tmp_path / "rule.seq"
-    path.write_text(format_sequence(QuotaSeq(11, (5, 2, 7, 12))))
-    code, out, _ = run(capsys, "canon", "--seq-file", str(path))
-    assert code == OK and out == "5,2,12\n"
-    code, out, _ = run(capsys, "eval", "--seq-file", str(path), "--na", "3", "--nb", "6")
-    assert code == OK and out == "a (lambda=1)\n"
-    code, _, err = run(capsys, "eval", "--n", "5", "--seq-file", str(path), "--na", "0", "--nb", "0")
-    assert code == INVALID_INPUT and "contradicts" in err
-    code, _, err = run(
-        capsys, "canon", "--seq-file", str(path), "--quotas", "5,2,12"
-    )
-    assert code == INVALID_INPUT and "not both" in err
 
 
 def test_represent_runs_the_oracle_once(layers, tmp_path, capsys, monkeypatch):
@@ -245,23 +291,6 @@ def test_header_size_is_checked_before_profiles_are_built(tmp_path, capsys, monk
     code, _, err = run(capsys, "verify", "--table", str(path))
     assert code == INVALID_INPUT and "needs" in err
     assert 1500 not in built
-
-
-@pytest.mark.parametrize(
-    "body",
-    [
-        '{"n": true, "entries": [{"a": 0, "b": 0, "out": "b"}, {"a": 0, "b": 1, "out": "b"}, {"a": 1, "b": 0, "out": "a"}]}',
-        '{"n": 1, "entries": [{"a": false, "b": 0, "out": "b"}, {"a": 0, "b": true, "out": "b"}, {"a": true, "b": 0, "out": "a"}]}',
-        '{"n": 1, "entries": [{"a": 0.0, "b": 0, "out": "b"}, {"a": 0, "b": 1.0, "out": "b"}, {"a": 1.0, "b": 0, "out": "a"}]}',
-        '{"n": 1, "entries": [{"a": [0], "b": 0, "out": "b"}, {"a": 0, "b": 1, "out": "b"}, {"a": 1, "b": 0, "out": "a"}]}',
-    ],
-    ids=["bool-n", "bool-counts", "float-counts", "list-count"],
-)
-def test_json_table_rejects_non_integer_sizes_and_counts(tmp_path, capsys, body):
-    path = tmp_path / "table.json"
-    path.write_text(body)
-    code, out, err = run(capsys, "verify", "--table", str(path))
-    assert code == INVALID_INPUT and out == "" and "integer" in err
 
 
 def test_module_entry_point(layers):
@@ -301,23 +330,11 @@ def test_count_digit_limit_boundary(capsys, monkeypatch):
     assert code == INVALID_INPUT and out == "" and "largest n that prints is 32" in err
 
 
-def test_enum_guard_edge(capsys):
-    code, out, err = run(capsys, "enum", "--n", "16")
-    assert code == BUDGET_EXCEEDED and out == "" and "2**17" in err and "budget is 65536" in err
-    code, out, err = run(capsys, "enum", "--n", "0")
-    assert code == INVALID_INPUT and out == "" and err == "error: society size must be at least 1, got 0\n"
-
-
 def test_deeply_nested_json_table_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text('{"n": 3, "entries": ' + "[" * 200_000 + "]" * 200_000 + "}")
     code, out, err = run(capsys, "verify", "--table", str(path))
     assert code == INVALID_INPUT and out == "" and "bad JSON table" in err
-
-
-def test_enum_to_unwritable_path_is_invalid_input(tmp_path, capsys):
-    code, out, err = run(capsys, "enum", "--n", "2", "--out", str(tmp_path / "missing" / "family.txt"))
-    assert code == INVALID_INPUT and out == "" and "cannot write" in err
 
 
 def test_table_size_limit_boundary(capsys, monkeypatch):
@@ -330,30 +347,6 @@ def test_table_size_limit_boundary(capsys, monkeypatch):
     # canonicalizing builds no table, so the limit does not apply
     code, out, _ = run(capsys, "canon", "--n", "6", "--quotas", "3,0")
     assert code == OK and out == "3,0\n"
-
-
-@pytest.mark.parametrize("fmt", ["text", "structured"])
-def test_full_table_header_size_is_checked_without_forming_3_to_the_n(tmp_path, capsys, fmt):
-    # one profile of the header's length: only the entry count is wrong
-    n = 20000
-    path = tmp_path / "huge.tbl"
-    if fmt == "text":
-        path.write_text(f"n={n}\n{'a' * n} a\n")
-    else:
-        path.write_text(json.dumps({"n": n, "entries": [{"profile": "a" * n, "out": "a"}]}))
-    code, out, err = run(capsys, "verify", "--table", str(path))
-    assert code == INVALID_INPUT and out == ""
-    assert f"n={n}" in err and f"3**{n}" in err
-    assert "set_int_max_str_digits" not in err
-
-
-def test_full_table_size_check_keeps_small_tables_exact(tmp_path, capsys):
-    # tests/test_errors.py holds the refusals of 8, 4 and 9 outcomes
-    assert FullTable(2, (A,) * 9).n == 2
-    path = tmp_path / "short.tbl"
-    path.write_text("n=2\n" + "".join(f"{p}{q} a\n" for p in "abi" for q in "ab"))
-    code, out, err = run(capsys, "verify", "--table", str(path))
-    assert code == INVALID_INPUT and out == "" and "needs 3**2 entries, got 6" in err
 
 
 def command_lines_written_in(path):
@@ -588,25 +581,6 @@ def test_verify_and_represent_print_what_they_printed_before(tmp_path, monkeypat
     command, case, fmt = key.split()
     monkeypatch.chdir(tmp_path)
     assert run(capsys, command, "--table", recorded_file(case, fmt)) == RECORDED[key]
-
-
-# Count tables in the canonical order for fewer than one voter: the
-# whole-table pass must leave them to the per-entry checks, which refuse
-# the size, and not build a table for zero voters or fail on its grid.
-@pytest.mark.parametrize("command", ["verify", "represent"])
-@pytest.mark.parametrize(
-    "text, n",
-    [
-        pytest.param("n=0\n0 0 a\n", 0, id="text-n0"),
-        pytest.param('{"n": 0, "entries": [{"a": 0, "b": 0, "out": "a"}]}', 0, id="structured-n0"),
-        pytest.param("n=-1\n", -1, id="text-n-1"),
-    ],
-)
-def test_count_tables_for_fewer_than_one_voter_are_refused(tmp_path, capsys, command, text, n):
-    path = tmp_path / "table"
-    path.write_text(text, encoding="utf-8")
-    expected = (INVALID_INPUT, "", f"error: society size must be at least 1, got {n}\n")
-    assert run(capsys, command, "--table", str(path)) == expected
 
 
 def test_represent_refuses_exactly_the_full_tables_verify_finds_not_anonymous(tmp_path, capsys):

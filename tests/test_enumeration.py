@@ -44,27 +44,6 @@ def test_proper_to_subset_examples():
     assert proper_to_subset(QuotaSeq(11, (7, 10, 0))) == (frozenset({2, 5}), A)
 
 
-def test_enumerate_default_correctness():
-    for n in (1, 2, 3, 4, 5):
-        for seq, table in enumerate_all(n):
-            _, default = proper_to_subset(seq)
-            assert table.outcome(0, 0) is default
-
-
-def test_enumerate_duality():
-    for n in (1, 2, 3, 4):
-        family = enumerate_all(n)
-        half = len(family) // 2
-        b_half, a_half = family[:half], family[half:]
-        for (b_seq, b_table), (a_seq, a_table) in zip(b_half, a_half):
-            assert dual(b_seq) == a_seq
-            mirrored = {
-                (p.nb, p.na): o.other for p, o in b_table.items()
-            }
-            for p, o in a_table.items():
-                assert mirrored[(p.na, p.nb)] is o
-
-
 def test_enumerate_guard_boundary(monkeypatch):
     # 2**(n+1) rules are allowed exactly when they fit the budget
     from quotamaj import enumeration

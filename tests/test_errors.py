@@ -174,7 +174,10 @@ RECORDED_ERRORS = {
     "parse-sequence-no-quota-line": (
         lambda: parse_sequence("n=11\n"), ValueError, "sequence file needs a header line and one quota line",
     ),
-    "parse-sequence-bad-quota": (lambda: parse_sequence("n=11\nfive\n"), ValueError, "bad quota list 'five'"),
+    "parse-sequence-bad-quota": (
+        lambda: parse_sequence("n=11\nfive\n"), ValueError,
+        "quota list must be a comma-separated list of integers, got 'five'",
+    ),
     "quotamaj-unknown-name": (
         lambda: quotamaj.no_such_name, AttributeError, "module 'quotamaj' has no attribute 'no_such_name'",
     ),

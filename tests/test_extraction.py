@@ -137,32 +137,6 @@ def test_round_trip_through_enumeration():
             assert represent(table) == seq
 
 
-def test_extract_monotonicity_claims():
-    for n in (1, 2, 3, 4, 5):
-        for _, table in enumerate_all(n):
-            levels = extract(table)
-            ells = [ell for ell, _ in levels.pairs]
-            ks = [k for _, k in levels.pairs]
-            sums = [ell + k for ell, k in levels.pairs]
-            assert ells == sorted(set(ells))
-            if levels.pairs:
-                assert ells[0] == 0
-            if levels.default is B:
-                assert all(x > y for x, y in zip(ks, ks[1:]))
-                assert all(x <= y for x, y in zip(sums, sums[1:]))
-            else:
-                assert all(x >= y for x, y in zip(ks, ks[1:]))
-                assert all(x < y for x, y in zip(sums, sums[1:]))
-
-
-def test_extract_reproduces_table_via_psi():
-    for n in (2, 3, 4):
-        for _, table in enumerate_all(n):
-            levels = extract(table)
-            for p in all_count_profiles(n):
-                assert psi_eval(levels, p) is table.outcome(p.na, p.nb)
-
-
 def _reference_pairs_default_b(n, outcome):
     profiles = sorted(
         ((na, nb) for na in range(n + 1) for nb in range(n + 1 - na)),

@@ -95,13 +95,6 @@ def test_lp_to_proper_worked_rule():
     assert lp_to_proper(worked_rule()).quotas == (5, 2, 12)
 
 
-def test_minimal_thresholds_rule_is_family_member():
-    n = 4
-    rule = LPRule(n=n, default=B, r=n, thresholds=(1, 1, 1, 1))
-    family_tables = {table.outcomes for _, table in enumerate_all(n)}
-    assert lp_to_table(rule).outcomes in family_tables
-
-
 def test_lp_to_proper_single_level():
     n = 5
     rule = LPRule(n=n, default=B, r=1, thresholds=(n,))

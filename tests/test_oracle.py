@@ -25,7 +25,6 @@ from quotamaj import (
     subset_to_proper,
     to_table,
 )
-from quotamaj.enumeration import _family_staircases
 from quotamaj.oracle import _count_positions, _escapes
 from quotamaj.tables import _grid, _prefix_rows
 
@@ -54,11 +53,6 @@ def test_count_positions_match_a_count_of_walk(n):
     # (na, nb) is grid bit na*(n+2) + nb
     counts = map(count_of, all_full_profiles(n))
     assert _count_positions(n) == [c.na * (n + 2) + c.nb for c in counts]
-
-
-def test_expand_reduce_round_trip():
-    for _, table in enumerate_all(3):
-        assert reduce_to_counts(expand_to_full(table)) == table
 
 
 def test_strategy_proof_majority():
@@ -178,12 +172,6 @@ def test_exhaustive_family_is_every_closed_row_prefix_table(n):
         if not any(_escapes(mask, width, valid)):
             found.append(mask)
     assert sorted(found) == [t.mask for t in exhaustive_sp_family(n)]
-
-
-def test_enumerated_family_strategy_proof():
-    for n in (1, 2, 3, 4, 5):
-        for _, table in enumerate_all(n):
-            assert find_manipulation(table) is None
 
 
 # Profile-by-profile references for the oracle's bitmask checks: a scan of
@@ -473,11 +461,3 @@ def test_sampled_staircases_are_represented_and_round_trip(n):
         seq = represent(table)
         assert to_table(seq).mask == table.mask
         assert subset_to_proper(*proper_to_subset(seq), n) == seq
-
-
-def test_exhaustive_family_has_the_staircases_of_the_enumeration():
-    # the enumerator's row lengths against the enumeration's, with no table tabulated
-    for n in range(1, 13):
-        found = {tuple(table._staircase()) for table in exhaustive_sp_family(n)}
-        rows = _family_staircases(n, [range(n + 2 - na) for na in range(n + 1)])
-        assert found == set(zip(*rows)) and len(found) == 2 ** (n + 1)

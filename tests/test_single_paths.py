@@ -12,7 +12,6 @@ import itertools
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from quotamaj import (
     Alternative,
