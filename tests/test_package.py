@@ -181,6 +181,11 @@ def test_the_start_up_checks_cover_every_line_of_the_tool(layers, listings):
     assert LINES == list(layers.startup_commands("worked.tbl")) == list(listings)
 
 
+def test_importing_the_package_loads_no_submodule(listings):
+    _, modules = listings["startup.import"]
+    assert [m for m in modules if m.split(".")[0] == "quotamaj"] == ["quotamaj"]
+
+
 def test_the_modules_that_defined_the_names_are_attributes_on_first_use(layers):
     code = (
         "import sys, quotamaj\n"
@@ -190,20 +195,11 @@ def test_the_modules_that_defined_the_names_are_attributes_on_first_use(layers):
 
 
 @pytest.mark.parametrize("line", LINES, ids=line_id)
-def test_each_line_prints_and_loads_what_it_runs(listings, line):
+def test_no_command_loads_dataclasses_inspect_or_typing(listings, line):
     out, modules = listings[line]
+    assert not set(modules) & HEAVY
     if line in OUTPUTS:
         assert out == OUTPUTS[line]
-    package = {m for m in modules if m.split(".")[0] == "quotamaj"}
-    if line == "startup.import":
-        assert package == {"quotamaj"}
-    else:
-        assert package == {"quotamaj", "quotamaj.cli", "quotamaj.core", *(f"quotamaj.{m}" for m in LOADS[line])}
-    assert not set(modules) & HEAVY
-    # only help and usage errors reach argparse; every other line is read from the option table
-    assert set(modules) & ARGPARSE == (ARGPARSE if line in PARSED else set())
-    # the family writer lays out its own JSON, so only a JSON table loads json
-    assert ("json" in modules) == (line == "startup.verify.json")
 
 
 def test_verify_on_a_json_table_loads_what_verify_does_and_json(layers, listings):
@@ -236,6 +232,15 @@ def test_the_import_profiler_reports_the_modules_a_command_loads(layers, tmp_pat
     assert {"quotamaj.fileformats", "quotamaj.oracle"} <= reported
 
 
+@pytest.mark.parametrize("line", LOADS, ids=line_id)
+def test_each_command_loads_exactly_the_modules_it_runs(listings, line):
+    _, modules = listings[line]
+    package = {m for m in modules if m.split(".")[0] == "quotamaj"}
+    assert package == {"quotamaj", "quotamaj.cli", "quotamaj.core", *(f"quotamaj.{m}" for m in LOADS[line])}
+    # the family writer lays out its own JSON, so only a JSON table loads json
+    assert ("json" in modules) == (line == "startup.verify.json")
+
+
 def test_the_readme_start_up_table_matches_loads():
     readme = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
     start = readme.index("| line | command | loads |")
@@ -246,6 +251,17 @@ def test_the_readme_start_up_table_matches_loads():
         names, _, loads = row.split("|")[1:4]
         rows |= {f"startup.{name}": set(re.findall(r"`(\w+)`", loads)) for name in re.findall(r"`([\w.]+)`", names)}
     assert rows == LOADS
+
+
+@pytest.mark.parametrize("line", [line for line in LINES if line not in PARSED], ids=line_id)
+def test_no_command_loads_argparse_gettext_or_locale(listings, line):
+    # each of these lines is read from the option table, not by argparse
+    assert not set(listings[line][1]) & ARGPARSE
+
+
+@pytest.mark.parametrize("line", PARSED, ids=line_id)
+def test_help_and_usage_errors_load_argparse_gettext_and_locale(listings, line):
+    assert ARGPARSE <= set(listings[line][1])
 
 
 def test_help_still_comes_from_argparse(layers, monkeypatch):
