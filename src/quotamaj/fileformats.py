@@ -11,19 +11,19 @@ Two interchangeable formats:
   `{"profile": "abi...", "out": ...}` for full tables.
 
 Parsers accept entries in any order but demand exactly one entry per
-profile.  Each format has one reader, which only splits its file into the
-society size n, the table kind, a sequence of (profile, outcome token)
-entries and the same entries as key and outcome columns; one builder checks
-the entries and builds the table through the table classes' trusted
-builder, which checks nothing again, except a count table in another order:
-that goes through `CountTable.from_mapping`, which checks the size and,
-again, the parsed outcomes.  A file in the canonical order, as the writers
-leave it, has the key columns of every profile for its n, so the builder
-compares those once and reads the outcome column in whole-table passes; any
-other file is checked entry by entry, which alone names a fault.  One
-writer, `enumeration._write_columns`, writes every file, table or family, in
-both formats; the table writers give it the same canonical key columns and
-the table's outcome letters.
+profile.  This module holds the file syntax alone; the encodings, outcome
+letters and the canonical key order, are those of `tables`.  Each format
+has one reader, which only splits its file into the society size n, the
+table kind, a sequence of (profile, outcome token) entries and the same
+entries as key and outcome columns; one builder checks the entries and
+builds the table through a trusted builder of the table classes, which
+checks nothing again.  A file in the canonical order, as the writers leave
+it, has the key columns of every profile for its n, so the builder compares
+those once and reads the outcome column in whole-table passes; any other
+file is checked entry by entry, which alone names a fault.  One writer,
+`enumeration._write_columns`, writes every file, table or family, in both
+formats; the table writers give it the same canonical key columns and the
+table's outcome letters.
 """
 
 import itertools
@@ -31,9 +31,6 @@ from operator import itemgetter
 
 # the table layer is loaded by the table readers alone, so reading a sequence file does not load it
 from .core import STRUCTURED, TEXT, Alternative, QuotaSeq, _parse_ints, count_table_size
-
-
-_OUTCOMES = {"a": Alternative.A, "b": Alternative.B}
 
 
 def _parse_header(line: str) -> int:
@@ -45,29 +42,30 @@ def _parse_header(line: str) -> int:
         raise ValueError(f"bad society size in header {line!r}") from None
 
 
-def _format_table(n: int, fields: tuple[str, ...], keys: tuple[tuple, ...], letters: list, fmt: str) -> str:
-    """Either format from a table's key columns and its outcome letters, both
-    in the canonical profile order: JSON objects for structured output, with
-    `fields` the texts before each column in an entry, text lines for text."""
+def _format_table(n: int, fields: tuple[str, ...], form, letters: list, fmt: str) -> str:
+    """Either format from the form of a table's keys (as `_canonical_keys`) and
+    its outcome letters in the canonical profile order: JSON objects for
+    structured output, `fields` the texts before each column, or text lines."""
     from .enumeration import _check_format, _write_columns
+    from .tables import _canonical_keys
     _check_format(fmt)
     if fmt == STRUCTURED:
-        entry = [*itertools.chain(*zip(fields, (*keys, letters))), '"\n    },\n']
+        entry = [*itertools.chain(*zip(fields, (*_canonical_keys(n, form), letters))), '"\n    },\n']
         return _write_columns(f'{{\n  "n": {n},\n  "entries": [\n', entry, '"\n    }\n  ]\n}')
-    entry = [*itertools.chain(*zip(keys, itertools.repeat(" "))), letters, "\n"]
+    entry = [*itertools.chain(*zip(_canonical_keys(n, form), itertools.repeat(" "))), letters, "\n"]
     return _write_columns(f"n={n}\n", entry, "\n")
 
 
 def format_count_table(table: "CountTable", fmt: str = TEXT) -> str:
     fields = ('    {\n      "a": ', ',\n      "b": ', ',\n      "out": "')
-    return _format_table(table.n, fields, _canonical_keys(table.n, str), [*table.outcome_string()], fmt)
+    return _format_table(table.n, fields, str, [*table.outcome_string()], fmt)
 
 
 def format_full_table(table: "FullTable", fmt: str = TEXT) -> str:
     fields = ('    {\n      "profile": "', '",\n      "out": "')
     A = Alternative.A
     letters = ["a" if o is A else "b" for o in table.outcomes]
-    return _format_table(table.n, fields, _canonical_keys(table.n, None), letters, fmt)
+    return _format_table(table.n, fields, None, letters, fmt)
 
 
 def format_sequence(seq: QuotaSeq) -> str:
@@ -89,32 +87,12 @@ def parse_table(text: str) -> "CountTable | FullTable":
     return _build_table(*_read_text(text))
 
 
-def _parse_outcome(token: str) -> Alternative:
-    outcome = _OUTCOMES.get(token)
-    if outcome is None:
-        raise ValueError(f"outcome must be 'a' or 'b', got {token!r}")
-    return outcome
-
-
-def _canonical_keys(n: int, form) -> tuple[tuple, ...]:
-    """The key columns of a table for n in the canonical profile order: the
-    profile strings of a full table when form is None, else the na and nb
-    columns of a count table as `form` (str or int) values."""
-    if form is None:
-        # all_full_profiles order, a=0 < b=1 < i=2 per voter
-        return (tuple(map("".join, itertools.product("abi", repeat=n))),)
-    values = list(map(form, range(n + 1)))
-    na = itertools.chain.from_iterable(itertools.repeat(values[a], n + 1 - a) for a in range(n + 1))
-    nb = itertools.chain.from_iterable(values[: n + 1 - a] for a in range(n + 1))
-    return tuple(na), tuple(nb)
-
-
 def _whole_table(n: int, size: int, form, columns):
     """The table from an iterator over a file's key columns, then its
     outcome column, when the keys are every profile once, in the canonical
     order, and every outcome is 'a' or 'b'; None otherwise, and then the
     per-entry checks name the fault."""
-    from .tables import CountTable, FullTable, _place_rows
+    from .tables import _OUTCOMES, CountTable, FullTable, _canonical_keys, _place_rows
     # a full table's size is checked before this pass; a count file reports
     # entry faults before its size, and both builders trust their fields
     if form is not None and (n < 1 or count_table_size(n) != size):
@@ -147,7 +125,7 @@ def _build_table(n: int, size: int, entries, form, columns) -> "CountTable | Ful
     from its `columns` in whole-table passes by `_whole_table`; any other
     file goes through the per-entry checks.
     """
-    from .tables import CountTable, FullTable, _BASE3, _check_full_size
+    from .tables import CountTable, FullTable, _BASE3, _check_count_size, _check_full_size, _parse_outcome
     if form is None:
         _check_full_size(n, size)  # before any profile of an untrusted length is read
     table = _whole_table(n, size, form, columns)
@@ -159,7 +137,8 @@ def _build_table(n: int, size: int, entries, form, columns) -> "CountTable | Ful
             if key in counts:
                 raise ValueError(f"duplicate entry for profile {key}")
             counts[key] = _parse_outcome(token)
-        return CountTable.from_mapping(n, counts)
+        _check_count_size(n, len(counts))
+        return CountTable._from_entries(n, counts)
     outcomes = [None] * size
     for profile, token in entries:
         if len(profile) != n:

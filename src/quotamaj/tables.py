@@ -6,7 +6,8 @@ only so that anonymity itself, and single-voter manipulation, can be
 checked against the raw definitions.  Only code that builds or reads a
 table loads this module: `core` forwards its public names here on first
 use, so the commands that build no table (`eval`, `canon`, `convert`,
-`enum`, `count`) do not compile it.
+`enum`, `count`) do not compile it.  It owns the table encodings: outcome
+letters to alternatives, the grid's digits and the canonical key order.
 """
 
 import itertools
@@ -83,9 +84,29 @@ def _grid(n: int) -> tuple[int, int]:
     return n + 2, _prefix_rows(n, [n + 1 - na for na in range(n + 1)])
 
 
-_OUTCOME = {"1": Alternative.A, "0": Alternative.B}
+_OUTCOMES = {"a": Alternative.A, "b": Alternative.B}
 _LETTERS = str.maketrans("10", "ab")
 _DIGITS = str.maketrans("ab", "10")
+
+
+def _parse_outcome(token: str) -> Alternative:
+    outcome = _OUTCOMES.get(token)
+    if outcome is None:
+        raise ValueError(f"outcome must be 'a' or 'b', got {token!r}")
+    return outcome
+
+
+def _canonical_keys(n: int, form) -> tuple[tuple, ...]:
+    """The key columns of a table for n in the canonical profile order: the
+    profile strings of a full table when form is None, else the na and nb
+    columns of a count table as `form` (str or int) values."""
+    if form is None:
+        # all_full_profiles order, a=0 < b=1 < i=2 per voter
+        return (tuple(map("".join, itertools.product("abi", repeat=n))),)
+    values = list(map(form, range(n + 1)))
+    na = itertools.chain.from_iterable(itertools.repeat(values[a], n + 1 - a) for a in range(n + 1))
+    nb = itertools.chain.from_iterable(values[: n + 1 - a] for a in range(n + 1))
+    return tuple(na), tuple(nb)
 
 
 def _check_outcomes(outcomes) -> tuple[Alternative, ...]:
@@ -132,7 +153,12 @@ class CountTable(_Value):
         # checked before anything is allocated: n may come from an untrusted header
         _check_count_size(n, len(outcomes))
         _check_outcomes(outcomes.values())
-        # as many distinct keys as profiles, each a profile, is every profile once
+        return cls._from_entries(n, outcomes)
+
+    @classmethod
+    def _from_entries(cls, n: int, outcomes: Mapping[tuple[int, int], Alternative]) -> "CountTable":
+        # trusted: the caller checked the outcomes and their number, and as many
+        # distinct keys as profiles, each a profile, is every profile once
         letters = ["b"] * count_table_size(n)
         for (na, nb), outcome in outcomes.items():
             if na < 0 or nb < 0 or na + nb > n:
@@ -161,15 +187,10 @@ class CountTable(_Value):
             lengths.append(c - start)
         return lengths
 
-    def _cells(self) -> str:
-        # one '0'/'1' per profile, in the all_count_profiles order: nb = 0..n-na of each row na
-        n, bits = self.n, self._bit_string()
-        return "".join([bits[na * (n + 2) : na * (n + 2) + n + 1 - na] for na in range(n + 1)])
-
     @property
     def outcomes(self) -> tuple[Alternative, ...]:
         """Outcomes in the all_count_profiles order."""
-        return tuple(map(_OUTCOME.__getitem__, self._cells()))
+        return tuple(map(_OUTCOMES.__getitem__, self.outcome_string()))
 
     def outcome(self, na: int, nb: int) -> Alternative:
         if na < 0 or nb < 0 or na + nb > self.n:
@@ -181,7 +202,9 @@ class CountTable(_Value):
 
     def outcome_string(self) -> str:
         """Outcomes as a compact 'abba...' string in canonical profile order."""
-        return self._cells().translate(_LETTERS)
+        # one digit per profile, in the all_count_profiles order: nb = 0..n-na of each row na
+        n, bits = self.n, self._bit_string()
+        return "".join([bits[na * (n + 2) : na * (n + 2) + n + 1 - na] for na in range(n + 1)]).translate(_LETTERS)
 
 
 def _check_count_size(n: int, entries: int) -> None:

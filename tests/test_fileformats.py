@@ -145,10 +145,10 @@ def test_canonical_and_shuffled_files_give_the_same_table(monkeypatch, kind, n, 
     assert results[0] == random_table(kind, n, 0) and results[1] is None
 
 
-def counting_table_checks(monkeypatch):
-    """How often the full-table size check and the outcome check run from
-    now on; `_build_table` imports them when it is called, so it runs these."""
-    counts = dict.fromkeys(("_check_full_size", "_check_outcomes"), 0)
+def counting_table_checks(monkeypatch, size_check="_check_full_size"):
+    """How often the size check of a table kind and the outcome check run
+    from now on; `_build_table` imports them when it is called, so it runs these."""
+    counts = dict.fromkeys((size_check, "_check_outcomes"), 0)
     for name in counts:
         def counting(*args, name=name, check=getattr(tables, name)):
             counts[name] += 1
@@ -173,6 +173,23 @@ def test_a_full_table_read_checks_its_size_once_and_no_outcome_again(monkeypatch
     assert counts == {"_check_full_size": 1, "_check_outcomes": 0}
     assert (results[0] is None) is shuffle
     assert table == expected and all(o is A or o is B for o in table.outcomes)
+
+
+@pytest.mark.parametrize("fmt", [TEXT, STRUCTURED])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_a_count_table_read_checks_its_size_at_most_once_and_no_outcome_again(monkeypatch, fmt, shuffle):
+    # the whole-table path compares the size itself; the per-entry path checks
+    # it once after the entries, whose outcome tokens it has already parsed
+    expected = random_table("count", 5, 0)
+    entries, write = split_file(table_file("count", 5, fmt))
+    if shuffle:
+        random.Random(5).shuffle(entries)
+    results = recording_whole_table(monkeypatch)
+    counts = counting_table_checks(monkeypatch, "_check_count_size")
+    table = parse_table(write(entries))
+    assert counts == {"_check_count_size": int(shuffle), "_check_outcomes": 0}
+    assert (results[0] is None) is shuffle
+    assert table == expected
 
 
 def test_reduce_to_counts_checks_no_outcome_again(monkeypatch):
@@ -247,8 +264,8 @@ HEADER_MISMATCHES = {
 @pytest.mark.parametrize("text", list(HEADER_MISMATCHES))
 def test_no_canonical_columns_for_a_header_the_entry_count_does_not_match(text, monkeypatch):
     calls = []
-    keys = fileformats._canonical_keys
-    monkeypatch.setattr(fileformats, "_canonical_keys", lambda *args: calls.append(args) or keys(*args))
+    keys = tables._canonical_keys
+    monkeypatch.setattr(tables, "_canonical_keys", lambda *args: calls.append(args) or keys(*args))
     with pytest.raises(ValueError, match=f"^{re.escape(HEADER_MISMATCHES[text])}$"):
         parse_table(text)
     assert calls == []

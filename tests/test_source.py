@@ -309,6 +309,23 @@ def test_only_tables_computes_a_count_profile_index():
     assert oracle and "_place_rows" not in oracle
 
 
+def test_only_tables_maps_text_to_outcomes():
+    # the outcome codec has one home: a dict display with an Alternative
+    # among its values, such as {"a": Alternative.A, ...}, is a second one
+    def is_outcome(node):
+        named = isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "Alternative"
+        return named and node.attr in ("A", "B")
+
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SOURCE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Dict) and any(map(is_outcome, node.values))
+    )
+    assert [where for where in found if not where.startswith("tables.py:")] == []
+    assert found
+
+
 def refusal_templates(path):
     """(template, line) of each `raise ValueError(...)` or `raise
     SearchBudgetExceeded(...)` in `path` whose message begins with literal
