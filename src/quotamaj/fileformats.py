@@ -30,7 +30,7 @@ import itertools
 from operator import itemgetter
 
 # the table layer is loaded by the table readers alone, so reading a sequence file does not load it
-from .core import STRUCTURED, TEXT, Alternative, QuotaSeq, _parse_ints, count_table_size
+from .core import STRUCTURED, TEXT, QuotaSeq, _parse_ints, count_table_size
 
 
 def _parse_header(line: str) -> int:
@@ -63,9 +63,7 @@ def format_count_table(table: "CountTable", fmt: str = TEXT) -> str:
 
 def format_full_table(table: "FullTable", fmt: str = TEXT) -> str:
     fields = ('    {\n      "profile": "', '",\n      "out": "')
-    A = Alternative.A
-    letters = ["a" if o is A else "b" for o in table.outcomes]
-    return _format_table(table.n, fields, None, letters, fmt)
+    return _format_table(table.n, fields, None, [*table.outcome_string()], fmt)
 
 
 def format_sequence(seq: QuotaSeq) -> str:
@@ -92,7 +90,7 @@ def _whole_table(n: int, size: int, form, columns):
     outcome column, when the keys are every profile once, in the canonical
     order, and every outcome is 'a' or 'b'; None otherwise, and then the
     per-entry checks name the fault."""
-    from .tables import _OUTCOMES, CountTable, FullTable, _canonical_keys, _place_rows
+    from .tables import CountTable, FullTable, _canonical_keys, _mask_of, _place_rows
     # a full table's size is checked before this pass; a count file reports
     # entry faults before its size, and both builders trust their fields
     if form is not None and (n < 1 or count_table_size(n) != size):
@@ -111,7 +109,7 @@ def _whole_table(n: int, size: int, form, columns):
     if outs is None or outs.count("a") + outs.count("b") != size:
         return None
     if form is None:
-        return FullTable._from_outcomes(n, tuple(map(_OUTCOMES.__getitem__, outs)))
+        return FullTable._from_mask(n, _mask_of("".join(outs)))
     return CountTable._from_mask(n, _place_rows(n, "".join(outs)))
 
 
@@ -125,7 +123,7 @@ def _build_table(n: int, size: int, entries, form, columns) -> "CountTable | Ful
     from its `columns` in whole-table passes by `_whole_table`; any other
     file goes through the per-entry checks.
     """
-    from .tables import CountTable, FullTable, _BASE3, _check_count_size, _check_full_size, _parse_outcome
+    from .tables import CountTable, FullTable, _BASE3, _check_count_size, _check_full_size, _mask_of, _parse_outcome
     if form is None:
         _check_full_size(n, size)  # before any profile of an untrusted length is read
     table = _whole_table(n, size, form, columns)
@@ -139,7 +137,7 @@ def _build_table(n: int, size: int, entries, form, columns) -> "CountTable | Ful
             counts[key] = _parse_outcome(token)
         _check_count_size(n, len(counts))
         return CountTable._from_entries(n, counts)
-    outcomes = [None] * size
+    letters = [None] * size
     for profile, token in entries:
         if len(profile) != n:
             raise ValueError(f"profile {profile!r} does not have length {n}")
@@ -149,11 +147,11 @@ def _build_table(n: int, size: int, entries, form, columns) -> "CountTable | Ful
         if profile.strip("abi"):
             raise ValueError(f"profile {profile!r} has characters outside a/b/i")
         index = int(profile.translate(_BASE3), 3)
-        if outcomes[index] is not None:
+        if letters[index] is not None:
             raise ValueError(f"duplicate entry for profile {profile!r}")
-        outcomes[index] = _parse_outcome(token)
-    # 3**n distinct positions below 3**n fill every slot, each with an Alternative
-    return FullTable._from_outcomes(n, tuple(outcomes))
+        letters[index] = _parse_outcome(token).value
+    # 3**n distinct positions below 3**n fill every slot, each with 'a' or 'b'
+    return FullTable._from_mask(n, _mask_of("".join(letters)))
 
 
 def _read_text(text: str):

@@ -1,10 +1,10 @@
 """Brute-force ground truth for anonymity, strategy-proofness, and ontoness.
 
 Nothing in this module knows about quota sequences.  It checks the raw
-definitions by exhaustive iteration, which is what makes it a trust
-anchor for everything else: a rule is strategy-proof exactly when no
-single voter, at any profile, can flip the outcome to one they strictly
-prefer by misreporting.
+definitions over every profile, which is what makes it a trust anchor for
+everything else: a rule is strategy-proof exactly when no single voter,
+at any profile, can flip the outcome to one they strictly prefer by
+misreporting.
 
 On anonymous tables the check is one closure property.  Only a supporter
 of the losing alternative has a motive, and each misreport moves the
@@ -14,11 +14,13 @@ a b-supporter switches to a.  Each move is one shift of a bitmask.
 
 On full tables a profile is its position p in all_full_profiles: voter v,
 of place w = 3**(n-1-v), declares the digit t = p // w % 3 (a=0, b=1,
-i=2), and misreporting m moves the profile to p + (m - t) * w.
+i=2), and misreporting m moves the profile to p + (m - t) * w.  So each
+voter's four profitable misreports are shifts of the table's mask by w or
+2w, masked to where the voter declares a or b.
 """
 
-from .core import Alternative, CountProfile, SearchBudgetExceeded, _Value, count_table_size
-from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid
+from .core import Alternative, CountProfile, _Value, count_table_size
+from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid, _mask_of
 
 
 class CountManipulation(_Value):
@@ -73,11 +75,11 @@ def _count_positions(n: int) -> list[int]:
 def _class_mask(table: FullTable) -> int | None:
     """The grid mask of the count classes that a wins, or None when some
     profile's outcome differs from the one its class keeps."""
-    positions = _count_positions(table.n)
-    kept = dict(zip(positions, table.outcomes))  # each class keeps its last profile's
-    if list(map(kept.__getitem__, positions)) != list(table.outcomes):
+    positions, letters = _count_positions(table.n), table.outcome_string()
+    kept = dict(zip(positions, letters))  # each class keeps its last profile's
+    if "".join(map(kept.__getitem__, positions)) != letters:
         return None
-    return sum([1 << bit for bit, outcome in kept.items() if outcome is Alternative.A])
+    return sum([1 << bit for bit, letter in kept.items() if letter == "a"])
 
 
 def check_anonymous(table: FullTable) -> bool:
@@ -96,9 +98,9 @@ def reduce_to_counts(table: FullTable) -> CountTable:
 
 def expand_to_full(table: CountTable) -> FullTable:
     """The (anonymous) full table induced by a count table, whose outcomes need no check."""
-    outcome, mask = (Alternative.B, Alternative.A), table.mask
-    outcomes = tuple([outcome[mask >> bit & 1] for bit in _count_positions(table.n)])
-    return FullTable._from_outcomes(table.n, outcomes)
+    mask = table.mask
+    letters = "".join(["ba"[mask >> bit & 1] for bit in _count_positions(table.n)])
+    return FullTable._from_mask(table.n, _mask_of(letters))
 
 
 def _escapes(region: int, width: int, valid: int) -> tuple[int, int, int]:
@@ -132,35 +134,31 @@ def find_manipulation(table: CountTable) -> CountManipulation | None:
     truthful, misreport = next((t, m) for mask, t, m in moves if mask & first)
     wanted = Alternative(truthful.value)
     na, nb = divmod(first.bit_length() - 1, width)
-    return CountManipulation(
-        CountProfile(na, nb, table.n), truthful, misreport, wanted.other, wanted
-    )
-
-
-#: The full scan visits 3**n profiles; larger tables are refused.
-MAX_FULL_SCAN_N = 10
+    return CountManipulation(CountProfile(na, nb, table.n), truthful, misreport, wanted.other, wanted)
 
 
 def find_manipulation_full(table: FullTable) -> FullManipulation | None:
     """First profitable misreport, no anonymity assumed: the least position,
     then voter, then misreport in Preference order, or None."""
-    n = table.n
-    if n > MAX_FULL_SCAN_N:
-        raise SearchBudgetExceeded(
-            f"full manipulation scan for n={n} exceeds the n<={MAX_FULL_SCAN_N} guard"
-        )
-    outcomes = table.outcomes
-    places = [3 ** (n - 1 - v) for v in range(n)]
-    for p, honest in enumerate(outcomes):
-        # only a supporter of the loser can profit: digit 1 (b) when a wins, 0 (a) when b wins
-        t = 1 if honest is Alternative.A else 0
-        for voter, w in enumerate(places):
-            if p // w % 3 == t:
-                for m in range(3):
-                    if m != t and outcomes[p + (m - t) * w] is not honest:
-                        profile = tuple([PREFERENCES[p // u % 3] for u in places])
-                        return FullManipulation(profile, voter, PREFERENCES[m], honest, honest.other)
-    return None
+    n, a = table.n, table.mask
+    b = (1 << 3**n) - 1 & ~a
+    masks = []
+    for voter in range(n):
+        w = 3 ** (n - 1 - voter)
+        # where the voter declares a: digit 0 of place w, the lowest w of every 3w positions
+        decl_a = int(("0" * 2 * w + "1" * w) * 3**voter, 2)
+        decl_b = decl_a << w
+        # where a b-supporter gains by a or i, then an a-supporter by b or i
+        masks += [a & decl_b & b << w, a & decl_b & b >> w, b & decl_a & a >> w, b & decl_a & a >> 2 * w]
+    first = min([mask & -mask for mask in masks if mask], default=0)
+    if not first:
+        return None
+    voter, move = divmod(next(k for k, mask in enumerate(masks) if mask & first), 4)
+    p = first.bit_length() - 1
+    profile = tuple([PREFERENCES[p // 3 ** (n - 1 - u) % 3] for u in range(n)])
+    outcome = Alternative.A if a & first else Alternative.B
+    misreport = (Preference.A, Preference.INDIFFERENT, Preference.B, Preference.INDIFFERENT)[move]
+    return FullManipulation(profile, voter, misreport, outcome, outcome.other)
 
 
 def is_onto(table: CountTable) -> bool:

@@ -1,13 +1,14 @@
 """Outcome tables, maps from every profile of a society to an alternative.
 
-A `CountTable` is a bitmask over the padded grid of count profiles, a
-`FullTable` one outcome per full profile.  Full per-voter profiles exist
-only so that anonymity itself, and single-voter manipulation, can be
-checked against the raw definitions.  Only code that builds or reads a
-table loads this module: `core` forwards its public names here on first
-use, so the commands that build no table (`eval`, `canon`, `convert`,
-`enum`, `count`) do not compile it.  It owns the table encodings: outcome
-letters to alternatives, the grid's digits and the canonical key order.
+Both table kinds store the set of profiles that a wins as a bitmask: a
+`CountTable` over the padded grid of count profiles, a `FullTable` over
+the positions of all_full_profiles.  Full per-voter profiles exist only
+so that anonymity itself, and single-voter manipulation, can be checked
+against the raw definitions.  Only code that builds or reads a table
+loads this module: `core` forwards its public names here on first use, so
+the commands that build no table (`eval`, `canon`, `convert`, `enum`,
+`count`) do not compile it.  It owns the table encodings: outcome
+letters to alternatives, the masks' digits and the canonical key order.
 """
 
 import itertools
@@ -64,15 +65,18 @@ def _prefix_rows(n: int, lengths: list[int]) -> int:
 
 
 def _place_rows(n: int, letters: str) -> int:
-    """Grid mask from one outcome letter, 'a' or 'b', per profile in the
-    all_count_profiles order."""
-    digits = letters.translate(_DIGITS)
+    """Grid mask from one outcome letter, 'a' or 'b', per profile in the all_count_profiles order."""
     rows, start = [], 0
     for na in range(n + 1):
-        rows.append(digits[start : start + n + 1 - na].ljust(n + 2, "0"))
+        rows.append(letters[start : start + n + 1 - na].ljust(n + 2, "b"))
         start += n + 1 - na
-    # character i is bit i, so the least significant digit comes first
-    return int("".join(rows)[::-1], 2)
+    return _mask_of("".join(rows))
+
+
+def _mask_of(letters: str) -> int:
+    """Mask with bit i set when letter i is 'a'; a full table's has one letter
+    per profile, in the all_full_profiles order."""
+    return int(letters.translate(_DIGITS)[::-1], 2)
 
 
 def _grid(n: int) -> tuple[int, int]:
@@ -109,14 +113,15 @@ def _canonical_keys(n: int, form) -> tuple[tuple, ...]:
     return tuple(na), tuple(nb)
 
 
-def _check_outcomes(outcomes) -> tuple[Alternative, ...]:
-    """The outcomes as a tuple; ValueError names the first that is not an Alternative."""
+def _check_outcomes(outcomes) -> str:
+    """The outcomes as 'a'/'b' letters; ValueError names the first that is not an Alternative."""
     outcomes = tuple(outcomes)  # any iterable; no copy of a tuple
-    # count compares by identity first, so no Enum is hashed
-    if outcomes.count(Alternative.A) + outcomes.count(Alternative.B) != len(outcomes):
-        bad = next(o for o in outcomes if o is not Alternative.A and o is not Alternative.B)
+    # by identity, which count compares first: no Enum is hashed nor its .value read
+    A = Alternative.A
+    if outcomes.count(A) + outcomes.count(Alternative.B) != len(outcomes):
+        bad = next(o for o in outcomes if o is not A and o is not Alternative.B)
         raise ValueError(f"outcome must be an Alternative, got {bad!r}")
-    return outcomes
+    return "".join(["a" if o is A else "b" for o in outcomes])
 
 
 class CountTable(_Value):
@@ -132,16 +137,14 @@ class CountTable(_Value):
 
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
         _check_count_size(n, len(outcomes))
-        _check_outcomes(outcomes)
-        A = Alternative.A  # letters by identity: the Enum's .value is a descriptor call
-        super().__init__(n, _place_rows(n, "".join(["a" if o is A else "b" for o in outcomes])))
+        super().__init__(n, _place_rows(n, _check_outcomes(outcomes)))
 
     # trusted: the caller built mask inside the valid profiles of _grid(n)
     _from_mask = classmethod(_trusted)
 
     def __reduce__(self):
         # the function itself: a classmethod over it would pickle under its name, `_trusted`
-        return _trusted, (CountTable, self.n, self.mask)
+        return _trusted, (type(self), self.n, self.mask)
 
     @classmethod
     def from_function(cls, n: int, rule: Callable[[CountProfile], Alternative]) -> "CountTable":
@@ -189,7 +192,7 @@ class CountTable(_Value):
 
     @property
     def outcomes(self) -> tuple[Alternative, ...]:
-        """Outcomes in the all_count_profiles order."""
+        """Outcomes in the canonical profile order."""
         return tuple(map(_OUTCOMES.__getitem__, self.outcome_string()))
 
     def outcome(self, na: int, nb: int) -> Alternative:
@@ -215,27 +218,27 @@ def _check_count_size(n: int, entries: int) -> None:
 
 
 def _check_full_size(n: int, entries: int) -> None:
-    """Refuse a full table for n voters unless it has 3**n entries.
-
-    n may come from an untrusted header, so 3**n is formed only for an n
-    that `entries` can match.
-    """
+    """Refuse a full table for n voters unless it has 3**n entries; n may come
+    from an untrusted header, so 3**n is formed only for an n that `entries` can match."""
     _check_society(n)
     if n >= entries.bit_length() or 3**n != entries:
         raise ValueError(f"table for n={n} needs 3**{n} entries, got {entries}")
 
 
 class FullTable(_Value):
-    """Total map from every full profile of length n to an alternative."""
+    """Total map from every full profile of length n to an alternative, stored
+    as the mask of the profiles a wins: bit p is position p of all_full_profiles."""
 
-    __slots__ = ("n", "outcomes")
+    __slots__ = ("n", "mask")
 
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
         _check_full_size(n, len(outcomes))
-        super().__init__(n, _check_outcomes(outcomes))
+        super().__init__(n, _mask_of(_check_outcomes(outcomes)))
 
-    # trusted: the caller checked the 3**n size and built a tuple of Alternatives
-    _from_outcomes = classmethod(_trusted)
+    # trusted: the caller built mask below bit 3**n
+    _from_mask = classmethod(_trusted)
+    __reduce__ = CountTable.__reduce__
+    outcomes = CountTable.outcomes
 
     @classmethod
     def from_function(cls, n: int, rule: Callable[[FullProfile], Alternative]) -> "FullTable":
@@ -245,7 +248,7 @@ class FullTable(_Value):
     def from_mapping(cls, n: int, outcomes: Mapping[FullProfile, Alternative]) -> "FullTable":
         _check_full_size(n, len(outcomes))
         try:
-            return cls._from_outcomes(n, _check_outcomes([outcomes[p] for p in all_full_profiles(n)]))
+            return cls._from_mask(n, _mask_of(_check_outcomes([outcomes[p] for p in all_full_profiles(n)])))
         except KeyError as missing:
             raise ValueError(f"table is missing profile {missing.args[0]}") from None
 
@@ -256,7 +259,11 @@ class FullTable(_Value):
             letters = "".join([_LETTER[p] for p in profile])
         except KeyError as bad:
             raise ValueError(f"profile item must be a Preference, got {bad.args[0]!r}") from None
-        return self.outcomes[int(letters.translate(_BASE3), 3)]
+        return Alternative.A if self.mask >> int(letters.translate(_BASE3), 3) & 1 else Alternative.B
 
     def items(self) -> Iterator[tuple[FullProfile, Alternative]]:
         return zip(all_full_profiles(self.n), self.outcomes)
+
+    def outcome_string(self) -> str:
+        """Outcomes as a compact 'abba...' string in canonical profile order."""
+        return format(self.mask, f"0{3**self.n}b")[::-1].translate(_LETTERS)

@@ -506,8 +506,8 @@ RECORDED = {
         "error: verification found a counterexample\n",
     ),
     "verify full-dictator-n11 text": (
-        4, "anonymous: no\n",
-        "error: full manipulation scan for n=11 exceeds the n<=10 guard\n",
+        3, "anonymous: no\nstrategy-proof: yes\n",
+        "error: verification found a counterexample\n",
     ),
     "verify empty text": (2, "", "error: empty table file\n"),
     "verify header text": (2, "", "error: expected a 'n=<size>' header, got 'm=1'\n"),

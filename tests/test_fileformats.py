@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import re
 
@@ -143,6 +145,44 @@ def test_canonical_and_shuffled_files_give_the_same_table(monkeypatch, kind, n, 
     results = recording_whole_table(monkeypatch)
     assert parse_table(text) == parse_table(write(entries)) == random_table(kind, n, 0)
     assert results[0] == random_table(kind, n, 0) and results[1] is None
+
+
+def full_table_builds(table):
+    """(way, table) for each way the library builds a full table equal to `table`."""
+    n, outcomes = table.n, table.outcomes
+    mapping = dict(zip(tables.all_full_profiles(n), outcomes))
+    built = [
+        ("constructor", FullTable(n, outcomes)),
+        ("from_function", FullTable.from_function(n, mapping.__getitem__)),
+        ("from_mapping", FullTable.from_mapping(n, mapping)),
+        ("pickle", pickle.loads(pickle.dumps(table))),
+        ("copy", copy.copy(table)),
+        ("deepcopy", copy.deepcopy(table)),
+    ]
+    for fmt in (TEXT, STRUCTURED):
+        entries, write = split_file(format_full_table(table, fmt))
+        built.append((f"{fmt} file", parse_table(write(entries))))
+        random.Random(n).shuffle(entries)
+        built.append((f"shuffled {fmt} file", parse_table(write(entries))))
+    return built
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_every_way_of_building_a_full_table_gives_one_mask_and_agreeing_views(n):
+    count = random_table("count", n, n)
+    anonymous = FullTable.from_function(n, lambda p: count.outcome(tables.count_of(p).na, tables.count_of(p).nb))
+    for source in (anonymous, random_table("full", n, n)):
+        built = full_table_builds(source)
+        if source is anonymous:
+            built.append(("expand_to_full", expand_to_full(count)))
+        for way, table in built:
+            assert table == source and 0 <= table.mask < 1 << 3**n, way
+            letters = "".join(o.value for o in table.outcomes)
+            assert table.outcomes == tuple(map(table.outcome, tables.all_full_profiles(n))), way
+            assert table.outcome_string() == letters, way
+            rows = list(zip(full_profiles(n), letters))
+            for fmt in (TEXT, STRUCTURED):
+                assert format_full_table(table, fmt) == reference_format_full_table(n, rows, fmt), way
 
 
 def counting_table_checks(monkeypatch, size_check="_check_full_size"):

@@ -129,8 +129,8 @@ def test_strategy_proof_full():
 
 
 def test_strategy_proof_full_guard():
-    # the scan visits 3**n profiles: n=10 is scanned, and the refusal of n=11
-    # is the verify line of tests/test_cli.py on full-dictator-n11
+    # no budget bounds the shifts: n=10 is checked here, and n=11 by the
+    # verify line of tests/test_cli.py on full-dictator-n11
     assert find_manipulation_full(FullTable(10, (A,) * 3**10)) is None
 
 
@@ -366,6 +366,18 @@ def test_full_checks_match_references_on_flipped_family_tables(n):
     assert {manipulable for manipulable, _ in verdicts} == {False, True}
     # at n=1 every class of equal-count profiles is one profile
     assert {anonymous for _, anonymous in verdicts} == ({True} if n == 1 else {False, True})
+
+
+@pytest.mark.slow
+def test_full_checks_match_references_on_flipped_tables_n11():
+    # past the n=10 that a profile-by-profile scan was once limited to
+    rng = random.Random(1311)
+    family = [table for _, table in enumerate_all(11)]
+    verdicts = set()
+    for flips in (0, 1, 1, 3):
+        cells = flip(expand_to_full(rng.choice(family)).outcomes, rng.sample(range(3**11), flips))
+        verdicts.add(assert_full_checks_match_references(FullTable(11, cells)))
+    assert {manipulable for manipulable, _ in verdicts} == {False, True}
 
 
 SLOW_FAMILY_SIZES = [pytest.param(n, marks=pytest.mark.slow) for n in (7, 8)]

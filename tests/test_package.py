@@ -253,6 +253,12 @@ def test_the_readme_start_up_table_matches_loads():
     assert rows == LOADS
 
 
+def test_the_readme_figure_of_what_verify_compiles_matches_loads(layers, listings):
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    figure = re.search(r"`verify` compiles ([\d,]+) AST nodes", readme)[1]
+    assert int(figure.replace(",", "")) == layers.startup_loads(listings)["startup.verify"]["ast_nodes"]
+
+
 @pytest.mark.parametrize("line", [line for line in LINES if line not in PARSED], ids=line_id)
 def test_no_command_loads_argparse_gettext_or_locale(listings, line):
     # each of these lines is read from the option table, not by argparse

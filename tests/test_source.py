@@ -91,7 +91,7 @@ def test_one_builder_skips_init_for_every_n_value_type():
     ]
     assert len(calls) == 1, calls
     from quotamaj import CountTable, FullTable, QuotaSeq, core
-    builders = (QuotaSeq._trusted, CountTable._from_mask, FullTable._from_outcomes)
+    builders = (QuotaSeq._trusted, CountTable._from_mask, FullTable._from_mask)
     assert all(builder.__func__ is core._trusted for builder in builders)
 
 
@@ -190,7 +190,7 @@ def test_the_readme_budget_table_names_every_budget_constant():
         if not line.startswith("|"):
             break
         rows.append(line.split("|")[1].strip().strip("`"))
-    assert constants == ["core.MAX_RULES", "core.MAX_TABLE_PROFILES", "oracle.MAX_FULL_SCAN_N"]
+    assert constants == ["core.MAX_RULES", "core.MAX_TABLE_PROFILES"]
     assert sorted(rows) == constants
 
 

@@ -39,7 +39,7 @@ VALUES = {
     CountProfile: (("na", "nb", "n"), lambda: CountProfile(1, 2, 4), lambda: CountProfile(2, 1, 4)),
     QuotaSeq: (("n", "quotas"), lambda: QuotaSeq(11, (5, 2, 12)), lambda: QuotaSeq(11, (5, 12))),
     CountTable: (("n", "mask"), lambda: to_table(QuotaSeq(3, (2, 4))), lambda: to_table(QuotaSeq(3, (1, 4)))),
-    FullTable: (("n", "outcomes"), lambda: expand_to_full(majority(2)), lambda: expand_to_full(to_table(QuotaSeq(2, (0,))))),
+    FullTable: (("n", "mask"), lambda: expand_to_full(majority(2)), lambda: expand_to_full(to_table(QuotaSeq(2, (0,))))),
     CountManipulation: (
         ("profile", "truthful", "misreport", "honest_outcome", "manipulated_outcome"),
         lambda: CountManipulation(CountProfile(1, 1, 3), PB, PA, A, B),

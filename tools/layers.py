@@ -192,7 +192,8 @@ def search_cases(work: Path) -> list[tuple[str, object]]:
     then on a JSON file of a table at n=7 with one profile flipped,
     `verify`'s first step, cli._load_counts, whose reduction fails, and
     the find_manipulation_full that `verify` then runs on that table,
-    which finds no witness there and so reads all of it."""
+    whose shifts cover the whole mask whether or not they find a
+    witness."""
     rng = random.Random(RANDOM_SEED)
     proper = workloads.ref.subset_to_proper(workloads._stratified_subset(rng, 200, 24), "b", 200)
     r, thresholds = workloads.random_lp_rule(rng, 80, "a")
