@@ -16,11 +16,13 @@ On full tables a profile is its position p in all_full_profiles: voter v,
 of place w = 3**(n-1-v), declares the digit t = p // w % 3 (a=0, b=1,
 i=2), and misreporting m moves the profile to p + (m - t) * w.  So each
 voter's four profitable misreports are shifts of the table's mask by w or
-2w, masked to where the voter declares a or b.
+2w, masked to where the voter declares a or b.  A full table is anonymous
+exactly when it is the expansion of the count table that its profiles
+a…ab…bi…i give, one per class, so anonymity is that round trip.
 """
 
 from .core import Alternative, CountProfile, _Value, count_table_size
-from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid, _mask_of
+from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid
 
 
 class CountManipulation(_Value):
@@ -63,44 +65,40 @@ class FullManipulation(_Value):
         )
 
 
-def _count_positions(n: int) -> list[int]:
-    # for each full profile in canonical order, the grid bit na*(n+2) + nb of
-    # its count profile: each voter's a, b or i adds one to na, nb or neither
-    bits = [0]
-    for _ in range(n):
-        bits = [c + d for c in bits for d in (n + 2, 1, 0)]
-    return bits
-
-
-def _class_mask(table: FullTable) -> int | None:
-    """The grid mask of the count classes that a wins, or None when some
-    profile's outcome differs from the one its class keeps."""
-    positions, letters = _count_positions(table.n), table.outcome_string()
-    kept = dict(zip(positions, letters))  # each class keeps its last profile's
-    if "".join(map(kept.__getitem__, positions)) != letters:
-        return None
-    return sum([1 << bit for bit, letter in kept.items() if letter == "a"])
+def _classes(table: FullTable) -> CountTable:
+    """The count table that gives class (na, nb) the outcome of its profile
+    a…ab…bi…i, whose base-3 digits are na 0s, nb 1s and then 2s."""
+    n, mask = table.n, table.mask
+    return CountTable._from_mask(n, sum([
+        (mask >> (3 ** (n - na) + 3 ** (n - na - nb)) // 2 - 1 & 1) << na * (n + 2) + nb
+        for na in range(n + 1) for nb in range(n + 1 - na)
+    ]))
 
 
 def check_anonymous(table: FullTable) -> bool:
     """Whether the table is constant on every class of equal-count profiles."""
-    return _class_mask(table) is not None
+    return expand_to_full(_classes(table)) == table
 
 
 def reduce_to_counts(table: FullTable) -> CountTable:
     """Collapse an anonymous full table to its count table; a table that is
     not anonymous raises ValueError."""
-    mask = _class_mask(table)
-    if mask is None:
+    classes = _classes(table)
+    if expand_to_full(classes) != table:
         raise ValueError("table is not anonymous; it has no count form")
-    return CountTable._from_mask(table.n, mask)  # each bit is a count profile's
+    return classes
 
 
 def expand_to_full(table: CountTable) -> FullTable:
     """The (anonymous) full table induced by a count table, whose outcomes need no check."""
-    mask = table.mask
-    letters = "".join(["ba"[mask >> bit & 1] for bit in _count_positions(table.n)])
-    return FullTable._from_mask(table.n, _mask_of(letters))
+    n, width = table.n, table.n + 2
+    # after step k, cells[g] masks the profiles of the last k+1 voters where a
+    # wins once the voters before them reach grid bit g; the voter added leads
+    # the k+1, and its a, b or i adds width, 1 or 0 to the grid bit
+    cells = [table.mask >> g & 1 for g in range((n + 1) * width)]
+    for k in range(n):
+        cells = [a | b << 3**k | c << 2 * 3**k for a, b, c in zip(cells[width:], cells[1:], cells)]
+    return FullTable._from_mask(n, cells[0])
 
 
 def _escapes(region: int, width: int, valid: int) -> tuple[int, int, int]:

@@ -113,15 +113,15 @@ def _canonical_keys(n: int, form) -> tuple[tuple, ...]:
     return tuple(na), tuple(nb)
 
 
-def _check_outcomes(outcomes) -> str:
-    """The outcomes as 'a'/'b' letters; ValueError names the first that is not an Alternative."""
+def _check_outcomes(outcomes) -> Iterator[str]:
+    """The outcomes' 'a'/'b' letters, made lazily; ValueError names the first that is not an Alternative."""
     outcomes = tuple(outcomes)  # any iterable; no copy of a tuple
     # by identity, which count compares first: no Enum is hashed nor its .value read
     A = Alternative.A
     if outcomes.count(A) + outcomes.count(Alternative.B) != len(outcomes):
         bad = next(o for o in outcomes if o is not A and o is not Alternative.B)
         raise ValueError(f"outcome must be an Alternative, got {bad!r}")
-    return "".join(["a" if o is A else "b" for o in outcomes])
+    return ("a" if o is A else "b" for o in outcomes)
 
 
 class CountTable(_Value):
@@ -137,7 +137,7 @@ class CountTable(_Value):
 
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
         _check_count_size(n, len(outcomes))
-        super().__init__(n, _place_rows(n, _check_outcomes(outcomes)))
+        super().__init__(n, _place_rows(n, "".join(_check_outcomes(outcomes))))
 
     # trusted: the caller built mask inside the valid profiles of _grid(n)
     _from_mask = classmethod(_trusted)
@@ -233,7 +233,7 @@ class FullTable(_Value):
 
     def __init__(self, n: int, outcomes: tuple[Alternative, ...]) -> None:
         _check_full_size(n, len(outcomes))
-        super().__init__(n, _mask_of(_check_outcomes(outcomes)))
+        super().__init__(n, _mask_of("".join(_check_outcomes(outcomes))))
 
     # trusted: the caller built mask below bit 3**n
     _from_mask = classmethod(_trusted)
@@ -248,7 +248,7 @@ class FullTable(_Value):
     def from_mapping(cls, n: int, outcomes: Mapping[FullProfile, Alternative]) -> "FullTable":
         _check_full_size(n, len(outcomes))
         try:
-            return cls._from_mask(n, _mask_of(_check_outcomes([outcomes[p] for p in all_full_profiles(n)])))
+            return cls._from_mask(n, _mask_of("".join(_check_outcomes([outcomes[p] for p in all_full_profiles(n)]))))
         except KeyError as missing:
             raise ValueError(f"table is missing profile {missing.args[0]}") from None
 

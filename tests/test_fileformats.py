@@ -167,7 +167,7 @@ def full_table_builds(table):
     return built
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
 def test_every_way_of_building_a_full_table_gives_one_mask_and_agreeing_views(n):
     count = random_table("count", n, n)
     anonymous = FullTable.from_function(n, lambda p: count.outcome(tables.count_of(p).na, tables.count_of(p).nb))

@@ -344,8 +344,8 @@ def test_layers_times_the_conversions_and_the_full_table_oracle(layers, tmp_path
     # the anonymous full table at n=8 reduces to its count table
     assert cases["reduce_to_counts.n8"]() == reduce_to_counts(layers.FULL) == to_table(QuotaSeq(8, (4, 6, 2, 9)))
     # a full table at n=7 that is not anonymous, so `verify` reads it to no
-    # count table and runs the full scan; its flip leaves it strategy-proof,
-    # so the scan finds no witness and reads the whole table
+    # count table and runs the masked shifts of every voter, whose cost does
+    # not depend on a witness; its flip leaves it strategy-proof, so they find none
     full = cases["find_manipulation_full.n7"].args[0]
     assert full.n == 7 and not check_anonymous(full)
     assert cases["load_counts.full.n7.json"]() == (full, None)

@@ -10,7 +10,6 @@ from quotamaj import (
     FullTable,
     Preference,
     QuotaSeq,
-    all_full_profiles,
     check_anonymous,
     count_of,
     count_table_size,
@@ -25,7 +24,7 @@ from quotamaj import (
     subset_to_proper,
     to_table,
 )
-from quotamaj.oracle import _count_positions, _escapes
+from quotamaj.oracle import _escapes
 from quotamaj.tables import _grid, _prefix_rows
 
 import certificates
@@ -45,14 +44,6 @@ def test_reduce_to_counts():
     constant = FullTable.from_function(2, lambda prof: B)
     assert set(reduce_to_counts(constant).outcomes) == {B}
     assert reduce_to_counts(expand_to_full(majority3())) == majority3()
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_count_positions_match_a_count_of_walk(n):
-    # the digit-count map against a walk over the profile objects; profile
-    # (na, nb) is grid bit na*(n+2) + nb
-    counts = map(count_of, all_full_profiles(n))
-    assert _count_positions(n) == [c.na * (n + 2) + c.nb for c in counts]
 
 
 def test_strategy_proof_majority():

@@ -302,11 +302,14 @@ def test_one_check_refuses_a_profile_of_another_society_size():
 
 def test_only_tables_computes_a_count_profile_index():
     # row na of the all_count_profiles order starts at na*(2n+3-na)/2; the
-    # oracle works on grid bits and never round-trips letters through rows
+    # oracle works on grid bits and reads a table only through its mask,
+    # never round-tripping letters through rows or positions
     found = sorted(path.name for path in SOURCE.glob("*.py") if "2 * n + 3" in path.read_text())
     assert found == ["tables.py"]
     oracle = [name for _, module, name in imports_from_the_package(SOURCE / "oracle.py") if module == "tables"]
-    assert oracle and "_place_rows" not in oracle
+    assert oracle and not {"_place_rows", "_mask_of"} & set(oracle)
+    read = {node.attr for node in ast.walk(ast.parse((SOURCE / "oracle.py").read_text())) if isinstance(node, ast.Attribute)}
+    assert "mask" in read and "outcome_string" not in read
 
 
 def test_only_tables_maps_text_to_outcomes():
