@@ -9,13 +9,15 @@ why every sequence must contain such a terminal element.
 
 The b condition is the a condition on the quota mirrored by `core._mirror`,
 the one map that swaps the alternatives in the package.  Where a sequence
-can decide is found in one place too: `length` finds its first terminal,
-and `_escape_sides` tells which later entries escape the earlier range.
-A rule's table is one staircase, the row lengths of `_staircase`, and
-only `to_table` turns it into an n² mask, so only it loads `tables`.  Extraction and the
-indifference-quota rules share the level maps: `_row_thresholds` reads
-each indifference row's least winning a-support off the staircase, and
-`_interleave` turns (ell, k) levels back into a sequence.
+decides is found by three walks: `_decide` for one profile (`length` is
+its answer for the all-indifferent profile (0, 0), which only a terminal
+meets), `_first_meeting` for a whole support axis, and `_escape_sides`
+for which entries can decide at all.  A rule's table is one staircase,
+the row lengths of `_staircase`, and only `to_table` turns it into an n²
+mask, so only it loads `tables`.  Extraction and the indifference-quota
+rules share the level maps: `_row_thresholds` reads each indifference
+row's least winning a-support off the staircase, and `_interleave` turns
+(ell, k) levels back into a sequence.
 """
 
 from .core import Alternative, CountProfile, QuotaSeq, _check_quotas, _mirror, check_table_size
@@ -59,11 +61,8 @@ def evaluate_strict_quota(quota: int, profile: CountProfile) -> Alternative:
 
 
 def length(seq: QuotaSeq) -> int:
-    """Position of the first element in {0, n+1}."""
-    for i, q in enumerate(seq.quotas):
-        if q in (0, seq.n + 1):
-            return i
-    raise AssertionError("unreachable: sequence contains an element of {0, n+1}")
+    """Position of the first element in {0, n+1}: the index that decides (0, 0)."""
+    return _decide(seq.quotas, seq.n, 0, 0)[0]
 
 
 def _escape_sides(quotas: tuple[int, ...]) -> list[int]:
@@ -96,11 +95,11 @@ def is_proper(seq: QuotaSeq) -> bool:
     sequences, and for onto rules the proper form is unique.
 
     Any sequence is accepted; shapes that break a condition report False.
+    An entry that escapes the range of every earlier one equals none of
+    them, so nonzero sides already make the entries distinct.
     """
-    if not is_valid_r_tuple(seq):
-        return False
     sides = _escape_sides(seq.quotas)
-    return 0 not in sides and all(a != b for a, b in zip(sides, sides[1:]))
+    return length(seq) == len(sides) and 0 not in sides and all(a != b for a, b in zip(sides, sides[1:]))
 
 
 def _require_proper(seq: QuotaSeq) -> None:

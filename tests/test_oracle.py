@@ -10,6 +10,7 @@ from quotamaj import (
     FullTable,
     Preference,
     QuotaSeq,
+    all_full_profiles,
     check_anonymous,
     count_of,
     count_table_size,
@@ -258,8 +259,10 @@ def test_exhaustive_family_matches_closure_filter():
         assert [t.outcomes for t in exhaustive_sp_family(n)] == reference_sp_family(n)
 
 
-# The profile-tuple scan and the count_of walk that the oracle's position
-# walks replaced.  They look outcomes up by profile tuple, not by position.
+# References for the full-table checks, which look outcomes up by profile
+# tuple, not by position: a scan of every voter's misreports against the
+# masked shifts per voter, and the classes of equal-count profiles against
+# the `_classes`/`expand_to_full` round trip.
 
 
 def reference_find_manipulation_full(table):
@@ -400,6 +403,43 @@ def test_count_and_full_verdicts_agree_on_seeded_one_cell_flips(n):
         for cell in rng.sample(range(count_table_size(n)), 3):
             flipped = CountTable(n, flip(table.outcomes, [cell]))
             assert (find_manipulation_full(expand_to_full(flipped)) is None) == (find_manipulation(flipped) is None)
+
+
+UPWARD = (Preference.B, Preference.INDIFFERENT, Preference.A)
+
+
+def up_sets(n):
+    """Every up-set of {b < i < a}^n, as a frozenset of full profiles.
+
+    Split by the last voter's preference, an up-set is a chain
+    U_b <= U_i <= U_a of up-sets of the first n-1 voters.
+    """
+    if n == 0:
+        return [frozenset(), frozenset({()})]
+    shorter = up_sets(n - 1)
+    return [
+        frozenset(p + (last,) for last, part in zip(UPWARD, chain) for p in part)
+        for chain in itertools.product(shorter, repeat=3)
+        if chain[0] <= chain[1] <= chain[2]
+    ]
+
+
+@pytest.mark.parametrize("n, count", [(1, 4), (2, 20), (3, 980)])
+def test_the_strategy_proof_full_tables_are_the_up_sets(n, count):
+    # the paper's "all, and only" per voter: a full table is strategy-proof
+    # exactly when its a-region is an up-set, and the anonymous ones are the family
+    regions = up_sets(n)
+    assert len(set(regions)) == len(regions) == count
+    tables = [FullTable.from_function(n, lambda p, region=region: A if p in region else B) for region in regions]
+    assert all(find_manipulation_full(table) is None for table in tables)
+    anonymous = {table.mask for table in tables if check_anonymous(table)}
+    assert len(anonymous) == 2 ** (n + 1)
+    assert anonymous == {expand_to_full(table).mask for _, table in enumerate_all(n)}
+    if n <= 2:  # only those: every one of the 8 and 512 full tables
+        profiles = list(all_full_profiles(n))
+        for cells in itertools.product((A, B), repeat=3**n):
+            region = frozenset(p for p, outcome in zip(profiles, cells) if outcome is A)
+            assert (find_manipulation_full(FullTable(n, cells)) is None) == (region in regions)
 
 
 # The strategy-proof tables are the staircases c_0..c_n, a winning (na, nb)
