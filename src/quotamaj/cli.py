@@ -166,10 +166,10 @@ def cmd_represent(args) -> int:
     if counts is None:
         raise PropertyViolated("table is not anonymous: two profiles with equal counts disagree")
     try:
-        levels = extraction.extract(counts)
+        seq = extraction.represent(counts)
     except extraction.NotStrategyProof as err:
         raise PropertyViolated(str(err)) from None
-    seq = extraction._proper_form(levels)
+    levels = extraction._levels(seq)
     pairs = ",".join(f"({ell},{k})" for ell, k in levels.pairs) or "none"
     print(seq)
     print(f"x={levels.default}; (l,k)={pairs}")

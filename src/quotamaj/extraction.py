@@ -1,36 +1,38 @@
-"""Recovering a quota sequence from a strategy-proof anonymous table.
+"""Reading a quota sequence, and its levels, off a strategy-proof anonymous table.
 
-The recovery works on levels of indifference.  With ell voters indifferent
-and a quota k on the remaining n - ell, a profile is
+A strategy-proof count table is the up-closure of its corners
+(`tables.CountTable._corners`), which are its proper sequence's entries
+other than n+1 paired from the outside in, as the README proves.  So
+`represent` checks the table with the oracle and places the corners as
+`enumeration.subset_to_proper` does.
+
+The levels come from that sequence.  With ell voters indifferent and a
+quota k on the remaining n - ell, a profile is
 
 * a-covered when at least k support a and fewer than the margin m
   (see `LKSequence.margin`) support b,
 * b-covered when fewer than k support a and at least m support b.
 
-A strategy-proof table is one threshold per indifference row, read off
-its staircase by `engine._row_thresholds`: in the row of profiles with
-ell voters indifferent, a wins exactly from some support t(ell) on.
-With default b, the recovery walks these thresholds once from the strict
-row down and opens the level (ell, t(ell)) wherever a wins in the row
-below the last opened quota.  The recorded ells strictly increase and
-the quotas strictly decrease while ell + k never decreases, and
-replaying the pairs first-match reproduces the table exactly.
-`engine._interleave` turns the pairs into a defining quota sequence,
-whose proper form is then the canonical representation of the table.
+In the row of profiles with ell voters indifferent, a wins exactly from
+some support t(ell) on, read off the sequence's staircase by
+`engine._row_thresholds`.  With default b, `_levels` walks these
+thresholds once from the strict row down and opens the level
+(ell, t(ell)) wherever a wins in the row below the last opened quota.
+The recorded ells strictly increase and the quotas strictly decrease
+while ell + k never decreases, and replaying the pairs first-match
+reproduces the table exactly.
 
 Default a is the mirror image of default b.  `core._mirror` maps a
 quota k on the n - ell voters who are not indifferent to n - ell + 1 - k,
 its quota once a and b swap, so the margin m is the mirrored k.  A
-default-a table is recovered from its mirrored thresholds, its levels
-are validated and interleaved as the mirrored default-b levels, and the
-results are mirrored back.
+default-a rule's levels are walked from its mirrored thresholds,
+validated as the mirrored default-b levels, and mirrored back.
 """
 
 from . import oracle
-from .canonical import canonicalize
 # `CountTable` in annotations is `tables.CountTable`, which a caller loads to build one
 from .core import Alternative, CountProfile, QuotaSeq, _Value, _mirror
-from .engine import _interleave, _mirror_pairs, _require_same_n, _row_thresholds
+from .engine import _interleave, _mirror_pairs, _require_same_n, _row_thresholds, _staircase
 
 
 class NotStrategyProof(ValueError):
@@ -116,20 +118,26 @@ def interleave(seq: LKSequence) -> QuotaSeq:
     return _interleave(seq.n, seq.default, seq.pairs)
 
 
-def extract(table: "CountTable") -> LKSequence:
-    """Recover the level pairs of a strategy-proof table.
-
-    With default b, row ell opens the level (ell, t) when its threshold t
-    is below the last quota and a wins somewhere in the row.  Default a
-    walks the mirrored thresholds the same way and mirrors the pairs back.
-    """
+def represent(table: "CountTable") -> QuotaSeq:
+    """The unique proper quota sequence whose table equals the input: from the back,
+    n+1 unless the first corner is in row 0 (a wins (0, 0)), then each corner's na and n - nb."""
     counterexample = oracle.find_manipulation(table)
     if counterexample is not None:
         raise NotStrategyProof(counterexample)
     n = table.n
-    default = table.outcome(0, 0)
-    mirror = default is Alternative.A
-    rows = enumerate(_row_thresholds(n, table._staircase()))
+    corners = table._corners()
+    quotas = [] if corners and corners[0][0] == 0 else [n + 1]
+    for na, nb in corners:
+        quotas += (na,) if na == n - nb else (na, n - nb)
+    return QuotaSeq._trusted(n, tuple(reversed(quotas)))
+
+
+def _levels(seq: QuotaSeq) -> LKSequence:
+    """The level pairs of a sequence's rule, walked from its row thresholds."""
+    n = seq.n
+    lengths = _staircase(seq)
+    mirror = lengths[0] > 0  # a wins (0, 0): default a
+    rows = enumerate(_row_thresholds(n, lengths))
     if mirror:
         rows = _mirror_pairs(n, rows)
     pairs = []
@@ -140,14 +148,9 @@ def extract(table: "CountTable") -> LKSequence:
             last = t
     if mirror:
         pairs = _mirror_pairs(n, pairs)
-    return LKSequence(n=n, default=default, pairs=tuple(pairs))
+    return LKSequence(n=n, default=Alternative.A if mirror else Alternative.B, pairs=tuple(pairs))
 
 
-def _proper_form(levels: LKSequence) -> QuotaSeq:
-    """The proper sequence of already extracted levels."""
-    return canonicalize(interleave(levels).quotas, levels.n)
-
-
-def represent(table: "CountTable") -> QuotaSeq:
-    """The unique proper quota sequence whose table equals the input."""
-    return _proper_form(extract(table))
+def extract(table: "CountTable") -> LKSequence:
+    """Recover the level pairs of a strategy-proof table."""
+    return _levels(represent(table))

@@ -2,8 +2,10 @@
 
 Both table kinds store the set of profiles that a wins as a bitmask: a
 `CountTable` over the padded grid of count profiles, a `FullTable` over
-the positions of all_full_profiles.  Full per-voter profiles exist only
-so that anonymity itself, and single-voter manipulation, can be checked
+the positions of all_full_profiles.  A strategy-proof count table is the
+up-closure of its corners, which `extraction` reads a rule off; no code
+reads a staircase off a mask.  Full per-voter profiles exist only so
+that anonymity itself, and single-voter manipulation, can be checked
 against the raw definitions.  Only code that builds or reads a table
 loads this module: `core` forwards its public names here on first use, so
 the commands that build no table (`eval`, `canon`, `convert`, `enum`,
@@ -171,24 +173,17 @@ class CountTable(_Value):
                 letters[na * (2 * n + 3 - na) // 2 + nb] = "a"
         return cls._from_mask(n, _place_rows(n, "".join(letters)))
 
-    def _bit_string(self) -> str:
-        """The mask as '0'/'1' characters; character na*(n+2) + nb is profile (na, nb)."""
-        n = self.n
-        return format(self.mask, f"0{(n + 1) * (n + 2)}b")[::-1]
-
-    def _staircase(self) -> list[int] | None:
-        """Row lengths c_0..c_n, a winning (na, nb) exactly when nb < c_na, or
-        None when a row is no prefix; `_prefix_rows` is the inverse."""
-        width = self.n + 2
-        bits = self._bit_string()
-        lengths = []
-        for start in range(0, len(bits), width):
-            # the spare column is '0', so every row has a first '0'
-            c = bits.index("0", start)
-            if bits.find("1", c, start + width) >= 0:
-                return None
-            lengths.append(c - start)
-        return lengths
+    def _corners(self) -> list[tuple[int, int]]:
+        """The profiles (na, nb) that a wins while it loses (na-1, nb) and (na, nb+1), by ascending
+        na: as a mask holds valid profiles only, a lowering off them reads as a loss."""
+        width, won = self.n + 2, self.mask
+        bits = format(won & ~(won << width) & ~(won >> 1), "b")[::-1]
+        corners = []
+        p = bits.find("1")
+        while p >= 0:
+            corners.append(divmod(p, width))
+            p = bits.find("1", p + 1)
+        return corners
 
     @property
     def outcomes(self) -> tuple[Alternative, ...]:
@@ -205,8 +200,9 @@ class CountTable(_Value):
 
     def outcome_string(self) -> str:
         """Outcomes as a compact 'abba...' string in canonical profile order."""
-        # one digit per profile, in the all_count_profiles order: nb = 0..n-na of each row na
-        n, bits = self.n, self._bit_string()
+        # digit na*(n+2) + nb is profile (na, nb); the all_count_profiles order is nb = 0..n-na per row na
+        n = self.n
+        bits = format(self.mask, f"0{(n + 1) * (n + 2)}b")[::-1]
         return "".join([bits[na * (n + 2) : na * (n + 2) + n + 1 - na] for na in range(n + 1)]).translate(_LETTERS)
 
 

@@ -68,14 +68,13 @@ def rules_matching_table(table: CountTable) -> list[LPRule]:
     Exhaustive over both defaults; the certificate behind the uniqueness of
     this parametrization.  It returns at most one rule for any table: exactly
     one for a strategy-proof onto table, none for any other.  A staircase
-    fixes its table, and a table with a row that is no prefix has none.
+    fixes its table, so a rule matches when its staircase's mask is the table's.
     """
-    lengths = table._staircase()
     return [
         rule
         for default in (Alternative.B, Alternative.A)
         for rule in all_rules(table.n, default)
-        if _staircase(_sequence(rule)) == lengths
+        if _prefix_rows(table.n, _staircase(_sequence(rule))) == table.mask
     ]
 
 

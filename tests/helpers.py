@@ -8,7 +8,7 @@
 * references that share no code with the library: `reference_truncate`,
   the rewrite-to-fixpoint `reference_canonicalize` with its leftmost-first
   `delete_dominated_leftmost`, `reference_row_thresholds`,
-  `reference_to_table` and `reference_family_file`;
+  `reference_to_table`, `reference_up_closure` and `reference_family_file`;
 * `run`, which runs one command in process.
 
 Not a test module: pytest does not collect it, and the tests import it by
@@ -204,6 +204,14 @@ def reference_to_table(seq):
     where its support meets the first deciding quota."""
     n, quotas = seq.n, seq.quotas
     return tuple(A if na >= quotas[first_deciding_index(quotas, n, na, nb)] else B for na, nb in count_profiles(n))
+
+
+def reference_up_closure(n, corners):
+    """The outcomes in the canonical order of the table that a wins exactly
+    at or above a corner (ca, cb): where na >= ca and nb <= cb."""
+    # row na: a wins up to the greatest cb of the corners with ca <= na
+    reach = [max((cb for ca, cb in corners if ca <= na), default=-1) for na in range(n + 1)]
+    return tuple(A if nb <= reach[na] else B for na, nb in count_profiles(n))
 
 
 def reference_family_file(sequences, n, fmt):

@@ -30,7 +30,7 @@ from quotamaj.tables import _grid, _prefix_rows
 
 import certificates
 from certificates import exhaustive_sp_family
-from helpers import dictator, every_count_table, majority3, manipulable3
+from helpers import dictator, every_count_table, majority3, manipulable3, reference_up_closure
 
 A, B = Alternative.A, Alternative.B
 
@@ -483,12 +483,12 @@ def test_the_staircases_number_two_to_the_n_plus_1(sizes):
 
 def test_the_staircase_sampler_draws_every_staircase_of_the_family():
     n = 3
-    family = {tuple(table._staircase()) for table in exhaustive_sp_family(n)}
+    family = {table.mask for table in exhaustive_sp_family(n)}
     rng = random.Random(2020)
-    drawn = [tuple(sample_staircase(rng, n, staircase_ways(n))) for _ in range(800)]
+    drawn = [_prefix_rows(n, sample_staircase(rng, n, staircase_ways(n))) for _ in range(800)]
     assert set(drawn) == family
     # 50 draws each are expected; a wrong weight would skew this far more
-    assert all(25 <= drawn.count(stairs) <= 75 for stairs in family)
+    assert all(25 <= drawn.count(mask) <= 75 for mask in family)
 
 
 @pytest.mark.parametrize("n", [100, 300])
@@ -501,6 +501,7 @@ def test_sampled_staircases_are_represented_and_round_trip(n):
         assert all(c >= min(above, n + 1 - na) for na, (above, c) in enumerate(zip(stairs, stairs[1:]), 1))
         table = CountTable._from_mask(n, _prefix_rows(n, stairs))
         assert find_manipulation(table) is None
+        assert reference_up_closure(n, table._corners()) == table.outcomes
         seq = represent(table)
         assert to_table(seq).mask == table.mask
         assert subset_to_proper(*proper_to_subset(seq), n) == seq

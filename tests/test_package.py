@@ -154,7 +154,7 @@ LOADS = {
     "startup.canon": {"canonical", "engine"},
     "startup.count": set(),
     "startup.verify": {"fileformats", "oracle", "tables"},
-    "startup.represent": {"canonical", "engine", "extraction", "fileformats", "oracle", "tables"},
+    "startup.represent": {"engine", "extraction", "fileformats", "oracle", "tables"},
     # `convert --quotas` runs no canonicalization, so only the other
     # direction loads `canonical`
     "startup.convert": {"engine", "lp"},

@@ -17,8 +17,10 @@ from quotamaj import (
     all_rules,
     count_table_size,
     enumerate_all,
+    find_manipulation,
     lp_eval,
     lp_to_table,
+    represent,
     subset_to_proper,
     to_table,
 )
@@ -33,6 +35,7 @@ from helpers import (
     reference_family_file,
     reference_row_thresholds,
     reference_to_table,
+    reference_up_closure,
     short_sequences,
 )
 
@@ -72,38 +75,39 @@ def test_to_table_matches_reference_on_long_sequences(seq):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_row_thresholds_match_reference_on_strategy_proof_tables(n):
     for table in exhaustive_sp_family(n):
-        assert _row_thresholds(n, table._staircase()) == reference_row_thresholds(n, table.outcome)
+        assert _row_thresholds(n, _staircase(represent(table))) == reference_row_thresholds(n, table.outcome)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_row_thresholds_match_reference_on_the_family(n):
-    for _, table in enumerate_all(n):
-        assert _row_thresholds(n, table._staircase()) == reference_row_thresholds(n, table.outcome)
+    for seq, table in enumerate_all(n):
+        assert _row_thresholds(n, _staircase(seq)) == reference_row_thresholds(n, table.outcome)
 
 
-def has_non_prefix_row(table):
-    n = table.n
-    return any(
-        table.outcome(na, nb) is B and table.outcome(na, nb + 1) is A
-        for na in range(n + 1)
-        for nb in range(n - na)
-    )
+def paired_outside_in(values):
+    """(s_i, s_(k+1-i)) for the sorted values s_1 < ... < s_k, i up to ceil(k/2)."""
+    s = sorted(values)
+    return [(s[i], s[-1 - i]) for i in range((len(s) + 1) // 2)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_family_corners_are_the_sequence_entries_paired_outside_in(n):
+    for seq, table in enumerate_all(n):
+        corners = table._corners()
+        pairs = paired_outside_in(k for k in seq.quotas if k != n + 1)
+        assert corners == [(lo, n - hi) for lo, hi in pairs], seq
+        if n <= 10:
+            assert reference_up_closure(n, corners) == table.outcomes, seq
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_staircase_is_none_exactly_on_tables_with_a_non_prefix_row(n):
-    # the strategy-proofness gate of `extract` refuses every such table
-    # before its staircase is read
-    refused = 0
-    for _, table in every_count_table(n):
-        lengths = table._staircase()
-        if has_non_prefix_row(table):
-            assert lengths is None
-            refused += 1
-        else:
-            assert len(lengths) == n + 1
-            assert CountTable._from_mask(n, _prefix_rows(n, lengths)) == table
-    assert 0 < refused < 2 ** count_table_size(n)
+def test_every_strategy_proof_table_is_the_up_closure_of_its_corners(n):
+    passed = 0
+    for outcomes, table in every_count_table(n):
+        if find_manipulation(table) is None:
+            assert reference_up_closure(n, table._corners()) == outcomes
+            passed += 1
+    assert passed == 2 ** (n + 1)
 
 
 @pytest.mark.parametrize("n", range(1, 12))
@@ -111,7 +115,7 @@ def test_family_staircases_rise_strictly_to_n_plus_1(n):
     # the property the pointer walk of `_row_thresholds` rests on
     for seq, table in enumerate_all(n):
         lengths = _staircase(seq)
-        assert lengths == table._staircase()
+        assert _prefix_rows(n, lengths) == table.mask
         sums = [na + c for na, c in enumerate(lengths)]
         assert all(x < y or x == y == n + 1 for x, y in zip(sums, sums[1:])), seq
 

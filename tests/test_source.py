@@ -67,7 +67,7 @@ TOP_LEVEL_IMPORTS = {
     "core": set(),
     "engine": {"core"},
     "enumeration": {"core"},
-    "extraction": {"canonical", "core", "engine", "oracle"},
+    "extraction": {"core", "engine", "oracle"},
     "fileformats": {"core"},
     "lp": {"core", "engine"},
     "oracle": {"core", "tables"},
