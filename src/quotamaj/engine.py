@@ -9,15 +9,17 @@ why every sequence must contain such a terminal element.
 
 The b condition is the a condition on the quota mirrored by `core._mirror`,
 the one map that swaps the alternatives in the package.  Where a sequence
-decides is found by three walks: `_decide` for one profile (`length` is
-its answer for the all-indifferent profile (0, 0), which only a terminal
-meets), `_first_meeting` for a whole support axis, and `_escape_sides`
-for which entries can decide at all.  A rule's table is one staircase,
-the row lengths of `_staircase`, and only `to_table` turns it into an n²
-mask, so only it loads `tables`.  Extraction and the indifference-quota
-rules share the level maps: `_row_thresholds` reads each indifference
-row's least winning a-support off the staircase, and `_interleave` turns
-(ell, k) levels back into a sequence.
+decides is found by two walks: `_decide` for one profile (`length` is its
+answer for the all-indifferent profile (0, 0), which only a terminal
+meets), and the running range [lo, hi] of the entries, after which the
+undecided profiles are exactly na < lo and nb < n+1-hi.  `_escape_sides`
+reads that range entry by entry, for which entries can decide at all,
+and `_staircase` row by row: a rule's table is one staircase, its row
+lengths, and only `to_table` turns it into an n² mask, so only it loads
+`tables`.  Extraction and the indifference-quota rules share the level
+maps: `_row_thresholds` reads each indifference row's least winning
+a-support off the staircase, and `_interleave` turns (ell, k) levels back
+into a sequence.
 """
 
 from .core import Alternative, CountProfile, QuotaSeq, _check_quotas, _mirror, check_table_size
@@ -132,45 +134,27 @@ def _interleave(n: int, default: Alternative, pairs) -> QuotaSeq:
     return QuotaSeq._trusted(n, tuple(quotas))
 
 
-def _first_meeting(quotas: tuple[int, ...] | list[int], n: int) -> list[int]:
-    """first[s] is the first index whose quota s supporters meet (k_i <= s).
-
-    One pass over the running minimum fills it, up to the first 0, which
-    every s meets; an s that no quota admits reads len(quotas).
-    """
-    first = [len(quotas)] * (n + 1)
-    lo = n + 1  # s >= lo already met a quota
-    for i, k in enumerate(quotas):
-        if k < lo:
-            first[k:lo] = [i] * (lo - k)
-            lo = k
-            if k == 0:
-                break
-    return first
-
-
 def _staircase(seq: QuotaSeq) -> list[int]:
     """Row lengths c_0..c_n of the rule's table: a wins (na, nb) exactly when nb < c_na.
 
-    first_a[na] is the first index whose quota na supporters of a meet
-    (k_i <= na), and first_b[nb] the first whose mirrored quota nb
-    supporters of b meet (n+1-k_i <= nb): one `_first_meeting` fill on
-    the quotas and one on their mirrors.  a wins (na, nb) exactly when
-    first_a[na] < first_b[nb]; the two never tie on a profile, since that
-    would need n+1 voters.  first_b never increases, so each row that a
-    wins is a prefix, and a pointer walk finds its length.  Too large an n
-    is refused first, so every reader of a rule's table has one size limit.
+    One walk over the running range [lo, hi] of the entries: before an
+    entry, the undecided profiles are exactly na < lo and nb < n+1-hi.
+    So an entry k < lo decides the rows k <= na < lo, and each row's
+    undecided profiles nb < n+1-max(hi, na) go to a; b cannot decide at
+    the entry itself, since na >= k and nb >= n+1-k would need n+1
+    voters.  Rows never reached stay empty, and entries after the first
+    terminal leave the lengths as they are.  Too large an n is refused
+    first, so every reader of a rule's table has one size limit.
     """
     n = seq.n
     check_table_size(n)
-    first_a = _first_meeting(seq.quotas, n)
-    first_b = _first_meeting([_mirror(n, k) for k in seq.quotas], n)
-    lengths = []
-    s = 0
-    for na in range(n + 1):
-        while s <= n and first_b[s] > first_a[na]:
-            s += 1
-        lengths.append(min(s, n + 1 - na))
+    lengths = [0] * (n + 1)
+    lo, hi = n + 1, 0
+    for k in seq.quotas:
+        if k < lo:
+            lengths[k:lo] = [n + 1 - max(hi, na) for na in range(k, lo)]
+            lo = k
+        hi = max(hi, k)
     return lengths
 
 

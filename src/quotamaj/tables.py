@@ -81,13 +81,24 @@ def _mask_of(letters: str) -> int:
     return int(letters.translate(_DIGITS)[::-1], 2)
 
 
+def _spaced(count: int, width: int) -> int:
+    """`count` one-bits `width` apart, from bit 0, by doubling the bits placed."""
+    mask, k = 1, 1
+    while k < count:
+        mask |= mask << k * width
+        k *= 2
+    return mask & ((1 << count * width) - 1)
+
+
 def _grid(n: int) -> tuple[int, int]:
     """Width n+2 of the padded grid of profiles and the mask of its valid bits.
 
     Profile (na, nb) is bit na*(n+2) + nb.  The spare column n+1 is never
     valid, so no shift by less than a row wraps a profile into the next row.
+    Row na's valid bits start at na*(n+2) and end before na*(n+1) + n+1, so
+    the mask is one difference of two spaced bit sets.
     """
-    return n + 2, _prefix_rows(n, [n + 1 - na for na in range(n + 1)])
+    return n + 2, (_spaced(n + 1, n + 1) << n + 1) - _spaced(n + 1, n + 2)
 
 
 _OUTCOMES = {"a": Alternative.A, "b": Alternative.B}

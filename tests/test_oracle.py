@@ -152,6 +152,13 @@ def test_exhaustive_family_matches_enumeration_at_n16(monkeypatch):
     assert found == sorted(t.mask for _, t in enumerate_all(16))
 
 
+def test_grid_is_the_prefix_rows_of_every_valid_profile():
+    # the oracle's valid mask is built by doubling, apart from the digit
+    # strings of _prefix_rows that build every rule's table
+    for n in [*range(1, 301), 500, 2000, 5000]:
+        assert _grid(n) == (n + 2, _prefix_rows(n, [n + 1 - na for na in range(n + 1)])), n
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exhaustive_family_is_every_closed_row_prefix_table(n):
     # closure under "b loses a supporter" alone makes each row na a prefix

@@ -5,6 +5,8 @@ cell-by-cell implementation, kept as the definition the mask-based code
 must reproduce exactly.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from quotamaj import (
     to_table,
 )
 from quotamaj.cli import main
-from quotamaj.engine import _row_thresholds, _staircase
+from quotamaj.engine import _decide, _row_thresholds, _staircase
 from quotamaj.fileformats import STRUCTURED, TEXT, format_family
 from quotamaj.tables import _prefix_rows
 
@@ -70,6 +72,22 @@ def long_sequences(draw):
 @given(long_sequences())
 def test_to_table_matches_reference_on_long_sequences(seq):
     assert to_table(seq).outcomes == reference_to_table(seq)
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_staircase_agrees_with_decide_beyond_the_reference(n):
+    # each row is a prefix, so its last a cell and its first b cell pin it
+    rng = random.Random(n)
+    for _ in range(10):
+        body = [rng.randint(0, n + 1) for _ in range(rng.randint(0, 79))]
+        body.insert(rng.randint(0, len(body)), rng.choice([0, n + 1]))
+        seq = QuotaSeq(n, tuple(body))
+        for na, c in enumerate(_staircase(seq)):
+            assert 0 <= c <= n + 1 - na, (seq, na)
+            if c > 0:
+                assert _decide(seq.quotas, n, na, c - 1)[1] is A, (seq, na)
+            if c <= n - na:
+                assert _decide(seq.quotas, n, na, c)[1] is B, (seq, na)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
