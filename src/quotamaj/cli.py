@@ -18,7 +18,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .core import FORMATS, Alternative, CountProfile, QuotaSeq, SearchBudgetExceeded, _check_society, _parse_ints
+from .core import (FORMATS, Alternative, CountProfile, QuotaSeq, SearchBudgetExceeded, _check_society, _parse_ints,
+                   parse_sequence)
 
 OK = 0
 OUTPUT_CLOSED = 1
@@ -56,8 +57,7 @@ def _load_sequence(args) -> QuotaSeq:
     if args.seq_file is not None:
         if args.quotas is not None:
             raise ValueError("give either --quotas or --seq-file, not both")
-        from . import fileformats
-        seq = fileformats.parse_sequence(_read_file(args.seq_file, "sequence"))
+        seq = parse_sequence(_read_file(args.seq_file, "sequence"))
         if args.n is not None and args.n != seq.n:
             raise ValueError(f"--n {args.n} contradicts the file's n={seq.n}")
         return seq

@@ -7,7 +7,9 @@ profile is the pair of support counts (na, nb) with na + nb <= n; the
 remaining n - na - nb voters are indifferent.
 
 Everything here is an immutable value; instances can be shared freely
-between threads or tasks.  Every command loads this module.  The tables,
+between threads or tasks.  Every command loads this module, so the texts
+of a rule are read and written here too: a comma-separated quota list, and
+the sequence file, an `n=<int>` header line over one such list.  The tables,
 and the full per-voter profiles they range over, live in `tables`, which
 this module loads when one of their public names is first read here:
 only the commands that build or read a table load it.
@@ -78,8 +80,8 @@ class Alternative(Enum):
         return self.value
 
 
-#: The table and family file formats; here rather than in fileformats so
-#: that the command line can offer them without loading that module.
+#: The table and family file formats; here, as the sequence file's syntax
+#: is, so that the command line can offer them without loading fileformats.
 TEXT = "text"
 STRUCTURED = "structured"
 FORMATS = (TEXT, STRUCTURED)
@@ -199,6 +201,26 @@ class QuotaSeq(_Value):
 
     def __str__(self) -> str:
         return ",".join(map(str, self.quotas))
+
+
+def _parse_header(line: str) -> int:
+    if not line.startswith("n="):
+        raise ValueError(f"expected a 'n=<size>' header, got {line!r}")
+    try:
+        return int(line[2:])
+    except ValueError:
+        raise ValueError(f"bad society size in header {line!r}") from None
+
+
+def format_sequence(seq: QuotaSeq) -> str:
+    return f"n={seq.n}\n{seq}\n"
+
+
+def parse_sequence(text: str) -> QuotaSeq:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if len(lines) != 2:
+        raise ValueError("sequence file needs a header line and one quota line")
+    return QuotaSeq(_parse_header(lines[0]), _parse_ints(lines[1], "quota list"))
 
 
 def __getattr__(name: str):

@@ -1,11 +1,10 @@
-"""Reading and writing tables and sequences.
+"""Reading and writing table files; a sequence file is read in `core`.
 
 Two interchangeable formats:
 
 * text: a `n=<int>` header line, then one entry per line, sorted in the
   canonical profile order.  Count-table lines are `na nb outcome`; full
-  table lines are `<profile string over a/b/i> outcome`; sequence files
-  carry a single comma-separated line of quotas.
+  table lines are `<profile string over a/b/i> outcome`.
 * structured: a JSON object `{"n": ..., "entries": [...]}` with entries
   `{"a": na, "b": nb, "out": ...}` for count tables and
   `{"profile": "abi...", "out": ...}` for full tables.
@@ -29,17 +28,9 @@ table's outcome letters.
 import itertools
 from operator import itemgetter
 
-# the table layer is loaded by the table readers alone, so reading a sequence file does not load it
-from .core import STRUCTURED, TEXT, QuotaSeq, _parse_ints, count_table_size
-
-
-def _parse_header(line: str) -> int:
-    if not line.startswith("n="):
-        raise ValueError(f"expected a 'n=<size>' header, got {line!r}")
-    try:
-        return int(line[2:])
-    except ValueError:
-        raise ValueError(f"bad society size in header {line!r}") from None
+from .core import STRUCTURED, TEXT, _parse_header, count_table_size
+from .tables import (CountTable, FullTable, _BASE3, _canonical_keys, _check_count_size, _check_full_size, _mask_of,
+                     _parse_outcome, _place_rows)
 
 
 def _format_table(n: int, fields: tuple[str, ...], form, letters: list, fmt: str) -> str:
@@ -47,7 +38,6 @@ def _format_table(n: int, fields: tuple[str, ...], form, letters: list, fmt: str
     its outcome letters in the canonical profile order: JSON objects for
     structured output, `fields` the texts before each column, or text lines."""
     from .enumeration import _check_format, _write_columns
-    from .tables import _canonical_keys
     _check_format(fmt)
     if fmt == STRUCTURED:
         entry = [*itertools.chain(*zip(fields, (*_canonical_keys(n, form), letters))), '"\n    },\n']
@@ -66,17 +56,6 @@ def format_full_table(table: "FullTable", fmt: str = TEXT) -> str:
     return _format_table(table.n, fields, None, [*table.outcome_string()], fmt)
 
 
-def format_sequence(seq: QuotaSeq) -> str:
-    return f"n={seq.n}\n{seq}\n"
-
-
-def parse_sequence(text: str) -> QuotaSeq:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2:
-        raise ValueError("sequence file needs a header line and one quota line")
-    return QuotaSeq(_parse_header(lines[0]), _parse_ints(lines[1], "quota list"))
-
-
 def parse_table(text: str) -> "CountTable | FullTable":
     """Parse either table kind from either format, detecting both."""
     stripped = text.lstrip()
@@ -90,7 +69,6 @@ def _whole_table(n: int, size: int, form, columns):
     outcome column, when the keys are every profile once, in the canonical
     order, and every outcome is 'a' or 'b'; None otherwise, and then the
     per-entry checks name the fault."""
-    from .tables import CountTable, FullTable, _canonical_keys, _mask_of, _place_rows
     # a full table's size is checked before this pass; a count file reports
     # entry faults before its size, and both builders trust their fields
     if form is not None and (n < 1 or count_table_size(n) != size):
@@ -123,7 +101,6 @@ def _build_table(n: int, size: int, entries, form, columns) -> "CountTable | Ful
     from its `columns` in whole-table passes by `_whole_table`; any other
     file goes through the per-entry checks.
     """
-    from .tables import CountTable, FullTable, _BASE3, _check_count_size, _check_full_size, _mask_of, _parse_outcome
     if form is None:
         _check_full_size(n, size)  # before any profile of an untrusted length is read
     table = _whole_table(n, size, form, columns)

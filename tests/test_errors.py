@@ -34,8 +34,9 @@ from quotamaj import (
     proper_to_subset,
     truncate,
 )
+from quotamaj.core import parse_sequence
 from quotamaj.enumeration import _family_staircases
-from quotamaj.fileformats import parse_sequence, parse_table
+from quotamaj.fileformats import parse_table
 
 from certificates import exhaustive_sp_family, is_minimal
 from helpers import majority3

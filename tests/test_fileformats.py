@@ -16,14 +16,13 @@ from test_fileformats_reference import (
 
 from quotamaj import Alternative, CountTable, FullTable, QuotaSeq, cli, fileformats, tables, to_table
 from quotamaj.cli import INVALID_INPUT
+from quotamaj.core import format_sequence, parse_sequence
 from quotamaj.fileformats import (
     STRUCTURED,
     TEXT,
     format_count_table,
     format_family,
     format_full_table,
-    format_sequence,
-    parse_sequence,
     parse_table,
 )
 from quotamaj.enumeration import enumerate_all, proper_to_subset, subset_to_proper
@@ -187,14 +186,16 @@ def test_every_way_of_building_a_full_table_gives_one_mask_and_agreeing_views(n)
 
 def counting_table_checks(monkeypatch, size_check="_check_full_size"):
     """How often the size check of a table kind and the outcome check run
-    from now on; `_build_table` imports them when it is called, so it runs these."""
+    from now on, through `tables` or through the names `fileformats` imports."""
     counts = dict.fromkeys((size_check, "_check_outcomes"), 0)
     for name in counts:
         def counting(*args, name=name, check=getattr(tables, name)):
             counts[name] += 1
             return check(*args)
 
-        monkeypatch.setattr(tables, name, counting)
+        for module in (tables, fileformats):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counting)
     return counts
 
 

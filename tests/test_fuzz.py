@@ -24,13 +24,12 @@ from quotamaj import (
     to_table,
 )
 from quotamaj.cli import _build_parser, _read_command_line, main
+from quotamaj.core import format_sequence, parse_sequence
 from quotamaj.fileformats import (
     STRUCTURED,
     TEXT,
     format_count_table,
     format_full_table,
-    format_sequence,
-    parse_sequence,
     parse_table,
 )
 from quotamaj.oracle import expand_to_full

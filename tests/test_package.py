@@ -160,8 +160,8 @@ LOADS = {
     "startup.convert": {"engine", "lp"},
     "startup.enum": {"enumeration"},
     "startup.canon.subset": {"enumeration"},
-    # the sequence reader, which loads no table layer
-    "startup.canon.seq_file": {"canonical", "engine", "fileformats"},
+    # the sequence file is read in core, as the quota list is
+    "startup.canon.seq_file": {"canonical", "engine"},
     "startup.verify.json": {"fileformats", "oracle", "tables"},
     "startup.enum.structured": {"enumeration"},
     "startup.convert.rule": {"canonical", "engine", "lp"},
@@ -239,6 +239,21 @@ def test_each_command_loads_exactly_the_modules_it_runs(listings, line):
     assert package == {"quotamaj", "quotamaj.cli", "quotamaj.core", *(f"quotamaj.{m}" for m in LOADS[line])}
     # the family writer lays out its own JSON, so only a JSON table loads json
     assert ("json" in modules) == (line == "startup.verify.json")
+
+
+# the padded worked rule is not proper, so `convert` refuses it from either source
+@pytest.mark.parametrize("verb, status", [(["eval", "--na", "3", "--nb", "6"], 0), (["canon"], 0), (["convert"], 2)],
+                         ids=["eval", "canon", "convert"])
+def test_a_sequence_file_loads_what_its_quota_list_does(layers, tmp_path, verb, status):
+    layers.worked_table(tmp_path)
+    from_file, from_list = (
+        layers.list_modules(status, layers.RUNNER, *verb, *source, cwd=tmp_path)
+        for source in (["--seq-file", "worked.seq"], ["--n", "11", "--quotas", "5,2,7,12"])
+    )
+    assert from_file[0] == from_list[0]
+    assert {m for m in from_file[1] if m.split(".")[0] == "quotamaj"} == {
+        m for m in from_list[1] if m.split(".")[0] == "quotamaj"
+    }
 
 
 def test_the_readme_start_up_table_matches_loads():

@@ -68,7 +68,7 @@ TOP_LEVEL_IMPORTS = {
     "engine": {"core"},
     "enumeration": {"core"},
     "extraction": {"core", "engine", "oracle"},
-    "fileformats": {"core"},
+    "fileformats": {"core", "tables"},
     "lp": {"core", "engine"},
     "oracle": {"core", "tables"},
     "tables": {"core"},
