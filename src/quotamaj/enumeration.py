@@ -9,17 +9,18 @@ to the constant-b singleton (n+1).  The default-a half of the family is
 the elementwise dual of the default-b half.  Counting both defaults gives
 2**(n+1) rules, every one with a distinct truth table.
 
-Counted, with |J[x, y]| the number of members of J in [x, y], the rule
-of J with default b lets a win (na, nb) exactly when
-|J[1, na]| > |J[n-nb+1, n]|, and the rule with default a exactly when
-|J[n-na+1, n]| >= |J[1, nb]|.  From this form `_family_staircases` builds
-each row of every rule's staircase, its row lengths, as a column over the
-family, and `_subset_texts` the subsets' members and sequences, each in
-a few slice assignments over all subsets.  `enumerate_all` makes tables
-and sequences of these columns, and `_write_family` a family file, with
-no Python step per rule, through `_write_columns`, the one writer of
-every file, tables too.  It writes them, or the columns that
-`fileformats.format_family` makes of (sequence, table) pairs, as:
+Counted, with S a rule's proper quotas other than n+1 (J for default b, 0
+and the mirrors n+1-j of J for default a) and |S[x, y]| the number of them
+in [x, y], a wins (na, nb) exactly when |S[0, na]| > |S[n-nb+1, n]|: on J,
+|J[1, na]| > |J[n-nb+1, n]| for default b and |J[n-na+1, n]| >= |J[1, nb]|
+for default a.  From this form `_family_staircases` builds each row of
+every rule's staircase, its row lengths, as a column over the family, and
+`_subset_texts` the subsets' members and sequences, each in a few slice
+assignments over all subsets.  `enumerate_all` makes tables and sequences
+of these columns, and `_write_family` a family file, with no Python step
+per rule, through `_write_columns`, the one writer of every file, tables
+too.  It writes them, or the columns that `fileformats.format_family`
+makes of (sequence, table) pairs, as:
 
 * text: a `n=<int>` header line and a `count=<rules>` line, then one
   `default subset quotas table` line per rule, e.g. `b 2,5 5,2,12 bb...`:
@@ -96,7 +97,8 @@ def _family_staircases(n: int, pieces) -> list[list]:
     the p-th largest of s (0 if s has fewer); for default a, with
     q = |J[n-na+1, n]| and s the members up to n-na, c is the (q+1)-th
     smallest of s, or n+1-na if s has no more.  So each row is a table
-    over (count, s), placed over the family in slice assignments."""
+    over (count, s), placed over the family in slice assignments.
+    Default a is in the mirror's bit order, so its count reads the high bits."""
     _check_society(n)
     # decided from n alone: 2**(n+1) itself may be too large to build
     if n + 1 >= MAX_RULES.bit_length():

@@ -13,16 +13,16 @@ Parsers accept entries in any order but demand exactly one entry per
 profile.  This module holds the file syntax alone; the encodings, outcome
 letters and the canonical key order, are those of `tables`.  Each format
 has one reader, which only splits its file into the society size n, the
-table kind, a sequence of (profile, outcome token) entries and the same
-entries as key and outcome columns; one builder checks the entries and
-builds the table through a trusted builder of the table classes, which
-checks nothing again.  A file in the canonical order, as the writers leave
-it, has the key columns of every profile for its n, so the builder compares
-those once and reads the outcome column in whole-table passes; any other
-file is checked entry by entry, which alone names a fault.  One writer,
-`enumeration._write_columns`, writes every file, table or family, in both
-formats; the table writers give it the same canonical key columns and the
-table's outcome letters.
+table kind, a sequence of (profile, outcome token) entries and a list of
+the same entries' key and outcome columns; one builder checks the entries
+and builds the table through a trusted builder of the table classes,
+which checks nothing again.  A file in the canonical order, as the
+writers leave it, has the key columns of every profile for its n, so the
+builder compares those once and reads the outcome column in whole-table
+passes; any other file is checked entry by entry, which alone names a
+fault.  One writer, `enumeration._write_columns`, writes every file,
+table or family, in both formats; the table writers give it the same
+canonical key columns and the table's outcome letters.
 """
 
 import itertools
@@ -64,27 +64,22 @@ def parse_table(text: str) -> "CountTable | FullTable":
     return _build_table(*_read_text(text))
 
 
-def _whole_table(n: int, size: int, form, columns):
-    """The table from an iterator over a file's key columns, then its
-    outcome column, when the keys are every profile once, in the canonical
-    order, and every outcome is 'a' or 'b'; None otherwise, and then the
+def _whole_table(n: int, size: int, form, columns: list):
+    """The table from the list of a file's key columns, then its outcome
+    column, when the keys are every profile once, in the canonical order,
+    and every outcome is 'a' or 'b'; None otherwise, and then the
     per-entry checks name the fault."""
     # a full table's size is checked before this pass; a count file reports
     # entry faults before its size, and both builders trust their fields
     if form is not None and (n < 1 or count_table_size(n) != size):
         return None
-    keys = []
-    for canonical in _canonical_keys(n, form):
-        keys.append(next(columns, None))
-        # a file in any other order fails at its first misplaced key, before
-        # the columns after it are formed
-        if keys[-1] != canonical:
-            return None
-    # true, false and 1.0 equal the ints 1, 0 and 1, so JSON counts must be exact ints
-    if form is int and {*map(type, keys[0]), *map(type, keys[1])} != {int}:
+    if tuple(columns[:-1]) != _canonical_keys(n, form):
         return None
-    outs = next(columns, None)
-    if outs is None or outs.count("a") + outs.count("b") != size:
+    # true, false and 1.0 equal the ints 1, 0 and 1, so JSON counts must be exact ints
+    if form is int and {*map(type, columns[0]), *map(type, columns[1])} != {int}:
+        return None
+    outs = columns[-1]
+    if outs.count("a") + outs.count("b") != size:
         return None
     if form is None:
         return FullTable._from_mask(n, _mask_of("".join(outs)))
@@ -148,8 +143,8 @@ def _read_text(text: str):
     # one token list for the body: split() breaks at every line break too
     tokens = text.split()
     del tokens[: len(lines[0].split())]
-    columns = (tuple(tokens[k::width]) for k in range(width))  # tuples, as _canonical_keys
-    entries = zip(*[iter(tokens)] * width)
+    columns = [tuple(tokens[k::width]) for k in range(width)]  # tuples, as _canonical_keys
+    entries = zip(*columns)
     if full:
         return n, len(lines) - 1, entries, None, columns
     return n, len(lines) - 1, map(_text_count_entry, entries), str, columns
@@ -163,14 +158,13 @@ def _text_count_entry(parts: tuple[str, str, str]):
         raise ValueError(f"bad counts {na_tok!r} {nb_tok!r}") from None
 
 
-def _json_columns(entries: list, *fields: str):
-    """The entries' key fields, then their "out" fields, one column at a
-    time, ending before the first field that some entry lacks."""
+def _json_columns(entries: list, *fields: str) -> list:
+    """The entries' key fields, then their "out" fields, one column each;
+    [] when some entry is no object or lacks a field."""
     try:
-        for field in (*fields, "out"):
-            yield tuple(map(itemgetter(field), entries))
-    except (TypeError, KeyError):  # an entry that is no dict, or lacks the field
-        return
+        return [tuple(map(itemgetter(field), entries)) for field in (*fields, "out")]
+    except (TypeError, KeyError):
+        return []
 
 
 def _read_structured(text: str):
@@ -191,11 +185,8 @@ def _read_structured(text: str):
     entries = data["entries"]
     if not isinstance(entries, list) or not entries:
         raise ValueError("'entries' must be a nonempty list")
-    # the profile column exists exactly when every entry is an object with a profile
-    columns = _json_columns(entries, "profile")
-    profiles = next(columns, None)
-    if profiles is not None:
-        return n, len(entries), map(_json_full_entry, entries), None, itertools.chain([profiles], columns)
+    if all(isinstance(e, dict) and "profile" in e for e in entries):
+        return n, len(entries), map(_json_full_entry, entries), None, _json_columns(entries, "profile")
     return n, len(entries), map(_json_count_entry, entries), int, _json_columns(entries, "a", "b")
 
 

@@ -22,7 +22,7 @@ a…ab…bi…i give, one per class, so anonymity is that round trip.
 """
 
 from .core import Alternative, CountProfile, _Value, count_table_size
-from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid
+from .tables import PREFERENCES, CountTable, FullProfile, FullTable, Preference, _grid, _spaced
 
 
 class CountManipulation(_Value):
@@ -144,7 +144,7 @@ def find_manipulation_full(table: FullTable) -> FullManipulation | None:
     for voter in range(n):
         w = 3 ** (n - 1 - voter)
         # where the voter declares a: digit 0 of place w, the lowest w of every 3w positions
-        decl_a = int(("0" * 2 * w + "1" * w) * 3**voter, 2)
+        decl_a = ((1 << w) - 1) * _spaced(3**voter, 3 * w)
         decl_b = decl_a << w
         # where a b-supporter gains by a or i, then an a-supporter by b or i
         masks += [a & decl_b & b << w, a & decl_b & b >> w, b & decl_a & a >> w, b & decl_a & a >> 2 * w]

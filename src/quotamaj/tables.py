@@ -175,14 +175,13 @@ class CountTable(_Value):
     def _from_entries(cls, n: int, outcomes: Mapping[tuple[int, int], Alternative]) -> "CountTable":
         # trusted: the caller checked the outcomes and their number, and as many
         # distinct keys as profiles, each a profile, is every profile once
-        letters = ["b"] * count_table_size(n)
+        letters = ["b"] * ((n + 1) * (n + 2))
         for (na, nb), outcome in outcomes.items():
             if na < 0 or nb < 0 or na + nb > n:
                 raise ValueError(f"table entry ({na}, {nb}) is not a count profile for n={n}")
             if outcome is Alternative.A:
-                # row na follows the n+1, n, ..., n+2-na profiles of the rows above it
-                letters[na * (2 * n + 3 - na) // 2 + nb] = "a"
-        return cls._from_mask(n, _place_rows(n, "".join(letters)))
+                letters[na * (n + 2) + nb] = "a"  # its grid bit
+        return cls._from_mask(n, _mask_of("".join(letters)))
 
     def _corners(self) -> list[tuple[int, int]]:
         """The profiles (na, nb) that a wins while it loses (na-1, nb) and (na, nb+1), by ascending

@@ -199,5 +199,11 @@ def test_count_form_matches_per_profile_evaluation(n):
     for mask in range(2**n):
         subset = [i + 1 for i in range(n) if mask >> i & 1]
         for default in (A, B):
-            expected = reference_to_table(subset_to_proper(subset, default, n))
+            seq = subset_to_proper(subset, default, n)
+            expected = reference_to_table(seq)
             assert tuple(count_form(subset, default, n, p.na, p.nb) for p in profiles) == expected
+            # one form for both defaults: S is the proper quotas other than n+1
+            # (J for default b, 0 and the mirrors n+1-j for default a)
+            s = [k for k in seq.quotas if k != n + 1]
+            wins = (sum(k <= p.na for k in s) > sum(k > n - p.nb for k in s) for p in profiles)
+            assert tuple(A if win else B for win in wins) == expected

@@ -301,15 +301,25 @@ def test_one_check_refuses_a_profile_of_another_society_size():
 
 
 def test_only_tables_computes_a_count_profile_index():
-    # row na of the all_count_profiles order starts at na*(2n+3-na)/2; the
-    # oracle works on grid bits and reads a table only through its mask,
-    # never round-tripping letters through rows or positions
+    # row na of the all_count_profiles order starts at na*(2n+3-na)/2, and no
+    # module computes that index: `tables` places a count file's entries
+    # straight on their grid bits, and the oracle works on grid bits and
+    # reads a table only through its mask, never round-tripping letters
+    # through rows or positions
     found = sorted(path.name for path in SOURCE.glob("*.py") if "2 * n + 3" in path.read_text())
-    assert found == ["tables.py"]
+    assert found == []
     oracle = [name for _, module, name in imports_from_the_package(SOURCE / "oracle.py") if module == "tables"]
     assert oracle and not {"_place_rows", "_mask_of"} & set(oracle)
     read = {node.attr for node in ast.walk(ast.parse((SOURCE / "oracle.py").read_text())) if isinstance(node, ast.Attribute)}
     assert "mask" in read and "outcome_string" not in read
+
+
+def test_the_oracle_builds_no_mask_from_a_digit_string():
+    # every oracle mask is a shift, a doubling (`tables._spaced`) or the
+    # table's own: a mask parsed from digits costs a string per bit
+    tree = ast.parse((SOURCE / "oracle.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert calls and [node.lineno for node in calls if getattr(node.func, "id", None) == "int"] == []
 
 
 def test_only_tables_maps_text_to_outcomes():
