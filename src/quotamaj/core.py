@@ -9,10 +9,12 @@ remaining n - na - nb voters are indifferent.
 Everything here is an immutable value; instances can be shared freely
 between threads or tasks.  Every command loads this module, so the texts
 of a rule are read and written here too: a comma-separated quota list, and
-the sequence file, an `n=<int>` header line over one such list.  The tables,
-and the full per-voter profiles they range over, live in `tables`, which
-this module loads when one of their public names is first read here:
-only the commands that build or read a table load it.
+the sequence file, an `n=<int>` header line over one such list; so are the
+two maps on quotas that the layers share, `_mirror`, which swaps a and b,
+and `_arrange`, which places a proper sequence.  The tables, and the full
+per-voter profiles they range over, live in `tables`, which this module
+loads when one of their public names is first read here: only the
+commands that build or read a table load it.
 """
 
 from enum import Enum
@@ -111,6 +113,19 @@ def _mirror(size: int, k: int) -> int:
     At least k of them support a exactly when fewer than the mirror support b.
     """
     return size + 1 - k
+
+
+def _arrange(n: int, quotas) -> tuple[int, ...]:
+    """The proper sequence whose quotas other than n+1 are the set `quotas`, within {0, ..., n}.
+
+    Sorted s_1 < ... < s_k, they are paired from the outside in: read from
+    the back, n+1 unless s_1 = 0, then s_1, s_k, s_2, s_(k-1), ...
+    """
+    vals = sorted(quotas)
+    arranged = [*vals, n + 1]
+    arranged[-2::-2] = vals[: (len(vals) + 1) // 2]
+    arranged[-3::-2] = vals[: (len(vals) - 1) // 2 : -1]
+    return tuple(arranged[:-1] if vals[:1] == [0] else arranged)
 
 
 class CountProfile(_Value):

@@ -8,12 +8,14 @@ A quota equal to 0 or n+1 makes one condition vacuously true, which is
 why every sequence must contain such a terminal element.
 
 The b condition is the a condition on the quota mirrored by `core._mirror`,
-the one map that swaps the alternatives in the package.  Where a sequence
-decides is found by two walks: `_decide` for one profile (`length` is its
-answer for the all-indifferent profile (0, 0), which only a terminal
-meets), and the running range [lo, hi] of the entries, after which the
-undecided profiles are exactly na < lo and nb < n+1-hi.  `_escape_sides`
-reads that range entry by entry, for which entries can decide at all,
+the one map that swaps the alternatives in the package, and a sequence is
+proper when it is `core._arrange` of its own quotas other than n+1, the
+one arrangement of a proper sequence.  Where a sequence decides is found
+by two walks: `_decide` for one profile (`length` is its answer for the
+all-indifferent profile (0, 0), which only a terminal meets), and the
+running range [lo, hi] of the entries, after which the undecided profiles
+are exactly na < lo and nb < n+1-hi.  `_escape_sides` reads that range
+entry by entry, for which entries can decide at all, for `canonical`,
 and `_staircase` row by row: a rule's table is one staircase, its row
 lengths, and only `to_table` turns it into an n² mask, so only it loads
 `tables`.  Extraction and the indifference-quota rules share the level
@@ -22,7 +24,7 @@ a-support off the staircase, and `_interleave` turns (ell, k) levels back
 into a sequence.
 """
 
-from .core import Alternative, CountProfile, QuotaSeq, _check_quotas, _mirror, check_table_size
+from .core import Alternative, CountProfile, QuotaSeq, _arrange, _check_quotas, _mirror, check_table_size
 
 
 def _decide(quotas: tuple[int, ...], n: int, na: int, nb: int) -> tuple[int, Alternative]:
@@ -88,20 +90,12 @@ def is_valid_r_tuple(seq: QuotaSeq) -> bool:
 
 
 def is_proper(seq: QuotaSeq) -> bool:
-    """Whether the sequence zig-zags strictly outward with alternating sides.
+    """Whether the sequence is the arrangement `core._arrange` of its quotas other than n+1.
 
-    A proper sequence has distinct entries, keeps its single element of
-    {0, n+1} at the end, and every later entry escapes the range of all
-    earlier ones, alternating strictly between the above side and the
-    below side.  Such sequences are exactly the minimal-length defining
-    sequences, and for onto rules the proper form is unique.
-
-    Any sequence is accepted; shapes that break a condition report False.
-    An entry that escapes the range of every earlier one equals none of
-    them, so nonzero sides already make the entries distinct.
+    A rule has exactly one proper form, the minimal-length defining sequence, and it is that
+    arrangement; any sequence is accepted, and every other shape reports False.
     """
-    sides = _escape_sides(seq.quotas)
-    return length(seq) == len(sides) and 0 not in sides and all(a != b for a, b in zip(sides, sides[1:]))
+    return seq.quotas == _arrange(seq.n, set(seq.quotas) - {seq.n + 1})
 
 
 def _require_proper(seq: QuotaSeq) -> None:

@@ -1,13 +1,12 @@
 """The subset bijection and full-family enumeration.
 
 Proper sequences with default b correspond one-to-one with subsets J of
-{1, ..., n}: the interior entries are exactly J, arranged by taking the
-minimum of what remains for the last interior slot, then the maximum of
-what remains, and so on backwards to the front.  So the interior of J is
-that of J - {min J, max J} followed by max J, min J.  The empty set maps
-to the constant-b singleton (n+1).  The default-a half of the family is
-the elementwise dual of the default-b half.  Counting both defaults gives
-2**(n+1) rules, every one with a distinct truth table.
+{1, ..., n}: `subset_to_proper` returns `core._arrange` of J, its members
+paired from the outside in, so the interior of J is that of
+J - {min J, max J} followed by max J, min J, and the empty set maps to the
+constant-b singleton (n+1).  With default a it arranges 0 and the mirrors
+n+1-j of J, the elementwise dual.  Counting both defaults gives 2**(n+1)
+rules, every one with a distinct truth table.
 
 Counted, with S a rule's proper quotas other than n+1 (J for default b, 0
 and the mirrors n+1-j of J for default a) and |S[x, y]| the number of them
@@ -36,8 +35,8 @@ from collections.abc import Iterable
 from itertools import repeat
 from operator import add, itemgetter
 
-from .core import (FORMATS, MAX_RULES, STRUCTURED, TEXT, Alternative, QuotaSeq, SearchBudgetExceeded, _check_society,
-                   _mirror)
+from .core import (FORMATS, MAX_RULES, STRUCTURED, TEXT, Alternative, QuotaSeq, SearchBudgetExceeded, _arrange,
+                   _check_society, _mirror)
 
 
 def subset_to_proper(subset: Iterable[int], default: Alternative, n: int) -> QuotaSeq:
@@ -46,18 +45,12 @@ def subset_to_proper(subset: Iterable[int], default: Alternative, n: int) -> Quo
     The default is the outcome when every voter is indifferent.
     """
     members = set(subset)
-    vals = sorted(members)
-    if vals and (vals[0] < 1 or vals[-1] > n):
-        # the message names the member that a scan of the set meets first
-        v = next(v for v in members if not 1 <= v <= n)
-        raise ValueError(f"subset element {v} outside {{1, ..., {n}}}")
-    # from the back of the interior: the least member, the greatest, the next least, ...
-    quotas = [*vals, n + 1]
-    quotas[-2::-2] = vals[: (len(vals) + 1) // 2]
-    quotas[-3::-2] = vals[: (len(vals) - 1) // 2 : -1]
+    for v in members:
+        if not 1 <= v <= n:
+            raise ValueError(f"subset element {v} outside {{1, ..., {n}}}")
     if default is Alternative.A:
-        quotas = [_mirror(n, k) for k in quotas]
-    return QuotaSeq(n, tuple(quotas))
+        members = {0, *(_mirror(n, j) for j in members)}
+    return QuotaSeq(n, _arrange(n, members))
 
 
 def proper_to_subset(seq: QuotaSeq) -> tuple[frozenset[int], Alternative]:
@@ -155,9 +148,10 @@ def _subset_texts(n: int, layout, names) -> tuple[list, list]:
     """The members of the subsets of {1, ..., n} in binary-counter order and
     their sequences for default b then a, written with names[k] for k and a
     `layout` as in `_LISTS`: texts, or tuples for names[k] = (k,) and ().
-    Adding v to the first 2**(v-1) subsets gives the next 2**(v-1); those
-    with least member lo and greatest hi lie at a stride of 2**lo, as do
-    those of {lo+1, ..., hi-1} whose interiors theirs extend."""
+    The sequences are the arrangement of `core._arrange`, built for all
+    subsets at once.  Adding v to the first 2**(v-1) subsets gives the next
+    2**(v-1); those with least member lo and greatest hi lie at a stride of
+    2**lo, as do those of {lo+1, ..., hi-1} whose interiors theirs extend."""
     opener, sep, closer, empty = layout
     members = [opener]
     for v in names[1 : n + 1]:

@@ -3,8 +3,8 @@
 A strategy-proof count table is the up-closure of its corners
 (`tables.CountTable._corners`), which are its proper sequence's entries
 other than n+1 paired from the outside in, as the README proves.  So
-`represent` checks the table with the oracle and places the corners as
-`enumeration.subset_to_proper` does.
+`represent` checks the table with the oracle and returns `core._arrange`
+of the corners' na and n - nb.
 
 The levels come from that sequence.  With ell voters indifferent and a
 quota k on the remaining n - ell, a profile is
@@ -31,7 +31,7 @@ validated as the mirrored default-b levels, and mirrored back.
 
 from . import oracle
 # `CountTable` in annotations is `tables.CountTable`, which a caller loads to build one
-from .core import Alternative, CountProfile, QuotaSeq, _Value, _mirror
+from .core import Alternative, CountProfile, QuotaSeq, _arrange, _Value, _mirror
 from .engine import _interleave, _mirror_pairs, _require_same_n, _row_thresholds, _staircase
 
 
@@ -119,17 +119,13 @@ def interleave(seq: LKSequence) -> QuotaSeq:
 
 
 def represent(table: "CountTable") -> QuotaSeq:
-    """The unique proper quota sequence whose table equals the input: from the back,
-    n+1 unless the first corner is in row 0 (a wins (0, 0)), then each corner's na and n - nb."""
+    """The unique proper quota sequence whose table equals the input: the
+    arrangement of the corners' na and n - nb, its quotas other than n+1."""
     counterexample = oracle.find_manipulation(table)
     if counterexample is not None:
         raise NotStrategyProof(counterexample)
     n = table.n
-    corners = table._corners()
-    quotas = [] if corners and corners[0][0] == 0 else [n + 1]
-    for na, nb in corners:
-        quotas += (na,) if na == n - nb else (na, n - nb)
-    return QuotaSeq._trusted(n, tuple(reversed(quotas)))
+    return QuotaSeq._trusted(n, _arrange(n, {q for na, nb in table._corners() for q in (na, n - nb)}))
 
 
 def _levels(seq: QuotaSeq) -> LKSequence:

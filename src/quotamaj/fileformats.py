@@ -185,8 +185,10 @@ def _read_structured(text: str):
     entries = data["entries"]
     if not isinstance(entries, list) or not entries:
         raise ValueError("'entries' must be a nonempty list")
-    if all(isinstance(e, dict) and "profile" in e for e in entries):
-        return n, len(entries), map(_json_full_entry, entries), None, _json_columns(entries, "profile")
+    # a full table's columns; only when some entry fails them does a second walk tell the kind
+    columns = _json_columns(entries, "profile")
+    if columns or all(isinstance(e, dict) and "profile" in e for e in entries):
+        return n, len(entries), map(_json_full_entry, entries), None, columns
     return n, len(entries), map(_json_count_entry, entries), int, _json_columns(entries, "a", "b")
 
 

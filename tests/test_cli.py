@@ -337,8 +337,10 @@ def test_deeply_nested_json_table_is_invalid_input(tmp_path, capsys):
     assert code == INVALID_INPUT and out == "" and "bad JSON table" in err
 
 
-def test_table_size_limit_boundary(capsys, monkeypatch):
+def test_table_size_limit_boundary(capsys, monkeypatch, tmp_path):
     # n=5 has 21 count profiles and n=6 has 28
+    path = tmp_path / "six.tbl"
+    path.write_text(format_count_table(to_table(QuotaSeq(6, (3, 0)))))
     monkeypatch.setattr(core, "MAX_TABLE_PROFILES", core.count_table_size(5))
     code, out, _ = run(capsys, "convert", "--n", "5", "--quotas", "3,0")
     assert code == OK and out == "default=a r=3 x=1,2,3\n"
@@ -347,6 +349,12 @@ def test_table_size_limit_boundary(capsys, monkeypatch):
     # canonicalizing builds no table, so the limit does not apply
     code, out, _ = run(capsys, "canon", "--n", "6", "--quotas", "3,0")
     assert code == OK and out == "3,0\n"
+    # a table file is bounded by its own entries: verify reads it whole, and
+    # represent meets the limit only in its level walk, a rule's staircase
+    code, _, _ = run(capsys, "verify", "--table", str(path))
+    assert code == OK
+    code, out, err = run(capsys, "represent", "--table", str(path))
+    assert code == BUDGET_EXCEEDED and out == "" and "a table for n=6 has 28 profiles, budget is 21" in err
 
 
 def command_lines_written_in(path):

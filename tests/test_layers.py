@@ -397,13 +397,18 @@ def test_layers_counts_source_lines(layers, tmp_path):
     (tmp_path / "src" / "quotamaj" / "core.py").write_text("c = 3\n")
     (tmp_path / "src" / "quotamaj" / "notes.txt").write_text("not counted\n")
     (tmp_path / "tests" / "test_x.py").write_text("def test():\n    pass\n\n")
+    # Module, then Assign, Name, Store and Constant per statement
     assert layers.source_lines(tmp_path) == {
         "src_total": 3,
         "src_modules": {"core.py": 1, "engine.py": 2},
+        "src_ast_nodes_total": 14,
+        "src_ast_nodes": {"core.py": 5, "engine.py": 9},
         "tests_total": 3,
     }
     record = layers.source_lines()
-    modules = record["src_modules"]
+    modules, nodes = record["src_modules"], record["src_ast_nodes"]
     assert "engine.py" in modules and "__init__.py" in modules
     assert record["src_total"] == sum(modules.values()) and record["tests_total"] > 0
+    assert nodes.keys() == modules.keys() and record["src_ast_nodes_total"] == sum(nodes.values())
+    assert nodes["core.py"] == layers.ast_nodes(layers.SRC / "quotamaj" / "core.py")
     json.dumps(record)

@@ -1,14 +1,16 @@
-"""The one a/b mirror, the one terminal scan and the one escape-side walk
-against the code they replaced.
+"""The one a/b mirror, the one outside-in arrangement, the one terminal
+scan and the one escape-side walk against the code they replaced.
 
 Each `reference_*` function, here or in tests/helpers.py, is an earlier
-implementation that wrote the mirror, the search for the first terminal
-or the running-range walk out by hand, kept as the definition the shared
-helpers must reproduce.  `check_sequence_walks` holds every walk over a
-sequence to its one reference.
+implementation that wrote the mirror, the arrangement of a proper
+sequence, the search for the first terminal or the running-range walk
+out by hand, kept as the definition the shared helpers must reproduce.
+`check_sequence_walks` holds every walk over a sequence to its one
+reference.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -31,10 +33,12 @@ from quotamaj import (
     is_valid_r_tuple,
     proper_to_lp,
     proper_to_subset,
+    represent,
+    subset_to_proper,
     to_table,
     truncate,
 )
-from quotamaj.core import _mirror
+from quotamaj.core import _arrange, _mirror
 from quotamaj.enumeration import _subset_of
 from quotamaj.extraction import _check_pair
 
@@ -213,6 +217,66 @@ def reference_proper_to_subset(seq):
 def test_subset_of_matches_the_dual_round_trip():
     for _, seq, _ in family_up_to(8):
         assert _subset_of(seq) == proper_to_subset(seq) == reference_proper_to_subset(seq)
+
+
+# --- the outside-in arrangement ---------------------------------------------
+
+
+def reference_slice_placement(subset, default, n):
+    """The slice placement of the interior, from the back, and the mirror pass for default a."""
+    vals = sorted(set(subset))
+    quotas = [*vals, n + 1]
+    quotas[-2::-2] = vals[: (len(vals) + 1) // 2]
+    quotas[-3::-2] = vals[: (len(vals) - 1) // 2 : -1]
+    if default is A:
+        quotas = [_mirror(n, k) for k in quotas]
+    return QuotaSeq(n, tuple(quotas))
+
+
+def reference_corner_loop(table):
+    """The corner loop, from the back: n+1 unless the first corner is in row 0,
+    then each corner's na and n - nb, once when they are equal."""
+    n = table.n
+    corners = table._corners()
+    quotas = [] if corners and corners[0][0] == 0 else [n + 1]
+    for na, nb in corners:
+        quotas += (na,) if na == n - nb else (na, n - nb)
+    return QuotaSeq(n, tuple(reversed(quotas)))
+
+
+def check_arrangement(n, quotas):
+    """`_arrange` of a set within {0, ..., n} against both references and the
+    functions that now call it; returns the arrangement."""
+    arranged = _arrange(n, quotas)
+    if 0 in quotas:  # default a: 0 and the mirrors of the subset
+        subset, default = {_mirror(n, q) for q in quotas - {0}}, A
+    else:
+        subset, default = quotas, B
+    seq = reference_slice_placement(subset, default, n)
+    assert arranged == seq.quotas, (n, quotas)
+    assert subset_to_proper(subset, default, n) == seq
+    table = to_table(seq)
+    assert represent(table) == reference_corner_loop(table) == seq
+    assert is_proper(seq) and reference_is_proper(seq)
+    return arranged
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_the_arrangements_of_every_subset_are_the_family(n):
+    arranged = {check_arrangement(n, {q for q in range(n + 1) if mask >> q & 1}) for mask in range(2 ** (n + 1))}
+    family = enumerate_all(n)
+    assert arranged == {seq.quotas for seq, _ in family} and len(arranged) == 2 ** (n + 1)
+    for seq, table in family:
+        assert reference_corner_loop(table) == seq
+
+
+@pytest.mark.parametrize(("n", "samples"), [(300, 80), (3000, 20)])
+def test_the_arrangement_matches_both_references_on_sampled_sets(n, samples):
+    rng = random.Random(n)
+    for i in range(samples):
+        quotas = set(rng.sample(range(n + 1), rng.randrange(60)))
+        quotas |= [set(), {0}, {n}, {0, n}][i % 4]  # both defaults, with and without the end quotas
+        check_arrangement(n, quotas)
 
 
 # --- the indifference-quota rules -------------------------------------------

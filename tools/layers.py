@@ -336,14 +336,19 @@ def tier1_run() -> dict:
 
 
 def source_lines(root: Path = ROOT) -> dict:
-    """Line counts, as `wc -l` gives them, of src/quotamaj/*.py and tests/*.py."""
+    """Line counts, as `wc -l` gives them, of src/quotamaj/*.py and tests/*.py,
+    and the AST nodes of src/quotamaj/*.py, by module and in total."""
     def count(path: Path) -> int:
         return path.read_bytes().count(b"\n")
 
-    modules = {path.name: count(path) for path in sorted((root / "src" / "quotamaj").glob("*.py"))}
+    paths = sorted((root / "src" / "quotamaj").glob("*.py"))
+    modules = {path.name: count(path) for path in paths}
+    nodes = {path.name: ast_nodes(path) for path in paths}
     return {
         "src_total": sum(modules.values()),
         "src_modules": modules,
+        "src_ast_nodes_total": sum(nodes.values()),
+        "src_ast_nodes": nodes,
         "tests_total": sum(count(path) for path in (root / "tests").glob("*.py")),
     }
 
